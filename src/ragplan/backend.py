@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import os
 import re
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -337,7 +336,6 @@ class BackendConfig:
     auth_env: str = "RAGPLAN_API_KEY"
     timeout: float = 30.0
     max_retries: int = 2
-    max_in_flight: int = 4
     temperature: float = 0.0
 
     def __post_init__(self) -> None:
@@ -444,19 +442,13 @@ class HttpBackend:
         if config.kind != "http":
             raise ConfigError("HttpBackend needs a config with kind='http'")
         self.config = config
-        self._gate = threading.BoundedSemaphore(max(1, config.max_in_flight))
-        self.telemetry = HttpTelemetry()
 
     def plan(self, question: Question, path: InstructionPath | None) -> PlanResult:
         prompt = build_prompt(question.text, path, self.config.template_id)
-        telemetry = HttpTelemetry()
         try:
-            with self._gate:
-                text = http_complete(self.config, prompt, telemetry)
+            text = http_complete(self.config, prompt)
         except BackendError as exc:
-            self.telemetry = telemetry
             return PlanResult(answer="", ok=False, prompt=prompt, error=str(exc))
-        self.telemetry = telemetry
         actions = parse_actions(text)
         answer = ""
         for operator, argument in actions:

@@ -23,6 +23,7 @@ from .backend import BackendConfig, make_backend
 from .corpus import (
     InstructionPath,
     MetricKind,
+    Question,
     TaskCorpus,
     load_corpus_jsonl,
     save_corpus_jsonl,
@@ -40,13 +41,12 @@ from .meta import (
     fewshot_adapt,
     meta_test,
     meta_train,
-    summarize_records,
+    retrieve,
 )
-from .policy import RlConfig, load_policy, save_policy, traverse
+from .policy import RlConfig, load_policy, save_policy
 from .serialize import sha256_file
 from .world import SyntheticWorldSpec, demo_spec, gen_world, load_world, save_world
 from .backend import build_prompt
-from .encoder import candidate_similarities, select_path
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,7 +79,6 @@ def _default_config() -> dict:
             "questions_per_batch": 8,
             "tasks_per_meta_batch": 4,
             "iterations": 40,
-            "first_order": True,
             "pool_extra_negatives": 2,
         },
         "backend": {
@@ -91,7 +90,6 @@ def _default_config() -> dict:
             "auth_env": "RAGPLAN_API_KEY",
             "timeout": 30.0,
             "max_retries": 2,
-            "max_in_flight": 4,
             "temperature": 0.0,
         },
     }
@@ -107,8 +105,18 @@ def load_run_config(args: argparse.Namespace) -> dict:
             overrides = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(overrides, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
         for key, value in overrides.items():
-            if isinstance(value, dict) and isinstance(config.get(key), dict):
+            if key not in config:
+                raise ConfigError(f"unknown config key {key!r}")
+            if isinstance(config[key], dict):
+                if not isinstance(value, dict):
+                    raise ConfigError(f"config key {key!r} must be an object")
+                unknown = sorted(set(value) - set(config[key]))
+                if unknown:
+                    names = ", ".join(f"{key}.{name}" for name in unknown)
+                    raise ConfigError(f"unknown config key {names}")
                 config[key].update(value)
             else:
                 config[key] = value
@@ -409,19 +417,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_retrieve(args: argparse.Namespace) -> int:
     config = load_run_config(args)
     bundle = _load_bundle(args.bundle, config)
-    candidates = traverse(
-        bundle.graph, args.question, bundle.policy, bundle.rl_config, mode="greedy"
+    candidates, sims, selected = retrieve(
+        bundle, Question(question_id="", task_id="", text=args.question, answer="")
     )
-    if not candidates:
+    if selected is None:
         print("no candidate paths found")
         return EXIT_OK
-    paths = [c.path for c in candidates]
-    sims = candidate_similarities(bundle.encoder, args.question, paths)
-    chosen = select_path(bundle.encoder, args.question, paths)
     for index, (candidate, sim) in enumerate(zip(candidates, sims)):
-        marker = "*" if candidate.path is chosen else " "
+        marker = "*" if index == selected else " "
         print(f"{marker} [{index}] sim={sim:+.4f}  {candidate.path.serialized()}")
-    prompt = build_prompt(args.question, chosen, config["backend"]["template_id"])
+    prompt = build_prompt(
+        args.question, candidates[selected].path, config["backend"]["template_id"]
+    )
     print("\n--- prompt ---")
     print(prompt)
     return EXIT_OK

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import InstructionPath, MetricKind, Question, score
+from .corpus import InstructionPath
+from .corpus import score  # noqa: F401  bench/tracer.py wraps ragplan.encoder.score
 from .embedding import EmbedderConfig, EmbeddingVector, cosine, embed_text
 from .errors import (
     ConfigError,
@@ -24,7 +25,6 @@ from .errors import (
     MalformedFileError,
     NotFoundError,
 )
-from .optim import AdamState, adam_step
 from .serialize import floats_to_hex, hex_to_floats, read_versioned, write_versioned
 
 ENCODER_KIND = "encoder-params"
@@ -132,85 +132,89 @@ def _normalize_backprop(
 class _EncodedBatch:
     q_base: list[EmbeddingVector]
     p_base: list[EmbeddingVector]
-    q: np.ndarray  # (n, d) normalized
-    p: np.ndarray
+    q: np.ndarray  # (n_q, d) normalized
+    p: np.ndarray  # (n_p, d) normalized
     q_norms: np.ndarray
     p_norms: np.ndarray
 
 
-def _encode_pairs(
-    params: EncoderParams, pairs: list[tuple[str, InstructionPath]]
+def _encode(
+    params: EncoderParams, questions: list[str], paths: list[InstructionPath]
 ) -> _EncodedBatch:
-    q_base = [embed_text(question, params.embedder) for question, _ in pairs]
-    p_base = [embed_text(path.serialized(), params.embedder) for _, path in pairs]
-    q_rows, p_rows, q_norms, p_norms = [], [], [], []
-    for qb, pb in zip(q_base, p_base):
-        qn, _, qr = _project(params.wq, qb)
-        pn, _, pr = _project(params.wp, pb)
-        q_rows.append(qn)
-        p_rows.append(pn)
-        q_norms.append(qr)
-        p_norms.append(pr)
+    """Embed and project questions and paths; the two lists may differ in length."""
+    q_base = [embed_text(question, params.embedder) for question in questions]
+    p_base = [embed_text(path.serialized(), params.embedder) for path in paths]
+    q_rows = [_project(params.wq, qb) for qb in q_base]
+    p_rows = [_project(params.wp, pb) for pb in p_base]
     return _EncodedBatch(
         q_base=q_base,
         p_base=p_base,
-        q=np.stack(q_rows),
-        p=np.stack(p_rows),
-        q_norms=np.array(q_norms),
-        p_norms=np.array(p_norms),
+        q=np.stack([normalized for normalized, _, _ in q_rows]),
+        p=np.stack([normalized for normalized, _, _ in p_rows]),
+        q_norms=np.array([norm for _, _, norm in q_rows]),
+        p_norms=np.array([norm for _, _, norm in p_rows]),
     )
+
+
+def _anchor_softmax(row: np.ndarray, positive: int, strict: bool) -> tuple[float, np.ndarray]:
+    """Log-sum-exp and softmax of one anchor's scores.
+
+    The strict form drops the positive from the denominator, as printed;
+    the default keeps it (standard form).
+    """
+    n = row.size
+    if not strict:
+        shifted = row - row.max()
+        lse = float(np.log(np.exp(shifted).sum()) + row.max())
+        return lse, np.exp(row - lse)
+    if n < 2:
+        raise DegenerateBatchError("the strict contrastive form needs at least two candidates")
+    mask = np.ones(n, dtype=bool)
+    mask[positive] = False
+    masked = row[mask]
+    shifted = masked - masked.max()
+    lse = float(np.log(np.exp(shifted).sum()) + masked.max())
+    soft = np.zeros(n)
+    soft[mask] = np.exp(masked - lse)
+    return lse, soft
 
 
 def _contrastive_row_deltas(scores: np.ndarray, strict: bool) -> tuple[float, np.ndarray]:
     """Anchor-side InfoNCE over one score matrix; returns (loss, dL/dS).
 
-    Rows are anchors, the diagonal holds the positives. The strict form
-    drops the positive from the denominator, as printed; the default
-    keeps it (standard form).
+    Rows are anchors, the diagonal holds the positives.
     """
     n = scores.shape[0]
-    if strict and n < 2:
-        raise DegenerateBatchError(
-            "the strict contrastive form needs at least two pairs in the batch"
-        )
     loss = 0.0
     deltas = np.zeros_like(scores)
     for i in range(n):
-        row = scores[i]
-        if strict:
-            mask = np.ones(n, dtype=bool)
-            mask[i] = False
-            shifted = row[mask] - row[mask].max()
-            lse = float(np.log(np.exp(shifted).sum()) + row[mask].max())
-            soft = np.zeros(n)
-            soft[mask] = np.exp(row[mask] - lse)
-            loss += -row[i] + lse
-            deltas[i] += soft / n
-            deltas[i, i] += -1.0 / n
-        else:
-            shifted = row - row.max()
-            lse = float(np.log(np.exp(shifted).sum()) + row.max())
-            soft = np.exp(row - lse)
-            loss += -row[i] + lse
-            deltas[i] += soft / n
-            deltas[i, i] += -1.0 / n
+        lse, soft = _anchor_softmax(scores[i], i, strict)
+        loss += -scores[i, i] + lse
+        deltas[i] += soft / n
+        deltas[i, i] += -1.0 / n
     return loss / n, deltas
 
 
 def _accumulate_projection_grads(
-    params: EncoderParams,
-    batch: _EncodedBatch,
-    d_q: np.ndarray,
-    d_p: np.ndarray,
+    batch: _EncodedBatch, d_q: np.ndarray, d_p: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    g_wq = np.zeros_like(params.wq)
-    g_wp = np.zeros_like(params.wp)
-    for i in range(d_q.shape[0]):
-        du = _normalize_backprop(d_q[i], batch.q[i], batch.q_norms[i])
-        g_wq += np.outer(du, batch.q_base[i].values.astype(np.float64))
-        dv = _normalize_backprop(d_p[i], batch.p[i], batch.p_norms[i])
-        g_wp += np.outer(dv, batch.p_base[i].values.astype(np.float64))
-    return g_wq, g_wp
+    """Gradients of wq and wp from dL/d(normalized projection) rows: per
+    side, the sum over rows of outer(dL/d raw projection, base embedding)."""
+
+    def accumulate(d_rows, rows, norms, bases) -> np.ndarray:
+        terms = (
+            np.outer(_normalize_backprop(d_row, row, norm), base.values.astype(np.float64))
+            for d_row, row, norm, base in zip(d_rows, rows, norms, bases)
+        )
+        grad = next(terms)
+        for term in terms:
+            grad += term
+        return grad
+
+    return (
+        accumulate(d_q, batch.q, batch.q_norms, batch.q_base),
+        accumulate(d_p, batch.p, batch.p_norms, batch.p_base),
+    )
 
 
 @dataclass
@@ -240,7 +244,7 @@ def qpa_loss_and_grads(
     """Symmetric in-batch contrastive alignment of question/path pairs."""
     if not pairs:
         raise DataError("qpa loss over an empty batch")
-    batch = _encode_pairs(params, pairs)
+    batch = _encode(params, [question for question, _ in pairs], [path for _, path in pairs])
     scores = (batch.q @ batch.p.T) / params.tau
     loss_qp, deltas_qp = _contrastive_row_deltas(scores, strict)
     loss_pq, deltas_pq_t = _contrastive_row_deltas(scores.T, strict)
@@ -248,7 +252,7 @@ def qpa_loss_and_grads(
     d_scores = 0.5 * (deltas_qp + deltas_pq_t.T)
     d_q = (d_scores @ batch.p) / params.tau
     d_p = (d_scores.T @ batch.q) / params.tau
-    g_wq, g_wp = _accumulate_projection_grads(params, batch, d_q, d_p)
+    g_wq, g_wp = _accumulate_projection_grads(batch, d_q, d_p)
     return loss, EncoderGrads(g_wq, g_wp, np.zeros_like(params.qpm_w))
 
 
@@ -276,7 +280,7 @@ def qpm_loss_and_grads(
     if not triples:
         raise DataError("qpm loss over an empty batch")
     d = params.dimension
-    batch = _encode_pairs(params, [(question, path) for question, path, _ in triples])
+    batch = _encode(params, [q for q, _, _ in triples], [p for _, p, _ in triples])
     labels = np.array([label for _, _, label in triples], dtype=np.float64)
     count = labels.size
     w_q = params.qpm_w[:d]
@@ -297,7 +301,7 @@ def qpm_loss_and_grads(
         g_head[-1] += dz
         d_q[i] = dz * w_q
         d_p[i] = dz * w_p
-    g_wq, g_wp = _accumulate_projection_grads(params, batch, d_q, d_p)
+    g_wq, g_wp = _accumulate_projection_grads(batch, d_q, d_p)
     return loss / count, EncoderGrads(g_wq, g_wp, g_head)
 
 
@@ -314,22 +318,6 @@ def pt_loss_and_grads(
     align, g_align = qpa_loss_and_grads(params, pairs, strict)
     match, g_match = qpm_loss_and_grads(params, make_qpm_batch(pairs))
     return align, match, g_align + g_match
-
-
-def pt_step(
-    params: EncoderParams,
-    pairs: list[tuple[str, InstructionPath]],
-    learning_rate: float,
-    strict: bool = False,
-    opt: AdamState | None = None,
-) -> tuple[EncoderParams, tuple[float, float], AdamState]:
-    """One optimizer step on the summed pre-training loss."""
-    align, match, grads = pt_loss_and_grads(params, pairs, strict)
-    vector = params.to_vector()
-    if opt is None:
-        opt = AdamState.zeros(vector.size)
-    updated = adam_step(vector, grads.to_vector(), opt, learning_rate)
-    return params.with_vector(updated), (align, match), opt
 
 
 @dataclass
@@ -353,40 +341,6 @@ class PathPool:
         return [entry.path for entry in self.entries]
 
 
-def evaluate_pool(
-    question: Question,
-    pool: PathPool,
-    backend,
-    metric: MetricKind,
-    answer_key: str | None = None,
-) -> PathPool:
-    """Score every pool path through the backend; the best becomes the positive.
-
-    A backend failure scores that entry 0 and flags it. Ties go to the
-    lowest index.
-    """
-    if not pool.entries:
-        raise DataError("evaluate_pool over an empty pool")
-    truth = question.answer if answer_key is None else answer_key
-    for entry in pool.entries:
-        result = backend.plan(question, entry.path)
-        if result.ok:
-            entry.answer = result.answer
-            entry.delta = (
-                result.reward
-                if metric is MetricKind.REWARD_SCORE and result.reward is not None
-                else score(metric, result.answer, truth)
-            )
-            entry.failed = False
-        else:
-            entry.answer = ""
-            entry.delta = 0.0
-            entry.failed = True
-    best = max(range(len(pool.entries)), key=lambda i: (pool.entries[i].delta, -i))
-    pool.best_index = best
-    return pool
-
-
 def ft_loss_and_grads(
     params: EncoderParams,
     question: str,
@@ -401,62 +355,18 @@ def ft_loss_and_grads(
     """
     if pool.best_index is None:
         raise DataError("ft loss needs a pool with best_index set")
-    paths = pool.paths()
-    n = len(paths)
-    if strict and n < 2:
-        raise DegenerateBatchError("the strict contrastive form needs pool size >= 2")
-    q_base = embed_text(question, params.embedder)
-    q_n, _, q_norm = _project(params.wq, q_base)
-    p_base = [embed_text(path.serialized(), params.embedder) for path in paths]
-    p_rows, p_norms = [], []
-    for pb in p_base:
-        pn, _, pr = _project(params.wp, pb)
-        p_rows.append(pn)
-        p_norms.append(pr)
-    p_mat = np.stack(p_rows)
-    scores = (p_mat @ q_n) / params.tau
+    batch = _encode(params, [question], pool.paths())
+    q_n = batch.q[0]
+    scores = (batch.p @ q_n) / params.tau
     best = pool.best_index
-    if strict:
-        mask = np.ones(n, dtype=bool)
-        mask[best] = False
-        masked = scores[mask]
-        shifted = masked - masked.max()
-        lse = float(np.log(np.exp(shifted).sum()) + masked.max())
-        soft = np.zeros(n)
-        soft[mask] = np.exp(masked - lse)
-    else:
-        shifted = scores - scores.max()
-        lse = float(np.log(np.exp(shifted).sum()) + scores.max())
-        soft = np.exp(scores - lse)
+    lse, soft = _anchor_softmax(scores, best, strict)
     loss = 0.5 * (-scores[best] + lse)
     d_scores = 0.5 * soft
     d_scores[best] -= 0.5
-    d_q = (d_scores @ p_mat) / params.tau
-    g_wq = np.outer(
-        _normalize_backprop(d_q, q_n, q_norm), q_base.values.astype(np.float64)
-    )
-    g_wp = np.zeros_like(params.wp)
-    for k in range(n):
-        d_pk = d_scores[k] * q_n / params.tau
-        dv = _normalize_backprop(d_pk, p_rows[k], p_norms[k])
-        g_wp += np.outer(dv, p_base[k].values.astype(np.float64))
+    d_q = ((d_scores @ batch.p) / params.tau)[None, :]
+    d_p = np.outer(d_scores, q_n) / params.tau
+    g_wq, g_wp = _accumulate_projection_grads(batch, d_q, d_p)
     return float(loss), EncoderGrads(g_wq, g_wp, np.zeros_like(params.qpm_w))
-
-
-def ft_step(
-    params: EncoderParams,
-    question: str,
-    pool: PathPool,
-    learning_rate: float,
-    strict: bool = False,
-    opt: AdamState | None = None,
-) -> tuple[EncoderParams, float, AdamState]:
-    loss, grads = ft_loss_and_grads(params, question, pool, strict)
-    vector = params.to_vector()
-    if opt is None:
-        opt = AdamState.zeros(vector.size)
-    updated = adam_step(vector, grads.to_vector(), opt, learning_rate)
-    return params.with_vector(updated), loss, opt
 
 
 def candidate_similarities(

@@ -334,6 +334,8 @@ def load_graph(source: str | Path) -> InstructionGraph:
         graph.tc = int(doc["tc"])
         for node_doc in doc["nodes"]:
             node = NodeSet(int(node_doc["node_id"]))
+            if node.node_id in graph.nodes:
+                raise MalformedFileError(f"{source}: node {node.node_id} appears twice")
             for entry in node_doc["instructions"]:
                 values = hex_to_floats(entry["embedding"], embedder.dimension)
                 embedding = EmbeddingVector(values, valid=True)
@@ -346,6 +348,10 @@ def load_graph(source: str | Path) -> InstructionGraph:
             graph.nodes[node.node_id] = node
         for edge_doc in doc["edges"]:
             edge = EdgeSet(int(edge_doc["from"]), int(edge_doc["to"]))
+            if edge.from_node not in graph.nodes or edge.to_node not in graph.nodes:
+                raise MalformedFileError(
+                    f"{source}: edge {edge.from_node}->{edge.to_node} names a missing node"
+                )
             for task_id, question_ids in edge_doc["tasks"].items():
                 edge.tasks[task_id] = set(question_ids)
             graph.edges[(edge.from_node, edge.to_node)] = edge
@@ -356,6 +362,12 @@ def load_graph(source: str | Path) -> InstructionGraph:
             )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFileError(f"{source}: malformed graph document: {exc}") from exc
+    if graph.nodes and graph.ic <= max(graph.nodes):
+        raise MalformedFileError(f"{source}: ic {graph.ic} is not above every node id")
+    if graph.tc != len(graph.edges) + 1:
+        raise MalformedFileError(
+            f"{source}: tc {graph.tc} does not match {len(graph.edges)} edges"
+        )
     return graph
 
 

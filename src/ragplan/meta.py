@@ -18,21 +18,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .backend import PlanResult
 from .corpus import MetricKind, Question, TaskCorpus, score
 from .embedding import EmbedderConfig
 from .encoder import (
     EncoderParams,
     PathPool,
     candidate_similarities,
-    evaluate_pool,
     ft_loss_and_grads,
     init_encoder_params,
     pt_loss_and_grads,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NotFoundError
 from .graph import InstructionGraph, build_graph, extend_graph
 from .optim import AdamState, ReturnBaseline, adam_step
 from .policy import (
+    Candidate,
     PolicyParams,
     RlConfig,
     bce_loss_and_grad,
@@ -55,15 +56,10 @@ class MetaConfig:
     tasks_per_meta_batch: int = 4
     iterations: int = 100
     seed: int = 0
-    first_order: bool = True
     pool_extra_negatives: int = 2
     strict_qpa: bool = False
 
     def __post_init__(self) -> None:
-        if not self.first_order:
-            raise ConfigError(
-                "second-order meta-gradients are not supported; set first_order=True"
-            )
         if self.inner_steps < 1:
             raise ConfigError("inner_steps must be >= 1")
 
@@ -136,42 +132,39 @@ def _single_task_corpus(questions: list[Question]) -> TaskCorpus:
     return corpus
 
 
-def _adapt_policy_inner(
-    policy: PolicyParams,
-    graph: InstructionGraph,
-    questions: list[Question],
-    config: MetaConfig,
-    rng_seed: int,
-) -> PolicyParams:
+def _adapt_inner(
+    base: AgentBundle, questions: list[Question], config: MetaConfig, ws_key: tuple
+) -> AgentBundle:
+    """Inner adaptation of both agents on support questions: warm-start BCE
+    steps for the policy, pre-training steps for the encoder."""
     examples = make_warmstart_dataset(
-        graph, _single_task_corpus(questions), samples_per_question=8, rng_seed=rng_seed
+        base.graph,
+        _single_task_corpus(questions),
+        samples_per_question=8,
+        rng_seed=_stable_int(*ws_key) % (1 << 31),
     )
-    if not examples:
-        return policy.copy()
-    states = np.stack([e.state for e in examples])
-    labels = np.array([e.label for e in examples], dtype=np.float64)
-    vector = policy.to_vector()
-    for _ in range(config.inner_steps):
-        _, grad = bce_loss_and_grad(PolicyParams.from_vector(vector), states, labels)
-        vector = vector - config.inner_lr * grad
-    return PolicyParams.from_vector(vector)
-
-
-def _adapt_encoder_inner(
-    encoder: EncoderParams,
-    questions: list[Question],
-    config: MetaConfig,
-) -> EncoderParams:
+    if examples:
+        states = np.stack([e.state for e in examples])
+        labels = np.array([e.label for e in examples], dtype=np.float64)
+        vector = base.policy.to_vector()
+        for _ in range(config.inner_steps):
+            _, grad = bce_loss_and_grad(PolicyParams.from_vector(vector), states, labels)
+            vector = vector - config.inner_lr * grad
+        policy = PolicyParams.from_vector(vector)
+    else:
+        policy = base.policy.copy()
     pairs = [(q.text, q.gold_path) for q in questions if q.gold_path is not None]
-    if not pairs:
-        return encoder.copy()
-    vector = encoder.to_vector()
-    for _ in range(config.inner_steps):
-        _, _, grads = pt_loss_and_grads(
-            encoder.with_vector(vector), pairs, strict=config.strict_qpa
-        )
-        vector = vector - config.inner_lr * grads.to_vector()
-    return encoder.with_vector(vector)
+    if pairs:
+        vector = base.encoder.to_vector()
+        for _ in range(config.inner_steps):
+            _, _, grads = pt_loss_and_grads(
+                base.encoder.with_vector(vector), pairs, strict=config.strict_qpa
+            )
+            vector = vector - config.inner_lr * grads.to_vector()
+        encoder = base.encoder.with_vector(vector)
+    else:
+        encoder = base.encoder.copy()
+    return AgentBundle(policy=policy, encoder=encoder, graph=base.graph, rl_config=base.rl_config)
 
 
 def _sample_negative_paths(
@@ -188,66 +181,127 @@ def _sample_negative_paths(
     return [pool[i] for i in sorted(picked)]
 
 
-def _roll_question(
+def retrieve(
+    bundle: AgentBundle,
     question: Question,
-    policy: PolicyParams,
-    encoder: EncoderParams,
-    graph: InstructionGraph,
-    rl_config: RlConfig,
-    negatives_from: TaskCorpus,
-    backend,
-    metric: MetricKind,
-    config: MetaConfig,
-    mode: str,
-    rng: np.random.Generator,
-):
-    """Full loop for one question: traverse, pool, select, score.
+    mode: str = "greedy",
+    rng: np.random.Generator | None = None,
+) -> tuple[list[Candidate], np.ndarray, int | None]:
+    """Traverse for candidate paths, then select the one the encoder ranks
+    closest to the question; ties go to the lowest index.
 
-    Returns (record, selected_episode, pool) where episode and pool are
-    None when traversal produced no candidates.
+    Returns (candidates, similarities, selected index); the index is None
+    when traversal found no candidates.
     """
     candidates = traverse(
-        graph,
+        bundle.graph,
         question.text,
-        policy,
-        rl_config,
+        bundle.policy,
+        bundle.rl_config,
         mode=mode,
         rng=rng,
         task_id=question.task_id,
         question_id=question.question_id,
     )
     if not candidates:
-        record = {
-            "task_id": question.task_id,
-            "question_id": question.question_id,
-            "selected_path": "",
-            "answer": "",
-            "delta": 0.0,
-            "episode_len": 0,
-            "candidates": 0,
-        }
-        return record, None, None
-    paths = [c.path for c in candidates]
-    extras = _sample_negative_paths(
-        negatives_from, question.question_id, config.pool_extra_negatives, rng
-    )
-    pool = PathPool.from_paths(paths + extras)
-    evaluate_pool(question, pool, backend, metric)
-    sims = candidate_similarities(encoder, question.text, paths)
-    selected = int(np.argmax(sims))
-    entry = pool.entries[selected]
-    episode = candidates[selected].episode
-    episode.reward = float(entry.delta)
-    record = {
+        return candidates, np.zeros(0), None
+    sims = candidate_similarities(bundle.encoder, question.text, [c.path for c in candidates])
+    return candidates, sims, int(np.argmax(sims))
+
+
+def plan_delta(result: PlanResult, metric: MetricKind, truth: str) -> float:
+    """Score of one planner result; a failed plan scores 0."""
+    if not result.ok:
+        return 0.0
+    if metric is MetricKind.REWARD_SCORE and result.reward is not None:
+        return float(result.reward)
+    return score(metric, result.answer, truth)
+
+
+def evaluate_pool(question: Question, pool: PathPool, backend, metric: MetricKind) -> PathPool:
+    """Score every pool path through the backend; the best becomes the positive.
+
+    A backend failure scores that entry 0 and flags it. Ties go to the
+    lowest index.
+    """
+    if not pool.entries:
+        raise DataError("evaluate_pool over an empty pool")
+    for entry in pool.entries:
+        result = backend.plan(question, entry.path)
+        entry.delta = plan_delta(result, metric, question.answer)
+        entry.answer = result.answer if result.ok else ""
+        entry.failed = not result.ok
+    pool.best_index = max(range(len(pool.entries)), key=lambda i: (pool.entries[i].delta, -i))
+    return pool
+
+
+def _record(
+    question: Question,
+    candidates: list[Candidate],
+    selected: int | None,
+    answer: str = "",
+    delta: float = 0.0,
+) -> dict:
+    chosen = None if selected is None else candidates[selected]
+    return {
         "task_id": question.task_id,
         "question_id": question.question_id,
-        "selected_path": paths[selected].serialized(),
-        "answer": entry.answer,
-        "delta": float(entry.delta),
-        "episode_len": len(episode.steps),
+        "selected_path": chosen.path.serialized() if chosen else "",
+        "answer": answer,
+        "delta": delta,
+        "episode_len": len(chosen.episode.steps) if chosen else 0,
         "candidates": len(candidates),
     }
-    return record, episode, pool
+
+
+def _rollout_and_accumulate(
+    questions: list[Question],
+    agents: AgentBundle,
+    negatives_from: TaskCorpus,
+    backend,
+    metric: MetricKind,
+    config: MetaConfig,
+    baseline: ReturnBaseline,
+    rng_key: tuple,
+    policy_grad: np.ndarray,
+    encoder_grad: np.ndarray,
+) -> list[dict]:
+    """Outer-loop rollouts at the adapted parameters.
+
+    Each question is traversed by sampling, its candidates plus sampled
+    negatives are scored through the backend, and the selected episode's
+    REINFORCE gradient and the pool's fine-tuning gradient are added into
+    ``policy_grad`` and ``encoder_grad`` in place. Returns one record per
+    question.
+    """
+    rl_config = agents.rl_config
+    records = []
+    for question in questions:
+        rng = _rng(*rng_key, question.question_id)
+        candidates, _, selected = retrieve(agents, question, mode="sample", rng=rng)
+        if selected is None:
+            records.append(_record(question, candidates, selected))
+            continue
+        extras = _sample_negative_paths(
+            negatives_from, question.question_id, config.pool_extra_negatives, rng
+        )
+        pool = evaluate_pool(
+            question, PathPool.from_paths([c.path for c in candidates] + extras), backend, metric
+        )
+        entry = pool.entries[selected]
+        episode = candidates[selected].episode
+        episode.reward = entry.delta
+        records.append(_record(question, candidates, selected, entry.answer, entry.delta))
+        baseline_value = baseline.value() if rl_config.use_baseline else 0.0
+        _, pg_grad = pg_loss_and_grad(agents.policy, episode, rl_config.gamma, baseline_value)
+        policy_grad += pg_grad
+        for value in episode_returns(episode, rl_config.gamma):
+            baseline.update(float(value))
+        _, ft_grads = ft_loss_and_grads(
+            agents.encoder, question.text, pool, strict=config.strict_qpa
+        )
+        encoder_grad += ft_grads.to_vector()
+    return records
 
 
 def meta_train(
@@ -290,16 +344,15 @@ def meta_train(
             if not inner_questions:
                 logger.warning("task %s has no usable support questions; skipped", task_id)
                 continue
-            base_policy = PolicyParams.from_vector(policy_vec)
-            base_encoder = bundle.encoder.with_vector(encoder_vec)
-            adapted_policy = _adapt_policy_inner(
-                base_policy,
-                graph,
-                inner_questions,
-                config,
-                rng_seed=_stable_int(config.seed, "ws", iteration, task_id) % (1 << 31),
+            base = AgentBundle(
+                policy=PolicyParams.from_vector(policy_vec),
+                encoder=bundle.encoder.with_vector(encoder_vec),
+                graph=graph,
+                rl_config=rl_config,
             )
-            adapted_encoder = _adapt_encoder_inner(base_encoder, inner_questions, config)
+            adapted = _adapt_inner(
+                base, inner_questions, config, (config.seed, "ws", iteration, task_id)
+            )
             query_rng = _rng(config.seed, "query-batch", iteration, task_id)
             outer_questions = _sample_questions(
                 query, task_id, config.questions_per_batch, query_rng
@@ -307,38 +360,13 @@ def meta_train(
             if not outer_questions:
                 logger.warning("task %s has no query questions; skipped", task_id)
                 continue
-            for question in outer_questions:
-                roll_rng = _rng(
-                    config.seed, "roll", iteration, task_id, question.question_id
-                )
-                record, episode, pool = _roll_question(
-                    question,
-                    adapted_policy,
-                    adapted_encoder,
-                    graph,
-                    rl_config,
-                    support,
-                    backend,
-                    metric,
-                    config,
-                    mode="sample",
-                    rng=roll_rng,
-                )
+            records = _rollout_and_accumulate(
+                outer_questions, adapted, support, backend, metric, config, baseline,
+                (config.seed, "roll", iteration, task_id), policy_grad, encoder_grad,
+            )
+            for record in records:
                 record["iteration"] = iteration
-                log.append(record)
-                if episode is None:
-                    continue
-                baseline_value = baseline.value() if rl_config.use_baseline else 0.0
-                _, pg_grad = pg_loss_and_grad(
-                    adapted_policy, episode, rl_config.gamma, baseline_value
-                )
-                policy_grad += pg_grad
-                for value in episode_returns(episode, rl_config.gamma):
-                    baseline.update(float(value))
-                _, ft_grads = ft_loss_and_grads(
-                    adapted_encoder, question.text, pool, strict=config.strict_qpa
-                )
-                encoder_grad += ft_grads.to_vector()
+            log.extend(records)
         policy_vec = adam_step(policy_vec, policy_grad, policy_opt, config.outer_lr)
         encoder_vec = adam_step(encoder_vec, encoder_grad, encoder_opt, config.outer_lr)
     bundle.policy = PolicyParams.from_vector(policy_vec)
@@ -360,6 +388,9 @@ def fewshot_adapt(
     usable support questions come back unadapted and flagged in the log.
     """
     extended = extend_graph(bundle.graph, new_support)
+    base = AgentBundle(
+        policy=bundle.policy, encoder=bundle.encoder, graph=extended, rl_config=bundle.rl_config
+    )
     adapted: dict[str, AgentBundle] = {}
     for task_id in new_support.task_ids():
         sample_rng = _rng(config.seed, "fewshot", task_id)
@@ -368,59 +399,21 @@ def fewshot_adapt(
         )
         if not questions:
             logger.warning("few-shot task %s has no usable questions; unadapted", task_id)
-            adapted[task_id] = AgentBundle(
-                policy=bundle.policy.copy(),
-                encoder=bundle.encoder.copy(),
-                graph=extended,
-                rl_config=bundle.rl_config,
-            )
+            adapted[task_id] = base.copy()
             continue
-        policy = _adapt_policy_inner(
-            bundle.policy,
-            extended,
-            questions,
-            config,
-            rng_seed=_stable_int(config.seed, "fewshot-ws", task_id) % (1 << 31),
-        )
-        encoder = _adapt_encoder_inner(bundle.encoder, questions, config)
-        policy_vec = policy.to_vector()
-        encoder_vec = encoder.to_vector()
+        inner = _adapt_inner(base, questions, config, (config.seed, "fewshot-ws", task_id))
+        policy_vec = inner.policy.to_vector()
+        encoder_vec = inner.encoder.to_vector()
         pg_grad = np.zeros_like(policy_vec)
         ft_grad = np.zeros_like(encoder_vec)
-        baseline = ReturnBaseline(window=bundle.rl_config.baseline_window)
-        for question in questions:
-            roll_rng = _rng(config.seed, "fewshot-roll", task_id, question.question_id)
-            _, episode, pool = _roll_question(
-                question,
-                policy,
-                encoder,
-                extended,
-                bundle.rl_config,
-                new_support,
-                backend,
-                metric,
-                config,
-                mode="sample",
-                rng=roll_rng,
-            )
-            if episode is None:
-                continue
-            baseline_value = baseline.value() if bundle.rl_config.use_baseline else 0.0
-            _, grad = pg_loss_and_grad(
-                policy, episode, bundle.rl_config.gamma, baseline_value
-            )
-            pg_grad += grad
-            for value in episode_returns(episode, bundle.rl_config.gamma):
-                baseline.update(float(value))
-            _, grads = ft_loss_and_grads(
-                encoder, question.text, pool, strict=config.strict_qpa
-            )
-            ft_grad += grads.to_vector()
-        policy_vec = policy_vec - config.outer_lr * pg_grad
-        encoder_vec = encoder_vec - config.outer_lr * ft_grad
+        _rollout_and_accumulate(
+            questions, inner, new_support, backend, metric, config,
+            ReturnBaseline(window=bundle.rl_config.baseline_window),
+            (config.seed, "fewshot-roll", task_id), pg_grad, ft_grad,
+        )
         adapted[task_id] = AgentBundle(
-            policy=PolicyParams.from_vector(policy_vec),
-            encoder=bundle.encoder.with_vector(encoder_vec),
+            policy=PolicyParams.from_vector(policy_vec - config.outer_lr * pg_grad),
+            encoder=bundle.encoder.with_vector(encoder_vec - config.outer_lr * ft_grad),
             graph=extended,
             rl_config=bundle.rl_config,
         )
@@ -437,50 +430,16 @@ def answer_question(
 ) -> dict:
     """One test-time pass: traverse, select, prompt, plan, score."""
     try:
-        candidates = traverse(
-            bundle.graph,
-            question.text,
-            bundle.policy,
-            bundle.rl_config,
-            mode=mode,
-            rng=rng,
-            task_id=question.task_id,
-            question_id=question.question_id,
-        )
-    except DataError:
-        candidates = []
-    if not candidates:
-        return {
-            "task_id": question.task_id,
-            "question_id": question.question_id,
-            "selected_path": "",
-            "answer": "",
-            "delta": 0.0,
-            "episode_len": 0,
-            "candidates": 0,
-            "failed": True,
-        }
-    paths = [c.path for c in candidates]
-    sims = candidate_similarities(bundle.encoder, question.text, paths)
-    selected = int(np.argmax(sims))
-    result = backend.plan(question, paths[selected])
-    if result.ok:
-        if metric is MetricKind.REWARD_SCORE and result.reward is not None:
-            delta = float(result.reward)
-        else:
-            delta = score(metric, result.answer, question.answer)
-    else:
-        delta = 0.0
-    return {
-        "task_id": question.task_id,
-        "question_id": question.question_id,
-        "selected_path": paths[selected].serialized(),
-        "answer": result.answer,
-        "delta": delta,
-        "episode_len": len(candidates[selected].episode.steps),
-        "candidates": len(candidates),
-        "failed": not result.ok,
-    }
+        candidates, _, selected = retrieve(bundle, question, mode=mode, rng=rng)
+    except NotFoundError:
+        candidates, selected = [], None
+    if selected is None:
+        return dict(_record(question, candidates, selected), failed=True)
+    result = backend.plan(question, candidates[selected].path)
+    delta = plan_delta(result, metric, question.answer)
+    return dict(
+        _record(question, candidates, selected, result.answer, delta), failed=not result.ok
+    )
 
 
 def evaluate_bundle(

@@ -20,7 +20,6 @@ from .corpus import InstructionPath, TaskCorpus
 from .embedding import cosine, embed_text
 from .errors import ConfigError, DataError, MalformedFileError, NotFoundError
 from .graph import EdgeSet, InstructionGraph, edge_task_centroids
-from .optim import AdamState, ReturnBaseline, adam_step
 from .serialize import floats_to_hex, hex_to_floats, read_versioned, write_versioned
 
 HIDDEN_UNITS = 20
@@ -202,6 +201,8 @@ def bce_loss_and_grad(
     if states.shape[0] != labels.size:
         raise DataError("state/label count mismatch")
     count = labels.size
+    if count == 0:
+        raise DataError("bce loss over an empty batch")
     losses = []
     deltas = np.zeros((count, 2))
     for idx, (state, label) in enumerate(zip(states, labels)):
@@ -212,25 +213,6 @@ def bce_loss_and_grad(
         deltas[idx] = (probs - target) / count
     grad = _grad_from_logit_deltas(params, states, deltas)
     return float(np.mean(losses)), grad
-
-
-def warmstart_step(
-    params: PolicyParams,
-    batch: list[tuple[np.ndarray, int]],
-    learning_rate: float,
-    opt: AdamState | None = None,
-) -> tuple[PolicyParams, float, AdamState]:
-    """One Adam step on the warm-start BCE over a labeled state batch."""
-    if not batch:
-        raise DataError("warmstart_step over an empty batch")
-    states = np.stack([np.asarray(s, dtype=np.float64) for s, _ in batch])
-    labels = np.array([y for _, y in batch], dtype=np.float64)
-    loss, grad = bce_loss_and_grad(params, states, labels)
-    vector = params.to_vector()
-    if opt is None:
-        opt = AdamState.zeros(vector.size)
-    updated = adam_step(vector, grad, opt, learning_rate)
-    return PolicyParams.from_vector(updated), loss, opt
 
 
 def episode_returns(episode: Episode, gamma: float) -> np.ndarray:
@@ -267,28 +249,6 @@ def pg_loss_and_grad(
         deltas[idx] = weight * (probs - onehot)
     grad = _grad_from_logit_deltas(params, states, deltas)
     return float(loss), grad
-
-
-def pg_update(
-    params: PolicyParams,
-    episode: Episode,
-    config: RlConfig,
-    opt: AdamState | None = None,
-    baseline: ReturnBaseline | None = None,
-) -> tuple[PolicyParams, AdamState]:
-    """One Adam step on the REINFORCE loss for one episode."""
-    baseline_value = 0.0
-    if config.use_baseline and baseline is not None:
-        baseline_value = baseline.value()
-    _, grad = pg_loss_and_grad(params, episode, config.gamma, baseline_value)
-    if baseline is not None:
-        for value in episode_returns(episode, config.gamma):
-            baseline.update(float(value))
-    vector = params.to_vector()
-    if opt is None:
-        opt = AdamState.zeros(vector.size)
-    updated = adam_step(vector, grad, opt, config.learning_rate)
-    return PolicyParams.from_vector(updated), opt
 
 
 def _start_nodes(graph: InstructionGraph, query, k: int) -> list[int]:

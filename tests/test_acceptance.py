@@ -59,17 +59,17 @@ from ragplan.meta import (
     meta_test,
     meta_train,
 )
-from ragplan.optim import ReturnBaseline
+from ragplan.optim import AdamState, ReturnBaseline, adam_step
 from ragplan.policy import (
     Episode,
     EpisodeStep,
     PolicyParams,
     RlConfig,
     bce_loss_and_grad,
+    episode_returns,
     init_policy_params,
     load_policy,
     pg_loss_and_grad,
-    pg_update,
     policy_forward,
     save_policy,
 )
@@ -366,7 +366,7 @@ class TestCriterion06PolicyLearning:
         for seed in range(10):
             rng = np.random.default_rng(1000 + seed)
             params = init_policy_params(seed=seed)
-            opt = None
+            opt = AdamState.zeros(params.to_vector().size)
             baseline = ReturnBaseline()
             for _ in range(500):
                 steps = []
@@ -380,7 +380,13 @@ class TestCriterion06PolicyLearning:
                     action = 1 if rng.random() < p_bad else 0
                     steps.append(EpisodeStep(bad, action, 0.0))
                     reward = 0.0
-                params, opt = pg_update(params, Episode(steps, reward), config, opt, baseline)
+                episode = Episode(steps, reward)
+                _, grad = pg_loss_and_grad(params, episode, config.gamma, baseline.value())
+                for value in episode_returns(episode, config.gamma):
+                    baseline.update(float(value))
+                params = PolicyParams.from_vector(
+                    adam_step(params.to_vector(), grad, opt, config.learning_rate)
+                )
             final.append(policy_forward(params, good)[0])
         elapsed = time.perf_counter() - started
         ok = all(p > 0.95 for p in final) and elapsed < 60.0

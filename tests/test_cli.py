@@ -93,6 +93,42 @@ def test_mock_train_without_world_is_config_error(workspace):
     assert code == 2
 
 
+def run_with_config(root, gen_dir, name, config):
+    config_path = root / f"{name}.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    return main([
+        "build-graph", str(gen_dir / "corpus.jsonl"),
+        "--config", str(config_path), "--out", str(root / name),
+    ])
+
+
+def test_unknown_top_level_config_key_is_config_error(workspace, capsys):
+    root, _, gen_dir = workspace
+    assert run_with_config(root, gen_dir, "top-typo", dict(DEMO_CONFIG, delt=0.5)) == 2
+    assert "delt" in capsys.readouterr().err
+
+
+def test_unknown_nested_config_key_is_config_error(workspace, capsys):
+    root, _, gen_dir = workspace
+    config = dict(DEMO_CONFIG, rl={"learning_rte": 0.01})
+    assert run_with_config(root, gen_dir, "nested-typo", config) == 2
+    assert "rl.learning_rte" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [dict(DEMO_CONFIG, rl=5), [DEMO_CONFIG]])
+def test_non_object_config_is_config_error(workspace, config):
+    root, _, gen_dir = workspace
+    assert run_with_config(root, gen_dir, "not-an-object", config) == 2
+
+
+def test_meta_first_order_is_config_error(workspace, capsys):
+    # Only first-order meta-gradients exist, so the option is gone.
+    root, _, gen_dir = workspace
+    config = dict(DEMO_CONFIG, meta=dict(DEMO_CONFIG["meta"], first_order=True))
+    assert run_with_config(root, gen_dir, "first-order", config) == 2
+    assert "meta.first_order" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def trained(workspace):
     root, config_path, gen_dir = workspace

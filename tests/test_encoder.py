@@ -6,16 +6,16 @@ from ragplan.embedding import EmbedderConfig, cosine, embed_text
 from ragplan.encoder import (
     EncoderParams,
     PathPool,
+    _normalize_backprop,
+    _project,
     candidate_similarities,
     encode_path,
     encode_question,
-    evaluate_pool,
     ft_loss_and_grads,
-    ft_step,
     init_encoder_params,
     load_encoder,
     make_qpm_batch,
-    pt_step,
+    pt_loss_and_grads,
     qpa_loss,
     qpa_loss_and_grads,
     qpm_loss,
@@ -24,6 +24,8 @@ from ragplan.encoder import (
     select_path,
 )
 from ragplan.errors import DataError, DegenerateBatchError, MalformedFileError, NotFoundError
+from ragplan.meta import evaluate_pool
+from ragplan.optim import AdamState, adam_step
 
 CFG = EmbedderConfig(dimension=16)
 
@@ -250,26 +252,28 @@ class TestQpmLoss:
 
 class TestPtStep:
     def test_total_loss_is_sum_of_components(self):
-        from ragplan.encoder import pt_loss_and_grads, qpm_loss as qpm_fn
-
         params = init_encoder_params(CFG, seed=13)
         pairs = sample_pairs(4)
         align, match, _ = pt_loss_and_grads(params, pairs)
         assert align == pytest.approx(qpa_loss(params, pairs), abs=1e-9)
-        assert match == pytest.approx(qpm_fn(params, make_qpm_batch(pairs)), abs=1e-9)
+        assert match == pytest.approx(qpm_loss(params, make_qpm_batch(pairs)), abs=1e-9)
 
     def test_zero_learning_rate_leaves_params_unchanged(self):
         params = init_encoder_params(CFG, seed=17)
         before = params.to_vector().copy()
-        updated, _, _ = pt_step(params, sample_pairs(4), learning_rate=0.0)
-        assert np.array_equal(updated.to_vector(), before)
+        _, _, grads = pt_loss_and_grads(params, sample_pairs(4))
+        updated = adam_step(before, grads.to_vector(), AdamState.zeros(before.size), 0.0)
+        assert np.array_equal(updated, before)
 
     def test_training_separates_a_toy_corpus(self):
         pairs = sample_pairs(16)
         params = init_encoder_params(CFG, seed=19)
-        opt = None
+        opt = AdamState.zeros(params.to_vector().size)
         for _ in range(200):
-            params, _, opt = pt_step(params, pairs, learning_rate=0.01, opt=opt)
+            _, _, grads = pt_loss_and_grads(params, pairs)
+            params = params.with_vector(
+                adam_step(params.to_vector(), grads.to_vector(), opt, 0.01)
+            )
         paths = [p for _, p in pairs]
         wins = 0
         for i, (question, _) in enumerate(pairs):
@@ -384,14 +388,56 @@ class TestFtStep:
             fd = finite_difference(loss_of, params.to_vector())
             assert relative_error(grads.to_vector(), fd) < 1e-4
 
+    def test_matches_the_per_path_reference_bit_for_bit(self):
+        # The per-path loop ft_loss_and_grads ran before it shared the
+        # batched projection, softmax and gradient helpers.
+        def reference(params, question, pool, strict):
+            paths = pool.paths()
+            q_base = embed_text(question, params.embedder)
+            q_n, _, q_norm = _project(params.wq, q_base)
+            p_base = [embed_text(p.serialized(), params.embedder) for p in paths]
+            projected = [_project(params.wp, pb) for pb in p_base]
+            p_mat = np.stack([pn for pn, _, _ in projected])
+            scores = (p_mat @ q_n) / params.tau
+            best = pool.best_index
+            kept = np.arange(len(paths)) != best if strict else np.ones(len(paths), bool)
+            masked = scores[kept]
+            lse = float(np.log(np.exp(masked - masked.max()).sum()) + masked.max())
+            soft = np.zeros(len(paths))
+            soft[kept] = np.exp(masked - lse)
+            d_scores = 0.5 * soft
+            d_scores[best] -= 0.5
+            d_q = (d_scores @ p_mat) / params.tau
+            g_wq = np.outer(_normalize_backprop(d_q, q_n, q_norm), q_base.values.astype(float))
+            g_wp = np.zeros_like(params.wp)
+            for k, (pn, _, pr) in enumerate(projected):
+                dv = _normalize_backprop(d_scores[k] * q_n / params.tau, pn, pr)
+                g_wp += np.outer(dv, p_base[k].values.astype(float))
+            return float(0.5 * (-scores[best] + lse)), g_wq, g_wp
+
+        for trial in range(12):
+            params = init_encoder_params(CFG, seed=400 + trial, tau=0.3, scale=0.4)
+            pool = self.build_pool(2 + trial % 3)
+            pool.best_index = trial % len(pool.entries)
+            strict = trial % 2 == 1
+            loss, grads = ft_loss_and_grads(params, "hue of dune crow?", pool, strict=strict)
+            ref_loss, ref_wq, ref_wp = reference(params, "hue of dune crow?", pool, strict)
+            assert loss == ref_loss
+            assert np.array_equal(grads.wq, ref_wq)
+            assert np.array_equal(grads.wp, ref_wp)
+            assert not grads.qpm_w.any()
+
     def test_repeated_steps_separate_best_from_negatives(self):
         params = init_encoder_params(CFG, seed=23)
         pool = self.build_pool(3)
         question = "What is the hue of birch owl?"
         pool.best_index = 1
-        opt = None
+        opt = AdamState.zeros(params.to_vector().size)
         for _ in range(100):
-            params, _, opt = ft_step(params, question, pool, learning_rate=0.02, opt=opt)
+            _, grads = ft_loss_and_grads(params, question, pool)
+            params = params.with_vector(
+                adam_step(params.to_vector(), grads.to_vector(), opt, 0.02)
+            )
         q = encode_question(params, question)
         sims = [cosine(q, encode_path(params, p)) for p in pool.paths()]
         assert sims[1] > max(sims[0], sims[2])

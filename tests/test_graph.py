@@ -289,6 +289,38 @@ class TestPersistence:
             load_graph(dest)
         assert "'0'" in str(err.value) and "'1'" in str(err.value)
 
+    def saved_doc(self, tmp_path):
+        dest = tmp_path / "graph.json"
+        save_graph(self.build_sample(), dest)
+        return dest, json.loads(dest.read_text(encoding="utf-8"))
+
+    def assert_rejected(self, dest, doc, needle):
+        dest.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(MalformedFileError, match=needle):
+            load_graph(dest)
+
+    def test_edge_to_missing_node_rejected(self, tmp_path):
+        dest, doc = self.saved_doc(tmp_path)
+        doc["edges"][0]["to"] = 99
+        self.assert_rejected(dest, doc, "missing node")
+
+    def test_duplicate_node_id_rejected(self, tmp_path):
+        dest, doc = self.saved_doc(tmp_path)
+        doc["nodes"][1]["node_id"] = doc["nodes"][0]["node_id"]
+        self.assert_rejected(dest, doc, "appears twice")
+
+    def test_ic_not_above_node_ids_rejected(self, tmp_path):
+        # With ic 1, extend_graph would reuse node 1 and silently replace
+        # its instructions.
+        dest, doc = self.saved_doc(tmp_path)
+        doc["ic"] = 1
+        self.assert_rejected(dest, doc, "ic 1")
+
+    def test_tc_not_edge_count_plus_one_rejected(self, tmp_path):
+        dest, doc = self.saved_doc(tmp_path)
+        doc["tc"] = len(doc["edges"]) + 2
+        self.assert_rejected(dest, doc, "tc")
+
 
 class TestGraphStats:
     def test_empty(self):

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from ragplan.backend import BackendConfig, MockBackend
+from ragplan.backend import BackendConfig, MockBackend, PlanResult
 from ragplan.corpus import MetricKind, TaskCorpus, split_by_hint
 from ragplan.embedding import EmbedderConfig
-from ragplan.errors import ConfigError
+from ragplan.errors import DataError
 from ragplan.graph import build_graph, graph_stats, graphs_equal
 from ragplan.meta import (
     MetaConfig,
@@ -16,6 +16,7 @@ from ragplan.meta import (
     init_bundle,
     meta_test,
     meta_train,
+    plan_delta,
     summarize_records,
 )
 from ragplan.policy import RlConfig
@@ -116,10 +117,6 @@ class TestMetaTrain:
         rebuilt = build_graph(support, 0.4, EMBEDDER)
         assert graphs_equal(bundle.graph, rebuilt)
 
-    def test_second_order_rejected(self):
-        with pytest.raises(ConfigError):
-            MetaConfig(first_order=False)
-
 
 class TestFewshotAdapt:
     def test_empty_new_support_returns_equal_graph_and_no_bundles(self, small_setup):
@@ -177,6 +174,17 @@ class TestFewshotAdapt:
         assert np.array_equal(adapted["T_new"].policy.to_vector(), bundle.policy.to_vector())
 
 
+class TestPlanDelta:
+    def test_failed_plan_scores_zero(self):
+        result = PlanResult(answer="russet", ok=False, reward=1.0)
+        assert plan_delta(result, MetricKind.REWARD_SCORE, "russet") == 0.0
+
+    def test_backend_reward_wins_under_reward_metric_only(self):
+        result = PlanResult(answer="russet", reward=0.25)
+        assert plan_delta(result, MetricKind.REWARD_SCORE, "russet") == 0.25
+        assert plan_delta(result, MetricKind.TOKEN_F1, "russet") == 1.0
+
+
 class TestMetaTest:
     def test_single_question_gold_retrieval_scores_one(self, small_setup):
         world, support, query, backend, rl = small_setup
@@ -189,6 +197,14 @@ class TestMetaTest:
         report = meta_test({question.task_id: bundle}, single, METRIC, backend)
         assert report.per_task[question.task_id]["mean_delta"] == 1.0
         assert report.macro_average == 1.0
+
+    def test_non_finite_policy_raises_instead_of_failing_quietly(self, small_setup):
+        _, support, query, backend, rl = small_setup
+        bundle = init_bundle(build_graph(support, 0.4, EMBEDDER), rl, seed=1)
+        bundle.policy.w1[0, 0] = np.nan
+        question = next(query.iter_questions())
+        with pytest.raises(DataError, match="non-finite"):
+            answer_question(bundle, question, backend, METRIC)
 
     def test_macro_average_is_mean_of_task_means(self):
         records = [
@@ -219,8 +235,6 @@ class TestMetaTest:
 
     def test_missing_bundle_without_default_rejected(self, small_setup):
         _, support, query, backend, rl = small_setup
-        from ragplan.errors import DataError
-
         with pytest.raises(DataError):
             meta_test({}, query, METRIC, backend)
 

@@ -5,7 +5,7 @@ from ragplan.corpus import InstructionPath, Question, TaskCorpus
 from ragplan.embedding import EmbedderConfig, embed_text
 from ragplan.errors import ConfigError, DataError, MalformedFileError, NotFoundError
 from ragplan.graph import InstructionGraph, build_graph, insert_path
-from ragplan.optim import AdamState, ReturnBaseline
+from ragplan.optim import AdamState, ReturnBaseline, adam_step
 from ragplan.policy import (
     Episode,
     EpisodeStep,
@@ -13,15 +13,14 @@ from ragplan.policy import (
     RlConfig,
     bce_loss_and_grad,
     build_state,
+    episode_returns,
     init_policy_params,
     load_policy,
     make_warmstart_dataset,
     pg_loss_and_grad,
-    pg_update,
     policy_forward,
     save_policy,
     traverse,
-    warmstart_step,
 )
 
 CFG = EmbedderConfig()
@@ -156,11 +155,11 @@ class TestWarmstart:
         )
         labels = np.array([1.0] * 40 + [0.0] * 40)
         params = init_policy_params(seed=1)
-        opt = None
-        batch = list(zip(states, labels))
+        opt = AdamState.zeros(params.to_vector().size)
         losses = []
         for _ in range(100):
-            params, loss, opt = warmstart_step(params, batch, learning_rate=0.05, opt=opt)
+            loss, grad = bce_loss_and_grad(params, states, labels)
+            params = PolicyParams.from_vector(adam_step(params.to_vector(), grad, opt, 0.05))
             losses.append(loss)
         assert loss < 0.1
         # best-so-far loss is non-increasing across 10-step windows
@@ -169,7 +168,7 @@ class TestWarmstart:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(DataError):
-            warmstart_step(zero_params(), [], 0.01)
+            bce_loss_and_grad(zero_params(), np.zeros((0, 3)), np.zeros(0))
 
 
 class TestPolicyGradient:
@@ -184,8 +183,10 @@ class TestPolicyGradient:
         params = init_policy_params(seed=5)
         episode = self.make_episode([1, 0], reward=0.0)
         config = RlConfig(use_baseline=False)
-        updated, _ = pg_update(params, episode, config)
-        assert np.array_equal(updated.to_vector(), params.to_vector())
+        _, grad = pg_loss_and_grad(params, episode, config.gamma)
+        opt = AdamState.zeros(grad.size)
+        updated = adam_step(params.to_vector(), grad, opt, config.learning_rate)
+        assert np.array_equal(updated, params.to_vector())
 
     @pytest.mark.parametrize("action", [0, 1])
     def test_single_step_episode_reduces_to_bce_gradient(self, action):
@@ -242,7 +243,7 @@ class TestPolicyGradient:
         config = RlConfig(learning_rate=0.01)
         rng = np.random.default_rng(123)
         params = init_policy_params(seed=3)
-        opt = None
+        opt = AdamState.zeros(params.to_vector().size)
         baseline = ReturnBaseline()
         for _ in range(500):
             steps = []
@@ -258,7 +259,13 @@ class TestPolicyGradient:
                 else:
                     steps.append(EpisodeStep(bad, 0, float(np.log(max(1 - p_bad, 1e-7)))))
                 reward = 0.0
-            params, opt = pg_update(params, Episode(steps, reward), config, opt, baseline)
+            episode = Episode(steps, reward)
+            _, grad = pg_loss_and_grad(params, episode, config.gamma, baseline.value())
+            for value in episode_returns(episode, config.gamma):
+                baseline.update(float(value))
+            params = PolicyParams.from_vector(
+                adam_step(params.to_vector(), grad, opt, config.learning_rate)
+            )
         assert policy_forward(params, good)[0] > 0.95
 
 
