@@ -95,6 +95,27 @@ def _default_config() -> dict:
     }
 
 
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
+               str: "a string", list: "a list of strings"}
+
+
+def _check_type(name: str, value, default) -> None:
+    """Reject a config value whose JSON type differs from its default's;
+    an integer is a number, a boolean is not."""
+    if isinstance(default, (bool, str)):
+        ok = type(value) is type(default)
+    elif isinstance(default, int):
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif isinstance(default, float):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, list) and all(isinstance(item, str) for item in value)
+    if not ok:
+        raise ConfigError(
+            f"config key {name!r} must be {_TYPE_NAMES[type(default)]}, got {value!r}"
+        )
+
+
 def load_run_config(args: argparse.Namespace) -> dict:
     config = _default_config()
     if getattr(args, "config", None):
@@ -117,8 +138,11 @@ def load_run_config(args: argparse.Namespace) -> dict:
                 if unknown:
                     names = ", ".join(f"{key}.{name}" for name in unknown)
                     raise ConfigError(f"unknown config key {names}")
+                for name, item in value.items():
+                    _check_type(f"{key}.{name}", item, config[key][name])
                 config[key].update(value)
             else:
+                _check_type(key, value, config[key])
                 config[key] = value
     for flag in ("seed", "delta", "k", "metric"):
         value = getattr(args, flag, None)
@@ -134,7 +158,8 @@ def load_run_config(args: argparse.Namespace) -> dict:
         raise ConfigError(f"delta must be in [0, 1], got {config['delta']}")
     if int(config["k"]) < 1:
         raise ConfigError(f"K must be >= 1, got {config['k']}")
-    MetricKind(config["metric"])
+    if config["metric"] not in {m.value for m in MetricKind}:
+        raise ConfigError(f"unknown metric {config['metric']!r}")
     return config
 
 
@@ -343,6 +368,27 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _TraceKeeper:
+    """Passes ``plan`` calls to a backend and keeps each result's execution
+    trace, so ``eval --traces`` writes the traces of the plans it scored.
+    Each answered question is planned exactly once, in record order."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.traces: list[dict] = []
+
+    def plan(self, question: Question, path: InstructionPath):
+        result = self.backend.plan(question, path)
+        self.traces.append(
+            {
+                "question_id": question.question_id,
+                "task_id": question.task_id,
+                "steps": [dataclasses.asdict(step) for step in result.trace],
+            }
+        )
+        return result
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     config = load_run_config(args)
     query_path = _require_file(args.query, "query corpus")
@@ -367,32 +413,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
             policy=base.policy, encoder=base.encoder, graph=graph, rl_config=base.rl_config
         )
     out = _out_dir(args)
+    if args.traces:
+        backend = _TraceKeeper(backend)
     report = meta_test(bundles, query, MetricKind(config["metric"]), backend,
                        default_bundle=base)
     results_path = out / "results.jsonl"
     _write_jsonl(results_path, report.records)
     outputs_extra = []
     if args.traces:
-        questions = {q.question_id: q for q in query.iter_questions()}
-        traces = []
-        for record in report.records:
-            if not record["selected_path"]:
-                continue
-            question = questions[record["question_id"]]
-            path_texts = tuple(record["selected_path"].split(" -> "))
-            result = backend.plan(
-                question,
-                InstructionPath(path_texts, question.task_id, question.question_id, 0.0),
-            )
-            traces.append(
-                {
-                    "question_id": question.question_id,
-                    "task_id": question.task_id,
-                    "steps": [dataclasses.asdict(step) for step in result.trace],
-                }
-            )
         traces_path = out / "traces.jsonl"
-        _write_jsonl(traces_path, traces)
+        _write_jsonl(traces_path, backend.traces)
         outputs_extra.append(traces_path)
     summary = {
         "macro_average": report.macro_average,

@@ -141,6 +141,57 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     return float(np.clip(np.dot(av, bv) / denom, -1.0, 1.0))
 
 
+def block_rows(dimension: int) -> int:
+    """Rows per block when float32 rows are upcast a block at a time:
+    64k values, 512 KB of float64."""
+    return max(1, 65536 // dimension)
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of every row of a float64 matrix, bit for bit."""
+    return np.sqrt(np.vecdot(rows, rows))
+
+
+def cosine_rows(
+    query: EmbeddingVector,
+    rows: np.ndarray,
+    norms: np.ndarray,
+    valid: np.ndarray | None = None,
+) -> np.ndarray:
+    """``cosine(query, row)`` for every row, bit for bit.
+
+    ``rows`` hold float32 vectors, as float32 or upcast to float64;
+    ``norms`` are the ``row_norms`` of their float64 values and ``valid``
+    their validity flags (all valid when None). ``np.vecdot`` takes each
+    row's dot product with the same BLAS dot kernel as ``np.dot``; a
+    matrix product would sum in another order.
+    """
+    if rows.shape[1] != query.dimension:
+        raise ConfigError(
+            f"cosine of mismatched dimensions {query.dimension} and {rows.shape[1]}"
+        )
+    sims = np.zeros(rows.shape[0], dtype=np.float64)
+    if not query.valid or not rows.shape[0]:
+        return sims
+    qv = query.values.astype(np.float64)
+    step = rows.shape[0] if rows.dtype == np.float64 else block_rows(query.dimension)
+    dots = np.concatenate([
+        np.vecdot(rows[lo:lo + step].astype(np.float64, copy=False), qv)
+        for lo in range(0, rows.shape[0], step)
+    ])
+    denom = float(np.linalg.norm(qv)) * norms
+    np.divide(dots, denom, out=sims, where=denom != 0.0)
+    np.clip(sims, -1.0, 1.0, out=sims)
+    # An identical array divides to within a few ulps of 1.0; cosine()
+    # returns exactly 1.0 for it, before any division.
+    for i in np.flatnonzero((sims >= 1.0 - 1e-9) | (denom == 0.0)):
+        if np.array_equal(rows[i], qv):
+            sims[i] = 1.0
+    if valid is not None:
+        sims[~valid] = 0.0
+    return sims
+
+
 def task_centroid(questions: list[EmbeddingVector]) -> EmbeddingVector:
     """Arithmetic mean of the given vectors, not re-normalized."""
     if not questions:

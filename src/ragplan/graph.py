@@ -9,14 +9,22 @@ Edges record which tasks (and questions) traversed each node pair.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import InstructionPath, TaskCorpus
-from .embedding import EmbedderConfig, EmbeddingVector, cosine, embed_text, task_centroid
+from .embedding import (
+    EmbedderConfig,
+    EmbeddingVector,
+    block_rows,
+    cosine,
+    cosine_rows,
+    embed_text,
+    row_norms,
+)
 from .errors import ConfigError, DataError, MalformedFileError, NotFoundError
 from .serialize import floats_to_hex, hex_to_floats, read_versioned, write_versioned
 
@@ -74,6 +82,37 @@ class GraphStats:
     mean_node_size: float
 
 
+class _RowBuffer:
+    """Append-only float64 rows with spare capacity, shared by graph copies.
+
+    A graph reads the first ``size`` rows, a count it keeps itself; rows
+    below any graph's count never change. ``filled`` counts the rows
+    written, so a graph may append in place only while its count equals
+    ``filled``. Another graph sharing the buffer appends to a copy.
+    """
+
+    def __init__(self, dimension: int, capacity: int = 0):
+        # Rows past ``filled`` are never read, so they are left unwritten.
+        self.array = np.empty((capacity, dimension), dtype=np.float64)
+        self.filled = 0
+
+    def append(self, size: int, values: np.ndarray) -> "_RowBuffer":
+        """Write ``values`` after the first ``size`` rows; returns the buffer
+        that now holds all ``size + 1`` rows: this one, or a new one when this
+        one is full (twice the capacity, at least 64 rows) or filled past
+        ``size`` by another graph."""
+        target = self
+        capacity = len(self.array)
+        if size == capacity or size != self.filled:
+            if size == capacity:
+                capacity = max(64, 2 * capacity)
+            target = _RowBuffer(self.array.shape[1], capacity)
+            target.array[:size] = self.array[:size]
+        target.array[size] = values
+        target.filled = size + 1
+        return target
+
+
 class InstructionGraph:
     """Mutable during construction, then treated as immutable by readers."""
 
@@ -92,29 +131,29 @@ class InstructionGraph:
         self.question_embeddings: dict[tuple[str, str], EmbeddingVector] = {}
         # Flat scan index over every stored instruction text, backed by a
         # capacity-doubling buffer so construction stays near-linear.
-        self._index_buffer = np.zeros((64, embedder.dimension), dtype=np.float64)
+        self._index_buffer = _RowBuffer(embedder.dimension)
         self._index_size = 0
         self._index_nodes: list[int] = []
         self._index_texts: list[str] = []
+        # Read-only arrays for traversal, compiled on the first read after
+        # the graph last changed; None while stale.
+        self._compiled: GraphIndex | None = None
+        # Nodes and edges this graph shares with copies made by or of it;
+        # the first write to one copies it (see ``copy``).
+        self._shared_nodes: set[int] = set()
+        self._shared_edges: set[tuple[int, int]] = set()
 
     # -- indexing ---------------------------------------------------------
 
     def _index_add(self, node_id: int, text: str, embedding: EmbeddingVector) -> None:
-        if self._index_size == self._index_buffer.shape[0]:
-            grown = np.zeros(
-                (2 * self._index_buffer.shape[0], self._index_buffer.shape[1]),
-                dtype=np.float64,
-            )
-            grown[: self._index_size] = self._index_buffer
-            self._index_buffer = grown
-        self._index_buffer[self._index_size] = embedding.values.astype(np.float64)
+        self._index_buffer = self._index_buffer.append(self._index_size, embedding.values)
         self._index_size += 1
         self._index_nodes.append(node_id)
         self._index_texts.append(text)
 
     @property
     def _index_vectors(self) -> np.ndarray:
-        return self._index_buffer[: self._index_size]
+        return self._index_buffer.array[: self._index_size]
 
     def instruction_count(self) -> int:
         return sum(len(node.instructions) for node in self.nodes.values())
@@ -122,19 +161,264 @@ class InstructionGraph:
     def is_empty(self) -> bool:
         return not self.nodes
 
+    def index(self) -> "GraphIndex":
+        """The read-only traversal index of the graph as it is now."""
+        if self._compiled is None:
+            self._compiled = GraphIndex(self)
+        return self._compiled
+
     def out_edges(self, node_id: int) -> list[EdgeSet]:
-        return [edge for (src, _), edge in sorted(self.edges.items()) if src == node_id]
+        """Edges leaving ``node_id``, in (from, to) order."""
+        return self.index().out_edges(node_id)
 
     def in_edges(self, node_id: int) -> list[EdgeSet]:
-        return [edge for (_, dst), edge in sorted(self.edges.items()) if dst == node_id]
+        """Edges entering ``node_id``, in (from, to) order."""
+        return self.index().in_edges(node_id)
 
     def register_question(self, task_id: str, question_id: str, text: str) -> None:
         key = (task_id, question_id)
         if key not in self.question_embeddings:
+            self._compiled = None
             self.question_embeddings[key] = embed_text(text, self.embedder)
 
     def copy(self) -> "InstructionGraph":
-        return copy.deepcopy(self)
+        """A copy that shares nodes, edges, embeddings and the instruction
+        rows of the scan buffer with this graph.
+
+        Embeddings are immutable and scan-buffer rows append-only. A shared
+        node or edge is copied by whichever graph writes to it first, so
+        neither graph ever sees the other's writes. The copy holds no
+        reference to this graph. This graph releases its compiled index:
+        a copy is made to be extended and read in its place, and a later
+        read of this graph compiles the index again.
+        """
+        twin = InstructionGraph(self.delta, self.embedder)
+        twin.ic, twin.tc = self.ic, self.tc
+        twin.nodes = dict(self.nodes)
+        twin.edges = dict(self.edges)
+        twin.question_embeddings = dict(self.question_embeddings)
+        twin._index_buffer = self._index_buffer
+        twin._index_size = self._index_size
+        twin._index_nodes = list(self._index_nodes)
+        twin._index_texts = list(self._index_texts)
+        self._compiled = None
+        for graph in (self, twin):
+            graph._shared_nodes = set(self.nodes)
+            graph._shared_edges = set(self.edges)
+        return twin
+
+    def _writable_node(self, node_id: int) -> NodeSet:
+        node = self.nodes[node_id]
+        if node_id in self._shared_nodes:
+            self._shared_nodes.discard(node_id)
+            node = NodeSet(
+                node_id,
+                {
+                    text: replace(entry, sources=list(entry.sources))
+                    for text, entry in node.instructions.items()
+                },
+            )
+            self.nodes[node_id] = node
+        return node
+
+    def _writable_edge(self, key: tuple[int, int]) -> EdgeSet:
+        edge = self.edges[key]
+        if key in self._shared_edges:
+            self._shared_edges.discard(key)
+            edge = EdgeSet(
+                edge.from_node,
+                edge.to_node,
+                {task: set(questions) for task, questions in edge.tasks.items()},
+            )
+            self.edges[key] = edge
+        return edge
+
+
+class GraphIndex:
+    """Arrays compiled from one state of an ``InstructionGraph`` for traversal.
+
+    * Instructions: a view of the graph's float64 scan buffer with per-row
+      norms; ``node_rows`` lists row ids grouped by node in node-id order
+      and by text within a node, delimited by ``node_ptr``.
+    * Questions: the graph's question embeddings in key order with their
+      validity flags, referenced by row id.
+    * Centroids: one float32 row per (edge, task) with registered
+      questions, equal to ``task_centroid`` over the task's questions in id
+      order, with norms of its float64 values; ``centroid_ptr`` delimits
+      an edge's rows, and ``question_ptr`` / ``question_rows`` give each
+      centroid's question row ids.
+    * Adjacency: edges in (from, to) order, CSR by source node
+      (``out_ptr``) and by target node (``in_order``, ``in_ptr``).
+
+    The only rows it adds are the centroids, stored as float32 because
+    ``task_centroid`` rounds them to float32 anyway. The index holds no
+    reference to its graph.
+    """
+
+    def __init__(self, graph: InstructionGraph):
+        size = graph._index_size
+        self.dimension = graph.embedder.dimension
+        self.node_ids = sorted(graph.nodes)
+        self.node_pos = {node_id: pos for pos, node_id in enumerate(self.node_ids)}
+        self.texts = graph._index_texts[:size]
+        self.instructions = graph._index_vectors
+        self.instruction_norms = row_norms(self.instructions)
+        row_nodes = graph._index_nodes
+        self.node_rows = np.array(
+            sorted(range(size), key=lambda i: (self.node_pos[row_nodes[i]], self.texts[i])),
+            dtype=np.intp,
+        )
+        node_of_row = np.array([self.node_pos[row_nodes[i]] for i in self.node_rows], dtype=np.intp)
+        self.node_ptr = np.searchsorted(node_of_row, np.arange(len(self.node_ids) + 1))
+
+        question_keys = sorted(graph.question_embeddings)
+        question_pos = {key: pos for pos, key in enumerate(question_keys)}
+        self.questions = [graph.question_embeddings[key] for key in question_keys]
+        self.question_valid = np.array([vector.valid for vector in self.questions], dtype=bool)
+
+        keys = sorted(graph.edges)
+        self.edges = [graph.edges[key] for key in keys]
+        self.edge_pos = {key: pos for pos, key in enumerate(keys)}
+        sources = np.array([key[0] for key in keys], dtype=np.int64)
+        targets = np.array([key[1] for key in keys], dtype=np.int64)
+        self.out_ptr = np.searchsorted(sources, self.node_ids + [np.iinfo(np.int64).max])
+        self.in_order = np.lexsort((sources, targets))
+        self.in_ptr = np.searchsorted(
+            targets[self.in_order], self.node_ids + [np.iinfo(np.int64).max]
+        )
+
+        centroid_ptr = [0]
+        question_ptr = [0]
+        question_rows: list[int] = []
+        for edge in self.edges:
+            for task_id in sorted(edge.tasks):
+                rows = [
+                    question_pos[(task_id, question_id)]
+                    for question_id in sorted(edge.tasks[task_id])
+                    if (task_id, question_id) in question_pos
+                ]
+                if rows:
+                    question_rows.extend(rows)
+                    question_ptr.append(len(question_rows))
+            centroid_ptr.append(len(question_ptr) - 1)
+        self.centroid_ptr = np.array(centroid_ptr, dtype=np.intp)
+        self.question_ptr = np.array(question_ptr, dtype=np.intp)
+        self.question_rows = np.array(question_rows, dtype=np.intp)
+        self.centroid_valid = np.array(
+            [self.question_valid[self.question_rows[a:b]].any()
+             for a, b in zip(question_ptr, question_ptr[1:])],
+            dtype=bool,
+        )
+        self.centroids, self.centroid_norms = self._centroid_rows()
+
+    def _question_block(self, rows) -> np.ndarray:
+        return np.array([self.questions[row].values for row in rows], dtype=np.float64)
+
+    def _centroid_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``task_centroid`` of every centroid's questions, bit for bit, and
+        the norms of their float64 values.
+
+        As in ``task_centroid``'s ``np.mean``, each float64 sum adds the
+        questions in order and is divided by the count before rounding to
+        float32. Sums are taken for a block of centroids at a time, adding
+        the j-th questions of the block in one step, so no temporary grows
+        with the graph.
+        """
+        counts = np.diff(self.question_ptr)
+        centroids = np.zeros((len(counts), self.dimension), dtype=np.float32)
+        norms = np.zeros(len(counts), dtype=np.float64)
+        step = block_rows(self.dimension)
+        for lo in range(0, len(counts), step):
+            starts = self.question_ptr[:-1][lo:lo + step]
+            sizes = counts[lo:lo + step]
+            sums = self._question_block(self.question_rows[starts])
+            for j in range(1, sizes.max()):
+                deeper = np.flatnonzero(sizes > j)
+                sums[deeper] += self._question_block(self.question_rows[starts[deeper] + j])
+            sums /= sizes[:, None]
+            centroids[lo:lo + step] = sums
+            norms[lo:lo + step] = row_norms(centroids[lo:lo + step].astype(np.float64))
+        return centroids, norms
+
+    @cached_property
+    def text_nodes(self) -> dict[str, list[int]]:
+        """Node ids holding each instruction text, ascending."""
+        out: dict[str, list[int]] = {}
+        for pos, node_id in enumerate(self.node_ids):
+            for row in self.node_rows[self.node_ptr[pos]:self.node_ptr[pos + 1]]:
+                out.setdefault(self.texts[row], []).append(node_id)
+        return out
+
+    def out_edges(self, node_id: int) -> list[EdgeSet]:
+        pos = self.node_pos.get(node_id)
+        if pos is None:
+            return []
+        return self.edges[self.out_ptr[pos]:self.out_ptr[pos + 1]]
+
+    def in_edges(self, node_id: int) -> list[EdgeSet]:
+        pos = self.node_pos.get(node_id)
+        if pos is None:
+            return []
+        return [self.edges[e] for e in self.in_order[self.in_ptr[pos]:self.in_ptr[pos + 1]]]
+
+
+class QueryScores:
+    """``cosine(query, row)`` for every instruction and centroid row of one
+    index, the per-node and per-edge maxima traversal reads, and the
+    question cosines of one centroid on demand: a query embedded once is
+    scored with one matrix-vector product per row set."""
+
+    def __init__(self, index: GraphIndex, query: EmbeddingVector):
+        self.index = index
+        self.query = query
+        by_row = cosine_rows(query, index.instructions, index.instruction_norms)
+        self.centroids = cosine_rows(
+            query, index.centroids, index.centroid_norms, index.centroid_valid
+        )
+        # Instruction cosines in node_rows order; every node has a row.
+        self.by_node_row = by_row[index.node_rows]
+        self.node_affinity = (
+            np.maximum.reduceat(self.by_node_row, index.node_ptr[:-1])
+            if len(self.by_node_row) else np.zeros(0)
+        )
+        # An edge without centroid rows scores 0.0.
+        self.edge_scores = np.zeros(len(index.edges), dtype=np.float64)
+        filled = np.diff(index.centroid_ptr) > 0
+        if filled.any():
+            self.edge_scores[filled] = np.maximum.reduceat(
+                self.centroids, index.centroid_ptr[:-1][filled]
+            )
+
+    def affinity(self, node_id: int) -> float:
+        """Best instruction cosine at a node."""
+        return float(self.node_affinity[self.index.node_pos[node_id]])
+
+    def edge_score(self, edge: EdgeSet) -> float:
+        """Best task-centroid cosine on an edge."""
+        return float(self.edge_scores[self.index.edge_pos[(edge.from_node, edge.to_node)]])
+
+    def best_text(self, node_id: int) -> str:
+        """The node's most similar instruction; ties go to the first text."""
+        index = self.index
+        pos = index.node_pos[node_id]
+        start = index.node_ptr[pos]
+        best = start + int(np.argmax(self.by_node_row[start:index.node_ptr[pos + 1]]))
+        return index.texts[index.node_rows[best]]
+
+    def best_task(self, edge: EdgeSet) -> tuple[float, float]:
+        """(task similarity, question similarity) of the edge's first task
+        whose centroid is most similar, and of that task's best question;
+        (0.0, 0.0) for an edge without registered questions."""
+        index = self.index
+        pos = index.edge_pos[(edge.from_node, edge.to_node)]
+        start, stop = index.centroid_ptr[pos], index.centroid_ptr[pos + 1]
+        if start == stop:
+            return 0.0, 0.0
+        best = start + int(np.argmax(self.centroids[start:stop]))
+        rows = index.question_rows[index.question_ptr[best]:index.question_ptr[best + 1]]
+        block = index._question_block(rows)
+        sims = cosine_rows(self.query, block, row_norms(block), index.question_valid[rows])
+        return float(self.centroids[best]), float(sims.max())
 
 
 def knn_nearest(
@@ -181,6 +465,7 @@ def insert_path(
     match similarity reaches the threshold, and connect the previous node
     to the current one, recording the path's task and question.
     """
+    graph._compiled = None
     if question_text is not None:
         graph.register_question(path.task_id, path.question_id, question_text)
     previous: int | None = None
@@ -200,15 +485,16 @@ def insert_path(
             graph.nodes[node_id] = NodeSet(node_id)
         else:
             node_id = hit.node_id
-        node = graph.nodes[node_id]
+        node = graph._writable_node(node_id)
         is_new_text = text not in node.instructions
         node.add(text, embedding, source)
         if is_new_text:
             graph._index_add(node_id, text, embedding)
         if previous is not None:
             key = (previous, node_id)
-            edge = graph.edges.get(key)
-            if edge is None:
+            if key in graph.edges:
+                edge = graph._writable_edge(key)
+            else:
                 edge = EdgeSet(previous, node_id)
                 graph.edges[key] = edge
                 graph.tc += 1
@@ -237,7 +523,11 @@ def build_graph(
 def extend_graph(
     graph: InstructionGraph, new_support: TaskCorpus, min_success: float = 1.0
 ) -> InstructionGraph:
-    """Copy-extend: the original graph is left untouched."""
+    """Copy-extend: the original graph is left untouched.
+
+    The extended graph shares every node, edge and embedding it does not
+    change with the original (see ``InstructionGraph.copy``).
+    """
     extended = graph.copy()
     _insert_corpus(extended, new_support, min_success)
     return extended
@@ -263,25 +553,6 @@ def graph_stats(graph: InstructionGraph) -> GraphStats:
         task_count=len(tasks),
         mean_node_size=(instruction_count / node_count) if node_count else 0.0,
     )
-
-
-def edge_task_centroids(
-    graph: InstructionGraph, edge: EdgeSet
-) -> list[tuple[str, EmbeddingVector, list[EmbeddingVector]]]:
-    """Per task on the edge: (task_id, centroid, question embeddings).
-
-    Tasks whose questions were never registered with the graph are skipped.
-    """
-    out = []
-    for task_id in sorted(edge.tasks):
-        vectors = [
-            graph.question_embeddings[(task_id, question_id)]
-            for question_id in sorted(edge.tasks[task_id])
-            if (task_id, question_id) in graph.question_embeddings
-        ]
-        if vectors:
-            out.append((task_id, task_centroid(vectors), vectors))
-    return out
 
 
 def save_graph(graph: InstructionGraph, destination: str | Path) -> None:
@@ -332,10 +603,16 @@ def load_graph(source: str | Path) -> InstructionGraph:
         graph = InstructionGraph(delta=float(doc["delta"]), embedder=embedder)
         graph.ic = int(doc["ic"])
         graph.tc = int(doc["tc"])
+        # Sized to fit: a loaded graph keeps no spare rows of its own.
+        graph._index_buffer = _RowBuffer(
+            embedder.dimension, sum(len(node_doc["instructions"]) for node_doc in doc["nodes"])
+        )
         for node_doc in doc["nodes"]:
             node = NodeSet(int(node_doc["node_id"]))
             if node.node_id in graph.nodes:
                 raise MalformedFileError(f"{source}: node {node.node_id} appears twice")
+            if not node_doc["instructions"]:
+                raise MalformedFileError(f"{source}: node {node.node_id} has no instructions")
             for entry in node_doc["instructions"]:
                 values = hex_to_floats(entry["embedding"], embedder.dimension)
                 embedding = EmbeddingVector(values, valid=True)

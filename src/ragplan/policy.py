@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import InstructionPath, TaskCorpus
-from .embedding import cosine, embed_text
+from .embedding import EmbeddingVector, embed_text
+from .embedding import cosine  # noqa: F401  bench/tracer.py wraps ragplan.policy.cosine
 from .errors import ConfigError, DataError, MalformedFileError, NotFoundError
-from .graph import EdgeSet, InstructionGraph, edge_task_centroids
+from .graph import EdgeSet, InstructionGraph, QueryScores
 from .serialize import floats_to_hex, hex_to_floats, read_versioned, write_versioned
 
 HIDDEN_UNITS = 20
@@ -127,32 +128,22 @@ class Candidate:
 
 def build_state(
     graph: InstructionGraph,
-    query: "np.ndarray | object",
+    query: EmbeddingVector | QueryScores,
     node_id: int,
     in_edge: EdgeSet | None,
 ) -> np.ndarray:
     """Three similarities: best instruction, best task centroid, best
     question within the best task. Without an incoming edge the last two
-    components are zero."""
+    components are zero.
+
+    ``query`` is an embedding or, to score a query once for many states,
+    its ``QueryScores`` against the graph's index.
+    """
     if node_id not in graph.nodes:
         raise NotFoundError(f"node {node_id} not in graph")
-    node = graph.nodes[node_id]
-    instruction_sim = max(
-        (cosine(query, entry.embedding) for entry in node.instructions.values()),
-        default=0.0,
-    )
-    task_sim = 0.0
-    question_sim = 0.0
-    if in_edge is not None:
-        best_task = None
-        for task_id, centroid, vectors in edge_task_centroids(graph, in_edge):
-            sim = cosine(query, centroid)
-            if best_task is None or sim > task_sim:
-                best_task = (task_id, vectors)
-                task_sim = sim
-        if best_task is not None:
-            question_sim = max(cosine(query, vec) for vec in best_task[1])
-    return np.array([instruction_sim, task_sim, question_sim], dtype=np.float64)
+    scores = query if isinstance(query, QueryScores) else QueryScores(graph.index(), query)
+    task_sim, question_sim = (0.0, 0.0) if in_edge is None else scores.best_task(in_edge)
+    return np.array([scores.affinity(node_id), task_sim, question_sim], dtype=np.float64)
 
 
 def _forward_parts(params: PolicyParams, state: np.ndarray):
@@ -251,41 +242,15 @@ def pg_loss_and_grad(
     return float(loss), grad
 
 
-def _start_nodes(graph: InstructionGraph, query, k: int) -> list[int]:
-    """Nodes of the k most query-similar instructions, most similar first."""
-    scored = []
-    for node_id, node in sorted(graph.nodes.items()):
-        for text in sorted(node.instructions):
-            sim = cosine(query, node.instructions[text].embedding)
-            scored.append((-sim, node_id, text))
-    scored.sort()
-    starts: list[int] = []
-    for _, node_id, _ in scored:
-        if node_id not in starts:
-            starts.append(node_id)
-        if len(starts) == k:
-            break
-    return starts
+def _start_nodes(scores: QueryScores, k: int) -> list[int]:
+    """Nodes of the k most query-similar instructions, most similar first.
 
-
-def _edge_score(graph: InstructionGraph, edge: EdgeSet, query) -> float:
-    scores = [
-        cosine(query, centroid) for _, centroid, _ in edge_task_centroids(graph, edge)
-    ]
-    return max(scores, default=0.0)
-
-
-def _node_affinity(graph: InstructionGraph, node_id: int, query) -> float:
-    node = graph.nodes[node_id]
-    return max(cosine(query, entry.embedding) for entry in node.instructions.values())
-
-
-def _best_instruction(graph: InstructionGraph, node_id: int, query) -> str:
-    node = graph.nodes[node_id]
-    return min(
-        node.instructions,
-        key=lambda text: (-cosine(query, node.instructions[text].embedding), text),
-    )
+    A node's first place in the instruction ranking (by similarity, then
+    node id, then text) is its affinity's place, so nodes rank by
+    affinity, then node id.
+    """
+    order = np.argsort(-scores.node_affinity, kind="stable")[:k]
+    return [scores.index.node_ids[pos] for pos in order]
 
 
 def traverse(
@@ -313,7 +278,7 @@ def traverse(
         raise ConfigError(f"unknown traversal mode {mode!r}")
     if mode == "sample" and rng is None:
         rng = np.random.default_rng(0)
-    query = embed_text(query_text, graph.embedder)
+    scores = QueryScores(graph.index(), embed_text(query_text, graph.embedder))
     hooks = [RULE_HOOKS[name] for name in config.rule_hooks]
     budget = {"left": config.max_nodes_visited}
 
@@ -338,8 +303,8 @@ def traverse(
             if budget["left"] <= 0:
                 return
             budget["left"] -= 1
-            state = build_state(graph, query, node_id, in_edge)
-            best_text = _best_instruction(graph, node_id, query)
+            state = build_state(graph, scores, node_id, in_edge)
+            best_text = scores.best_text(node_id)
             forced = any(not hook(best_text, path_texts) for hook in hooks)
             if forced:
                 action, log_prob = EXCLUDE, 0.0
@@ -373,8 +338,8 @@ def traverse(
             # branch that actually mentions the queried entities.
             neighbors.sort(
                 key=lambda edge: (
-                    -_node_affinity(graph, edge.to_node, query),
-                    -_edge_score(graph, edge, query),
+                    -scores.affinity(edge.to_node),
+                    -scores.edge_score(edge),
                     edge.to_node,
                 )
             )
@@ -398,13 +363,19 @@ def traverse(
             node_stack.pop()
             step_stack.pop()
 
-        yield from visit(start, None)
+        try:
+            yield from visit(start, None)
+        finally:
+            # ``visit`` holds itself through its closure; unlinking it frees
+            # the walk, and the graph and index it reads, without waiting
+            # for the cyclic garbage collector.
+            del visit
 
     # Fair collection: each start contributes in rotation, so one deep
     # subtree cannot consume the whole candidate budget.
     candidates: list[Candidate] = []
     seen_sequences: set[tuple[str, ...]] = set()
-    walkers = [start_walks(start) for start in _start_nodes(graph, query, config.k)]
+    walkers = [start_walks(start) for start in _start_nodes(scores, config.k)]
     active = deque(walkers)
     while active and len(candidates) < config.k and budget["left"] >= 0:
         walker = active.popleft()
@@ -432,10 +403,7 @@ class WarmstartExample:
 
 def _path_node_sequence(graph: InstructionGraph, path: InstructionPath) -> list[int] | None:
     """Locate the stored node of each path instruction; None when absent."""
-    text_to_node: dict[str, list[int]] = {}
-    for node_id, node in sorted(graph.nodes.items()):
-        for text in node.instructions:
-            text_to_node.setdefault(text, []).append(node_id)
+    text_to_node = graph.index().text_nodes
     sequence = []
     previous = None
     for text in path.instructions:
@@ -469,7 +437,7 @@ def make_warmstart_dataset(
         gold = question.gold_path
         if gold is None:
             continue
-        query = embed_text(question.text, graph.embedder)
+        query = QueryScores(graph.index(), embed_text(question.text, graph.embedder))
         sequence = _path_node_sequence(graph, gold)
         if sequence is None:
             continue

@@ -1,9 +1,13 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from ragplan.backend import MockBackend
 from ragplan.cli import main
+from ragplan.corpus import InstructionPath, load_corpus_jsonl, split_by_hint
+from ragplan.world import load_world
 
 DEMO_CONFIG = {
     "seed": 7,
@@ -127,6 +131,21 @@ def test_meta_first_order_is_config_error(workspace, capsys):
     config = dict(DEMO_CONFIG, meta=dict(DEMO_CONFIG["meta"], first_order=True))
     assert run_with_config(root, gen_dir, "first-order", config) == 2
     assert "meta.first_order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ({"k": "three"}, "'k'"),
+        ({"rl": {"gamma": "high"}}, "rl.gamma"),
+        ({"embedder": {"dimension": "big"}}, "embedder.dimension"),
+        ({"metric": "bleu"}, "bleu"),
+    ],
+)
+def test_wrongly_typed_config_value_is_config_error(workspace, capsys, override, key):
+    root, _, gen_dir = workspace
+    assert run_with_config(root, gen_dir, "typed", dict(DEMO_CONFIG, **override)) == 2
+    assert key in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +286,49 @@ def test_eval_traces_written_when_requested(workspace, trained):
         assert {"question_id", "task_id", "steps"} <= set(record)
         for step in record["steps"]:
             assert {"instruction", "operator", "argument", "observation", "ok"} <= set(step)
+
+
+def test_eval_traces_come_from_the_scored_plans(workspace, trained, monkeypatch):
+    root, config_path, gen_dir = workspace
+    calls = []
+    original_plan = MockBackend.plan
+
+    def counted_plan(self, question, path):
+        calls.append(question.question_id)
+        return original_plan(self, question, path)
+
+    monkeypatch.setattr(MockBackend, "plan", counted_plan)
+    counts = {}
+    for flags in ([], ["--traces"]):
+        calls.clear()
+        out = root / f"eval-plans{len(flags)}"
+        assert main([
+            "eval", "--bundle", str(trained / "bundle"),
+            "--query", str(gen_dir / "corpus.jsonl"),
+            "--world", str(gen_dir / "world.json"),
+            "--config", str(config_path), "--out", str(out), *flags,
+        ]) == 0
+        counts[len(flags)] = len(calls)
+    assert counts[0] == counts[1] > 0
+    # The traces equal those of planning each selected path once more.
+    monkeypatch.setattr(MockBackend, "plan", original_plan)
+    backend = MockBackend(load_world(gen_dir / "world.json"))
+    _, query = split_by_hint(load_corpus_jsonl(gen_dir / "corpus.jsonl"))
+    questions = {q.question_id: q for q in query.iter_questions()}
+    expected = []
+    for line in (out / "results.jsonl").read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        assert "trace" not in record and "steps" not in record
+        if not record["selected_path"]:
+            continue
+        question = questions[record["question_id"]]
+        path = InstructionPath(tuple(record["selected_path"].split(" -> ")),
+                               question.task_id, question.question_id, 0.0)
+        steps = [dataclasses.asdict(step) for step in backend.plan(question, path).trace]
+        expected.append(json.dumps({"question_id": question.question_id,
+                                    "task_id": question.task_id, "steps": steps},
+                                   sort_keys=True) + "\n")
+    assert (out / "traces.jsonl").read_text(encoding="utf-8") == "".join(expected)
 
 
 def test_sweep_delta_node_counts_nondecreasing(workspace, capsys):

@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ragplan.embedding import EmbedderConfig, EmbeddingVector, cosine, embed_text, task_centroid
+from ragplan.embedding import (
+    EmbedderConfig,
+    EmbeddingVector,
+    cosine,
+    cosine_rows,
+    embed_text,
+    row_norms,
+    task_centroid,
+)
 from ragplan.errors import ConfigError, DataError
 
 CFG = EmbedderConfig()
@@ -97,6 +105,32 @@ class TestCosine:
         s = cosine(va, vb)
         assert -1.0 <= s <= 1.0
         assert s == cosine(vb, va)
+
+
+class TestCosineRows:
+    @pytest.mark.parametrize("dimension, count", [(8, 9), (256, 300), (1024, 70)])
+    def test_equals_scalar_cosine_bit_for_bit(self, dimension, count):
+        # Rows span several upcast blocks and include the query itself, an
+        # invalid row, a zero row and a scaled copy of the query.
+        rng = np.random.default_rng(dimension)
+        values = rng.standard_normal((count, dimension)).astype(np.float32)
+        query = vec(values[3])
+        values[4] = 0.0
+        values[5] = 2.0 * values[3]
+        valid = np.ones(count, dtype=bool)
+        valid[6] = False
+        rows = [vec(v, valid=ok) for v, ok in zip(values, valid)]
+        expected = [cosine(query, row) for row in rows]
+        wide = values.astype(np.float64)
+        for stored in (wide, values):
+            sims = cosine_rows(query, stored, row_norms(wide), valid)
+            assert sims.tolist() == expected
+        assert expected[3] == 1.0 and expected[6] == 0.0
+        assert cosine_rows(vec(values[0], valid=False), wide, row_norms(wide)).tolist() == [0.0] * count
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ConfigError):
+            cosine_rows(vec([1.0, 0.0]), np.zeros((2, 3)), np.zeros(2))
 
 
 class TestTaskCentroid:

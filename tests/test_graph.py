@@ -321,6 +321,12 @@ class TestPersistence:
         doc["tc"] = len(doc["edges"]) + 2
         self.assert_rejected(dest, doc, "tc")
 
+    def test_node_without_instructions_rejected(self, tmp_path):
+        # Traversal ranks every node by its best instruction.
+        dest, doc = self.saved_doc(tmp_path)
+        doc["nodes"][0]["instructions"] = []
+        self.assert_rejected(dest, doc, "no instructions")
+
 
 class TestGraphStats:
     def test_empty(self):

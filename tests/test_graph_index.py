@@ -1,0 +1,512 @@
+"""The compiled graph index against the scalar traversal it replaced, and
+the lifetime and sharing rules of indexes and extended graphs.
+
+The reference functions below are the traversal as written before the
+index existed: every similarity is one scalar ``cosine`` call, task
+centroids are re-derived at every visit and edge lists are filtered from
+a full sort. The index must give the same candidates, node sequences,
+actions and forced flags, and the same states within 1e-12.
+"""
+
+import copy
+import gc
+import weakref
+from collections import deque
+
+import numpy as np
+import pytest
+
+from ragplan.corpus import InstructionPath, Question, TaskCorpus, split_by_hint
+from ragplan.embedding import EmbedderConfig, cosine, embed_text, task_centroid
+from ragplan.graph import (
+    build_graph,
+    extend_graph,
+    graphs_equal,
+    insert_path,
+    load_graph,
+    save_graph,
+)
+from ragplan.policy import (
+    EXCLUDE,
+    INCLUDE,
+    PROB_FLOOR,
+    RULE_HOOKS,
+    Candidate,
+    Episode,
+    EpisodeStep,
+    RlConfig,
+    _path_node_sequence,
+    build_state,
+    init_policy_params,
+    make_warmstart_dataset,
+    policy_forward,
+    traverse,
+)
+from ragplan.world import demo_spec, gen_world
+
+STATE_ATOL = 1e-12
+OPERATORS = ["Search", "Lookup", "Check", "Fetch"]
+WORDS = ["amber", "birch", "cobalt", "dune", "ember", "fjord", "grove", "heath"]
+
+
+# -- the scalar reference ------------------------------------------------------
+
+
+def ref_out_edges(graph, node_id):
+    return [edge for (src, _), edge in sorted(graph.edges.items()) if src == node_id]
+
+
+def ref_in_edges(graph, node_id):
+    return [edge for (_, dst), edge in sorted(graph.edges.items()) if dst == node_id]
+
+
+def ref_edge_task_centroids(graph, edge):
+    out = []
+    for task_id in sorted(edge.tasks):
+        vectors = [
+            graph.question_embeddings[(task_id, question_id)]
+            for question_id in sorted(edge.tasks[task_id])
+            if (task_id, question_id) in graph.question_embeddings
+        ]
+        if vectors:
+            out.append((task_id, task_centroid(vectors), vectors))
+    return out
+
+
+def ref_build_state(graph, query, node_id, in_edge):
+    node = graph.nodes[node_id]
+    instruction_sim = max(
+        (cosine(query, entry.embedding) for entry in node.instructions.values()),
+        default=0.0,
+    )
+    task_sim = 0.0
+    question_sim = 0.0
+    if in_edge is not None:
+        best_task = None
+        for task_id, centroid, vectors in ref_edge_task_centroids(graph, in_edge):
+            sim = cosine(query, centroid)
+            if best_task is None or sim > task_sim:
+                best_task = (task_id, vectors)
+                task_sim = sim
+        if best_task is not None:
+            question_sim = max(cosine(query, vec) for vec in best_task[1])
+    return np.array([instruction_sim, task_sim, question_sim], dtype=np.float64)
+
+
+def ref_start_nodes(graph, query, k):
+    scored = []
+    for node_id, node in sorted(graph.nodes.items()):
+        for text in sorted(node.instructions):
+            sim = cosine(query, node.instructions[text].embedding)
+            scored.append((-sim, node_id, text))
+    scored.sort()
+    starts = []
+    for _, node_id, _ in scored:
+        if node_id not in starts:
+            starts.append(node_id)
+        if len(starts) == k:
+            break
+    return starts
+
+
+def ref_edge_score(graph, edge, query):
+    scores = [cosine(query, c) for _, c, _ in ref_edge_task_centroids(graph, edge)]
+    return max(scores, default=0.0)
+
+
+def ref_node_affinity(graph, node_id, query):
+    node = graph.nodes[node_id]
+    return max(cosine(query, entry.embedding) for entry in node.instructions.values())
+
+
+def ref_best_instruction(graph, node_id, query):
+    node = graph.nodes[node_id]
+    return min(
+        node.instructions,
+        key=lambda text: (-cosine(query, node.instructions[text].embedding), text),
+    )
+
+
+def ref_path_node_sequence(graph, path):
+    text_to_node = {}
+    for node_id, node in sorted(graph.nodes.items()):
+        for text in node.instructions:
+            text_to_node.setdefault(text, []).append(node_id)
+    sequence = []
+    previous = None
+    for text in path.instructions:
+        homes = text_to_node.get(text)
+        if not homes:
+            return None
+        chosen = next((h for h in homes if h != previous), homes[0])
+        sequence.append(chosen)
+        previous = chosen
+    return sequence
+
+
+def ref_traverse(graph, query_text, params, config, mode="greedy", rng=None):
+    query = embed_text(query_text, graph.embedder)
+    hooks = [RULE_HOOKS[name] for name in config.rule_hooks]
+    budget = {"left": config.max_nodes_visited}
+
+    def start_walks(start):
+        path_texts, node_stack, step_stack = [], [], []
+        edges_on_branch = set()
+
+        def snapshot():
+            return Candidate(
+                path=InstructionPath(tuple(path_texts), "", "", 0.0),
+                episode=Episode(steps=list(step_stack)),
+                node_sequence=tuple(node_stack),
+            )
+
+        def visit(node_id, in_edge):
+            if budget["left"] <= 0:
+                return
+            budget["left"] -= 1
+            state = ref_build_state(graph, query, node_id, in_edge)
+            best_text = ref_best_instruction(graph, node_id, query)
+            forced = any(not hook(best_text, path_texts) for hook in hooks)
+            if forced:
+                action, log_prob = EXCLUDE, 0.0
+            else:
+                p_include, p_exclude = policy_forward(params, state)
+                if mode == "greedy":
+                    action = INCLUDE if p_include >= p_exclude else EXCLUDE
+                else:
+                    action = INCLUDE if rng.random() < p_include else EXCLUDE
+                log_prob = float(
+                    np.log(max(p_include if action == INCLUDE else p_exclude, PROB_FLOOR))
+                )
+            step_stack.append(
+                EpisodeStep(state=state, action=action, log_prob=log_prob, forced=forced)
+            )
+            if action == EXCLUDE:
+                if path_texts:
+                    yield snapshot()
+                step_stack.pop()
+                return
+            path_texts.append(best_text)
+            node_stack.append(node_id)
+            neighbors = [
+                edge
+                for edge in ref_out_edges(graph, node_id)
+                if (edge.from_node, edge.to_node) not in edges_on_branch
+            ]
+            neighbors.sort(
+                key=lambda edge: (
+                    -ref_node_affinity(graph, edge.to_node, query),
+                    -ref_edge_score(graph, edge, query),
+                    edge.to_node,
+                )
+            )
+            if len(path_texts) >= config.max_path_len or not neighbors:
+                yield snapshot()
+            else:
+                yielded = False
+                for edge in neighbors:
+                    if budget["left"] <= 0:
+                        break
+                    key = (edge.from_node, edge.to_node)
+                    edges_on_branch.add(key)
+                    for candidate in visit(edge.to_node, edge):
+                        yielded = True
+                        yield candidate
+                    edges_on_branch.discard(key)
+                if not yielded:
+                    yield snapshot()
+            path_texts.pop()
+            node_stack.pop()
+            step_stack.pop()
+
+        yield from visit(start, None)
+
+    candidates, seen = [], set()
+    active = deque(start_walks(s) for s in ref_start_nodes(graph, query, config.k))
+    while active and len(candidates) < config.k and budget["left"] >= 0:
+        walker = active.popleft()
+        try:
+            candidate = next(walker)
+        except StopIteration:
+            continue
+        active.append(walker)
+        if candidate.path.instructions in seen:
+            continue
+        seen.add(candidate.path.instructions)
+        candidates.append(candidate)
+    return candidates
+
+
+# -- inputs ------------------------------------------------------------------
+
+
+def random_corpus(seed, prefix="q"):
+    """A small corpus built to produce exact ties: upper-case twins embed
+    like their lower-case text, repeated steps put one text in two nodes,
+    some questions share ids across paths and some have empty text."""
+    rng = np.random.default_rng(seed)
+    corpus = TaskCorpus()
+    for qi in range(int(rng.integers(4, 12))):
+        task = f"T{int(rng.integers(3))}"
+        qid = f"{prefix}{qi}"
+        paths = []
+        for _ in range(int(rng.integers(1, 3))):
+            texts = []
+            for _ in range(int(rng.integers(1, 6))):
+                words = " ".join(rng.choice(WORDS, size=int(rng.integers(1, 3))))
+                text = f"{OPERATORS[int(rng.integers(len(OPERATORS)))]}[{words}]"
+                texts.append(text.upper() if rng.random() < 0.15 else text)
+            if rng.random() < 0.25:
+                texts.append(texts[-1])
+            paths.append(InstructionPath(tuple(texts), task, qid, 1.0))
+        text = "" if rng.random() < 0.1 else f"question {qi} on {' '.join(rng.choice(WORDS, 2))}"
+        corpus.add(Question(qid, task, text, "answer", paths=tuple(paths)))
+    return corpus
+
+
+def random_graph(seed):
+    rng = np.random.default_rng([seed, 1])
+    embedder = EmbedderConfig(dimension=int(rng.choice([16, 64, 256])))
+    return build_graph(random_corpus(seed), float(rng.choice([0.3, 0.5, 0.8, 1.0])), embedder)
+
+
+def queries_for(graph, seed):
+    rng = np.random.default_rng([seed, 2])
+    texts = sorted({t for node in graph.nodes.values() for t in node.instructions})
+    return [
+        texts[int(rng.integers(len(texts)))],  # exactly a stored instruction
+        f"question {int(rng.integers(12))} on {' '.join(rng.choice(WORDS, 2))}",
+        " ".join(rng.choice(WORDS, 3)),
+        "",  # embeds to an invalid vector
+    ]
+
+
+def policies(seed):
+    biased = init_policy_params(seed=seed, scale=0.5)
+    biased.b2 = np.array([3.0, -3.0])
+    return [
+        (init_policy_params(seed=seed, scale=2.0),
+         RlConfig(k=3, max_path_len=6, max_nodes_visited=64)),
+        (biased, RlConfig(k=5, rule_hooks=("no-lookup-before-search",))),
+    ]
+
+
+def demo_graph():
+    _, corpus = gen_world(demo_spec(), seed=7)
+    support, query = split_by_hint(corpus)
+    return build_graph(support, 0.4, EmbedderConfig(dimension=1024)), query
+
+
+def assert_same_candidates(new, old):
+    assert [c.path.instructions for c in new] == [c.path.instructions for c in old]
+    assert [c.node_sequence for c in new] == [c.node_sequence for c in old]
+    for a, b in zip(new, old):
+        assert [(s.action, s.forced) for s in a.episode.steps] == [
+            (s.action, s.forced) for s in b.episode.steps
+        ]
+        np.testing.assert_allclose(
+            np.array([s.state for s in a.episode.steps]),
+            np.array([s.state for s in b.episode.steps]),
+            rtol=0.0,
+            atol=STATE_ATOL,
+        )
+
+
+def assert_traversals_match(graph, query_text, params, config, seed):
+    for mode in ("greedy", "sample"):
+        new = traverse(graph, query_text, params, config, mode=mode,
+                       rng=np.random.default_rng(seed))
+        old = ref_traverse(graph, query_text, params, config, mode=mode,
+                           rng=np.random.default_rng(seed))
+        assert_same_candidates(new, old)
+
+
+# -- oracle tests --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_traversal_matches_scalar_reference(seed):
+    graph = random_graph(seed)
+    for query_text in queries_for(graph, seed):
+        for params, config in policies(seed):
+            assert_traversals_match(graph, query_text, params, config, seed)
+
+
+def test_traversal_matches_scalar_reference_on_demo_world():
+    graph, query = demo_graph()
+    questions = sorted(query.iter_questions(), key=lambda q: q.question_id)[::4]
+    for i, question in enumerate(questions):
+        for params, config in policies(i):
+            assert_traversals_match(graph, question.text, params, config, i)
+
+
+@pytest.mark.parametrize("seed", range(0, 50, 7))
+def test_every_state_matches_scalar_reference(seed):
+    graph = random_graph(seed)
+    for query_text in queries_for(graph, seed):
+        query = embed_text(query_text, graph.embedder)
+        for node_id in graph.nodes:
+            for in_edge in [None] + ref_in_edges(graph, node_id):
+                np.testing.assert_allclose(
+                    build_state(graph, query, node_id, in_edge),
+                    ref_build_state(graph, query, node_id, in_edge),
+                    rtol=0.0,
+                    atol=STATE_ATOL,
+                )
+
+
+@pytest.mark.parametrize("seed", range(0, 50, 7))
+def test_adjacency_and_text_lookup_match_scalar_reference(seed):
+    graph = random_graph(seed)
+    for node_id in list(graph.nodes) + [max(graph.nodes) + 1]:
+        assert graph.out_edges(node_id) == ref_out_edges(graph, node_id)
+        assert graph.in_edges(node_id) == ref_in_edges(graph, node_id)
+    for question in random_corpus(seed).iter_questions():
+        for path in question.paths:
+            assert _path_node_sequence(graph, path) == ref_path_node_sequence(graph, path)
+
+
+def test_centroid_rows_are_task_centroids_bit_for_bit():
+    graph, _ = demo_graph()
+    index = graph.index()
+    for pos, edge in enumerate(index.edges):
+        rows = index.centroids[index.centroid_ptr[pos]:index.centroid_ptr[pos + 1]]
+        expected = [c.values.astype(np.float64) for _, c, _ in ref_edge_task_centroids(graph, edge)]
+        assert len(rows) == len(expected)
+        for row, value in zip(rows, expected):
+            assert np.array_equal(row, value)
+
+
+def test_warmstart_states_match_scalar_reference():
+    graph, _ = demo_graph()
+    _, corpus = gen_world(demo_spec(), seed=7)
+    support, _ = split_by_hint(corpus)
+    for example in make_warmstart_dataset(graph, support, samples_per_question=6, rng_seed=3):
+        question = next(q for q in support.questions(example.task_id)
+                        if q.question_id == example.question_id)
+        query = embed_text(question.text, graph.embedder)
+        in_edges = [None] + ref_in_edges(graph, example.node_id)
+        assert any(
+            np.allclose(example.state, ref_build_state(graph, query, example.node_id, e),
+                        rtol=0.0, atol=STATE_ATOL)
+            for e in in_edges
+        )
+
+
+# -- staleness and lifetime ------------------------------------------------------
+
+
+def test_insert_marks_the_index_stale():
+    graph = random_graph(3)
+    stale = graph.index()
+    assert graph.index() is stale
+    # No question text: only the path itself changes the graph.
+    insert_path(
+        graph,
+        InstructionPath(("Search[violet quartz]", "Lookup[violet quartz]"), "T9", "z1", 1.0),
+    )
+    fresh = graph.index()
+    assert fresh is not stale
+    assert "Search[violet quartz]" in fresh.text_nodes
+    assert_traversals_match(graph, "violet quartz", *policies(3)[1], seed=3)
+
+
+def freed_without_collector(name, namespace, *refs):
+    """Delete ``namespace[name]`` with the cyclic collector off and report
+    whether every weak reference died by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    try:
+        del namespace[name]
+        return all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
+
+
+def test_graph_and_its_index_are_freed():
+    # Traversal must leave no reference cycle behind: a cycle would keep
+    # the graph and its index alive until the cyclic collector runs.
+    local = {"graph": random_graph(5)}
+    traverse(local["graph"], "amber birch", init_policy_params(seed=1), RlConfig(k=3))
+    refs = weakref.ref(local["graph"]), weakref.ref(local["graph"].index())
+    assert freed_without_collector("graph", local, *refs)
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_extended_graph_does_not_keep_its_parent_alive():
+    local = {"parent": random_graph(6)}
+    local["parent"].index()
+    child = extend_graph(local["parent"], random_corpus(106))
+    parent_ref = weakref.ref(local["parent"])
+    assert freed_without_collector("parent", local, parent_ref)
+    assert traverse(child, "amber birch", init_policy_params(seed=1), RlConfig(k=3))
+
+
+# -- copy-on-write extension -------------------------------------------------------
+
+
+def deepcopy_extend(graph, corpus):
+    """The deep-copy extension the shared copy replaced."""
+    extended = copy.deepcopy(graph)
+    for question in corpus.iter_questions():
+        for path in question.paths:
+            if path.success_metric >= 1.0:
+                insert_path(extended, path, question_text=question.text)
+    return extended
+
+
+def assert_scan_rows_match(graph):
+    """Every scan-buffer row holds the embedding of its instruction."""
+    rows = graph._index_vectors
+    assert len(rows) == graph.instruction_count()
+    for row, node_id, text in zip(rows, graph._index_nodes, graph._index_texts):
+        assert np.array_equal(row, graph.nodes[node_id].instructions[text].embedding.values)
+
+
+def assert_extension_matches_deepcopy(parent, batches):
+    snapshot = copy.deepcopy(parent)
+    child = extend_graph(parent, batches[0])
+    expected_child = deepcopy_extend(snapshot, batches[0])
+    assert graphs_equal(child, expected_child)
+    # A grandchild and a second child share objects with both of them.
+    grandchild = extend_graph(child, batches[1])
+    sibling = extend_graph(parent, batches[1])
+    assert graphs_equal(grandchild, deepcopy_extend(expected_child, batches[1]))
+    assert graphs_equal(sibling, deepcopy_extend(snapshot, batches[1]))
+    assert graphs_equal(child, expected_child)
+    assert graphs_equal(parent, snapshot)
+    # Writes to the parent after the copies stay out of them.
+    for question in batches[1].iter_questions():
+        for path in question.paths:
+            insert_path(parent, path, question_text=question.text)
+    assert graphs_equal(child, expected_child)
+    assert graphs_equal(sibling, deepcopy_extend(snapshot, batches[1]))
+    for graph in (parent, child, grandchild, sibling):
+        assert_scan_rows_match(graph)
+        assert_traversals_match(graph, "amber birch grove", *policies(0)[1], seed=0)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_extend_matches_deepcopy_extension(seed):
+    parent = random_graph(seed)
+    parent.index()
+    assert_extension_matches_deepcopy(
+        parent, [random_corpus(seed + 1000, "q"), random_corpus(seed + 2000, "w")]
+    )
+
+
+def test_extend_of_a_loaded_graph_matches_deepcopy_extension(tmp_path):
+    save_graph(random_graph(11), tmp_path / "graph.json")
+    loaded = load_graph(tmp_path / "graph.json")
+    assert_traversals_match(loaded, "amber birch", *policies(11)[0], seed=11)
+    assert_extension_matches_deepcopy(loaded, [random_corpus(1011), random_corpus(2011, "w")])
+
+
+def test_extend_matches_deepcopy_extension_on_demo_world():
+    graph, query = demo_graph()
+    batches = [TaskCorpus(), TaskCorpus()]
+    for i, question in enumerate(sorted(query.iter_questions(), key=lambda q: q.question_id)):
+        batches[i % 2].add(question)
+    assert_extension_matches_deepcopy(graph, batches)
+
