@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backend import BackendConfig, make_backend
+from .backend import build_prompt, make_backend
 from .corpus import (
     InstructionPath,
     MetricKind,
@@ -30,158 +30,26 @@ from .corpus import (
     split_by_hint,
     split_support_query,
 )
-from .embedding import EmbedderConfig
+from .config import RunConfig
 from .encoder import load_encoder, save_encoder
 from .errors import BackendError, ConfigError, DataError, RagplanError
 from .graph import build_graph, graph_stats, load_graph, save_graph
 from .meta import (
     AgentBundle,
-    MetaConfig,
     evaluate_bundle,
     fewshot_adapt,
     meta_test,
     meta_train,
     retrieve,
 )
-from .policy import RlConfig, load_policy, save_policy
-from .serialize import sha256_file
+from .policy import load_policy, save_policy
+from .serialize import read_fields, sha256_file
 from .world import SyntheticWorldSpec, demo_spec, gen_world, load_world, save_world
-from .backend import build_prompt
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_BACKEND = 4
-
-
-def _default_config() -> dict:
-    return {
-        "seed": 0,
-        "delta": 0.4,
-        "k": 3,
-        "metric": "token_f1",
-        "split_ratio": 0.6,
-        "strict_qpa": False,
-        "embedder": dataclasses.asdict(EmbedderConfig()),
-        "rl": {
-            "learning_rate": 0.001,
-            "gamma": 0.99,
-            "max_path_len": 16,
-            "max_nodes_visited": 256,
-            "rule_hooks": ["no-lookup-before-search"],
-            "use_baseline": True,
-            "baseline_window": 64,
-        },
-        "meta": {
-            "inner_lr": 0.01,
-            "outer_lr": 0.001,
-            "inner_steps": 1,
-            "questions_per_batch": 8,
-            "tasks_per_meta_batch": 4,
-            "iterations": 40,
-            "pool_extra_negatives": 2,
-        },
-        "backend": {
-            "kind": "mock",
-            "template_id": "synthetic",
-            "noise": 0.0,
-            "endpoint": "",
-            "model": "",
-            "auth_env": "RAGPLAN_API_KEY",
-            "timeout": 30.0,
-            "max_retries": 2,
-            "temperature": 0.0,
-        },
-    }
-
-
-_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number",
-               str: "a string", list: "a list of strings"}
-
-
-def _check_type(name: str, value, default) -> None:
-    """Reject a config value whose JSON type differs from its default's;
-    an integer is a number, a boolean is not."""
-    if isinstance(default, (bool, str)):
-        ok = type(value) is type(default)
-    elif isinstance(default, int):
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    elif isinstance(default, float):
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, list) and all(isinstance(item, str) for item in value)
-    if not ok:
-        raise ConfigError(
-            f"config key {name!r} must be {_TYPE_NAMES[type(default)]}, got {value!r}"
-        )
-
-
-def load_run_config(args: argparse.Namespace) -> dict:
-    config = _default_config()
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file {path} does not exist")
-        try:
-            overrides = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        for key, value in overrides.items():
-            if key not in config:
-                raise ConfigError(f"unknown config key {key!r}")
-            if isinstance(config[key], dict):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"config key {key!r} must be an object")
-                unknown = sorted(set(value) - set(config[key]))
-                if unknown:
-                    names = ", ".join(f"{key}.{name}" for name in unknown)
-                    raise ConfigError(f"unknown config key {names}")
-                for name, item in value.items():
-                    _check_type(f"{key}.{name}", item, config[key][name])
-                config[key].update(value)
-            else:
-                _check_type(key, value, config[key])
-                config[key] = value
-    for flag in ("seed", "delta", "k", "metric"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            config[flag] = value
-    if getattr(args, "backend", None):
-        config["backend"]["kind"] = args.backend
-    if getattr(args, "noise", None) is not None:
-        config["backend"]["noise"] = args.noise
-    if getattr(args, "strict_paper_qpa", False):
-        config["strict_qpa"] = True
-    if not 0.0 <= float(config["delta"]) <= 1.0:
-        raise ConfigError(f"delta must be in [0, 1], got {config['delta']}")
-    if int(config["k"]) < 1:
-        raise ConfigError(f"K must be >= 1, got {config['k']}")
-    if config["metric"] not in {m.value for m in MetricKind}:
-        raise ConfigError(f"unknown metric {config['metric']!r}")
-    return config
-
-
-def _embedder(config: dict) -> EmbedderConfig:
-    return EmbedderConfig(**config["embedder"])
-
-
-def _rl_config(config: dict) -> RlConfig:
-    rl = dict(config["rl"])
-    rl["rule_hooks"] = tuple(rl.get("rule_hooks", ()))
-    return RlConfig(k=int(config["k"]), **rl)
-
-
-def _meta_config(config: dict) -> MetaConfig:
-    meta = dict(config["meta"])
-    meta["seed"] = int(config["seed"])
-    meta["strict_qpa"] = bool(config.get("strict_qpa", False))
-    return MetaConfig(**meta)
-
-
-def _backend_config(config: dict) -> BackendConfig:
-    return BackendConfig(**config["backend"])
 
 
 def _require_file(path: str | Path, kind: str) -> Path:
@@ -191,17 +59,37 @@ def _require_file(path: str | Path, kind: str) -> Path:
     return path
 
 
+def _read_json(path: str | Path, kind: str):
+    path = _require_file(path, kind)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+
+
+def load_run_config(args: argparse.Namespace) -> RunConfig:
+    """The config file's settings over the dataclass defaults, then the flags."""
+    config = read_fields(RunConfig, _read_json(args.config, "config")) if args.config else None
+    flags = {"seed": args.seed, "delta": args.delta, "k": args.k, "metric": args.metric,
+             "strict_qpa": args.strict_paper_qpa or None}
+    backend = {"kind": args.backend, "noise": args.noise}
+    flags = {name: value for name, value in flags.items() if value is not None}
+    flags["backend"] = {name: value for name, value in backend.items() if value is not None}
+    return read_fields(RunConfig, flags, base=config)
+
+
 def _out_dir(args: argparse.Namespace) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _write_manifest(out: Path, command: str, config: dict, inputs: dict, outputs: list) -> None:
+def _write_manifest(out: Path, command: str, config: RunConfig, inputs: dict,
+                    outputs: list) -> None:
     manifest = {
         "command": command,
         "package_version": __version__,
-        "config": config,
+        "config": config.to_json(),
         "inputs": {name: sha256_file(path) for name, path in inputs.items()},
         "input_paths": {name: str(path) for name, path in inputs.items()},
         "outputs": sorted(str(p) for p in outputs),
@@ -218,19 +106,19 @@ def _write_jsonl(path: Path, records: list[dict]) -> None:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _split_corpus(corpus: TaskCorpus, config: dict) -> tuple[TaskCorpus, TaskCorpus]:
+def _split_corpus(corpus: TaskCorpus, config: RunConfig) -> tuple[TaskCorpus, TaskCorpus]:
     hinted = any(q.split_hint for q in corpus.iter_questions())
     if hinted:
         return split_by_hint(corpus)
-    return split_support_query(corpus, float(config["split_ratio"]), int(config["seed"]))
+    return split_support_query(corpus, config.split_ratio, config.seed)
 
 
-def _save_bundle(bundle: AgentBundle, out: Path, config: dict) -> list[Path]:
+def _save_bundle(bundle: AgentBundle, out: Path, config: RunConfig) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths = [out / "graph.json", out / "policy.json", out / "encoder.json", out / "bundle.json"]
     save_graph(bundle.graph, paths[0])
     save_policy(bundle.policy, paths[1])
-    save_encoder(bundle.encoder, paths[2], strict_qpa=bool(config.get("strict_qpa", False)))
+    save_encoder(bundle.encoder, paths[2], strict_qpa=config.strict_qpa)
     (out / "bundle.json").write_text(
         json.dumps({"k": bundle.rl_config.k, "rule_hooks": list(bundle.rl_config.rule_hooks)},
                    sort_keys=True),
@@ -239,14 +127,21 @@ def _save_bundle(bundle: AgentBundle, out: Path, config: dict) -> list[Path]:
     return paths
 
 
-def _load_bundle(directory: str | Path, config: dict) -> AgentBundle:
-    directory = Path(directory)
-    for name in ("graph.json", "policy.json", "encoder.json"):
-        _require_file(directory / name, "bundle")
-    graph = load_graph(directory / "graph.json")
-    policy = load_policy(directory / "policy.json")
-    encoder, _ = load_encoder(directory / "encoder.json")
-    return AgentBundle(policy=policy, encoder=encoder, graph=graph, rl_config=_rl_config(config))
+def _bundle_files(directory: str | Path, prefix: str,
+                  names: tuple[str, ...] = ("graph", "policy", "encoder")) -> dict[str, Path]:
+    """The manifest inputs of a bundle directory, keyed ``<prefix>_<name>``."""
+    return {f"{prefix}_{name}": Path(directory) / f"{name}.json" for name in names}
+
+
+def _load_bundle(directory: str | Path, config: RunConfig) -> AgentBundle:
+    files = _bundle_files(directory, "bundle")
+    for path in files.values():
+        _require_file(path, "bundle")
+    graph_path, policy_path, encoder_path = files.values()
+    graph = load_graph(graph_path)
+    policy = load_policy(policy_path)
+    encoder, _ = load_encoder(encoder_path)
+    return AgentBundle(policy=policy, encoder=encoder, graph=graph, rl_config=config.rl)
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -254,10 +149,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.demo:
         spec = demo_spec()
     else:
-        spec_path = _require_file(args.spec, "world spec")
-        spec = SyntheticWorldSpec.from_json(json.loads(spec_path.read_text(encoding="utf-8")))
+        spec = SyntheticWorldSpec.from_json(_read_json(args.spec, "world spec"))
     out = _out_dir(args)
-    world, corpus = gen_world(spec, int(config["seed"]))
+    world, corpus = gen_world(spec, config.seed)
     world_path = out / "world.json"
     corpus_path = out / "corpus.jsonl"
     save_world(world, world_path)
@@ -277,7 +171,7 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
     if args.support_only:
         corpus, _ = _split_corpus(corpus, config)
     out = _out_dir(args)
-    graph = build_graph(corpus, float(config["delta"]), _embedder(config))
+    graph = build_graph(corpus, config.delta, config.embedder)
     graph_path = out / "graph.json"
     save_graph(graph, graph_path)
     stats = graph_stats(graph)
@@ -289,14 +183,13 @@ def cmd_build_graph(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _make_backend_for(config: dict, world_path: str | None):
-    backend_config = _backend_config(config)
+def _make_backend_for(config: RunConfig, world_path: str | None):
     world = None
-    if backend_config.kind == "mock":
+    if config.backend.kind == "mock":
         if not world_path:
             raise ConfigError("mock backend needs --world")
         world = load_world(_require_file(world_path, "world"))
-    return make_backend(backend_config, world)
+    return make_backend(config.backend, world)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -311,12 +204,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     bundle, log = meta_train(
         support,
         query,
-        _meta_config(config),
-        delta=float(config["delta"]),
-        embedder=_embedder(config),
-        rl_config=_rl_config(config),
+        config.meta,
+        delta=config.delta,
+        embedder=config.embedder,
+        rl_config=config.rl,
         backend=backend,
-        metric=MetricKind(config["metric"]),
+        metric=MetricKind(config.metric),
     )
     bundle_paths = _save_bundle(bundle, out / "bundle", config)
     log_path = out / "train_log.jsonl"
@@ -343,9 +236,9 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     adapted, extended = fewshot_adapt(
         bundle,
         new_support,
-        _meta_config(config),
+        config.meta,
         backend=backend,
-        metric=MetricKind(config["metric"]),
+        metric=MetricKind(config.metric),
     )
     outputs = []
     graph_path = out / "graph.json"
@@ -357,10 +250,9 @@ def cmd_adapt(args: argparse.Namespace) -> int:
         policy_path = task_dir / "policy.json"
         encoder_path = task_dir / "encoder.json"
         save_policy(task_bundle.policy, policy_path)
-        save_encoder(task_bundle.encoder, encoder_path,
-                     strict_qpa=bool(config.get("strict_qpa", False)))
+        save_encoder(task_bundle.encoder, encoder_path, strict_qpa=config.strict_qpa)
         outputs.extend([policy_path, encoder_path])
-    inputs = {"support": support_path, "bundle_graph": Path(args.bundle) / "graph.json"}
+    inputs = {"support": support_path, **_bundle_files(args.bundle, "bundle")}
     if args.world:
         inputs["world"] = args.world
     _write_manifest(out, "adapt", config, inputs, outputs)
@@ -397,15 +289,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
         _, query = split_by_hint(query)
     base = _load_bundle(args.bundle, config)
     backend = _make_backend_for(config, args.world)
+    inputs = {"query": query_path, **_bundle_files(args.bundle, "bundle")}
     bundles: dict[str, AgentBundle] = {}
     if args.adapted:
         adapted_dir = Path(args.adapted)
-        graph = load_graph(_require_file(adapted_dir / "graph.json", "adapted graph"))
+        inputs["adapted_graph"] = _require_file(adapted_dir / "graph.json", "adapted graph")
+        graph = load_graph(inputs["adapted_graph"])
         tasks_dir = adapted_dir / "tasks"
         if tasks_dir.exists():
             for task_dir in sorted(tasks_dir.iterdir()):
-                policy = load_policy(task_dir / "policy.json")
-                encoder, _ = load_encoder(task_dir / "encoder.json")
+                files = _bundle_files(task_dir, f"task_{task_dir.name}", ("policy", "encoder"))
+                inputs.update(files)
+                policy_path, encoder_path = files.values()
+                policy = load_policy(policy_path)
+                encoder, _ = load_encoder(encoder_path)
                 bundles[task_dir.name] = AgentBundle(
                     policy=policy, encoder=encoder, graph=graph, rl_config=base.rl_config
                 )
@@ -415,7 +312,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     if args.traces:
         backend = _TraceKeeper(backend)
-    report = meta_test(bundles, query, MetricKind(config["metric"]), backend,
+    report = meta_test(bundles, query, MetricKind(config.metric), backend,
                        default_bundle=base)
     results_path = out / "results.jsonl"
     _write_jsonl(results_path, report.records)
@@ -430,7 +327,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     }
     summary_path = out / "summary.json"
     summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8")
-    inputs = {"query": query_path}
     if args.world:
         inputs["world"] = args.world
     _write_manifest(out, "eval", config, inputs,
@@ -456,9 +352,7 @@ def cmd_retrieve(args: argparse.Namespace) -> int:
     for index, (candidate, sim) in enumerate(zip(candidates, sims)):
         marker = "*" if index == selected else " "
         print(f"{marker} [{index}] sim={sim:+.4f}  {candidate.path.serialized()}")
-    prompt = build_prompt(
-        args.question, candidates[selected].path, config["backend"]["template_id"]
-    )
+    prompt = build_prompt(args.question, candidates[selected].path, config.backend.template_id)
     print("\n--- prompt ---")
     print(prompt)
     return EXIT_OK
@@ -469,14 +363,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     corpus_path = _require_file(args.corpus, "corpus")
     corpus = load_corpus_jsonl(corpus_path)
     support, query = _split_corpus(corpus, config)
+    parse = int if args.parameter == "k" else float
+    try:
+        values = [parse(value) for value in args.values.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"{args.parameter} values must be {parse.__name__}s: {exc}") from exc
     out = _out_dir(args)
-    values = [float(v) for v in args.values.split(",")]
+    inputs = {"corpus": corpus_path}
     rows = []
     if args.parameter == "delta":
         for value in values:
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"delta value {value} outside [0, 1]")
-            stats = graph_stats(build_graph(support, value, _embedder(config)))
+            stats = graph_stats(build_graph(support, value, config.embedder))
             rows.append({"delta": value, "nodes": stats.node_count,
                          "edges": stats.edge_count,
                          "instructions": stats.instruction_count})
@@ -488,15 +385,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ConfigError("k sweep needs --bundle")
         backend = _make_backend_for(config, args.world)
         base = _load_bundle(args.bundle, config)
-        for value in values:
-            k = int(value)
-            if k < 1:
-                raise ConfigError(f"K value {k} must be >= 1")
+        inputs.update(_bundle_files(args.bundle, "bundle"))
+        if args.world:
+            inputs["world"] = args.world
+        for k in values:
             swept = base.copy()
             swept.rl_config = dataclasses.replace(base.rl_config, k=k)
             started = time.perf_counter()
-            report = evaluate_bundle(swept, query, backend,
-                                     MetricKind(config["metric"]))
+            report = evaluate_bundle(swept, query, backend, MetricKind(config.metric))
             elapsed = time.perf_counter() - started
             rows.append({"k": k, "mean_delta": report.macro_average,
                          "latency_s": elapsed})
@@ -508,7 +404,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         json.dumps({"parameter": args.parameter, "rows": rows}, indent=2, sort_keys=True),
         encoding="utf-8",
     )
-    _write_manifest(out, "sweep", config, {"corpus": corpus_path}, [sweep_path])
+    _write_manifest(out, "sweep", config, inputs, [sweep_path])
     print(f"sweep: {sweep_path}")
     return EXIT_OK
 

@@ -230,12 +230,6 @@ class EncoderGrads:
         return EncoderGrads(self.wq + other.wq, self.wp + other.wp, self.qpm_w + other.qpm_w)
 
 
-def zero_grads(params: EncoderParams) -> EncoderGrads:
-    return EncoderGrads(
-        np.zeros_like(params.wq), np.zeros_like(params.wp), np.zeros_like(params.qpm_w)
-    )
-
-
 def qpa_loss_and_grads(
     params: EncoderParams,
     pairs: list[tuple[str, InstructionPath]],

@@ -54,7 +54,7 @@ class MetaConfig:
     inner_steps: int = 1
     questions_per_batch: int = 8
     tasks_per_meta_batch: int = 4
-    iterations: int = 100
+    iterations: int = 40
     seed: int = 0
     pool_extra_negatives: int = 2
     strict_qpa: bool = False

@@ -47,7 +47,6 @@ RULE_HOOKS = {
 
 @dataclass(frozen=True)
 class RlConfig:
-    learning_rate: float = 0.001
     gamma: float = 0.99
     k: int = 3
     max_path_len: int = 16

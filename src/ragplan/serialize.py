@@ -1,4 +1,5 @@
-"""Versioned JSON persistence helpers.
+"""Versioned JSON persistence helpers, and the reader that builds a
+config dataclass from a JSON object.
 
 Float payloads are stored as hex-encoded little-endian float32 so that
 save/load round-trips are bit-exact across platforms.
@@ -6,13 +7,15 @@ save/load round-trips are bit-exact across platforms.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import typing
 from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedFileError, VersionMismatchError
+from .errors import ConfigError, MalformedFileError, VersionMismatchError
 
 FORMAT_VERSION = "1"
 
@@ -75,3 +78,54 @@ def sha256_file(path: str | Path) -> str:
         for chunk in iter(lambda: handle.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def read_fields(cls, doc, base=None, prefix: str = "", fixed: tuple[str, ...] = ()):
+    """Build the dataclass ``cls`` from the JSON object ``doc``.
+
+    A field missing from ``doc`` keeps its value in ``base``, which
+    defaults to ``cls()``, so defaults come from the dataclass fields. A
+    value must have its field's type: an int counts as a float (and
+    becomes one), a bool does not count as an int, and a list becomes a
+    tuple. A dataclass field reads a nested object; the names in its
+    ``fixed`` metadata are not read from that object. Keys that name no
+    field, or a ``fixed`` field, raise ConfigError. ``prefix`` is the
+    dotted path of ``doc`` in error messages.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config key {prefix[:-1]!r} must be an object" if prefix
+                          else "config must be a JSON object")
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in fixed}
+    unknown = sorted(set(doc) - set(fields))
+    if unknown:
+        raise ConfigError("unknown config key " + ", ".join(prefix + key for key in unknown))
+    base = cls() if base is None else base
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for name, value in doc.items():
+        hint, key = hints[name], prefix + name
+        if dataclasses.is_dataclass(hint):
+            values[name] = read_fields(hint, value, getattr(base, name), key + ".",
+                                       fields[name].metadata.get("fixed", ()))
+        elif _has_type(hint, value):
+            # hint(value) turns an int read into a float field into a float
+            values[name] = tuple(value) if isinstance(value, list) else hint(value)
+        else:
+            expected = f"{hint} as a list" if typing.get_origin(hint) is tuple else hint.__name__
+            raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+    return dataclasses.replace(base, **values)
+
+
+def _has_type(hint, value) -> bool:
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            return False
+        items = typing.get_args(hint)
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        return len(items) == len(value) and all(map(_has_type, items, value))
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return type(value) is hint

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import InstructionPath, Question, TaskCorpus
-from .errors import MalformedFileError, SpecError
-from .serialize import read_versioned, write_versioned
+from .errors import ConfigError, MalformedFileError, SpecError
+from .serialize import read_fields, read_versioned, write_versioned
 
 WORLD_KIND = "synthetic-world"
 
@@ -96,9 +96,7 @@ class SyntheticWorldSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SyntheticWorldSpec":
-        doc = dict(doc)
-        doc["hop_range"] = tuple(doc["hop_range"])
-        return cls(**doc)
+        return read_fields(cls, doc)
 
 
 @dataclass
@@ -450,5 +448,5 @@ def load_world(source: str | Path) -> World:
             spec=SyntheticWorldSpec.from_json(doc["spec"]),
             seed=int(doc["seed"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         raise MalformedFileError(f"{source}: malformed world file: {exc}") from exc

@@ -361,7 +361,7 @@ class TestCriterion06PolicyLearning:
         started = time.perf_counter()
         good = np.array([0.9, 0.8, 0.7])
         bad = np.array([0.2, 0.1, 0.0])
-        config = RlConfig(learning_rate=0.01)
+        config = RlConfig()
         final = []
         for seed in range(10):
             rng = np.random.default_rng(1000 + seed)
@@ -385,7 +385,7 @@ class TestCriterion06PolicyLearning:
                 for value in episode_returns(episode, config.gamma):
                     baseline.update(float(value))
                 params = PolicyParams.from_vector(
-                    adam_step(params.to_vector(), grad, opt, config.learning_rate)
+                    adam_step(params.to_vector(), grad, opt, 0.01)
                 )
             final.append(policy_forward(params, good)[0])
         elapsed = time.perf_counter() - started

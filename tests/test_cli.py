@@ -5,9 +5,9 @@ from pathlib import Path
 import pytest
 
 from ragplan.backend import MockBackend
-from ragplan.cli import main
+from ragplan.cli import build_parser, load_run_config, main
 from ragplan.corpus import InstructionPath, load_corpus_jsonl, split_by_hint
-from ragplan.world import load_world
+from ragplan.world import SyntheticWorldSpec, load_world
 
 DEMO_CONFIG = {
     "seed": 7,
@@ -146,6 +146,51 @@ def test_wrongly_typed_config_value_is_config_error(workspace, capsys, override,
     root, _, gen_dir = workspace
     assert run_with_config(root, gen_dir, "typed", dict(DEMO_CONFIG, **override)) == 2
     assert key in capsys.readouterr().err
+
+
+def test_removed_rl_learning_rate_is_config_error(workspace, capsys):
+    root, _, gen_dir = workspace
+    config = dict(DEMO_CONFIG, rl={"learning_rate": 0.001})
+    assert run_with_config(root, gen_dir, "learning-rate", config) == 2
+    assert "rl.learning_rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", "[1]", '{"entity_count": "x"}', '{"hop_range": [1, "2"]}'],
+)
+def test_bad_world_spec_is_config_error(tmp_path, capsys, text):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text, encoding="utf-8")
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "gen")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def test_world_spec_defaults_missing_keys_and_infeasible_spec_is_data_error(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"entity_count": 30}), encoding="utf-8")
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "gen")]) == 0
+    world = load_world(tmp_path / "gen" / "world.json")
+    assert world.spec == SyntheticWorldSpec(entity_count=30)
+    spec.write_text(json.dumps({"task_family_count": 9}), encoding="utf-8")
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "gen-bad")]) == 3
+
+
+def test_manifest_config_round_trips_as_config(workspace):
+    root, config_path, gen_dir = workspace
+    corpus = str(gen_dir / "corpus.jsonl")
+    first = ["build-graph", corpus, "--config", str(config_path), "--k", "2",
+             "--noise", "0.25", "--strict-paper-qpa", "--out", str(root / "round-1")]
+    assert main(first) == 0
+    config = json.loads((root / "round-1" / "manifest.json").read_text(encoding="utf-8"))["config"]
+    replay = root / "round-trip.json"
+    replay.write_text(json.dumps(config), encoding="utf-8")
+    second = ["build-graph", corpus, "--config", str(replay), "--out", str(root / "round-2")]
+    assert main(second) == 0
+    again = json.loads((root / "round-2" / "manifest.json").read_text(encoding="utf-8"))["config"]
+    assert again == config
+    parser = build_parser()
+    assert load_run_config(parser.parse_args(second)) == load_run_config(parser.parse_args(first))
 
 
 @pytest.fixture(scope="module")
@@ -353,6 +398,48 @@ def test_sweep_k_requires_bundle(workspace):
         "--config", str(config_path), "--out", str(root / "sweep-k"),
     ])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "parameter, values", [("delta", "0,abc"), ("delta", "0,1.5"), ("k", "1.5"), ("k", "0")]
+)
+def test_bad_sweep_values_are_config_errors(workspace, trained, parameter, values):
+    root, config_path, gen_dir = workspace
+    code = main([
+        "sweep", "--corpus", str(gen_dir / "corpus.jsonl"),
+        "--parameter", parameter, "--values", values,
+        "--bundle", str(trained / "bundle"), "--world", str(gen_dir / "world.json"),
+        "--config", str(config_path), "--out", str(root / "sweep-bad"),
+    ])
+    assert code == 2
+
+
+def test_manifests_hash_every_file_read(workspace, trained):
+    root, config_path, gen_dir = workspace
+    bundle, corpus, world = trained / "bundle", gen_dir / "corpus.jsonl", gen_dir / "world.json"
+    common = ["--world", str(world), "--config", str(config_path)]
+    adapt_out, eval_out, sweep_out = root / "m-adapt", root / "m-eval", root / "m-sweep"
+    assert main(["adapt", "--bundle", str(bundle), "--support", str(corpus), *common,
+                 "--out", str(adapt_out)]) == 0
+    assert main(["eval", "--bundle", str(bundle), "--adapted", str(adapt_out),
+                 "--query", str(corpus), *common, "--out", str(eval_out)]) == 0
+    assert main(["sweep", "--corpus", str(corpus), "--parameter", "k", "--values", "1",
+                 "--bundle", str(bundle), *common, "--out", str(sweep_out)]) == 0
+    bundle_files = {bundle / f"{name}.json" for name in ("graph", "policy", "encoder")}
+    task_files = set((adapt_out / "tasks").rglob("*.json"))
+    assert task_files
+    expected = {
+        adapt_out: bundle_files | {corpus, world},
+        eval_out: bundle_files | task_files | {adapt_out / "graph.json", corpus, world},
+        sweep_out: bundle_files | {corpus, world},
+    }
+    from ragplan.serialize import sha256_file
+
+    for out, files in expected.items():
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert {Path(p) for p in manifest["input_paths"].values()} == files
+        for name, path in manifest["input_paths"].items():
+            assert manifest["inputs"][name] == sha256_file(path)
 
 
 def test_commands_do_not_mutate_inputs(workspace, trained):

@@ -185,7 +185,7 @@ class TestPolicyGradient:
         config = RlConfig(use_baseline=False)
         _, grad = pg_loss_and_grad(params, episode, config.gamma)
         opt = AdamState.zeros(grad.size)
-        updated = adam_step(params.to_vector(), grad, opt, config.learning_rate)
+        updated = adam_step(params.to_vector(), grad, opt, 0.001)
         assert np.array_equal(updated, params.to_vector())
 
     @pytest.mark.parametrize("action", [0, 1])
@@ -240,7 +240,7 @@ class TestPolicyGradient:
         # policy should learn to include the good arm's state.
         good = np.array([0.9, 0.8, 0.7])
         bad = np.array([0.2, 0.1, 0.0])
-        config = RlConfig(learning_rate=0.01)
+        config = RlConfig()
         rng = np.random.default_rng(123)
         params = init_policy_params(seed=3)
         opt = AdamState.zeros(params.to_vector().size)
@@ -264,7 +264,7 @@ class TestPolicyGradient:
             for value in episode_returns(episode, config.gamma):
                 baseline.update(float(value))
             params = PolicyParams.from_vector(
-                adam_step(params.to_vector(), grad, opt, config.learning_rate)
+                adam_step(params.to_vector(), grad, opt, 0.01)
             )
         assert policy_forward(params, good)[0] > 0.95
 
