@@ -18,13 +18,7 @@ import numpy as np
 from .corpus import InstructionPath
 from .corpus import score  # noqa: F401  bench/tracer.py wraps ragplan.encoder.score
 from .embedding import EmbedderConfig, EmbeddingVector, cosine, embed_text
-from .errors import (
-    ConfigError,
-    DataError,
-    DegenerateBatchError,
-    MalformedFileError,
-    NotFoundError,
-)
+from .errors import ConfigError, DataError, MalformedFileError, NotFoundError
 from .serialize import floats_to_hex, hex_to_floats, read_versioned, write_versioned
 
 ENCODER_KIND = "encoder-params"
@@ -57,16 +51,14 @@ class EncoderParams:
 
     def with_vector(self, vector: np.ndarray) -> "EncoderParams":
         d = self.dimension
-        sizes = [d * d, d * d, 2 * d + 1]
-        if vector.size != sum(sizes):
-            raise ConfigError(
-                f"encoder vector has {vector.size} entries, expected {sum(sizes)}"
-            )
-        chunks = np.split(vector.astype(np.float64), np.cumsum(sizes)[:-1])
+        size = 2 * d * d + 2 * d + 1
+        if vector.size != size:
+            raise ConfigError(f"encoder vector has {vector.size} entries, expected {size}")
+        flat = np.array(vector, dtype=np.float64)
         return EncoderParams(
-            wq=chunks[0].reshape(d, d),
-            wp=chunks[1].reshape(d, d),
-            qpm_w=chunks[2].copy(),
+            wq=flat[: d * d].reshape(d, d),
+            wp=flat[d * d : 2 * d * d].reshape(d, d),
+            qpm_w=flat[2 * d * d :],
             tau=self.tau,
             embedder=self.embedder,
         )
@@ -99,122 +91,67 @@ def init_encoder_params(
     )
 
 
-def _project(matrix: np.ndarray, base: EmbeddingVector) -> tuple[np.ndarray, np.ndarray, float]:
-    """Project and unit-normalize; returns (normalized, raw, raw_norm)."""
-    raw = matrix @ base.values.astype(np.float64)
-    norm = float(np.linalg.norm(raw))
-    if not base.valid or norm == 0.0:
-        return np.zeros(matrix.shape[0]), raw, 0.0
-    return raw / norm, raw, norm
+@dataclass
+class _Rows:
+    """Texts of one side, embedded and projected as rows."""
+
+    base: np.ndarray  # (n, d) float64 base embeddings
+    unit: np.ndarray  # (n, d) unit-normalized projections; zero where the norm is 0
+    norms: np.ndarray  # (n,) projection norms
+
+
+def _project_rows(matrix: np.ndarray, texts: list[str], embedder: EmbedderConfig) -> _Rows:
+    """Embed texts and project every row through ``matrix`` at once. A row
+    with a zero projection, as of a text that embeds invalid (a zero
+    vector), stays zero and has norm 0."""
+    base = np.array([embed_text(text, embedder).values for text in texts], dtype=np.float64)
+    raw = base @ matrix.T
+    norms = np.sqrt(np.vecdot(raw, raw))
+    unit = np.divide(raw, norms[:, None], out=np.zeros_like(raw), where=norms[:, None] > 0.0)
+    return _Rows(base, unit, norms)
+
+
+def _project_backward(rows: _Rows, d_unit: np.ndarray) -> np.ndarray:
+    """dL/d(projection matrix) from dL/d(unit rows): back through the
+    normalization row by row, then one ``d_rawᵀ @ base``."""
+    tangent = d_unit - np.vecdot(d_unit, rows.unit)[:, None] * rows.unit
+    norms = rows.norms[:, None]
+    d_raw = np.divide(tangent, norms, out=np.zeros_like(tangent), where=norms > 0.0)
+    return d_raw.T @ rows.base
+
+
+def _encoding(rows: _Rows) -> EmbeddingVector:
+    return EmbeddingVector(rows.unit[0].astype(np.float32), valid=bool(rows.norms[0] > 0.0))
 
 
 def encode_question(params: EncoderParams, question: str) -> EmbeddingVector:
-    base = embed_text(question, params.embedder)
-    normalized, _, norm = _project(params.wq, base)
-    return EmbeddingVector(normalized.astype(np.float32), valid=norm > 0.0)
+    return _encoding(_project_rows(params.wq, [question], params.embedder))
 
 
 def encode_path(params: EncoderParams, path: InstructionPath) -> EmbeddingVector:
-    base = embed_text(path.serialized(), params.embedder)
-    normalized, _, norm = _project(params.wp, base)
-    return EmbeddingVector(normalized.astype(np.float32), valid=norm > 0.0)
+    return _encoding(_project_rows(params.wp, [path.serialized()], params.embedder))
 
 
-def _normalize_backprop(
-    d_normalized: np.ndarray, normalized: np.ndarray, norm: float
-) -> np.ndarray:
-    if norm == 0.0:
-        return np.zeros_like(d_normalized)
-    return (d_normalized - np.dot(d_normalized, normalized) * normalized) / norm
+def _info_nce(scores: np.ndarray, positives: np.ndarray, strict: bool) -> tuple[float, np.ndarray]:
+    """InfoNCE of each score row against its positive column, averaged
+    over rows; returns (loss, dL/d scores).
 
-
-@dataclass
-class _EncodedBatch:
-    q_base: list[EmbeddingVector]
-    p_base: list[EmbeddingVector]
-    q: np.ndarray  # (n_q, d) normalized
-    p: np.ndarray  # (n_p, d) normalized
-    q_norms: np.ndarray
-    p_norms: np.ndarray
-
-
-def _encode(
-    params: EncoderParams, questions: list[str], paths: list[InstructionPath]
-) -> _EncodedBatch:
-    """Embed and project questions and paths; the two lists may differ in length."""
-    q_base = [embed_text(question, params.embedder) for question in questions]
-    p_base = [embed_text(path.serialized(), params.embedder) for path in paths]
-    q_rows = [_project(params.wq, qb) for qb in q_base]
-    p_rows = [_project(params.wp, pb) for pb in p_base]
-    return _EncodedBatch(
-        q_base=q_base,
-        p_base=p_base,
-        q=np.stack([normalized for normalized, _, _ in q_rows]),
-        p=np.stack([normalized for normalized, _, _ in p_rows]),
-        q_norms=np.array([norm for _, _, norm in q_rows]),
-        p_norms=np.array([norm for _, _, norm in p_rows]),
-    )
-
-
-def _anchor_softmax(row: np.ndarray, positive: int, strict: bool) -> tuple[float, np.ndarray]:
-    """Log-sum-exp and softmax of one anchor's scores.
-
-    The strict form drops the positive from the denominator, as printed;
-    the default keeps it (standard form).
+    The standard form keeps the positive in the log-sum-exp; the strict
+    form leaves it out, as printed in the paper. A strict row with no
+    other column has no negative and gives zero loss and zero gradient.
     """
-    n = row.size
-    if not strict:
-        shifted = row - row.max()
-        lse = float(np.log(np.exp(shifted).sum()) + row.max())
-        return lse, np.exp(row - lse)
-    if n < 2:
-        raise DegenerateBatchError("the strict contrastive form needs at least two candidates")
-    mask = np.ones(n, dtype=bool)
-    mask[positive] = False
-    masked = row[mask]
-    shifted = masked - masked.max()
-    lse = float(np.log(np.exp(shifted).sum()) + masked.max())
-    soft = np.zeros(n)
-    soft[mask] = np.exp(masked - lse)
-    return lse, soft
-
-
-def _contrastive_row_deltas(scores: np.ndarray, strict: bool) -> tuple[float, np.ndarray]:
-    """Anchor-side InfoNCE over one score matrix; returns (loss, dL/dS).
-
-    Rows are anchors, the diagonal holds the positives.
-    """
-    n = scores.shape[0]
-    loss = 0.0
-    deltas = np.zeros_like(scores)
-    for i in range(n):
-        lse, soft = _anchor_softmax(scores[i], i, strict)
-        loss += -scores[i, i] + lse
-        deltas[i] += soft / n
-        deltas[i, i] += -1.0 / n
-    return loss / n, deltas
-
-
-def _accumulate_projection_grads(
-    batch: _EncodedBatch, d_q: np.ndarray, d_p: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of wq and wp from dL/d(normalized projection) rows: per
-    side, the sum over rows of outer(dL/d raw projection, base embedding)."""
-
-    def accumulate(d_rows, rows, norms, bases) -> np.ndarray:
-        terms = (
-            np.outer(_normalize_backprop(d_row, row, norm), base.values.astype(np.float64))
-            for d_row, row, norm, base in zip(d_rows, rows, norms, bases)
-        )
-        grad = next(terms)
-        for term in terms:
-            grad += term
-        return grad
-
-    return (
-        accumulate(d_q, batch.q, batch.q_norms, batch.q_base),
-        accumulate(d_p, batch.p, batch.p_norms, batch.p_base),
-    )
+    n, columns = scores.shape
+    if strict and columns < 2:
+        return 0.0, np.zeros_like(scores)
+    rows = np.arange(n)
+    kept = scores.copy()
+    if strict:
+        kept[rows, positives] = -np.inf
+    top = kept.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(kept - top).sum(axis=1, keepdims=True)) + top
+    deltas = np.exp(kept - lse) / n
+    deltas[rows, positives] -= 1.0 / n
+    return float((lse[:, 0] - scores[rows, positives]).sum() / n), deltas
 
 
 @dataclass
@@ -230,6 +167,17 @@ class EncoderGrads:
         return EncoderGrads(self.wq + other.wq, self.wp + other.wp, self.qpm_w + other.qpm_w)
 
 
+def _contrastive_grads(
+    params: EncoderParams, q: _Rows, p: _Rows, d_scores: np.ndarray
+) -> EncoderGrads:
+    """Gradients of a loss over the scores ``q.unit @ p.unit.T / tau``."""
+    return EncoderGrads(
+        _project_backward(q, (d_scores @ p.unit) / params.tau),
+        _project_backward(p, (d_scores.T @ q.unit) / params.tau),
+        np.zeros_like(params.qpm_w),
+    )
+
+
 def qpa_loss_and_grads(
     params: EncoderParams,
     pairs: list[tuple[str, InstructionPath]],
@@ -238,22 +186,14 @@ def qpa_loss_and_grads(
     """Symmetric in-batch contrastive alignment of question/path pairs."""
     if not pairs:
         raise DataError("qpa loss over an empty batch")
-    batch = _encode(params, [question for question, _ in pairs], [path for _, path in pairs])
-    scores = (batch.q @ batch.p.T) / params.tau
-    loss_qp, deltas_qp = _contrastive_row_deltas(scores, strict)
-    loss_pq, deltas_pq_t = _contrastive_row_deltas(scores.T, strict)
+    q = _project_rows(params.wq, [question for question, _ in pairs], params.embedder)
+    p = _project_rows(params.wp, [path.serialized() for _, path in pairs], params.embedder)
+    scores = (q.unit @ p.unit.T) / params.tau
+    diagonal = np.arange(len(pairs))
+    loss_qp, deltas_qp = _info_nce(scores, diagonal, strict)
+    loss_pq, deltas_pq = _info_nce(scores.T, diagonal, strict)
     loss = 0.5 * (loss_qp + loss_pq)
-    d_scores = 0.5 * (deltas_qp + deltas_pq_t.T)
-    d_q = (d_scores @ batch.p) / params.tau
-    d_p = (d_scores.T @ batch.q) / params.tau
-    g_wq, g_wp = _accumulate_projection_grads(batch, d_q, d_p)
-    return loss, EncoderGrads(g_wq, g_wp, np.zeros_like(params.qpm_w))
-
-
-def qpa_loss(
-    params: EncoderParams, pairs: list[tuple[str, InstructionPath]], strict: bool = False
-) -> float:
-    return qpa_loss_and_grads(params, pairs, strict)[0]
+    return loss, _contrastive_grads(params, q, p, 0.5 * (deltas_qp + deltas_pq.T))
 
 
 def make_qpm_batch(
@@ -274,33 +214,21 @@ def qpm_loss_and_grads(
     if not triples:
         raise DataError("qpm loss over an empty batch")
     d = params.dimension
-    batch = _encode(params, [q for q, _, _ in triples], [p for _, p, _ in triples])
+    q = _project_rows(params.wq, [question for question, _, _ in triples], params.embedder)
+    p = _project_rows(params.wp, [path.serialized() for _, path, _ in triples], params.embedder)
     labels = np.array([label for _, _, label in triples], dtype=np.float64)
     count = labels.size
     w_q = params.qpm_w[:d]
     w_p = params.qpm_w[d : 2 * d]
-    bias = params.qpm_w[-1]
-    loss = 0.0
-    g_head = np.zeros_like(params.qpm_w)
-    d_q = np.zeros_like(batch.q)
-    d_p = np.zeros_like(batch.p)
-    for i, label in enumerate(labels):
-        z = float(w_q @ batch.q[i] + w_p @ batch.p[i] + bias)
-        prob = 1.0 / (1.0 + np.exp(-z))
-        clipped = float(np.clip(prob, 1e-7, 1.0 - 1e-7))
-        loss += -(label * np.log(clipped) + (1.0 - label) * np.log(1.0 - clipped))
-        dz = (prob - label) / count
-        g_head[:d] += dz * batch.q[i]
-        g_head[d : 2 * d] += dz * batch.p[i]
-        g_head[-1] += dz
-        d_q[i] = dz * w_q
-        d_p[i] = dz * w_p
-    g_wq, g_wp = _accumulate_projection_grads(batch, d_q, d_p)
-    return loss / count, EncoderGrads(g_wq, g_wp, g_head)
-
-
-def qpm_loss(params: EncoderParams, triples) -> float:
-    return qpm_loss_and_grads(params, triples)[0]
+    z = q.unit @ w_q + p.unit @ w_p + params.qpm_w[-1]
+    prob = 1.0 / (1.0 + np.exp(-z))
+    clipped = np.clip(prob, 1e-7, 1.0 - 1e-7)
+    loss = -(labels * np.log(clipped) + (1.0 - labels) * np.log(1.0 - clipped)).sum()
+    dz = (prob - labels) / count
+    g_head = np.concatenate([dz @ q.unit, dz @ p.unit, [dz.sum()]])
+    return float(loss / count), EncoderGrads(
+        _project_backward(q, np.outer(dz, w_q)), _project_backward(p, np.outer(dz, w_p)), g_head
+    )
 
 
 def pt_loss_and_grads(
@@ -349,18 +277,11 @@ def ft_loss_and_grads(
     """
     if pool.best_index is None:
         raise DataError("ft loss needs a pool with best_index set")
-    batch = _encode(params, [question], pool.paths())
-    q_n = batch.q[0]
-    scores = (batch.p @ q_n) / params.tau
-    best = pool.best_index
-    lse, soft = _anchor_softmax(scores, best, strict)
-    loss = 0.5 * (-scores[best] + lse)
-    d_scores = 0.5 * soft
-    d_scores[best] -= 0.5
-    d_q = ((d_scores @ batch.p) / params.tau)[None, :]
-    d_p = np.outer(d_scores, q_n) / params.tau
-    g_wq, g_wp = _accumulate_projection_grads(batch, d_q, d_p)
-    return float(loss), EncoderGrads(g_wq, g_wp, np.zeros_like(params.qpm_w))
+    q = _project_rows(params.wq, [question], params.embedder)
+    p = _project_rows(params.wp, [path.serialized() for path in pool.paths()], params.embedder)
+    scores = (q.unit @ p.unit.T) / params.tau
+    loss, deltas = _info_nce(scores, np.array([pool.best_index]), strict)
+    return 0.5 * loss, _contrastive_grads(params, q, p, 0.5 * deltas)
 
 
 def candidate_similarities(
@@ -413,6 +334,9 @@ def load_encoder(source) -> tuple[EncoderParams, bool]:
             tau=float(doc["tau"]),
             embedder=embedder,
         )
-        return params, bool(doc["strict_qpa"])
+        strict = bool(doc["strict_qpa"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFileError(f"{source}: malformed encoder file: {exc}") from exc
+    if not all(np.isfinite(v).all() for v in (params.wq, params.wp, params.qpm_w, params.tau)):
+        raise MalformedFileError(f"{source}: encoder file holds a non-finite value")
+    return params, strict

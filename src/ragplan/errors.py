@@ -33,10 +33,6 @@ class SpecError(DataError):
     """A synthetic world spec is infeasible."""
 
 
-class DegenerateBatchError(DataError):
-    """A training batch is too small for the requested loss form."""
-
-
 class BackendError(RagplanError):
     """Planner backend failure."""
 

@@ -29,7 +29,7 @@ from .encoder import (
     init_encoder_params,
     pt_loss_and_grads,
 )
-from .errors import ConfigError, DataError, NotFoundError
+from .errors import DataError, NotFoundError
 from .graph import InstructionGraph, build_graph, extend_graph
 from .optim import AdamState, ReturnBaseline, adam_step
 from .policy import (
@@ -43,6 +43,7 @@ from .policy import (
     pg_loss_and_grad,
     traverse,
 )
+from .serialize import check_minimums
 
 logger = logging.getLogger(__name__)
 
@@ -60,8 +61,10 @@ class MetaConfig:
     strict_qpa: bool = False
 
     def __post_init__(self) -> None:
-        if self.inner_steps < 1:
-            raise ConfigError("inner_steps must be >= 1")
+        check_minimums(
+            self, inner_lr=0.0, outer_lr=0.0, inner_steps=1, questions_per_batch=1,
+            tasks_per_meta_batch=1, iterations=0, pool_extra_negatives=0,
+        )
 
 
 @dataclass

@@ -21,7 +21,13 @@ from .embedding import EmbeddingVector, embed_text
 from .embedding import cosine  # noqa: F401  bench/tracer.py wraps ragplan.policy.cosine
 from .errors import ConfigError, DataError, MalformedFileError, NotFoundError
 from .graph import EdgeSet, InstructionGraph, QueryScores
-from .serialize import floats_to_hex, hex_to_floats, read_versioned, write_versioned
+from .serialize import (
+    check_minimums,
+    floats_to_hex,
+    hex_to_floats,
+    read_versioned,
+    write_versioned,
+)
 
 HIDDEN_UNITS = 20
 STATE_SIZE = 3
@@ -58,6 +64,7 @@ class RlConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigError(f"K must be >= 1, got {self.k}")
+        check_minimums(self, max_path_len=1, max_nodes_visited=1, baseline_window=1)
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must be in [0, 1], got {self.gamma}")
         for name in self.rule_hooks:
@@ -79,15 +86,17 @@ class PolicyParams:
 
     @classmethod
     def from_vector(cls, vector: np.ndarray) -> "PolicyParams":
-        sizes = [HIDDEN_UNITS * STATE_SIZE, HIDDEN_UNITS, 2 * HIDDEN_UNITS, 2]
-        if vector.size != sum(sizes):
-            raise ConfigError(f"policy vector has {vector.size} entries, expected {sum(sizes)}")
-        chunks = np.split(vector.astype(np.float64), np.cumsum(sizes)[:-1])
+        w1_end = HIDDEN_UNITS * STATE_SIZE
+        b1_end = w1_end + HIDDEN_UNITS
+        w2_end = b1_end + 2 * HIDDEN_UNITS
+        if vector.size != w2_end + 2:
+            raise ConfigError(f"policy vector has {vector.size} entries, expected {w2_end + 2}")
+        flat = np.array(vector, dtype=np.float64)
         return cls(
-            w1=chunks[0].reshape(HIDDEN_UNITS, STATE_SIZE),
-            b1=chunks[1].copy(),
-            w2=chunks[2].reshape(2, HIDDEN_UNITS),
-            b2=chunks[3].copy(),
+            w1=flat[:w1_end].reshape(HIDDEN_UNITS, STATE_SIZE),
+            b1=flat[w1_end:b1_end],
+            w2=flat[b1_end:w2_end].reshape(2, HIDDEN_UNITS),
+            b2=flat[w2_end:],
         )
 
     def copy(self) -> "PolicyParams":
@@ -145,41 +154,35 @@ def build_state(
     return np.array([scores.affinity(node_id), task_sim, question_sim], dtype=np.float64)
 
 
-def _forward_parts(params: PolicyParams, state: np.ndarray):
-    hidden = np.tanh(params.w1 @ state + params.b1)
-    logits = params.w2 @ hidden + params.b2
-    shifted = logits - logits.max()
-    probs = np.exp(shifted)
-    probs /= probs.sum()
+def _forward(params: PolicyParams, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden activations (n, 20) and (include, exclude) probabilities
+    (n, 2) of n state rows."""
+    hidden = np.tanh(states @ params.w1.T + params.b1)
+    logits = hidden @ params.w2.T + params.b2
+    # Traversal runs this on one row per visited node; calling the ufunc
+    # reductions directly skips the ndarray-method wrappers' overhead.
+    probs = np.exp(logits - np.maximum.reduce(logits, axis=1, keepdims=True))
+    probs /= np.add.reduce(probs, axis=1, keepdims=True)
     return hidden, probs
 
 
 def policy_forward(params: PolicyParams, state: np.ndarray) -> tuple[float, float]:
     """(p_include, p_exclude) for a state; always a proper distribution."""
     state = np.asarray(state, dtype=np.float64)
-    if not np.all(np.isfinite(params.to_vector())) or not np.all(np.isfinite(state)):
+    if not (np.isfinite(params.to_vector()).all() and np.isfinite(state).all()):
         raise DataError("policy_forward over non-finite inputs")
-    _, probs = _forward_parts(params, state)
-    return float(probs[0]), float(probs[1])
+    _, probs = _forward(params, state[None, :])
+    return float(probs[0, 0]), float(probs[0, 1])
 
 
-def _grad_from_logit_deltas(
-    params: PolicyParams, states: np.ndarray, logit_deltas: np.ndarray
+def _backward(
+    params: PolicyParams, states: np.ndarray, hidden: np.ndarray, logit_deltas: np.ndarray
 ) -> np.ndarray:
-    """Backpropagate a batch of dL/dlogits rows into a flat gradient."""
-    g_w1 = np.zeros_like(params.w1)
-    g_b1 = np.zeros_like(params.b1)
-    g_w2 = np.zeros_like(params.w2)
-    g_b2 = np.zeros_like(params.b2)
-    for state, d_logits in zip(states, logit_deltas):
-        hidden = np.tanh(params.w1 @ state + params.b1)
-        g_w2 += np.outer(d_logits, hidden)
-        g_b2 += d_logits
-        d_hidden = params.w2.T @ d_logits
-        d_pre = d_hidden * (1.0 - hidden * hidden)
-        g_w1 += np.outer(d_pre, state)
-        g_b1 += d_pre
-    return PolicyParams(g_w1, g_b1, g_w2, g_b2).to_vector()
+    """Flat gradient from dL/dlogits rows, reusing the forward activations."""
+    d_pre = (logit_deltas @ params.w2) * (1.0 - hidden * hidden)
+    return PolicyParams(
+        d_pre.T @ states, d_pre.sum(axis=0), logit_deltas.T @ hidden, logit_deltas.sum(axis=0)
+    ).to_vector()
 
 
 def bce_loss_and_grad(
@@ -193,16 +196,11 @@ def bce_loss_and_grad(
     count = labels.size
     if count == 0:
         raise DataError("bce loss over an empty batch")
-    losses = []
-    deltas = np.zeros((count, 2))
-    for idx, (state, label) in enumerate(zip(states, labels)):
-        _, probs = _forward_parts(params, state)
-        p_include = float(np.clip(probs[0], PROB_FLOOR, 1.0 - PROB_FLOOR))
-        losses.append(-(label * np.log(p_include) + (1.0 - label) * np.log(1.0 - p_include)))
-        target = np.array([label, 1.0 - label])
-        deltas[idx] = (probs - target) / count
-    grad = _grad_from_logit_deltas(params, states, deltas)
-    return float(np.mean(losses)), grad
+    hidden, probs = _forward(params, states)
+    p_include = np.clip(probs[:, 0], PROB_FLOOR, 1.0 - PROB_FLOOR)
+    losses = -(labels * np.log(p_include) + (1.0 - labels) * np.log(1.0 - p_include))
+    deltas = (probs - np.stack([labels, 1.0 - labels], axis=1)) / count
+    return float(np.mean(losses)), _backward(params, states, hidden, deltas)
 
 
 def episode_returns(episode: Episode, gamma: float) -> np.ndarray:
@@ -222,23 +220,19 @@ def pg_loss_and_grad(
     """
     if not episode.steps:
         raise DataError("pg update over an empty episode")
+    steps = episode.steps
     returns = episode_returns(episode, gamma) - baseline_value
-    states = np.stack([step.state for step in episode.steps])
-    deltas = np.zeros((len(episode.steps), 2))
-    loss = 0.0
-    for idx, (step, weight) in enumerate(zip(episode.steps, returns)):
-        if step.forced:
-            continue
-        _, probs = _forward_parts(params, step.state)
-        # softmax output order is (include, exclude)
-        prob_index = 0 if step.action == INCLUDE else 1
-        action_prob = float(np.clip(probs[prob_index], PROB_FLOOR, 1.0))
-        loss += -weight * np.log(action_prob)
-        onehot = np.zeros(2)
-        onehot[prob_index] = 1.0
-        deltas[idx] = weight * (probs - onehot)
-    grad = _grad_from_logit_deltas(params, states, deltas)
-    return float(loss), grad
+    weights = np.where([step.forced for step in steps], 0.0, returns)
+    states = np.stack([step.state for step in steps])
+    hidden, probs = _forward(params, states)
+    rows = np.arange(len(steps))
+    # softmax output order is (include, exclude)
+    taken = np.array([0 if step.action == INCLUDE else 1 for step in steps])
+    action_probs = np.clip(probs[rows, taken], PROB_FLOOR, 1.0)
+    loss = -(weights * np.log(action_probs)).sum()
+    deltas = probs.copy()
+    deltas[rows, taken] -= 1.0
+    return float(loss), _backward(params, states, hidden, weights[:, None] * deltas)
 
 
 def _start_nodes(scores: QueryScores, k: int) -> list[int]:
@@ -518,4 +512,6 @@ def load_policy(source) -> PolicyParams:
             ).reshape(shape)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFileError(f"{source}: malformed policy file: {exc}") from exc
+    if not all(np.isfinite(values).all() for values in arrays.values()):
+        raise MalformedFileError(f"{source}: policy file holds a non-finite value")
     return PolicyParams(**arrays)

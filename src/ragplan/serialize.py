@@ -1,8 +1,9 @@
 """Versioned JSON persistence helpers, and the reader that builds a
 config dataclass from a JSON object.
 
-Float payloads are stored as hex-encoded little-endian float32 so that
-save/load round-trips are bit-exact across platforms.
+Float payloads are stored as hex of little-endian floats, so save/load
+round-trips are bit-exact across platforms: float64 (``<f8``) for policy
+and encoder weights, float32 (``<f4``, the default) for embeddings.
 """
 
 from __future__ import annotations
@@ -114,6 +115,14 @@ def read_fields(cls, doc, base=None, prefix: str = "", fixed: tuple[str, ...] = 
             expected = f"{hint} as a list" if typing.get_origin(hint) is tuple else hint.__name__
             raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
     return dataclasses.replace(base, **values)
+
+
+def check_minimums(config, **minimums) -> None:
+    """Raise ConfigError when a field of ``config`` is below its minimum or NaN."""
+    for name, minimum in minimums.items():
+        value = getattr(config, name)
+        if not value >= minimum:
+            raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _has_type(hint, value) -> bool:

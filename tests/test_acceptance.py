@@ -35,9 +35,7 @@ from ragplan.encoder import (
     init_encoder_params,
     load_encoder,
     make_qpm_batch,
-    qpa_loss,
     qpa_loss_and_grads,
-    qpm_loss,
     qpm_loss_and_grads,
     save_encoder,
 )
@@ -283,14 +281,15 @@ class TestCriterion04GradientChecks:
             strict = trial % 2 == 0
             _, grads = qpa_loss_and_grads(enc, pairs, strict=strict)
             fd = _finite_difference(
-                lambda v: qpa_loss(enc.with_vector(v), pairs, strict=strict), enc.to_vector()
+                lambda v: qpa_loss_and_grads(enc.with_vector(v), pairs, strict=strict)[0],
+                enc.to_vector(),
             )
             worst = max(worst, _rel_err(grads.to_vector(), fd))
 
             triples = make_qpm_batch(pairs)
             _, grads = qpm_loss_and_grads(enc, triples)
             fd = _finite_difference(
-                lambda v: qpm_loss(enc.with_vector(v), triples), enc.to_vector()
+                lambda v: qpm_loss_and_grads(enc.with_vector(v), triples)[0], enc.to_vector()
             )
             worst = max(worst, _rel_err(grads.to_vector(), fd))
 
@@ -328,14 +327,14 @@ class TestCriterion05LossOracles:
         ]
         # Frozen from the independent textbook-formula oracle over the
         # encoded score matrix.
-        qpa_value = qpa_loss(params, pairs)
+        qpa_value = qpa_loss_and_grads(params, pairs)[0]
         ok_qpa = abs(qpa_value - 0.6968067693089521) < 1e-6
 
         triples = [(q, p, 1) for q, p in pairs] + [
             (pairs[0][0], pairs[1][1], 0),
             (pairs[1][0], pairs[0][1], 0),
         ]
-        qpm_value = qpm_loss(params, triples)
+        qpm_value = qpm_loss_and_grads(params, triples)[0]
         ok_qpm = abs(qpm_value - math.log(2.0)) < 1e-9
 
         pool = PathPool.from_paths(

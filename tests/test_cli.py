@@ -148,6 +148,29 @@ def test_wrongly_typed_config_value_is_config_error(workspace, capsys, override,
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("meta", "questions_per_batch", -1),
+        ("meta", "questions_per_batch", 0),
+        ("meta", "tasks_per_meta_batch", 0),
+        ("meta", "iterations", -3),
+        ("meta", "pool_extra_negatives", -1),
+        ("meta", "inner_steps", 0),
+        ("meta", "inner_lr", -0.01),
+        ("meta", "outer_lr", -0.001),
+        ("rl", "max_path_len", 0),
+        ("rl", "max_nodes_visited", 0),
+        ("rl", "baseline_window", 0),
+    ],
+)
+def test_out_of_range_config_value_is_config_error(workspace, capsys, section, key, value):
+    root, _, gen_dir = workspace
+    config = dict(DEMO_CONFIG, **{section: dict(DEMO_CONFIG.get(section, {}), **{key: value})})
+    assert run_with_config(root, gen_dir, "range", config) == 2
+    assert f"{key} must be >= " in capsys.readouterr().err
+
+
 def test_removed_rl_learning_rate_is_config_error(workspace, capsys):
     root, _, gen_dir = workspace
     config = dict(DEMO_CONFIG, rl={"learning_rate": 0.001})
@@ -267,6 +290,26 @@ def test_adapt_then_eval_with_adapted_bundles(workspace, trained):
         "--config", str(config_path), "--out", str(eval_out),
     ])
     assert code == 0
+
+
+def test_strict_adapt_on_a_single_question_exits_zero(workspace, trained):
+    # One support question leaves the strict contrastive form without a
+    # negative; that anchor contributes zero loss instead of failing.
+    root, config_path, gen_dir = workspace
+    lines = (gen_dir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+    support = root / "one-question.jsonl"
+    support.write_text(
+        next(line for line in lines if json.loads(line)["split_hint"] == "support") + "\n",
+        encoding="utf-8",
+    )
+    out = root / "adapt-strict"
+    code = main([
+        "adapt", "--bundle", str(trained / "bundle"), "--support", str(support),
+        "--world", str(gen_dir / "world.json"), "--config", str(config_path),
+        "--strict-paper-qpa", "--out", str(out),
+    ])
+    assert code == 0
+    assert len(list((out / "tasks").iterdir())) == 1
 
 
 def test_retrieve_prints_candidates_and_prompt(workspace, trained, capsys):

@@ -6,8 +6,6 @@ from ragplan.embedding import EmbedderConfig, cosine, embed_text
 from ragplan.encoder import (
     EncoderParams,
     PathPool,
-    _normalize_backprop,
-    _project,
     candidate_similarities,
     encode_path,
     encode_question,
@@ -16,16 +14,15 @@ from ragplan.encoder import (
     load_encoder,
     make_qpm_batch,
     pt_loss_and_grads,
-    qpa_loss,
     qpa_loss_and_grads,
-    qpm_loss,
     qpm_loss_and_grads,
     save_encoder,
     select_path,
 )
-from ragplan.errors import DataError, DegenerateBatchError, MalformedFileError, NotFoundError
+from ragplan.errors import DataError, MalformedFileError, NotFoundError
 from ragplan.meta import evaluate_pool
 from ragplan.optim import AdamState, adam_step
+from scalar_kernels import _normalize_backprop, _project
 
 CFG = EmbedderConfig(dimension=16)
 
@@ -137,12 +134,13 @@ class TestEncoding:
 class TestQpaLoss:
     def test_single_pair_default_form_is_zero(self):
         params = identity_params()
-        assert qpa_loss(params, sample_pairs(1)) == pytest.approx(0.0, abs=1e-12)
+        assert qpa_loss_and_grads(params, sample_pairs(1))[0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_single_pair_strict_form_is_degenerate(self):
-        params = identity_params()
-        with pytest.raises(DegenerateBatchError):
-            qpa_loss(params, sample_pairs(1), strict=True)
+    def test_single_pair_strict_form_has_no_negative_and_is_zero(self):
+        params = init_encoder_params(CFG, seed=3, scale=0.4)
+        loss, grads = qpa_loss_and_grads(params, sample_pairs(1), strict=True)
+        assert loss == 0.0
+        assert not grads.to_vector().any()
 
     def test_two_pair_batch_matches_softmax_cross_entropy(self):
         # Independent oracle: score matrix from the public encoders, then
@@ -159,7 +157,7 @@ class TestQpaLoss:
             col = scores[:, i]
             expected += -np.log(np.exp(col[i]) / np.exp(col).sum()) / 2
         expected /= 2
-        assert qpa_loss(params, pairs) == pytest.approx(expected, abs=1e-6)
+        assert qpa_loss_and_grads(params, pairs)[0] == pytest.approx(expected, abs=1e-6)
 
     def test_symmetric_batch_halves_agree(self):
         # When question and path embeddings coincide the two anchored
@@ -174,14 +172,14 @@ class TestQpaLoss:
         half = float(
             np.mean([-scores[i, i] + np.log(np.exp(scores[i]).sum()) for i in range(2)])
         )
-        assert qpa_loss(params, pairs) == pytest.approx(half, abs=1e-6)
+        assert qpa_loss_and_grads(params, pairs)[0] == pytest.approx(half, abs=1e-6)
 
     def test_loss_nonnegative_default(self):
         rng = np.random.default_rng(5)
         for seed in range(5):
             params = init_encoder_params(CFG, seed=seed)
             pairs = sample_pairs(int(rng.integers(2, 6)))
-            assert qpa_loss(params, pairs) >= 0.0
+            assert qpa_loss_and_grads(params, pairs)[0] >= 0.0
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -198,7 +196,7 @@ class TestQpaLoss:
             _, grads = qpa_loss_and_grads(params, pairs, strict=strict)
 
             def loss_of(vector):
-                return qpa_loss(params.with_vector(vector), pairs, strict=strict)
+                return qpa_loss_and_grads(params.with_vector(vector), pairs, strict=strict)[0]
 
             fd = finite_difference(loss_of, params.to_vector())
             assert relative_error(grads.to_vector(), fd) < 1e-4
@@ -208,7 +206,7 @@ class TestQpmLoss:
     def test_half_probability_gives_ln2(self):
         params = identity_params()  # zero head -> sigmoid(0) = 0.5
         triples = [(q, p, 1) for q, p in sample_pairs(2)]
-        assert qpm_loss(params, triples) == pytest.approx(np.log(2.0), abs=1e-9)
+        assert qpm_loss_and_grads(params, triples)[0] == pytest.approx(np.log(2.0), abs=1e-9)
 
     def test_confident_correct_predictions_vanish(self):
         params = identity_params()
@@ -221,7 +219,7 @@ class TestQpmLoss:
         params.qpm_w[d : 2 * d] = 40.0 * path_vec
         params.qpm_w[-1] = -40.0 * (float(base @ base) + float(path_vec @ path_vec)) + 12.0
         triples = [(pairs[0][0], pairs[0][1], 1)]
-        assert qpm_loss(params, triples) < 0.01
+        assert qpm_loss_and_grads(params, triples)[0] < 0.01
 
     def test_derangement_builds_mismatches(self):
         pairs = sample_pairs(3)
@@ -244,7 +242,7 @@ class TestQpmLoss:
             _, grads = qpm_loss_and_grads(params, triples)
 
             def loss_of(vector):
-                return qpm_loss(params.with_vector(vector), triples)
+                return qpm_loss_and_grads(params.with_vector(vector), triples)[0]
 
             fd = finite_difference(loss_of, params.to_vector())
             assert relative_error(grads.to_vector(), fd) < 1e-4
@@ -255,8 +253,9 @@ class TestPtStep:
         params = init_encoder_params(CFG, seed=13)
         pairs = sample_pairs(4)
         align, match, _ = pt_loss_and_grads(params, pairs)
-        assert align == pytest.approx(qpa_loss(params, pairs), abs=1e-9)
-        assert match == pytest.approx(qpm_loss(params, make_qpm_batch(pairs)), abs=1e-9)
+        assert align == pytest.approx(qpa_loss_and_grads(params, pairs)[0], abs=1e-9)
+        triples = make_qpm_batch(pairs)
+        assert match == pytest.approx(qpm_loss_and_grads(params, triples)[0], abs=1e-9)
 
     def test_zero_learning_rate_leaves_params_unchanged(self):
         params = init_encoder_params(CFG, seed=17)
@@ -350,11 +349,12 @@ class TestFtStep:
         loss, _ = ft_loss_and_grads(params, "hue of amber fox?", pool)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
-    def test_single_path_pool_strict_is_degenerate(self):
-        params = identity_params()
+    def test_single_path_pool_strict_has_no_negative_and_is_zero(self):
+        params = init_encoder_params(CFG, seed=5, scale=0.4)
         pool = self.build_pool(1)
-        with pytest.raises(DegenerateBatchError):
-            ft_loss_and_grads(params, "hue of amber fox?", pool, strict=True)
+        loss, grads = ft_loss_and_grads(params, "hue of amber fox?", pool, strict=True)
+        assert loss == 0.0
+        assert not grads.to_vector().any()
 
     def test_three_path_pool_matches_hand_formula(self):
         params = identity_params(tau=1.0)
@@ -390,7 +390,8 @@ class TestFtStep:
 
     def test_matches_the_per_path_reference_bit_for_bit(self):
         # The per-path loop ft_loss_and_grads ran before it shared the
-        # batched projection, softmax and gradient helpers.
+        # batched projection, softmax and gradient helpers. Batching moves
+        # the BLAS summation order, so the match is within 1e-12 relative.
         def reference(params, question, pool, strict):
             paths = pool.paths()
             q_base = embed_text(question, params.embedder)
@@ -422,9 +423,9 @@ class TestFtStep:
             strict = trial % 2 == 1
             loss, grads = ft_loss_and_grads(params, "hue of dune crow?", pool, strict=strict)
             ref_loss, ref_wq, ref_wp = reference(params, "hue of dune crow?", pool, strict)
-            assert loss == ref_loss
-            assert np.array_equal(grads.wq, ref_wq)
-            assert np.array_equal(grads.wp, ref_wp)
+            assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+            assert relative_error(grads.wq, ref_wq) <= 1e-12
+            assert relative_error(grads.wp, ref_wp) <= 1e-12
             assert not grads.qpm_w.any()
 
     def test_repeated_steps_separate_best_from_negatives(self):
@@ -521,6 +522,18 @@ class TestEncoderPersistence:
         with pytest.raises(MalformedFileError):
             load_encoder(dest)
 
+    @pytest.mark.parametrize("field", ["wq", "wp", "qpm_w", "tau"])
+    def test_non_finite_value_rejected(self, tmp_path, field):
+        params = init_encoder_params(CFG, seed=41)
+        if field == "tau":
+            params.tau = float("nan")
+        else:
+            getattr(params, field).flat[3] = np.nan
+        dest = tmp_path / "encoder.json"
+        save_encoder(params, dest)
+        with pytest.raises(MalformedFileError):
+            load_encoder(dest)
+
 
 class TestInvariants:
     def test_all_losses_finite_on_random_inputs(self):
@@ -528,8 +541,8 @@ class TestInvariants:
         for seed in range(5):
             params = init_encoder_params(CFG, seed=seed, tau=0.07)
             pairs = sample_pairs(int(rng.integers(2, 6)))
-            assert np.isfinite(qpa_loss(params, pairs))
-            assert np.isfinite(qpm_loss(params, make_qpm_batch(pairs)))
+            assert np.isfinite(qpa_loss_and_grads(params, pairs)[0])
+            assert np.isfinite(qpm_loss_and_grads(params, make_qpm_batch(pairs))[0])
             pool = PathPool.from_paths([p for _, p in pairs])
             pool.best_index = 0
             loss, _ = ft_loss_and_grads(params, pairs[0][0], pool)
@@ -539,6 +552,6 @@ class TestInvariants:
     def test_empty_batches_rejected(self):
         params = identity_params()
         with pytest.raises(DataError):
-            qpa_loss(params, [])
+            qpa_loss_and_grads(params, [])
         with pytest.raises(DataError):
-            qpm_loss(params, [])
+            qpm_loss_and_grads(params, [])

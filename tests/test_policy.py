@@ -549,3 +549,13 @@ class TestPolicyPersistence:
         dest.write_text("{not json", encoding="utf-8")
         with pytest.raises(MalformedFileError):
             load_policy(dest)
+
+    @pytest.mark.parametrize("field", ["w1", "b1", "w2", "b2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, field, value):
+        params = init_policy_params(seed=77)
+        getattr(params, field).flat[1] = value
+        dest = tmp_path / "policy.json"
+        save_policy(params, dest)
+        with pytest.raises(MalformedFileError):
+            load_policy(dest)
