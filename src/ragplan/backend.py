@@ -19,7 +19,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import requests
 
 from .corpus import InstructionPath, Question
 from .errors import (
@@ -386,6 +385,10 @@ def http_complete(
     Retries transient failures (5xx, timeouts) up to ``max_retries``
     times; auth and parse failures raise typed errors immediately.
     """
+    # Imported here: requests and what it loads take about 14 MB, which a
+    # process without an HTTP backend never needs.
+    import requests
+
     if not config.endpoint:
         raise ConfigError("http backend needs an endpoint URL")
     api_key = os.environ.get(config.auth_env, "")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,15 +76,6 @@ class EmbeddingVector:
         return int(self.values.shape[0])
 
 
-def _hash_feature(token: str, seed: int, dimension: int) -> tuple[int, float]:
-    """Map a feature to (bucket, sign). Signed hashing keeps collisions unbiased."""
-    digest = hashlib.blake2b(
-        token.encode("utf-8"), digest_size=8, key=seed.to_bytes(8, "little", signed=True)
-    ).digest()
-    value = int.from_bytes(digest, "little")
-    return value % dimension, 1.0 if value & (1 << 63) else -1.0
-
-
 def _normalize_text(text: str) -> str:
     return " ".join(text.lower().split())
 
@@ -98,24 +90,65 @@ def _features(text: str, config: EmbedderConfig) -> list[str]:
     return feats
 
 
-@lru_cache(maxsize=65536)
-def _embed_cached(text: str, config: EmbedderConfig) -> EmbeddingVector:
-    accum = np.zeros(config.dimension, dtype=np.float64)
-    feats = _features(text, config)
-    if not feats:
-        return EmbeddingVector(accum.astype(np.float32), valid=False)
-    for feat in feats:
-        bucket, sign = _hash_feature(feat, config.seed, config.dimension)
-        accum[bucket] += sign
+def _embed(text: str, config: EmbedderConfig) -> EmbeddingVector:
+    """Each distinct feature is hashed once, to a bucket and a sign (signed
+    hashing keeps collisions unbiased), and adds its signed count there.
+    Every bucket is an exact integer sum of ±1, so the vector does not
+    depend on the order of the additions."""
+    counts = Counter(_features(text, config))
+    if not counts:
+        return EmbeddingVector(np.zeros(config.dimension, dtype=np.float32), valid=False)
+    keyed = hashlib.blake2b(digest_size=8, key=config.seed.to_bytes(8, "little", signed=True))
+    buckets, weights = [], []
+    for feat, count in counts.items():
+        digest = keyed.copy()
+        digest.update(feat.encode("utf-8"))
+        value = int.from_bytes(digest.digest(), "little")
+        buckets.append(value % config.dimension)
+        weights.append(count if value >> 63 else -count)
+    accum = np.bincount(buckets, weights, minlength=config.dimension)
     norm = float(np.linalg.norm(accum))
     if norm == 0.0:
         return EmbeddingVector(accum.astype(np.float32), valid=False)
     return EmbeddingVector((accum / norm).astype(np.float32), valid=True)
 
 
-def embed_text(text: str, config: EmbedderConfig) -> EmbeddingVector:
-    """Embed ``text`` deterministically; empty text yields an invalid zero vector."""
-    return _embed_cached(text, config)
+# Texts embedded again and again (instructions, queries) share one large
+# cache. Texts embedded for one use keep a small cache of their own:
+# serialized candidate paths, which are many and, once the graph changes,
+# never repeat, and registered questions, whose vectors the graph keeps.
+# Its size is set from the serving loop on the demo bundle: over 5,000
+# ops, 14,250 path embeds held 3,250 distinct paths, and 2,048 entries
+# keep a hit ratio of 0.74 against 0.77 for an unbounded cache.
+_embed_text_cached = lru_cache(maxsize=65536)(_embed)
+_embed_transient_cached = lru_cache(maxsize=2048)(_embed)
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _EmbedCaches:
+    """Both embedding caches, counted and cleared together as one
+    ``lru_cache`` would be."""
+
+    caches = (_embed_text_cached, _embed_transient_cached)
+
+    def cache_info(self) -> "_CacheInfo":
+        infos = [cache.cache_info() for cache in self.caches]
+        return _CacheInfo(*(sum(column) for column in zip(*infos)))
+
+    def cache_clear(self) -> None:
+        for cache in self.caches:
+            cache.cache_clear()
+
+
+_embed_cached = _EmbedCaches()
+
+
+def embed_text(text: str, config: EmbedderConfig, *, transient: bool = False) -> EmbeddingVector:
+    """Embed ``text`` deterministically; empty text yields an invalid zero
+    vector. ``transient`` marks a text embedded for one use (a serialized
+    candidate path or a registered question), cached apart."""
+    return (_embed_transient_cached if transient else _embed_text_cached)(text, config)
 
 
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:

@@ -100,11 +100,15 @@ class _Rows:
     norms: np.ndarray  # (n,) projection norms
 
 
-def _project_rows(matrix: np.ndarray, texts: list[str], embedder: EmbedderConfig) -> _Rows:
-    """Embed texts and project every row through ``matrix`` at once. A row
-    with a zero projection, as of a text that embeds invalid (a zero
-    vector), stays zero and has norm 0."""
-    base = np.array([embed_text(text, embedder).values for text in texts], dtype=np.float64)
+def _project_rows(
+    matrix: np.ndarray, texts: list[str], embedder: EmbedderConfig, *, transient: bool = False
+) -> _Rows:
+    """Embed texts (``transient`` as in ``embed_text``) and project every row
+    through ``matrix`` at once. A row with a zero projection, as of a text
+    that embeds invalid (a zero vector), stays zero and has norm 0."""
+    base = np.array(
+        [embed_text(text, embedder, transient=transient).values for text in texts], dtype=np.float64
+    )
     raw = base @ matrix.T
     norms = np.sqrt(np.vecdot(raw, raw))
     unit = np.divide(raw, norms[:, None], out=np.zeros_like(raw), where=norms[:, None] > 0.0)
@@ -129,7 +133,7 @@ def encode_question(params: EncoderParams, question: str) -> EmbeddingVector:
 
 
 def encode_path(params: EncoderParams, path: InstructionPath) -> EmbeddingVector:
-    return _encoding(_project_rows(params.wp, [path.serialized()], params.embedder))
+    return _encoding(_project_rows(params.wp, [path.serialized()], params.embedder, transient=True))
 
 
 def _info_nce(scores: np.ndarray, positives: np.ndarray, strict: bool) -> tuple[float, np.ndarray]:
@@ -187,7 +191,9 @@ def qpa_loss_and_grads(
     if not pairs:
         raise DataError("qpa loss over an empty batch")
     q = _project_rows(params.wq, [question for question, _ in pairs], params.embedder)
-    p = _project_rows(params.wp, [path.serialized() for _, path in pairs], params.embedder)
+    p = _project_rows(
+        params.wp, [path.serialized() for _, path in pairs], params.embedder, transient=True
+    )
     scores = (q.unit @ p.unit.T) / params.tau
     diagonal = np.arange(len(pairs))
     loss_qp, deltas_qp = _info_nce(scores, diagonal, strict)
@@ -215,7 +221,9 @@ def qpm_loss_and_grads(
         raise DataError("qpm loss over an empty batch")
     d = params.dimension
     q = _project_rows(params.wq, [question for question, _, _ in triples], params.embedder)
-    p = _project_rows(params.wp, [path.serialized() for _, path, _ in triples], params.embedder)
+    p = _project_rows(
+        params.wp, [path.serialized() for _, path, _ in triples], params.embedder, transient=True
+    )
     labels = np.array([label for _, _, label in triples], dtype=np.float64)
     count = labels.size
     w_q = params.qpm_w[:d]
@@ -278,7 +286,9 @@ def ft_loss_and_grads(
     if pool.best_index is None:
         raise DataError("ft loss needs a pool with best_index set")
     q = _project_rows(params.wq, [question], params.embedder)
-    p = _project_rows(params.wp, [path.serialized() for path in pool.paths()], params.embedder)
+    p = _project_rows(
+        params.wp, [path.serialized() for path in pool.paths()], params.embedder, transient=True
+    )
     scores = (q.unit @ p.unit.T) / params.tau
     loss, deltas = _info_nce(scores, np.array([pool.best_index]), strict)
     return 0.5 * loss, _contrastive_grads(params, q, p, 0.5 * deltas)

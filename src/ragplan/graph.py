@@ -9,8 +9,10 @@ Edges record which tasks (and questions) traversed each node pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,9 @@ GRAPH_KIND = "instruction-graph"
 
 @dataclass
 class Instruction:
-    """A stored instruction: duplicate texts share one entry with merged provenance."""
+    """A stored instruction: duplicate texts share one entry with merged
+    provenance. An entry is never changed once stored (a new source
+    replaces it), so graph copies share entries."""
 
     text: str
     embedding: EmbeddingVector
@@ -50,7 +54,7 @@ class NodeSet:
         if entry is None:
             self.instructions[text] = Instruction(text, embedding, [source])
         else:
-            entry.sources.append(source)
+            self.instructions[text] = Instruction(text, entry.embedding, entry.sources + [source])
 
     def texts(self) -> list[str]:
         return list(self.instructions)
@@ -83,7 +87,8 @@ class GraphStats:
 
 
 class _RowBuffer:
-    """Append-only float64 rows with spare capacity, shared by graph copies.
+    """Append-only float64 rows, each with the id of its node, with spare
+    capacity, shared by graph copies.
 
     A graph reads the first ``size`` rows, a count it keeps itself; rows
     below any graph's count never change. ``filled`` counts the rows
@@ -94,21 +99,28 @@ class _RowBuffer:
     def __init__(self, dimension: int, capacity: int = 0):
         # Rows past ``filled`` are never read, so they are left unwritten.
         self.array = np.empty((capacity, dimension), dtype=np.float64)
+        self.ids = np.empty(capacity, dtype=np.int64)
         self.filled = 0
 
-    def append(self, size: int, values: np.ndarray) -> "_RowBuffer":
-        """Write ``values`` after the first ``size`` rows; returns the buffer
-        that now holds all ``size + 1`` rows: this one, or a new one when this
-        one is full (twice the capacity, at least 64 rows) or filled past
-        ``size`` by another graph."""
+    def append(self, size: int, values: np.ndarray, node_id: int) -> "_RowBuffer":
+        """Write ``values`` and ``node_id`` after the first ``size`` rows;
+        returns the buffer that now holds all ``size + 1`` rows: this one,
+        or a new one when this one is full or filled past ``size`` by
+        another graph.
+
+        A full buffer grows by a quarter, to at least 64 rows: doubling
+        would leave up to half the rows unused, and rows take 8 bytes per
+        dimension."""
         target = self
         capacity = len(self.array)
         if size == capacity or size != self.filled:
             if size == capacity:
-                capacity = max(64, 2 * capacity)
+                capacity = max(64, capacity + capacity // 4)
             target = _RowBuffer(self.array.shape[1], capacity)
             target.array[:size] = self.array[:size]
+            target.ids[:size] = self.ids[:size]
         target.array[size] = values
+        target.ids[size] = node_id
         target.filled = size + 1
         return target
 
@@ -130,14 +142,18 @@ class InstructionGraph:
         # the task-centroid and question components of traversal states.
         self.question_embeddings: dict[tuple[str, str], EmbeddingVector] = {}
         # Flat scan index over every stored instruction text, backed by a
-        # capacity-doubling buffer so construction stays near-linear.
+        # buffer that grows geometrically, so construction stays near-linear.
         self._index_buffer = _RowBuffer(embedder.dimension)
         self._index_size = 0
-        self._index_nodes: list[int] = []
         self._index_texts: list[str] = []
         # Read-only arrays for traversal, compiled on the first read after
-        # the graph last changed; None while stale.
+        # the graph last changed; None while stale. A stale graph may hold
+        # the index of an earlier state, its base, which no other graph
+        # holds, with the (edge key, task id) pairs written since: the next
+        # read patches the base instead of compiling from scratch.
         self._compiled: GraphIndex | None = None
+        self._base: GraphIndex | None = None
+        self._written: set[tuple[tuple[int, int], str]] = set()
         # Nodes and edges this graph shares with copies made by or of it;
         # the first write to one copies it (see ``copy``).
         self._shared_nodes: set[int] = set()
@@ -146,14 +162,19 @@ class InstructionGraph:
     # -- indexing ---------------------------------------------------------
 
     def _index_add(self, node_id: int, text: str, embedding: EmbeddingVector) -> None:
-        self._index_buffer = self._index_buffer.append(self._index_size, embedding.values)
+        self._index_buffer = self._index_buffer.append(
+            self._index_size, embedding.values, node_id
+        )
         self._index_size += 1
-        self._index_nodes.append(node_id)
         self._index_texts.append(text)
 
     @property
     def _index_vectors(self) -> np.ndarray:
         return self._index_buffer.array[: self._index_size]
+
+    @property
+    def _index_nodes(self) -> np.ndarray:
+        return self._index_buffer.ids[: self._index_size]
 
     def instruction_count(self) -> int:
         return sum(len(node.instructions) for node in self.nodes.values())
@@ -164,8 +185,20 @@ class InstructionGraph:
     def index(self) -> "GraphIndex":
         """The read-only traversal index of the graph as it is now."""
         if self._compiled is None:
-            self._compiled = GraphIndex(self)
+            self._compiled = GraphIndex(self, self._base, self._written)
+            self._base, self._written = None, set()
         return self._compiled
+
+    def _stale(self) -> None:
+        """Called before every write: the index becomes the base that the
+        next read patches."""
+        if self._compiled is not None:
+            self._base, self._compiled = self._compiled, None
+
+    def _wrote(self, key: tuple[int, int], task_id: str) -> None:
+        """Called after a write to an edge's question ids for a task."""
+        if self._base is not None:
+            self._written.add((key, task_id))
 
     def out_edges(self, node_id: int) -> list[EdgeSet]:
         """Edges leaving ``node_id``, in (from, to) order."""
@@ -178,19 +211,23 @@ class InstructionGraph:
     def register_question(self, task_id: str, question_id: str, text: str) -> None:
         key = (task_id, question_id)
         if key not in self.question_embeddings:
-            self._compiled = None
-            self.question_embeddings[key] = embed_text(text, self.embedder)
+            self._stale()
+            self.question_embeddings[key] = embed_text(text, self.embedder, transient=True)
 
     def copy(self) -> "InstructionGraph":
         """A copy that shares nodes, edges, embeddings and the instruction
         rows of the scan buffer with this graph.
 
-        Embeddings are immutable and scan-buffer rows append-only. A shared
-        node or edge is copied by whichever graph writes to it first, so
-        neither graph ever sees the other's writes. The copy holds no
-        reference to this graph. This graph releases its compiled index:
-        a copy is made to be extended and read in its place, and a later
-        read of this graph compiles the index again.
+        Embeddings and instruction entries are immutable and scan-buffer
+        rows append-only. A shared node or edge is copied by whichever graph
+        writes to it first, so neither graph ever sees the other's writes.
+        The copy holds no reference to this graph.
+
+        A copy is made to be extended and read in this graph's place, so
+        this graph's compiled index moves to the copy as its base, and a
+        later read of this graph compiles its index again. A copy of a
+        graph without a compiled index (a second copy, or a copy of a copy
+        not yet read) gets no base and compiles its index from scratch.
         """
         twin = InstructionGraph(self.delta, self.embedder)
         twin.ic, twin.tc = self.ic, self.tc
@@ -199,9 +236,8 @@ class InstructionGraph:
         twin.question_embeddings = dict(self.question_embeddings)
         twin._index_buffer = self._index_buffer
         twin._index_size = self._index_size
-        twin._index_nodes = list(self._index_nodes)
         twin._index_texts = list(self._index_texts)
-        self._compiled = None
+        twin._base, self._compiled = self._compiled, None
         for graph in (self, twin):
             graph._shared_nodes = set(self.nodes)
             graph._shared_edges = set(self.edges)
@@ -211,13 +247,7 @@ class InstructionGraph:
         node = self.nodes[node_id]
         if node_id in self._shared_nodes:
             self._shared_nodes.discard(node_id)
-            node = NodeSet(
-                node_id,
-                {
-                    text: replace(entry, sources=list(entry.sources))
-                    for text, entry in node.instructions.items()
-                },
-            )
+            node = NodeSet(node_id, dict(node.instructions))
             self.nodes[node_id] = node
         return node
 
@@ -240,82 +270,262 @@ class GraphIndex:
     * Instructions: a view of the graph's float64 scan buffer with per-row
       norms; ``node_rows`` lists row ids grouped by node in node-id order
       and by text within a node, delimited by ``node_ptr``.
-    * Questions: the graph's question embeddings in key order with their
-      validity flags, referenced by row id.
+    * Questions: the graph's question embeddings in insertion order with
+      their validity flags, referenced by row id (``question_pos``).
     * Centroids: one float32 row per (edge, task) with registered
       questions, equal to ``task_centroid`` over the task's questions in id
       order, with norms of its float64 values; ``centroid_ptr`` delimits
-      an edge's rows, and ``question_ptr`` / ``question_rows`` give each
-      centroid's question row ids.
-    * Adjacency: edges in (from, to) order, CSR by source node
-      (``out_ptr``) and by target node (``in_order``, ``in_ptr``).
+      an edge's rows, ``centroid_tasks`` names each row's task, and
+      ``question_ptr`` / ``question_rows`` give each centroid's question
+      row ids. ``unregistered`` holds the (task, question id) pairs an
+      edge lists without a registered question.
+    * Adjacency: edges in (from, to) order with their ``sources`` and
+      ``targets``, CSR by source node (``out_ptr``) and by target node
+      (``in_order``, ``in_ptr``).
+
+    An index is compiled from scratch or patched from a base, the index of
+    an earlier state of the same graph or of the graph it was copied from.
+    A graph only grows: node ids, instruction rows and questions are only
+    appended. So a patch keeps every part of the base that the writes
+    since left alone and recomputes only the centroids of the (edge, task)
+    pairs written, and it equals the index compiled from scratch bit for
+    bit.
 
     The only rows it adds are the centroids, stored as float32 because
     ``task_centroid`` rounds them to float32 anyway. The index holds no
     reference to its graph.
     """
 
-    def __init__(self, graph: InstructionGraph):
-        size = graph._index_size
-        self.dimension = graph.embedder.dimension
-        self.node_ids = sorted(graph.nodes)
-        self.node_pos = {node_id: pos for pos, node_id in enumerate(self.node_ids)}
-        self.texts = graph._index_texts[:size]
+    def __init__(
+        self,
+        graph: InstructionGraph,
+        base: "GraphIndex | None" = None,
+        written: set[tuple[tuple[int, int], str]] = frozenset(),
+    ):
+        """The index of ``graph``: compiled from scratch, or patched from
+        ``base``, where ``written`` holds every (edge key, task id) pair
+        whose question ids changed since the base's state, new edges
+        included. The patch takes over the base's lists, dicts and sets,
+        which only grow, and extends them in place: a base serves one
+        patch."""
+        if base is None:
+            base = GraphIndex._empty(graph.embedder.dimension)
+            touched = {key: set(edge.tasks) for key, edge in graph.edges.items()}
+        else:
+            touched = {}
+            for key, task_id in written:
+                touched.setdefault(key, set()).add(task_id)
+        self.dimension = base.dimension
+        self._add_rows(graph, base)
+        registered = self._add_questions(graph, base)
+        # A question registered for a pair an edge listed before changes
+        # that edge's centroid, although the edge was not written.
+        self.unregistered = base.unregistered
+        late = registered & self.unregistered
+        if late:
+            self.unregistered -= late
+            for key, edge in graph.edges.items():
+                for task_id, question_ids in edge.tasks.items():
+                    if not late.isdisjoint((task_id, q) for q in question_ids):
+                        touched.setdefault(key, set()).add(task_id)
+        order = self._add_edges(graph, base, touched)
+        self._add_centroids(graph, base, touched, order)
+
+    @classmethod
+    def _empty(cls, dimension: int) -> "GraphIndex":
+        """The index of a graph holding nothing: the base of a full compile."""
+        empty = cls.__new__(cls)
+        empty.dimension = dimension
+        empty.texts, empty.node_ids, empty.questions = [], [], []
+        empty.node_pos, empty.question_pos, empty.edge_pos = {}, {}, {}
+        empty.unregistered = set()
+        empty.instruction_norms = empty.centroid_norms = np.zeros(0)
+        empty.question_valid = np.zeros(0, dtype=bool)
+        empty.sources = empty.targets = np.zeros(0, dtype=np.int64)
+        empty.node_rows = empty.question_rows = np.zeros(0, dtype=np.intp)
+        empty.node_ptr = empty.centroid_ptr = empty.question_ptr = np.zeros(1, dtype=np.intp)
+        empty.centroid_tasks = np.zeros(0, dtype=object)
+        empty.centroids = empty._centroid_store = np.zeros((0, dimension), dtype=np.float32)
+        return empty
+
+    def _add_rows(self, graph: InstructionGraph, base: "GraphIndex") -> None:
+        """Instruction rows and nodes: the base's, then the new ones."""
+        size, start, known = graph._index_size, len(base.texts), len(base.node_ids)
+        self.texts = base.texts
+        self.texts.extend(graph._index_texts[start:size])
         self.instructions = graph._index_vectors
-        self.instruction_norms = row_norms(self.instructions)
-        row_nodes = graph._index_nodes
-        self.node_rows = np.array(
-            sorted(range(size), key=lambda i: (self.node_pos[row_nodes[i]], self.texts[i])),
-            dtype=np.intp,
+        self.instruction_norms = np.concatenate(
+            [base.instruction_norms, row_norms(self.instructions[start:])]
         )
-        node_of_row = np.array([self.node_pos[row_nodes[i]] for i in self.node_rows], dtype=np.intp)
-        self.node_ptr = np.searchsorted(node_of_row, np.arange(len(self.node_ids) + 1))
+        # New node ids are above every earlier one, so new nodes sort last.
+        self.node_ids = base.node_ids
+        self.node_ids.extend(sorted(islice(graph.nodes, known, None)))
+        self.node_pos = base.node_pos
+        self.node_pos.update((self.node_ids[pos], pos) for pos in range(known, len(self.node_ids)))
+        node_of = {
+            row: self.node_pos[node_id]
+            for row, node_id in enumerate(graph._index_nodes[start:].tolist(), start)
+        }
+        rows = sorted(node_of, key=lambda row: (node_of[row], self.texts[row]))
+        # A new row goes before the first row of its node with a later
+        # text; rows of new nodes go last.
+        at = []
+        for row in rows:
+            pos = node_of[row]
+            if pos < known:
+                lo, hi = base.node_ptr[pos], base.node_ptr[pos + 1]
+                segment = base.node_rows[lo:hi]
+                at.append(lo + bisect_left(segment, self.texts[row], key=self.texts.__getitem__))
+            else:
+                at.append(len(base.node_rows))
+        self.node_rows = np.insert(base.node_rows, at, rows)
+        counts = np.bincount(
+            np.array([node_of[row] for row in rows], dtype=np.intp), minlength=len(self.node_ids)
+        )
+        counts[:known] += np.diff(base.node_ptr)
+        self.node_ptr = np.concatenate([[0], np.cumsum(counts)])
 
-        question_keys = sorted(graph.question_embeddings)
-        question_pos = {key: pos for pos, key in enumerate(question_keys)}
-        self.questions = [graph.question_embeddings[key] for key in question_keys]
-        self.question_valid = np.array([vector.valid for vector in self.questions], dtype=bool)
+    def _add_questions(self, graph: InstructionGraph, base: "GraphIndex") -> set[tuple[str, str]]:
+        """Question rows: the base's, then the questions registered since,
+        whose keys it returns."""
+        first = len(base.questions)
+        added = list(islice(graph.question_embeddings.items(), first, None))
+        self.questions = base.questions
+        self.questions.extend(vector for _, vector in added)
+        self.question_pos = base.question_pos
+        self.question_pos.update((key, pos) for pos, (key, _) in enumerate(added, first))
+        self.question_valid = np.concatenate(
+            [base.question_valid, np.array([vector.valid for _, vector in added], dtype=bool)]
+        )
+        return {key for key, _ in added}
 
-        keys = sorted(graph.edges)
+    def _add_edges(
+        self, graph: InstructionGraph, base: "GraphIndex", touched: dict
+    ) -> np.ndarray:
+        """Edges and adjacency; returns each edge's position among the
+        base's edges followed by the new ones."""
+        new_keys = sorted(key for key in touched if key not in base.edge_pos)
+        sources = np.concatenate([base.sources, np.array([k[0] for k in new_keys], dtype=np.int64)])
+        targets = np.concatenate([base.targets, np.array([k[1] for k in new_keys], dtype=np.int64)])
+        order = np.lexsort((targets, sources))
+        self.sources, self.targets = sources[order], targets[order]
+        keys = list(zip(self.sources.tolist(), self.targets.tolist()))
         self.edges = [graph.edges[key] for key in keys]
         self.edge_pos = {key: pos for pos, key in enumerate(keys)}
-        sources = np.array([key[0] for key in keys], dtype=np.int64)
-        targets = np.array([key[1] for key in keys], dtype=np.int64)
-        self.out_ptr = np.searchsorted(sources, self.node_ids + [np.iinfo(np.int64).max])
-        self.in_order = np.lexsort((sources, targets))
-        self.in_ptr = np.searchsorted(
-            targets[self.in_order], self.node_ids + [np.iinfo(np.int64).max]
+        bounds = self.node_ids + [np.iinfo(np.int64).max]
+        self.out_ptr = np.searchsorted(self.sources, bounds)
+        self.in_order = np.lexsort((self.sources, self.targets))
+        self.in_ptr = np.searchsorted(self.targets[self.in_order], bounds)
+        return order
+
+    def _add_centroids(
+        self, graph: InstructionGraph, base: "GraphIndex", touched: dict, order: np.ndarray
+    ) -> None:
+        """Centroid rows: an untouched edge keeps its base rows, a touched
+        edge keeps the base rows of its untouched tasks and gets fresh rows
+        for the others. ``src`` gives each centroid's row among the base's
+        rows followed by the fresh ones."""
+        old_count = len(base.centroid_tasks)
+        counts = np.zeros(len(order), dtype=np.intp)
+        starts = np.zeros(len(order), dtype=np.intp)
+        old = order < len(base.sources)
+        counts[old] = np.diff(base.centroid_ptr)[order[old]]
+        starts[old] = base.centroid_ptr[order[old]]
+        fresh_tasks, fresh_ptr, fresh_rows, patched = [], [0], [], {}
+        for key in sorted(touched):
+            edge, pos, was = graph.edges[key], self.edge_pos[key], base.edge_pos.get(key)
+            kept = {} if was is None else {
+                base.centroid_tasks[c]: c
+                for c in range(base.centroid_ptr[was], base.centroid_ptr[was + 1])
+            }
+            rows_of_edge = []
+            for task_id in sorted(edge.tasks):
+                if task_id not in touched[key]:
+                    if task_id in kept:
+                        rows_of_edge.append(kept[task_id])
+                    continue
+                rows = []
+                for question_id in sorted(edge.tasks[task_id]):
+                    row = self.question_pos.get((task_id, question_id))
+                    if row is None:
+                        self.unregistered.add((task_id, question_id))
+                    else:
+                        rows.append(row)
+                if rows:
+                    rows_of_edge.append(old_count + len(fresh_tasks))
+                    fresh_tasks.append(task_id)
+                    fresh_rows.extend(rows)
+                    fresh_ptr.append(len(fresh_rows))
+            patched[pos] = rows_of_edge
+            counts[pos] = len(rows_of_edge)
+        self.centroid_ptr = np.concatenate([[0], np.cumsum(counts)])
+        src = np.repeat(starts - self.centroid_ptr[:-1], counts) + np.arange(self.centroid_ptr[-1])
+        for pos, rows_of_edge in patched.items():
+            src[self.centroid_ptr[pos]:self.centroid_ptr[pos + 1]] = rows_of_edge
+        self.centroid_tasks = np.concatenate(
+            [base.centroid_tasks, np.array(fresh_tasks, dtype=object)]
+        )[src]
+
+        # Question rows of every centroid, gathered from the base's and the fresh lists.
+        fresh_ptr = np.array(fresh_ptr, dtype=np.intp)
+        sizes = np.concatenate([np.diff(base.question_ptr), np.diff(fresh_ptr)])[src]
+        firsts = np.concatenate([base.question_ptr[:-1], len(base.question_rows) + fresh_ptr[:-1]])
+        self.question_ptr = np.concatenate([[0], np.cumsum(sizes)])
+        self.question_rows = np.concatenate(
+            [base.question_rows, np.array(fresh_rows, dtype=np.intp)]
+        )[np.repeat(firsts[src] - self.question_ptr[:-1], sizes) + np.arange(self.question_ptr[-1])]
+        self.centroid_valid = (
+            np.logical_or.reduceat(self.question_valid[self.question_rows], self.question_ptr[:-1])
+            if len(src) else np.zeros(0, dtype=bool)
         )
 
-        centroid_ptr = [0]
-        question_ptr = [0]
-        question_rows: list[int] = []
-        for edge in self.edges:
-            for task_id in sorted(edge.tasks):
-                rows = [
-                    question_pos[(task_id, question_id)]
-                    for question_id in sorted(edge.tasks[task_id])
-                    if (task_id, question_id) in question_pos
-                ]
-                if rows:
-                    question_rows.extend(rows)
-                    question_ptr.append(len(question_rows))
-            centroid_ptr.append(len(question_ptr) - 1)
-        self.centroid_ptr = np.array(centroid_ptr, dtype=np.intp)
-        self.question_ptr = np.array(question_ptr, dtype=np.intp)
-        self.question_rows = np.array(question_rows, dtype=np.intp)
-        self.centroid_valid = np.array(
-            [self.question_valid[self.question_rows[a:b]].any()
-             for a, b in zip(question_ptr, question_ptr[1:])],
-            dtype=bool,
-        )
-        self.centroids, self.centroid_norms = self._centroid_rows()
+        self._place_kept_centroids(base, src)
+        self.centroid_norms = np.empty(len(src), dtype=np.float64)
+        kept_at = np.flatnonzero(src < old_count)
+        self.centroid_norms[kept_at] = base.centroid_norms[src[kept_at]]
+        fresh_at = np.flatnonzero(src >= old_count)
+        self.centroid_norms[fresh_at] = self._fill_centroids(fresh_at, fresh_ptr, fresh_rows)
+
+    def _place_kept_centroids(self, base: "GraphIndex", src: np.ndarray) -> None:
+        """Set ``centroids`` to the first ``len(src)`` rows of a store with
+        spare rows, holding the base rows each centroid keeps.
+
+        The base's store is reused when it has room. A kept row never moves
+        to a lower position, since every row before it is kept or replaced
+        by a fresh row, so the runs of kept rows are moved up in place, the
+        last run first and each run from its end, a block at a time: no
+        temporary of the store's size is made. A store without room is
+        replaced by one with a quarter more rows than needed.
+        """
+        count, store = len(src), base._centroid_store
+        kept_at = np.flatnonzero(src < len(base.centroid_tasks))
+        breaks = np.flatnonzero((np.diff(kept_at) != 1) | (np.diff(src[kept_at]) != 1)) + 1
+        runs = [
+            (kept_at[lo], src[kept_at[lo]], hi - lo)
+            for lo, hi in zip([0, *breaks], [*breaks, len(kept_at)])
+            if hi > lo
+        ]
+        if len(store) < count:
+            store = np.empty((count + count // 4, self.dimension), dtype=np.float32)
+            for dst, first, size in runs:
+                store[dst:dst + size] = base._centroid_store[first:first + size]
+        else:
+            step = block_rows(self.dimension)
+            for dst, first, size in reversed(runs):
+                if dst == first:
+                    continue
+                for hi in range(size, 0, -step):
+                    lo = max(0, hi - step)
+                    store[dst + lo:dst + hi] = store[first + lo:first + hi]
+        self._centroid_store = store
+        self.centroids = store[:count]
 
     def _question_block(self, rows) -> np.ndarray:
         return np.array([self.questions[row].values for row in rows], dtype=np.float64)
 
-    def _centroid_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """``task_centroid`` of every centroid's questions, bit for bit, and
+    def _fill_centroids(self, dst: np.ndarray, ptr: np.ndarray, rows: list[int]) -> np.ndarray:
+        """Write ``task_centroid`` of each group ``rows[ptr[i]:ptr[i + 1]]``
+        of question rows to centroid row ``dst[i]``, bit for bit; returns
         the norms of their float64 values.
 
         As in ``task_centroid``'s ``np.mean``, each float64 sum adds the
@@ -324,21 +534,22 @@ class GraphIndex:
         the j-th questions of the block in one step, so no temporary grows
         with the graph.
         """
-        counts = np.diff(self.question_ptr)
-        centroids = np.zeros((len(counts), self.dimension), dtype=np.float32)
+        rows = np.array(rows, dtype=np.intp)
+        counts = np.diff(ptr)
         norms = np.zeros(len(counts), dtype=np.float64)
         step = block_rows(self.dimension)
         for lo in range(0, len(counts), step):
-            starts = self.question_ptr[:-1][lo:lo + step]
+            starts = ptr[:-1][lo:lo + step]
             sizes = counts[lo:lo + step]
-            sums = self._question_block(self.question_rows[starts])
+            sums = self._question_block(rows[starts])
             for j in range(1, sizes.max()):
                 deeper = np.flatnonzero(sizes > j)
-                sums[deeper] += self._question_block(self.question_rows[starts[deeper] + j])
+                sums[deeper] += self._question_block(rows[starts[deeper] + j])
             sums /= sizes[:, None]
-            centroids[lo:lo + step] = sums
-            norms[lo:lo + step] = row_norms(centroids[lo:lo + step].astype(np.float64))
-        return centroids, norms
+            block = sums.astype(np.float32)
+            self.centroids[dst[lo:lo + step]] = block
+            norms[lo:lo + step] = row_norms(block.astype(np.float64))
+        return norms
 
     @cached_property
     def text_nodes(self) -> dict[str, list[int]]:
@@ -431,23 +642,21 @@ def knn_nearest(
     """
     if query.dimension != graph.embedder.dimension:
         raise ConfigError("query dimension does not match the graph embedder")
-    node_ids = np.asarray(graph._index_nodes)
+    node_ids = graph._index_nodes
     if node_ids.size == 0:
         raise NotFoundError("graph holds no instructions")
-    mask = np.ones(node_ids.size, dtype=bool)
-    if excluded is not None:
-        mask = node_ids != excluded
-    if not mask.any():
-        raise NotFoundError("graph holds no instructions outside the excluded node")
     if query.valid:
         sims = graph._index_vectors @ query.values.astype(np.float64)
     else:
         sims = np.zeros(node_ids.size, dtype=np.float64)
-    sims = np.where(mask, sims, -np.inf)
+    if excluded is not None:
+        sims[node_ids == excluded] = -np.inf
     best_sim = float(sims.max())
+    if best_sim == -np.inf:
+        raise NotFoundError("graph holds no instructions outside the excluded node")
     candidates = np.flatnonzero(sims == best_sim)
-    best = min(candidates, key=lambda i: (graph._index_nodes[i], graph._index_texts[i]))
-    node_id = graph._index_nodes[best]
+    best = min(candidates, key=lambda i: (node_ids[i], graph._index_texts[i]))
+    node_id = int(node_ids[best])
     text = graph._index_texts[best]
     # Re-derive the similarity exactly; identical texts must compare as 1.0
     # so threshold decisions at delta = 1.0 stay meaningful.
@@ -465,7 +674,7 @@ def insert_path(
     match similarity reaches the threshold, and connect the previous node
     to the current one, recording the path's task and question.
     """
-    graph._compiled = None
+    graph._stale()
     if question_text is not None:
         graph.register_question(path.task_id, path.question_id, question_text)
     previous: int | None = None
@@ -499,6 +708,7 @@ def insert_path(
                 graph.edges[key] = edge
                 graph.tc += 1
             edge.add_task(path.task_id, path.question_id)
+            graph._wrote(key, path.task_id)
         previous = node_id
         node_sequence.append(node_id)
     return node_sequence

@@ -1,11 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ragplan import embedding
 from ragplan.embedding import (
     EmbedderConfig,
     EmbeddingVector,
+    _embed,
+    _features,
     cosine,
     cosine_rows,
     embed_text,
@@ -71,6 +76,66 @@ class TestEmbedText:
             EmbedderConfig(dimension=4)
         with pytest.raises(ConfigError):
             EmbedderConfig(ngram_min=5, ngram_max=3)
+
+
+def reference_embed(text, config):
+    """The per-feature loop the counting kernel replaced: every feature,
+    repeats included, hashed on its own and added as ±1 in order."""
+    accum = np.zeros(config.dimension, dtype=np.float64)
+    feats = _features(text, config)
+    if not feats:
+        return accum.astype(np.float32), False
+    key = config.seed.to_bytes(8, "little", signed=True)
+    for feat in feats:
+        digest = hashlib.blake2b(feat.encode("utf-8"), digest_size=8, key=key).digest()
+        value = int.from_bytes(digest, "little")
+        accum[value % config.dimension] += 1.0 if value & (1 << 63) else -1.0
+    norm = float(np.linalg.norm(accum))
+    if norm == 0.0:
+        return accum.astype(np.float32), False
+    return (accum / norm).astype(np.float32), True
+
+
+def oracle_texts():
+    rng = np.random.default_rng(11)
+    alphabet = list("abcdefghij KLM 0123 []->.,;\t\n")
+    texts = ["".join(rng.choice(alphabet, int(rng.integers(1, 120)))) for _ in range(40)]
+    step = "Search[amber birch]"
+    texts += [
+        " -> ".join([step] * 6),  # a serialized path that repeats its steps
+        "abc abc abc abcabc",
+        "aaaaaaaaaaaaaaaa",
+        "",
+        " \t\n ",
+        "Señor Ünïcödé ñandú 漢字テキスト ✓ 🙂 café",
+        "ß ﬁ İ ǅ",  # case folding changes the length
+    ]
+    return texts
+
+
+class TestCountingKernel:
+    @pytest.mark.parametrize("dimension", [8, 16, 256, 1024])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_equals_the_per_feature_loop_bit_for_bit(self, dimension, seed):
+        config = EmbedderConfig(dimension=dimension, seed=seed)
+        for text in oracle_texts():
+            values, valid = reference_embed(text, config)
+            for vector in (_embed(text, config), embed_text(text, config),
+                           embed_text(text, config, transient=True)):
+                assert vector.valid == valid, text
+                assert vector.values.dtype == np.float32
+                assert vector.values.tobytes() == values.tobytes(), text
+
+    def test_transient_texts_have_their_own_bounded_cache(self):
+        embedding._embed_cached.cache_clear()
+        path = "Search[amber] -> Lookup[birch]"
+        assert embed_text(path, CFG, transient=True) is embed_text(path, CFG, transient=True)
+        info = embedding._embed_cached.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        assert embedding._embed_transient_cached.cache_info().maxsize == 2048
+        assert embedding._embed_text_cached.cache_info().currsize == 0
+        embedding._embed_cached.cache_clear()
+        assert embedding._embed_cached.cache_info().currsize == 0
 
 
 class TestCosine:

@@ -10,15 +10,19 @@ actions and forced flags, and the same states within 1e-12.
 
 import copy
 import gc
+import sys
 import weakref
 from collections import deque
+from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ragplan.corpus import InstructionPath, Question, TaskCorpus, split_by_hint
-from ragplan.embedding import EmbedderConfig, cosine, embed_text, task_centroid
+from ragplan.embedding import EmbedderConfig, block_rows, cosine, embed_text, task_centroid
 from ragplan.graph import (
+    GraphIndex,
     build_graph,
     extend_graph,
     graphs_equal,
@@ -510,3 +514,159 @@ def test_extend_matches_deepcopy_extension_on_demo_world():
         batches[i % 2].add(question)
     assert_extension_matches_deepcopy(graph, batches)
 
+
+# -- patched indexes ---------------------------------------------------------------
+#
+# A read after a write patches the index of an earlier state (the base)
+# instead of compiling from scratch. After every write the patched index
+# must equal a fresh ``GraphIndex`` in every array, text list and edge
+# order, bit for bit.
+
+
+def assert_same_index(patched, fresh):
+    # The centroid store holds the centroids and spare rows.
+    fields = set(vars(fresh)) - {"text_nodes", "_centroid_store"}
+    assert set(vars(patched)) - {"text_nodes", "_centroid_store"} == fields
+    for name in sorted(fields):
+        got, want = getattr(patched, name), getattr(fresh, name)
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+            if want.dtype == object:
+                assert got.tolist() == want.tolist(), name
+            else:
+                assert got.tobytes() == want.tobytes(), name
+        elif name in ("edges", "questions"):
+            # The graph's own edge and question objects, in the same order.
+            assert len(got) == len(want) and all(a is b for a, b in zip(got, want)), name
+        else:
+            assert got == want, name
+
+
+def read_patched(graph):
+    """Read ``graph``, which must hold a base, and check the patched index."""
+    assert graph._base is not None and graph._compiled is None
+    patched = graph.index()
+    assert graph._base is None and not graph._written
+    assert_same_index(patched, GraphIndex(graph))
+    return patched
+
+
+def extension_batches(seed, count):
+    # Repeated id prefixes make later batches reuse (task, question id)
+    # keys an earlier batch registered or listed.
+    return [random_corpus(seed * 100 + i, "w" if i % 3 == 2 else "q") for i in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_patched_index_equals_fresh_index_after_every_extension(seed):
+    graph = random_graph(seed)
+    graph.index()
+    for batch in extension_batches(seed, 4):
+        graph = extend_graph(graph, batch)
+        read_patched(graph)
+    assert_traversals_match(graph, "amber birch grove", *policies(seed)[0], seed=seed)
+
+
+def test_patched_index_equals_fresh_index_over_benchmark_writes(tmp_path):
+    # The index-4k benchmark's seed-1 graph and write batches, with the
+    # graph loaded from its file as the benchmark serves it.
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import inputs
+    finally:
+        sys.path.remove(bench)
+    save_graph(
+        build_graph(inputs.random_corpus(1, 4000), 0.4, EmbedderConfig(dimension=256)),
+        tmp_path / "graph.json",
+    )
+    graph = load_graph(tmp_path / "graph.json")
+    graph.index()
+    for batch in islice(inputs.index_write_batches(1, 60), 25):
+        graph = extend_graph(graph, batch)
+        read_patched(graph)
+
+
+def test_only_the_first_copy_of_an_indexed_graph_gets_a_base():
+    parent = random_graph(7)
+    first_index = parent.index()
+    first = extend_graph(parent, random_corpus(701))
+    second = extend_graph(parent, random_corpus(702, "w"))
+    assert first._base is first_index and parent._compiled is None
+    assert second._base is None
+    assert_same_index(second.index(), GraphIndex(second))
+    read_patched(first)
+    # Read in the other order: a later copy of a re-read parent.
+    parent.index()
+    third = extend_graph(parent, random_corpus(703))
+    fourth = extend_graph(parent, random_corpus(704, "w"))
+    assert_same_index(fourth.index(), GraphIndex(fourth))
+    read_patched(third)
+
+
+def test_a_copy_of_a_graph_not_yet_read_gets_no_base():
+    parent = random_graph(8)
+    parent.index()
+    child = extend_graph(parent, random_corpus(801))
+    grandchild = extend_graph(child, random_corpus(802, "w"))
+    assert grandchild._base is None and child._base is not None
+    read_patched(child)
+    assert_same_index(grandchild.index(), GraphIndex(grandchild))
+    assert_traversals_match(grandchild, "cobalt dune", *policies(8)[1], seed=8)
+
+
+def test_in_place_insert_patches_the_index():
+    graph = random_graph(9)
+    graph.index()
+    for question in random_corpus(901, "w").iter_questions():
+        for path in question.paths:
+            insert_path(graph, path, question_text=question.text)
+            read_patched(graph)
+    assert_traversals_match(graph, "ember fjord", *policies(9)[0], seed=9)
+
+
+@pytest.mark.parametrize("indexed_before_listing", [False, True])
+def test_question_registered_for_a_pair_an_edge_already_lists(indexed_before_listing):
+    graph = random_graph(10)
+    steps = ("Search[violet quartz]", "Lookup[violet quartz]", "Check[violet quartz]")
+    if indexed_before_listing:
+        graph.index()
+    # A text-less insert lists (T9, z1) on two edges without a question.
+    insert_path(graph, InstructionPath(steps, "T9", "z1", 1.0))
+    if indexed_before_listing:
+        read_patched(graph)
+    else:
+        graph.index()
+    assert ("T9", "z1") in graph.index().unregistered
+    # Registering the question changes both edges' centroids, although
+    # neither edge is written.
+    graph.register_question("T9", "z1", "violet quartz question")
+    index = read_patched(graph)
+    assert ("T9", "z1") not in index.unregistered
+    listing = [key for key, edge in graph.edges.items() if "T9" in edge.tasks]
+    assert listing
+    for key in listing:
+        pos = index.edge_pos[key]
+        assert "T9" in index.centroid_tasks[index.centroid_ptr[pos]:index.centroid_ptr[pos + 1]]
+    # A second question of the same task on the same edges.
+    insert_path(graph, InstructionPath(steps, "T9", "z2", 1.0), question_text="violet again")
+    read_patched(graph)
+
+
+def test_patch_moves_long_runs_of_kept_centroids_in_place():
+    # A new task on the first edge puts a centroid before all the others,
+    # so every kept row moves up one place in the reused store, in runs
+    # longer than the block the move copies at a time.
+    graph, _ = demo_graph()
+    index = graph.index()
+    first = index.edges[0]
+    texts = tuple(
+        index.texts[index.node_rows[index.node_ptr[index.node_pos[node_id]]]]
+        for node_id in (first.from_node, first.to_node)
+    )
+    assert len(index.centroids) > block_rows(graph.embedder.dimension) + 1
+    insert_path(graph, InstructionPath(texts, "T_new", "n1", 1.0), question_text="a new task")
+    patched = read_patched(graph)
+    assert "T_new" in graph.edges[(first.from_node, first.to_node)].tasks
+    assert "T_new" in patched.centroid_tasks[:patched.centroid_ptr[1]]
+    assert patched._centroid_store is index._centroid_store
