@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import collections
 import json
+import math
 import re
 import string
 from dataclasses import dataclass, field, replace
@@ -133,12 +134,16 @@ def score(metric: MetricKind, predicted: str, truth: str) -> float:
     if metric is MetricKind.BINARY_SUCCESS:
         return float(_normalize_answer(predicted) == _normalize_answer(truth))
     # Reward scores are produced by the backend itself; when the predicted
-    # string is that numeric reward, pass it through, otherwise fall back
-    # to exact match so plain answers still score sensibly.
+    # string is that numeric reward, pass it through, otherwise (a
+    # non-numeric string, or "nan" or "inf") fall back to exact match so
+    # plain answers still score sensibly.
     try:
-        return float(np.clip(float(predicted), 0.0, 1.0))
+        reward = float(predicted)
     except ValueError:
-        return float(_normalize_answer(predicted) == _normalize_answer(truth))
+        reward = math.nan
+    if math.isfinite(reward):
+        return float(np.clip(reward, 0.0, 1.0))
+    return float(_normalize_answer(predicted) == _normalize_answer(truth))
 
 
 def split_support_query(

@@ -168,8 +168,19 @@ def _forward(params: PolicyParams, states: np.ndarray) -> tuple[np.ndarray, np.n
 
 def policy_forward(params: PolicyParams, state: np.ndarray) -> tuple[float, float]:
     """(p_include, p_exclude) for a state; always a proper distribution."""
+    _check_finite_params(params)
+    return _checked_forward(params, state)
+
+
+def _check_finite_params(params: PolicyParams) -> None:
+    if not np.isfinite(params.to_vector()).all():
+        raise DataError("policy_forward over non-finite inputs")
+
+
+def _checked_forward(params: PolicyParams, state: np.ndarray) -> tuple[float, float]:
+    """``policy_forward`` for weights already checked finite."""
     state = np.asarray(state, dtype=np.float64)
-    if not (np.isfinite(params.to_vector()).all() and np.isfinite(state).all()):
+    if not np.isfinite(state).all():
         raise DataError("policy_forward over non-finite inputs")
     _, probs = _forward(params, state[None, :])
     return float(probs[0, 0]), float(probs[0, 1])
@@ -271,6 +282,9 @@ def traverse(
         raise ConfigError(f"unknown traversal mode {mode!r}")
     if mode == "sample" and rng is None:
         rng = np.random.default_rng(0)
+    # The weights do not change during a traversal: checked once here,
+    # each visit checks only its state.
+    _check_finite_params(params)
     scores = QueryScores(graph.index(), embed_text(query_text, graph.embedder))
     hooks = [RULE_HOOKS[name] for name in config.rule_hooks]
     budget = {"left": config.max_nodes_visited}
@@ -302,7 +316,7 @@ def traverse(
             if forced:
                 action, log_prob = EXCLUDE, 0.0
             else:
-                p_include, p_exclude = policy_forward(params, state)
+                p_include, p_exclude = _checked_forward(params, state)
                 if mode == "greedy":
                     action = INCLUDE if p_include >= p_exclude else EXCLUDE
                 else:

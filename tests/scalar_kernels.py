@@ -7,6 +7,8 @@ and the QPA, QPM, FT, BCE and REINFORCE losses assembled from them as the
 library assembled them. Tests compare the batched kernels against these.
 The one departure: ``_anchor_softmax`` raises ``ValueError`` where the
 library raised its own error for a strict anchor with no negative.
+``adam_reference`` is the Adam update as plain expressions, as it was
+before it ran in place.
 """
 
 import numpy as np
@@ -219,3 +221,13 @@ def pg_reference(params, episode, gamma, baseline_value=0.0):
         onehot[prob_index] = 1.0
         deltas[idx] = weight * (probs - onehot)
     return float(loss), _grad_from_logit_deltas(params, states, deltas)
+
+
+def adam_reference(params, grad, state, learning_rate):
+    """``adam_step`` as plain expressions, each making a new array."""
+    state.t += 1
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    m_hat = state.m / (1.0 - state.beta1**state.t)
+    v_hat = state.v / (1.0 - state.beta2**state.t)
+    return params - learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ragplan.corpus import (
@@ -58,7 +58,14 @@ class TestScore:
         assert score(MetricKind.REWARD_SCORE, "same", "same") == 1.0
         assert score(MetricKind.REWARD_SCORE, "other", "same") == 0.0
 
+    @pytest.mark.parametrize("predicted", ["NAN", "nan", "inf", "-Infinity"])
+    def test_non_finite_reward_falls_back_to_exact_match(self, predicted):
+        assert score(MetricKind.REWARD_SCORE, predicted, "") == 0.0
+        assert score(MetricKind.REWARD_SCORE, predicted, predicted.lower()) == 1.0
+
     @given(st.text(max_size=30), st.text(max_size=30))
+    @example("NAN", "")
+    @example("inf", "")
     @settings(max_examples=60, deadline=None)
     def test_bounded_and_self_scoring(self, predicted, truth):
         for metric in MetricKind:

@@ -24,6 +24,7 @@ from ragplan.encoder import (
     qpa_loss_and_grads,
     qpm_loss_and_grads,
 )
+from ragplan.optim import AdamState, adam_step
 from ragplan.policy import (
     Episode,
     EpisodeStep,
@@ -33,6 +34,7 @@ from ragplan.policy import (
     policy_forward,
 )
 from scalar_kernels import (
+    adam_reference,
     bce_reference,
     ft_reference,
     pg_reference,
@@ -180,3 +182,16 @@ def test_pg_matches_reference(n):
         ref_loss, ref_grad = pg_reference(params, episode, 0.9, baseline)
         assert_close(loss, ref_loss)
         assert_close(grad, ref_grad)
+
+
+def test_adam_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    size = 257
+    ours, reference = AdamState.zeros(size), AdamState.zeros(size)
+    params = ref_params = rng.standard_normal(size)
+    for step in range(6):
+        grad = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 3)
+        params = adam_step(params, grad, ours, 0.01)
+        ref_params = adam_reference(ref_params, grad, reference, 0.01)
+        assert np.array_equal(params, ref_params)
+        assert np.array_equal(ours.m, reference.m) and np.array_equal(ours.v, reference.v)

@@ -115,6 +115,10 @@ class TestPolicyForward:
         with pytest.raises(DataError):
             policy_forward(params, np.zeros(3))
 
+    def test_non_finite_state_rejected(self):
+        with pytest.raises(DataError, match="non-finite"):
+            policy_forward(init_policy_params(seed=1), np.array([0.1, np.inf, 0.2]))
+
     def test_regression_locked_probabilities(self):
         # Frozen from a reference run of init_policy_params(seed=42).
         params = init_policy_params(seed=42)
@@ -426,6 +430,20 @@ class TestTraverse:
         graph = InstructionGraph(delta=0.4, embedder=CFG)
         with pytest.raises(NotFoundError):
             traverse(graph, "anything", zero_params(), RlConfig())
+
+    def test_non_finite_params_rejected(self):
+        params = init_policy_params(seed=2)
+        params.b2[1] = np.inf
+        with pytest.raises(DataError, match="non-finite"):
+            traverse(birthplace_graph(), "birthplace of Greta Gerwig?", params, RlConfig(k=3))
+
+    def test_non_finite_state_rejected(self, monkeypatch):
+        import ragplan.policy as policy
+
+        monkeypatch.setattr(policy, "build_state", lambda *args: np.array([np.nan, 0.0, 0.0]))
+        with pytest.raises(DataError, match="non-finite"):
+            traverse(birthplace_graph(), "birthplace of Greta Gerwig?",
+                     init_policy_params(seed=2), RlConfig(k=3))
 
     def test_rule_hook_forces_exclusion(self):
         graph = InstructionGraph(delta=0.4, embedder=CFG)
