@@ -181,14 +181,8 @@ def block_rows(dimension: int) -> int:
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of the float64 values of every row, bit for bit;
-    float32 rows are upcast a block at a time."""
-    if rows.dtype == np.float64:
-        return np.sqrt(np.vecdot(rows, rows))
-    norms, step = np.empty(len(rows)), block_rows(rows.shape[1])
-    for lo in range(0, len(rows), step):
-        norms[lo:lo + step] = row_norms(rows[lo:lo + step].astype(np.float64))
-    return norms
+    """``np.linalg.norm`` of every row of a float64 matrix, bit for bit."""
+    return np.sqrt(np.vecdot(rows, rows))
 
 
 def cosine_rows(

@@ -87,34 +87,22 @@ class GraphStats:
     mean_node_size: float
 
 
-# A graph with fewer stored values than this (512 KB of float64) keeps
-# float64 rows and scans them with one matrix-vector product per inserted
-# instruction, which then costs less than scoring a block.
-_SMALL_VALUES = 1 << 16
-
-
 class _RowBuffer:
-    """Append-only rows of embedding values, each with the id of its node,
-    with spare capacity, shared by graph copies.
+    """Append-only float64 rows, each with the id of its node, with spare
+    capacity, shared by graph copies.
 
     A graph reads the first ``size`` rows, a count it keeps itself; rows
     below any graph's count never change. ``filled`` counts the rows
     written, so a graph may append in place only while its count equals
     ``filled``. Another graph sharing the buffer appends to a copy.
-
-    A buffer of up to ``_SMALL_VALUES`` values holds float64 rows, which a
-    matrix-vector product reads in place. A larger one holds the
-    embeddings' float32 values, half the memory, and products upcast them
-    to float64 first, which is exact.
     """
 
     def __init__(self, dimension: int, capacity: int = 0):
         # Rows past ``filled`` are never read, so they are left unwritten.
-        dtype = np.float64 if capacity * dimension <= _SMALL_VALUES else np.float32
-        self.array = np.empty((capacity, dimension), dtype=dtype)
+        self.array = np.empty((capacity, dimension), dtype=np.float64)
         self.ids = np.empty(capacity, dtype=np.int64)
         self.filled = 0
-        # The largest norm of the first ``normed`` rows' float64 values.
+        # The largest norm of the first ``normed`` rows.
         self.norm, self.normed = 0.0, 0
 
     def append(self, size: int, values: np.ndarray, node_id: int) -> "_RowBuffer":
@@ -124,8 +112,8 @@ class _RowBuffer:
         another graph.
 
         A full buffer grows by a quarter, to at least 64 rows: doubling
-        would leave up to half the rows unused, and rows take 4 or 8 bytes
-        per dimension."""
+        would leave up to half the rows unused, and rows take 8 bytes per
+        dimension."""
         target = self
         capacity = len(self.array)
         if size == capacity or size != self.filled:
@@ -142,8 +130,8 @@ class _RowBuffer:
         return target
 
     def max_norm(self) -> float:
-        """An upper bound on the norm of the float64 values of every row
-        written: their largest norm, NaN once a row holds a NaN."""
+        """An upper bound on the norm of every row written: their largest
+        norm, NaN once a row holds a NaN."""
         if self.normed < self.filled:
             norms = row_norms(self.array[self.normed:self.filled])
             self.norm = float(np.maximum(self.norm, norms.max()))
@@ -293,10 +281,9 @@ class InstructionGraph:
 class GraphIndex:
     """Arrays compiled from one state of an ``InstructionGraph`` for traversal.
 
-    * Instructions: a view of the graph's float32 scan buffer with the
-      norms of the rows' float64 values; ``node_rows`` lists row ids
-      grouped by node in node-id order and by text within a node,
-      delimited by ``node_ptr``.
+    * Instructions: a view of the graph's float64 scan buffer with per-row
+      norms; ``node_rows`` lists row ids grouped by node in node-id order
+      and by text within a node, delimited by ``node_ptr``.
     * Questions: the graph's question embeddings in insertion order with
       their validity flags, referenced by row id (``question_pos``).
     * Centroids: one float32 row per (edge, task) with registered
@@ -673,8 +660,9 @@ def knn_nearest(
     Rows rank by the float64 dot product of their values with the query's,
     as one matrix-vector product over every stored row computes it. During
     a write, ``_scan`` supplies scores from a product over a block of the
-    write's instructions instead; their winner is taken only when it is
-    proven to be this product's (see ``_BlockScan.nearest``).
+    write's instructions instead; their winner is taken only where the
+    rounding bound leaves no other row that this product could rank first,
+    apart from rows identical to it (see ``_BlockScan.nearest``).
     """
     if query.dimension != graph.embedder.dimension:
         raise ConfigError("query dimension does not match the graph embedder")
@@ -700,9 +688,7 @@ def _scan_all(
     if node_ids.size == 0:
         raise NotFoundError("graph holds no instructions")
     if query.valid:
-        # Upcast in full: one product covers every row.
-        rows = graph._index_vectors.astype(np.float64, copy=False)
-        sims = rows @ query.values.astype(np.float64)
+        sims = graph._index_vectors @ query.values.astype(np.float64)
     else:
         sims = np.zeros(node_ids.size, dtype=np.float64)
     if excluded is not None:
@@ -717,6 +703,11 @@ def _scan_all(
 # product never makes a larger temporary, however large the graph.
 _SCAN_BLOCK_BYTES = 1 << 21
 
+# A graph with fewer stored values than this (512 KB) is scanned with one
+# matrix-vector product per inserted instruction, which then costs less
+# than scoring a block.
+_SMALL_VALUES = 1 << 16
+
 
 class _BlockScan:
     """Row scores for the instructions of one write, one matrix product per
@@ -729,7 +720,9 @@ class _BlockScan:
     stored since. A block holds at most as many queries as keep its score
     matrix within ``_SCAN_BLOCK_BYTES`` and as there are rows it scores,
     and it ends at the first instruction it does not hold or once the rows
-    stored since outnumber its queries.
+    stored since outnumber its queries. Each instruction of the write is
+    embedded once, when a block first needs it or when ``insert_path``
+    asks ``embedding`` for it.
 
     A product's rounding of a row's score depends on the rows and queries
     it covers, so the block's scores may differ from those of the full
@@ -741,9 +734,23 @@ class _BlockScan:
     def __init__(self, texts: list[str]):
         self.texts = texts  # every instruction the write inserts, in order
         self.served = 0  # calls served, so the position in ``texts``
+        self.ahead: dict[int, EmbeddingVector] = {}  # embedded, not yet served
         self.keys: dict[bytes, int] = {}  # query values -> row of ``scores``
         self.size = 0  # rows stored when the block started
         self.scores = np.zeros((0, 0))
+
+    def embedding(self, graph: InstructionGraph, text: str) -> EmbeddingVector:
+        """``embed_text`` of ``text``; for the write's next instruction,
+        the embedding a block already made, if any."""
+        pos = self.served
+        if pos < len(self.texts) and self.texts[pos] == text:
+            return self._embed(graph, pos)
+        return embed_text(text, graph.embedder)
+
+    def _embed(self, graph: InstructionGraph, pos: int) -> EmbeddingVector:
+        if pos not in self.ahead:
+            self.ahead[pos] = embed_text(self.texts[pos], graph.embedder)
+        return self.ahead[pos]
 
     def _start(self, graph: InstructionGraph) -> None:
         self.size = rows = graph._index_size
@@ -752,40 +759,39 @@ class _BlockScan:
         for pos in range(self.served, len(self.texts)):
             if len(block) == limit:
                 break
-            embedding = embed_text(self.texts[pos], graph.embedder)
+            embedding = self._embed(graph, pos)
             if embedding.valid:
                 block.setdefault(embedding.values.tobytes(), embedding.values)
         self.keys = {key: row for row, key in enumerate(block)}
         dimension = graph.embedder.dimension
         queries = np.array(list(block.values()), dtype=np.float64).reshape(len(block), dimension)
-        # Rows are upcast a block at a time: no temporary grows with the graph.
-        vectors, step = graph._index_vectors, block_rows(dimension)
-        self.scores = np.empty((len(block), rows))
-        for lo in range(0, rows, step):
-            chunk = vectors[lo:lo + step].astype(np.float64, copy=False)
-            self.scores[:, lo:lo + step] = queries @ chunk.T
+        self.scores = queries @ graph._index_vectors.T
 
     def nearest(
         self, graph: InstructionGraph, query: EmbeddingVector, excluded: int | None
     ) -> np.ndarray | None:
         """The rows ``_scan_all`` returns for the next instruction of the
-        write, when its winner is proven from the block's scores; None
-        otherwise.
+        write, when the block's scores settle its winner; None otherwise.
 
         A dot product of d terms, summed in any order, with or without
         fused multiply-adds, is within γ_d·Σ|xᵢyᵢ| ≤ γ_d·‖x‖·‖y‖ of its
         exact value, where γ_d = d·u / (1 − d·u) and u = 2⁻⁵³ (Higham,
         Accuracy and Stability of Numerical Algorithms, §3.1). So a row
         scored more than 4·γ_d·‖q‖·max‖row‖ below the best, here or in
-        ``_scan_all``, scores below it in both. The winner is proven when
+        ``_scan_all``, scores below it in both. The winner is kept when
         every row closer to the best score than that holds the same values
         as the best row: one text in several nodes, or a hash collision.
-        ``_scan_all`` scores such rows alike (over a build and 300 writes
-        of the 4k benchmark graph, seeds 1 and 4, 18,538 calls met such a
-        group and none differed), so it returns them all, and
-        ``knn_nearest`` breaks the tie.
+        Such a group is returned whole and ``knn_nearest`` resolves it by
+        its tie rule. The bound proves that no other row wins; that
+        ``_scan_all`` returns the same group rests on what the bound does
+        not give, that a matrix-vector product scores identical rows
+        alike. That held for the OpenBLAS build measured (over a build and
+        300 writes of the 4k benchmark graph, seeds 1 and 4, 18,538 calls
+        met such a group and none differed). Where a BLAS kernel scored
+        twin rows apart, the block path would still follow the tie rule,
+        which ``_scan_all`` then would not.
 
-        It is not proven for an invalid query, when every row is excluded,
+        They do not settle it for an invalid query, when every row is excluded,
         when a row with other values is that close or once a row holds a
         NaN or an infinity; nor for a query that is not the next
         instruction's embedding. A graph of fewer than ``_SMALL_VALUES``
@@ -799,6 +805,7 @@ class _BlockScan:
             if key not in self.keys or count - self.size > len(self.keys):
                 self._start(graph)
             row = self.keys.get(key)
+        self.ahead.pop(self.served, None)
         self.served += 1
         if row is None or not query.valid or count == 0:
             return None
@@ -842,7 +849,10 @@ def insert_path(
     previous: int | None = None
     node_sequence: list[int] = []
     for position, text in enumerate(path.instructions):
-        embedding = embed_text(text, graph.embedder)
+        if _scan is None:
+            embedding = embed_text(text, graph.embedder)
+        else:
+            embedding = _scan.embedding(graph, text)
         if not embedding.valid:
             raise DataError(f"instruction {text!r} embeds to an invalid vector")
         source = (path.task_id, path.question_id, position)
@@ -912,7 +922,10 @@ def _insert_corpus(graph: InstructionGraph, corpus: TaskCorpus, min_success: flo
         for path in question.paths
         if path.success_metric >= min_success
     ]
-    scan = _BlockScan([text for path, _ in writes for text in path.instructions])
+    texts = [text for path, _ in writes for text in path.instructions]
+    # A write that leaves the graph small is scanned without blocks.
+    small = (graph._index_size + len(texts)) * graph.embedder.dimension < _SMALL_VALUES
+    scan = None if small else _BlockScan(texts)
     for path, question_text in writes:
         insert_path(graph, path, question_text=question_text, _scan=scan)
 

@@ -21,9 +21,7 @@ def knn_nearest_reference(graph, query, excluded=None, **_):
     if node_ids.size == 0:
         raise NotFoundError("graph holds no instructions")
     if query.valid:
-        # The scan rows were stored as float64 then; they hold the same
-        # float32 values now, and upcasting them is exact.
-        sims = graph._index_vectors.astype(np.float64) @ query.values.astype(np.float64)
+        sims = graph._index_vectors @ query.values.astype(np.float64)
     else:
         sims = np.zeros(node_ids.size, dtype=np.float64)
     if excluded is not None:

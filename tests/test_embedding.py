@@ -191,9 +191,6 @@ class TestCosineRows:
             sims = cosine_rows(query, stored, row_norms(wide), valid)
             assert sims.tolist() == expected
         assert expected[3] == 1.0 and expected[6] == 0.0
-        # float32 rows are upcast a block at a time for their norms too.
-        assert row_norms(values).tolist() == row_norms(wide).tolist()
-        assert row_norms(values[:0]).shape == (0,)
         assert cosine_rows(vec(values[0], valid=False), wide, row_norms(wide)).tolist() == [0.0] * count
 
     def test_dimension_mismatch(self):

@@ -4,7 +4,7 @@ blocks must equal the one the reference builds, at every embedder
 dimension and merge threshold, and near-ties must reach the exact scan.
 
 Graphs this small are scanned without blocks by default, so these tests
-lower the size from which blocks (and float32 rows) are used to zero.
+lower the size from which blocks are used to zero.
 """
 
 import itertools
@@ -115,6 +115,25 @@ def test_block_product_scores_the_write_once(monkeypatch):
     assert len(starts) == 1
 
 
+def test_each_instruction_is_embedded_once_per_write(monkeypatch):
+    # Blocks embed instructions ahead of their insertion; insert_path takes
+    # those embeddings, so the write embeds what the per-instruction scan
+    # embedded, in the same order.
+    graph = build_graph(random_corpus(1, 400), 0.4, EmbedderConfig(dimension=64))
+    write = random_corpus(5, 60, prefix="w")
+    calls = []
+
+    def counted(text, config, **kwargs):
+        if not kwargs.get("transient"):
+            calls.append(text)
+        return embed_text(text, config, **kwargs)
+
+    monkeypatch.setattr(graph_module, "embed_text", counted)
+    extend_graph(graph, write)
+    assert calls == [text for question in write.iter_questions()
+                     for path in question.paths for text in path.instructions]
+
+
 def graph_with_twin_rows():
     """"Search[x]" is stored in node 1 and, excluded from there, in node 2."""
     graph = InstructionGraph(delta=0.4, embedder=EmbedderConfig(dimension=64))
@@ -216,13 +235,12 @@ def corpus_of(args, prefix="q"):
     return corpus
 
 
-def test_small_graphs_keep_float64_rows_and_the_exact_scan(monkeypatch, exact_scans):
+def test_small_graphs_keep_the_exact_scan(monkeypatch, exact_scans):
     monkeypatch.setattr(graph_module, "_SMALL_VALUES", DEFAULT_SMALL_VALUES)
     monkeypatch.setattr(_BlockScan, "_start", lambda scan, graph: pytest.fail("a block started"))
     embedder = EmbedderConfig(dimension=64)
     corpus = random_corpus(1, 160)
     graph = build_graph(corpus, 0.4, embedder)
-    assert graph._index_vectors.dtype == np.float64
     assert graph._index_size * 64 < graph_module._SMALL_VALUES
     with reference_scan():
         assert graphs_equal(graph, build_graph(corpus, 0.4, embedder))
