@@ -154,6 +154,7 @@ class InstructionGraph:
         self.tc = 1
         # Question embeddings keyed by (task_id, question_id); these back
         # the task-centroid and question components of traversal states.
+        # Every (task, question id) an edge lists has one.
         self.question_embeddings: dict[tuple[str, str], EmbeddingVector] = {}
         # Flat scan index over every stored instruction text, backed by a
         # buffer that grows geometrically, so construction stays near-linear.
@@ -222,12 +223,6 @@ class InstructionGraph:
         """Edges entering ``node_id``, in (from, to) order."""
         return self.index().in_edges(node_id)
 
-    def register_question(self, task_id: str, question_id: str, text: str) -> None:
-        key = (task_id, question_id)
-        if key not in self.question_embeddings:
-            self._stale()
-            self.question_embeddings[key] = embed_text(text, self.embedder, transient=True)
-
     def copy(self) -> "InstructionGraph":
         """A copy that shares nodes, edges, embeddings and the instruction
         rows of the scan buffer with this graph.
@@ -286,13 +281,11 @@ class GraphIndex:
       and by text within a node, delimited by ``node_ptr``.
     * Questions: the graph's question embeddings in insertion order with
       their validity flags, referenced by row id (``question_pos``).
-    * Centroids: one float32 row per (edge, task) with registered
-      questions, equal to ``task_centroid`` over the task's questions in id
-      order, with norms of its float64 values; ``centroid_ptr`` delimits
-      an edge's rows, ``centroid_tasks`` names each row's task, and
-      ``question_ptr`` / ``question_rows`` give each centroid's question
-      row ids. ``unregistered`` holds the (task, question id) pairs an
-      edge lists without a registered question.
+    * Centroids: one float32 row per (edge, task), equal to
+      ``task_centroid`` over the task's questions in id order, with norms
+      of its float64 values; ``centroid_ptr`` delimits an edge's rows,
+      ``centroid_tasks`` names each row's task, and ``question_ptr`` /
+      ``question_rows`` give each centroid's question row ids.
     * Adjacency: edges in (from, to) order with their ``sources`` and
       ``targets``, CSR by source node (``out_ptr``) and by target node
       (``in_order``, ``in_ptr``).
@@ -331,17 +324,7 @@ class GraphIndex:
                 touched.setdefault(key, set()).add(task_id)
         self.dimension = base.dimension
         self._add_rows(graph, base)
-        registered = self._add_questions(graph, base)
-        # A question registered for a pair an edge listed before changes
-        # that edge's centroid, although the edge was not written.
-        self.unregistered = base.unregistered
-        late = registered & self.unregistered
-        if late:
-            self.unregistered -= late
-            for key, edge in graph.edges.items():
-                for task_id, question_ids in edge.tasks.items():
-                    if not late.isdisjoint((task_id, q) for q in question_ids):
-                        touched.setdefault(key, set()).add(task_id)
+        self._add_questions(graph, base)
         order = self._add_edges(graph, base, touched)
         self._add_centroids(graph, base, touched, order)
 
@@ -352,7 +335,6 @@ class GraphIndex:
         empty.dimension = dimension
         empty.texts, empty.node_ids, empty.questions = [], [], []
         empty.node_pos, empty.question_pos, empty.edge_pos = {}, {}, {}
-        empty.unregistered = set()
         empty.instruction_norms = empty.centroid_norms = np.zeros(0)
         empty.question_valid = np.zeros(0, dtype=bool)
         empty.sources = empty.targets = np.zeros(0, dtype=np.int64)
@@ -399,9 +381,8 @@ class GraphIndex:
         counts[:known] += np.diff(base.node_ptr)
         self.node_ptr = np.concatenate([[0], np.cumsum(counts)])
 
-    def _add_questions(self, graph: InstructionGraph, base: "GraphIndex") -> set[tuple[str, str]]:
-        """Question rows: the base's, then the questions registered since,
-        whose keys it returns."""
+    def _add_questions(self, graph: InstructionGraph, base: "GraphIndex") -> None:
+        """Question rows: the base's, then the questions registered since."""
         first = len(base.questions)
         added = list(islice(graph.question_embeddings.items(), first, None))
         self.questions = base.questions
@@ -411,7 +392,6 @@ class GraphIndex:
         self.question_valid = np.concatenate(
             [base.question_valid, np.array([vector.valid for _, vector in added], dtype=bool)]
         )
-        return {key for key, _ in added}
 
     def _add_edges(
         self, graph: InstructionGraph, base: "GraphIndex", touched: dict
@@ -455,21 +435,15 @@ class GraphIndex:
             rows_of_edge = []
             for task_id in sorted(edge.tasks):
                 if task_id not in touched[key]:
-                    if task_id in kept:
-                        rows_of_edge.append(kept[task_id])
+                    rows_of_edge.append(kept[task_id])
                     continue
-                rows = []
-                for question_id in sorted(edge.tasks[task_id]):
-                    row = self.question_pos.get((task_id, question_id))
-                    if row is None:
-                        self.unregistered.add((task_id, question_id))
-                    else:
-                        rows.append(row)
-                if rows:
-                    rows_of_edge.append(old_count + len(fresh_tasks))
-                    fresh_tasks.append(task_id)
-                    fresh_rows.extend(rows)
-                    fresh_ptr.append(len(fresh_rows))
+                rows_of_edge.append(old_count + len(fresh_tasks))
+                fresh_tasks.append(task_id)
+                fresh_rows.extend(
+                    self.question_pos[(task_id, question_id)]
+                    for question_id in sorted(edge.tasks[task_id])
+                )
+                fresh_ptr.append(len(fresh_rows))
             patched[pos] = rows_of_edge
             counts[pos] = len(rows_of_edge)
         self.centroid_ptr = np.concatenate([[0], np.cumsum(counts)])
@@ -606,13 +580,11 @@ class QueryScores:
             np.maximum.reduceat(self.by_node_row, index.node_ptr[:-1])
             if len(self.by_node_row) else np.zeros(0)
         )
-        # An edge without centroid rows scores 0.0.
-        self.edge_scores = np.zeros(len(index.edges), dtype=np.float64)
-        filled = np.diff(index.centroid_ptr) > 0
-        if filled.any():
-            self.edge_scores[filled] = np.maximum.reduceat(
-                self.centroids, index.centroid_ptr[:-1][filled]
-            )
+        # Every edge has a centroid row.
+        self.edge_scores = (
+            np.maximum.reduceat(self.centroids, index.centroid_ptr[:-1])
+            if len(index.edges) else np.zeros(0)
+        )
 
     def affinity(self, node_id: int) -> float:
         """Best instruction cosine at a node."""
@@ -632,13 +604,10 @@ class QueryScores:
 
     def best_task(self, edge: EdgeSet) -> tuple[float, float]:
         """(task similarity, question similarity) of the edge's first task
-        whose centroid is most similar, and of that task's best question;
-        (0.0, 0.0) for an edge without registered questions."""
+        whose centroid is most similar, and of that task's best question."""
         index = self.index
         pos = index.edge_pos[(edge.from_node, edge.to_node)]
         start, stop = index.centroid_ptr[pos], index.centroid_ptr[pos + 1]
-        if start == stop:
-            return 0.0, 0.0
         best = start + int(np.argmax(self.centroids[start:stop]))
         rows = index.question_rows[index.question_ptr[best]:index.question_ptr[best + 1]]
         block = index._question_block(rows)
@@ -832,27 +801,30 @@ class _BlockScan:
 def insert_path(
     graph: InstructionGraph,
     path: InstructionPath,
-    question_text: str | None = None,
+    question_text: str,
     _scan: _BlockScan | None = None,
 ) -> list[int]:
     """Insert one instruction path; returns the node id visited per instruction.
 
-    The first instruction of a path matches with no exclusion and adds no
-    edge. Later instructions exclude the previous node, merge when the
-    match similarity reaches the threshold, and connect the previous node
-    to the current one, recording the path's task and question. ``_scan``
-    scores the write's instructions in blocks (see ``knn_nearest``).
+    The path's question is registered with ``question_text`` unless the
+    graph already holds it. The first instruction of a path matches with
+    no exclusion and adds no edge. Later instructions exclude the previous
+    node, merge when the match similarity reaches the threshold, and
+    connect the previous node to the current one, recording the path's
+    task and question. The write's instructions are scored in blocks (see
+    ``knn_nearest``): by ``_scan`` when the path is part of a larger write
+    whose next instructions it holds, else by a scan of this path alone.
     """
     graph._stale()
-    if question_text is not None:
-        graph.register_question(path.task_id, path.question_id, question_text)
+    key = (path.task_id, path.question_id)
+    if key not in graph.question_embeddings:
+        graph.question_embeddings[key] = embed_text(question_text, graph.embedder, transient=True)
+    if _scan is None:
+        _scan = _BlockScan(list(path.instructions))
     previous: int | None = None
     node_sequence: list[int] = []
     for position, text in enumerate(path.instructions):
-        if _scan is None:
-            embedding = embed_text(text, graph.embedder)
-        else:
-            embedding = _scan.embedding(graph, text)
+        embedding = _scan.embedding(graph, text)
         if not embedding.valid:
             raise DataError(f"instruction {text!r} embeds to an invalid vector")
         source = (path.task_id, path.question_id, position)
@@ -886,46 +858,36 @@ def insert_path(
     return node_sequence
 
 
-def build_graph(
-    support: TaskCorpus,
-    delta: float,
-    embedder: EmbedderConfig,
-    min_success: float = 1.0,
-) -> InstructionGraph:
+def build_graph(support: TaskCorpus, delta: float, embedder: EmbedderConfig) -> InstructionGraph:
     """Construct a graph from every correct path in the support corpus.
 
     Questions are processed in canonical (task id, question id) order so
     construction is deterministic.
     """
     graph = InstructionGraph(delta=delta, embedder=embedder)
-    _insert_corpus(graph, support, min_success)
+    _insert_corpus(graph, support)
     return graph
 
 
-def extend_graph(
-    graph: InstructionGraph, new_support: TaskCorpus, min_success: float = 1.0
-) -> InstructionGraph:
+def extend_graph(graph: InstructionGraph, new_support: TaskCorpus) -> InstructionGraph:
     """Copy-extend: the original graph is left untouched.
 
     The extended graph shares every node, edge and embedding it does not
     change with the original (see ``InstructionGraph.copy``).
     """
     extended = graph.copy()
-    _insert_corpus(extended, new_support, min_success)
+    _insert_corpus(extended, new_support)
     return extended
 
 
-def _insert_corpus(graph: InstructionGraph, corpus: TaskCorpus, min_success: float) -> None:
+def _insert_corpus(graph: InstructionGraph, corpus: TaskCorpus) -> None:
     writes = [
         (path, question.text)
         for question in corpus.iter_questions()
         for path in question.paths
-        if path.success_metric >= min_success
+        if path.is_correct
     ]
-    texts = [text for path, _ in writes for text in path.instructions]
-    # A write that leaves the graph small is scanned without blocks.
-    small = (graph._index_size + len(texts)) * graph.embedder.dimension < _SMALL_VALUES
-    scan = None if small else _BlockScan(texts)
+    scan = _BlockScan([text for path, _ in writes for text in path.instructions])
     for path, question_text in writes:
         insert_path(graph, path, question_text=question_text, _scan=scan)
 
@@ -933,9 +895,8 @@ def _insert_corpus(graph: InstructionGraph, corpus: TaskCorpus, min_success: flo
 def graph_stats(graph: InstructionGraph) -> GraphStats:
     node_count = len(graph.nodes)
     instruction_count = graph.instruction_count()
-    tasks = {task for edge in graph.edges.values() for task in edge.tasks}
-    # Tasks seen only on single-node paths still count.
-    tasks.update(task for task, _ in graph.question_embeddings)
+    # Every task an edge lists, or one seen only on single-node paths, has a question.
+    tasks = {task for task, _ in graph.question_embeddings}
     return GraphStats(
         node_count=node_count,
         edge_count=len(graph.edges),
@@ -1004,6 +965,10 @@ def load_graph(source: str | Path) -> InstructionGraph:
             if not node_doc["instructions"]:
                 raise MalformedFileError(f"{source}: node {node.node_id} has no instructions")
             for entry in node_doc["instructions"]:
+                if entry["text"] in node.instructions:
+                    raise MalformedFileError(
+                        f"{source}: node {node.node_id} lists {entry['text']!r} twice"
+                    )
                 values = hex_to_floats(entry["embedding"], embedder.dimension)
                 embedding = EmbeddingVector(values, valid=True)
                 node.instructions[entry["text"]] = Instruction(
@@ -1013,21 +978,29 @@ def load_graph(source: str | Path) -> InstructionGraph:
                 )
                 graph._index_add(node.node_id, entry["text"], embedding)
             graph.nodes[node.node_id] = node
-        for edge_doc in doc["edges"]:
-            edge = EdgeSet(int(edge_doc["from"]), int(edge_doc["to"]))
-            if edge.from_node not in graph.nodes or edge.to_node not in graph.nodes:
-                raise MalformedFileError(
-                    f"{source}: edge {edge.from_node}->{edge.to_node} names a missing node"
-                )
-            for task_id, question_ids in edge_doc["tasks"].items():
-                edge.tasks[task_id] = set(question_ids)
-            graph.edges[(edge.from_node, edge.to_node)] = edge
         for q_doc in doc.get("questions", []):
             values = hex_to_floats(q_doc["embedding"], embedder.dimension)
             graph.question_embeddings[(q_doc["task_id"], q_doc["question_id"])] = (
                 EmbeddingVector(values, valid=bool(q_doc["valid"]))
             )
-    except (KeyError, TypeError, ValueError) as exc:
+        for edge_doc in doc["edges"]:
+            edge = EdgeSet(int(edge_doc["from"]), int(edge_doc["to"]))
+            name = f"{source}: edge {edge.from_node}->{edge.to_node}"
+            if edge.from_node not in graph.nodes or edge.to_node not in graph.nodes:
+                raise MalformedFileError(f"{name} names a missing node")
+            if not edge_doc["tasks"]:
+                raise MalformedFileError(f"{name} lists no task")
+            for task_id, question_ids in edge_doc["tasks"].items():
+                if not question_ids:
+                    raise MalformedFileError(f"{name} lists task {task_id} with no question")
+                for question_id in question_ids:
+                    if (task_id, question_id) not in graph.question_embeddings:
+                        raise MalformedFileError(
+                            f"{name} lists question {task_id}/{question_id}, which is not stored"
+                        )
+                edge.tasks[task_id] = set(question_ids)
+            graph.edges[(edge.from_node, edge.to_node)] = edge
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedFileError(f"{source}: malformed graph document: {exc}") from exc
     if graph.nodes and graph.ic <= max(graph.nodes):
         raise MalformedFileError(f"{source}: ic {graph.ic} is not above every node id")

@@ -355,6 +355,30 @@ def test_retrieve_prints_candidates_and_prompt(workspace, trained, capsys):
     assert "Here is the provided action sequence:" in output
 
 
+def test_retrieve_on_a_graph_listing_an_unstored_question_is_data_error(
+    workspace, trained, capsys
+):
+    import shutil
+
+    root, config_path, gen_dir = workspace
+    bundle_dir = root / "unstored-question-bundle"
+    shutil.copytree(trained / "bundle", bundle_dir)
+    graph_file = bundle_dir / "graph.json"
+    doc = json.loads(graph_file.read_text(encoding="utf-8"))
+    task_id, question_ids = next(iter(doc["edges"][0]["tasks"].items()))
+    doc["questions"] = [
+        q for q in doc["questions"]
+        if (q["task_id"], q["question_id"]) != (task_id, question_ids[0])
+    ]
+    graph_file.write_text(json.dumps(doc), encoding="utf-8")
+    code = main([
+        "retrieve", "--bundle", str(bundle_dir), "Which is older?",
+        "--config", str(config_path),
+    ])
+    assert code == 3
+    assert "not stored" in capsys.readouterr().err
+
+
 def test_eval_traces_written_when_requested(workspace, trained):
     root, config_path, gen_dir = workspace
     out = root / "eval-traces"

@@ -57,7 +57,7 @@ def random_instruction_texts(rng, count):
 class TestKnnNearest:
     def test_self_match_without_exclusion(self):
         graph = InstructionGraph(delta=0.4, embedder=CFG)
-        insert_path(graph, P11)
+        insert_path(graph, P11, "question q1")
         hit = knn_nearest(graph, embed_text("Search[Ed Wood]", CFG))
         assert hit.text == "Search[Ed Wood]"
         assert hit.psi == 1.0
@@ -67,7 +67,9 @@ class TestKnnNearest:
         # while excluding the previous node must land on the first node's
         # search instruction.
         graph = InstructionGraph(delta=0.4, embedder=CFG)
-        insert_path(graph, path(["Search[Scott Derrickson]", "Lookup[nationality]"]))
+        insert_path(
+            graph, path(["Search[Scott Derrickson]", "Lookup[nationality]"]), "question q1"
+        )
         hit = knn_nearest(graph, embed_text("Search[Ed Wood]", CFG), excluded=2)
         assert hit.node_id == 1
         assert hit.text == "Search[Scott Derrickson]"
@@ -80,7 +82,7 @@ class TestKnnNearest:
 
     def test_exclusion_can_empty_the_graph(self):
         graph = InstructionGraph(delta=0.4, embedder=CFG)
-        insert_path(graph, path(["Search[x]"]))
+        insert_path(graph, path(["Search[x]"]), "question q1")
         with pytest.raises(NotFoundError):
             knn_nearest(graph, embed_text("Search[x]", CFG), excluded=1)
 
@@ -88,7 +90,7 @@ class TestKnnNearest:
         rng = np.random.default_rng(17)
         graph = InstructionGraph(delta=0.5, embedder=CFG)
         for i, text in enumerate(random_instruction_texts(rng, 10)):
-            insert_path(graph, path([text], qid=f"q{i}"))
+            insert_path(graph, path([text], qid=f"q{i}"), f"question q{i}")
         for query_text in random_instruction_texts(rng, 25):
             query = embed_text(query_text, CFG)
             hit = knn_nearest(graph, query)
@@ -110,7 +112,7 @@ class TestKnnNearest:
 class TestInsertPath:
     def test_running_example_cycle(self):
         graph = InstructionGraph(delta=0.4, embedder=CFG)
-        sequence = insert_path(graph, P11)
+        sequence = insert_path(graph, P11, "question q1")
         assert sequence == [1, 2, 3, 2]
         assert len(graph.nodes) == 3
         assert graph.nodes[2].texts() == ["Lookup[nationality]"]
@@ -118,15 +120,15 @@ class TestInsertPath:
 
     def test_counters_track_ids_and_edges(self):
         graph = InstructionGraph(delta=0.4, embedder=CFG)
-        insert_path(graph, P11)
+        insert_path(graph, P11, "question q1")
         assert graph.ic == 1 + max(graph.nodes)
         assert graph.tc == 1 + len(graph.edges)
 
     def test_reinsert_same_path_is_structurally_idempotent(self):
         graph = InstructionGraph(delta=0.4, embedder=CFG)
-        insert_path(graph, P11)
+        insert_path(graph, P11, "question q1")
         nodes_before = {nid: node.texts() for nid, node in graph.nodes.items()}
-        insert_path(graph, P11)
+        insert_path(graph, P11, "question q1")
         assert {nid: node.texts() for nid, node in graph.nodes.items()} == nodes_before
         # duplicate texts keep one entry with merged provenance
         entry = graph.nodes[1].instructions["Search[Scott Derrickson]"]
@@ -134,16 +136,18 @@ class TestInsertPath:
 
     def test_second_task_joins_existing_edge(self):
         graph = InstructionGraph(delta=0.4, embedder=CFG)
-        insert_path(graph, P11)
+        insert_path(graph, P11, "question q1")
         insert_path(
-            graph, path(["Search[Scott Derrickson]", "Lookup[nationality]"], task="T2", qid="q2")
+            graph,
+            path(["Search[Scott Derrickson]", "Lookup[nationality]"], task="T2", qid="q2"),
+            "question q2",
         )
         assert set(graph.edges[(1, 2)].tasks) == {"T1", "T2"}
 
     def test_first_instruction_adds_no_edge(self):
         graph = InstructionGraph(delta=0.4, embedder=CFG)
-        insert_path(graph, path(["Search[alpha crane]"]))
-        insert_path(graph, path(["Search[beta crane]"], qid="q2"))
+        insert_path(graph, path(["Search[alpha crane]"]), "question q1")
+        insert_path(graph, path(["Search[beta crane]"], qid="q2"), "question q2")
         assert graph.edges == {}
 
     def test_adjacent_instructions_in_different_nodes(self):
@@ -152,7 +156,7 @@ class TestInsertPath:
         for i in range(12):
             texts = random_instruction_texts(rng, int(rng.integers(2, 6)))
             texts = [t for j, t in enumerate(texts) if j == 0 or t != texts[j - 1]]
-            sequence = insert_path(graph, path(texts, qid=f"q{i}"))
+            sequence = insert_path(graph, path(texts, qid=f"q{i}"), f"question q{i}")
             for a, b in zip(sequence, sequence[1:]):
                 assert a != b
 
@@ -163,7 +167,7 @@ class TestInsertPath:
             texts = random_instruction_texts(rng, 4)
             texts = [t for j, t in enumerate(texts) if j == 0 or t != texts[j - 1]]
             p = path(texts, task=f"T{i % 3}", qid=f"q{i}")
-            sequence = insert_path(graph, p)
+            sequence = insert_path(graph, p, f"question q{i}")
             for a, b in zip(sequence, sequence[1:]):
                 assert (a, b) in graph.edges
                 assert p.task_id in graph.edges[(a, b)].tasks
@@ -309,6 +313,35 @@ class TestPersistence:
         doc["nodes"][1]["node_id"] = doc["nodes"][0]["node_id"]
         self.assert_rejected(dest, doc, "appears twice")
 
+    def test_duplicate_instruction_text_rejected(self, tmp_path):
+        # A node keeps one entry per text, so a second one would add a
+        # scan row that no entry backs.
+        dest, doc = self.saved_doc(tmp_path)
+        entries = doc["nodes"][0]["instructions"]
+        entries.append(dict(entries[0]))
+        self.assert_rejected(dest, doc, "twice")
+
+    def test_edge_without_tasks_rejected(self, tmp_path):
+        # Traversal scores every edge by its task centroids.
+        dest, doc = self.saved_doc(tmp_path)
+        doc["edges"][0]["tasks"] = {}
+        self.assert_rejected(dest, doc, "lists no task")
+
+    def test_edge_tasks_not_an_object_rejected(self, tmp_path):
+        dest, doc = self.saved_doc(tmp_path)
+        doc["edges"][0]["tasks"] = ["T1"]
+        self.assert_rejected(dest, doc, "malformed graph document")
+
+    def test_task_without_questions_rejected(self, tmp_path):
+        dest, doc = self.saved_doc(tmp_path)
+        doc["edges"][0]["tasks"]["T1"] = []
+        self.assert_rejected(dest, doc, "task T1 with no question")
+
+    def test_edge_question_not_stored_rejected(self, tmp_path):
+        dest, doc = self.saved_doc(tmp_path)
+        doc["questions"] = [q for q in doc["questions"] if q["question_id"] != "q2"]
+        self.assert_rejected(dest, doc, "question T2/q2, which is not stored")
+
     def test_ic_not_above_node_ids_rejected(self, tmp_path):
         # With ic 1, extend_graph would reuse node 1 and silently replace
         # its instructions.
@@ -342,10 +375,11 @@ class TestGraphStats:
         # Two paths through three shared nodes: five distinct stored
         # instructions over three nodes and three edges.
         graph = InstructionGraph(delta=0.4, embedder=CFG)
-        insert_path(graph, P11)
+        insert_path(graph, P11, "question q1")
         insert_path(
             graph,
             path(["Lookup[nationality of origin]", "Search[Ed Wood Jr.]"], qid="q3"),
+            "question q3",
         )
         stats = graph_stats(graph)
         assert stats.node_count == 3

@@ -404,10 +404,10 @@ def test_insert_marks_the_index_stale():
     graph = random_graph(3)
     stale = graph.index()
     assert graph.index() is stale
-    # No question text: only the path itself changes the graph.
     insert_path(
         graph,
         InstructionPath(("Search[violet quartz]", "Lookup[violet quartz]"), "T9", "z1", 1.0),
+        "question z1",
     )
     fresh = graph.index()
     assert fresh is not stale
@@ -623,34 +623,6 @@ def test_in_place_insert_patches_the_index():
             insert_path(graph, path, question_text=question.text)
             read_patched(graph)
     assert_traversals_match(graph, "ember fjord", *policies(9)[0], seed=9)
-
-
-@pytest.mark.parametrize("indexed_before_listing", [False, True])
-def test_question_registered_for_a_pair_an_edge_already_lists(indexed_before_listing):
-    graph = random_graph(10)
-    steps = ("Search[violet quartz]", "Lookup[violet quartz]", "Check[violet quartz]")
-    if indexed_before_listing:
-        graph.index()
-    # A text-less insert lists (T9, z1) on two edges without a question.
-    insert_path(graph, InstructionPath(steps, "T9", "z1", 1.0))
-    if indexed_before_listing:
-        read_patched(graph)
-    else:
-        graph.index()
-    assert ("T9", "z1") in graph.index().unregistered
-    # Registering the question changes both edges' centroids, although
-    # neither edge is written.
-    graph.register_question("T9", "z1", "violet quartz question")
-    index = read_patched(graph)
-    assert ("T9", "z1") not in index.unregistered
-    listing = [key for key, edge in graph.edges.items() if "T9" in edge.tasks]
-    assert listing
-    for key in listing:
-        pos = index.edge_pos[key]
-        assert "T9" in index.centroid_tasks[index.centroid_ptr[pos]:index.centroid_ptr[pos + 1]]
-    # A second question of the same task on the same edges.
-    insert_path(graph, InstructionPath(steps, "T9", "z2", 1.0), question_text="violet again")
-    read_patched(graph)
 
 
 def test_patch_moves_long_runs_of_kept_centroids_in_place():

@@ -137,7 +137,7 @@ def test_each_instruction_is_embedded_once_per_write(monkeypatch):
 def graph_with_twin_rows():
     """"Search[x]" is stored in node 1 and, excluded from there, in node 2."""
     graph = InstructionGraph(delta=0.4, embedder=EmbedderConfig(dimension=64))
-    insert_path(graph, InstructionPath(("Search[x]", "Search[x]"), "T1", "q1", 1.0))
+    insert_path(graph, InstructionPath(("Search[x]", "Search[x]"), "T1", "q1", 1.0), "question q1")
     assert sorted(graph.nodes) == [1, 2]
     return graph
 
@@ -157,7 +157,8 @@ def test_a_different_row_within_the_rounding_bound_takes_the_exact_scan(exact_sc
     # Rounding can move a block score by up to the bound; here the block's
     # score of the runner-up is set a hair from the best one's, either side.
     graph = InstructionGraph(delta=0.0, embedder=EmbedderConfig(dimension=64))
-    insert_path(graph, InstructionPath(("Search[amber]", "Lookup[birch]"), "T1", "q1", 1.0))
+    insert_path(graph, InstructionPath(("Search[amber]", "Lookup[birch]"), "T1", "q1", 1.0),
+                "question q1")
     query = embed_text("Search[amber]", graph.embedder)
     for nudge in (-1e-15, 1e-15):
         scan = _BlockScan(["Search[amber]"])
@@ -172,7 +173,8 @@ def test_a_different_row_within_the_rounding_bound_takes_the_exact_scan(exact_sc
 
 def test_a_non_finite_row_takes_the_exact_scan():
     graph = InstructionGraph(delta=0.0, embedder=EmbedderConfig(dimension=64))
-    insert_path(graph, InstructionPath(("Search[amber]", "Lookup[birch]"), "T1", "q1", 1.0))
+    insert_path(graph, InstructionPath(("Search[amber]", "Lookup[birch]"), "T1", "q1", 1.0),
+                "question q1")
     graph._index_buffer.array[1, 3] = np.nan  # as a loaded graph may hold
     query = embed_text("Search[amber]", graph.embedder)
     for excluded in (None, 1):
@@ -181,7 +183,7 @@ def test_a_non_finite_row_takes_the_exact_scan():
 
 def test_excluding_every_row_raises():
     graph = InstructionGraph(delta=0.4, embedder=EmbedderConfig(dimension=64))
-    insert_path(graph, InstructionPath(("Search[x]",), "T1", "q1", 1.0))
+    insert_path(graph, InstructionPath(("Search[x]",), "T1", "q1", 1.0), "question q1")
     query = embed_text("Search[y]", graph.embedder)
     assert _BlockScan(["Search[y]"]).nearest(graph, query, 1) is None
     with pytest.raises(NotFoundError):
@@ -190,13 +192,14 @@ def test_excluding_every_row_raises():
 
 def test_invalid_query_takes_the_exact_scan(exact_scans):
     graph = graph_with_twin_rows()
-    insert_path(graph, InstructionPath(("Lookup[y]",), "T1", "q2", 1.0))
+    insert_path(graph, InstructionPath(("Lookup[y]",), "T1", "q2", 1.0), "question q2")
+    exact_scans["returned"] = 0
     query = embed_text("", graph.embedder)
     assert not query.valid
     assert _BlockScan([""]).nearest(graph, query, None) is None
     hit = knn_nearest(graph, query, excluded=1, _scan=_BlockScan([""]))
     assert hit == knn_nearest_reference(graph, query, excluded=1)
-    assert exact_scans["returned"] == 2
+    assert exact_scans["returned"] == 1
 
 
 def test_a_query_outside_the_block_takes_the_exact_scan(exact_scans):

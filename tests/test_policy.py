@@ -290,7 +290,9 @@ class TestBuildState:
 
     def test_missing_in_edge_zeroes_task_components(self):
         graph = InstructionGraph(delta=0.4, embedder=CFG)
-        insert_path(graph, InstructionPath(("Search[alpha crane]",), "T1", "q1", 1.0))
+        insert_path(
+            graph, InstructionPath(("Search[alpha crane]",), "T1", "q1", 1.0), "question q1"
+        )
         state = build_state(graph, embed_text("Search[alpha crane]", CFG), 1, None)
         assert state[0] == pytest.approx(1.0)
         assert state[1] == 0.0
