@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -67,8 +68,13 @@ class EdgeSet:
     to_node: int
     tasks: dict[str, set[str]] = field(default_factory=dict)
 
-    def add_task(self, task_id: str, question_id: str) -> None:
-        self.tasks.setdefault(task_id, set()).add(question_id)
+    def add_task(self, task_id: str, question_id: str) -> bool:
+        """Record a question of a task; returns whether it was new here."""
+        questions = self.tasks.setdefault(task_id, set())
+        if question_id in questions:
+            return False
+        questions.add(question_id)
+        return True
 
 
 @dataclass(frozen=True)
@@ -139,6 +145,129 @@ class _RowBuffer:
         return self.norm
 
 
+def _grown(array: np.ndarray, size: int, needed: int, least: int) -> np.ndarray:
+    """``array`` if it holds ``needed`` entries, else a copy of its first
+    ``size`` entries with room for a quarter more than ``needed``."""
+    if len(array) >= needed:
+        return array
+    grown = np.empty(max(least, needed + needed // 4), dtype=array.dtype)
+    grown[:size] = array[:size]
+    return grown
+
+
+class _QuestionStore:
+    """Append-only question embeddings, kept sparse, shared by graph copies.
+
+    A hashed text fills few buckets, so a question keeps only the positions
+    whose float32 bit pattern is not zero (so -0.0 is kept) and their
+    values, delimited by ``offsets``, with its validity flag and the
+    ``row_norms`` of its float64 values: enough to rebuild the embedding
+    bit for bit. ``keys`` names each row and ``rows`` finds it.
+
+    As with ``_RowBuffer``, a graph reads the first ``count`` rows, a count
+    it keeps itself, and rows below any graph's count never change. A graph
+    appends in place only while its count equals ``filled``; another graph
+    sharing the store appends to a copy. Arrays that fill up are replaced
+    by larger copies in place, so every graph sharing the store reads them.
+    """
+
+    def __init__(self, dimension: int):
+        self.dimension = dimension
+        self.keys: list[tuple[str, str]] = []
+        self.rows: dict[tuple[str, str], int] = {}
+        # Rows past ``filled`` and entries past ``offsets[filled]`` are unwritten.
+        self.offsets = np.zeros(1, dtype=np.int64)
+        self.valid = np.empty(0, dtype=bool)
+        self.norms = np.empty(0, dtype=np.float64)
+        self.positions = np.empty(0, dtype=np.min_scalar_type(dimension - 1))
+        self.values = np.empty(0, dtype=np.float32)
+        self.filled = 0
+
+    def holds(self, count: int, key: tuple[str, str]) -> bool:
+        """Whether ``key`` is among the first ``count`` rows."""
+        return self.rows.get(key, count) < count
+
+    def append(
+        self, count: int, keys: list[tuple[str, str]], vectors: list[EmbeddingVector]
+    ) -> "_QuestionStore":
+        """Write ``vectors`` under ``keys`` after the first ``count`` rows;
+        returns the store that now holds them all: this one, or a copy of
+        its first ``count`` rows when another graph filled it past
+        ``count``."""
+        target = self
+        if count != self.filled:
+            # Views sized to the rows kept: the first write to each grows
+            # it into an array of the copy's own.
+            target = _QuestionStore(self.dimension)
+            target.keys = self.keys[:count]
+            target.rows = dict(zip(target.keys, range(count)))
+            used = int(self.offsets[count])
+            target.offsets = self.offsets[:count + 1]
+            target.valid, target.norms = self.valid[:count], self.norms[:count]
+            target.positions, target.values = self.positions[:used], self.values[:used]
+        values = np.array([vector.values for vector in vectors], dtype=np.float32)
+        values = values.reshape(len(vectors), self.dimension)
+        kept = np.flatnonzero(values.view(np.uint32))
+        of_row, positions = np.divmod(kept, self.dimension)
+        end = count + len(vectors)
+        used = int(target.offsets[count])
+        offsets = used + np.cumsum(np.bincount(of_row, minlength=len(vectors)))
+        stop = used + len(kept)
+        target.positions = _grown(target.positions, used, stop, 1024)
+        target.values = _grown(target.values, used, stop, 1024)
+        target.positions[used:stop] = positions
+        target.values[used:stop] = values.ravel()[kept]
+        target.offsets = _grown(target.offsets, count + 1, end + 1, 65)
+        target.offsets[count + 1:end + 1] = offsets
+        target.valid = _grown(target.valid, count, end, 64)
+        target.norms = _grown(target.norms, count, end, 64)
+        target.valid[count:end] = [vector.valid for vector in vectors]
+        target.norms[count:end] = row_norms(values.astype(np.float64))
+        target.keys.extend(keys)
+        target.rows.update(zip(keys, range(count, end)))
+        target.filled = end
+        return target
+
+    def dense(self, rows: np.ndarray) -> np.ndarray:
+        """The float64 values of the given rows, gathered with one scatter."""
+        starts = self.offsets[rows]
+        sizes = self.offsets[rows + 1] - starts
+        ends = np.cumsum(sizes)
+        total = int(ends[-1]) if len(ends) else 0
+        entries = np.repeat(starts - (ends - sizes), sizes) + np.arange(total)
+        out = np.zeros((len(rows), self.dimension), dtype=np.float64)
+        out[np.repeat(np.arange(len(rows)), sizes), self.positions[entries]] = self.values[entries]
+        return out
+
+    def vector(self, row: int) -> EmbeddingVector:
+        values = np.zeros(self.dimension, dtype=np.float32)
+        lo, hi = self.offsets[row], self.offsets[row + 1]
+        values[self.positions[lo:hi]] = self.values[lo:hi]
+        return EmbeddingVector(values, valid=bool(self.valid[row]))
+
+
+class _QuestionView(Mapping):
+    """The first ``count`` questions of a store, read-only, by (task id,
+    question id) in registration order; each access rebuilds the vector."""
+
+    def __init__(self, store: _QuestionStore, count: int):
+        self._store, self._count = store, count
+
+    def __getitem__(self, key: tuple[str, str]) -> EmbeddingVector:
+        if not self._store.holds(self._count, key):
+            raise KeyError(key)
+        return self._store.vector(self._store.rows[key])
+
+    def __contains__(self, key: object) -> bool:
+        return self._store.holds(self._count, key)
+
+    def __iter__(self):
+        return islice(self._store.keys, self._count)
+
+    def __len__(self) -> int:
+        return self._count
+
+
 class InstructionGraph:
     """Mutable during construction, then treated as immutable by readers."""
 
@@ -152,10 +281,12 @@ class InstructionGraph:
         # Next node / edge ids to assign, as in the construction counters.
         self.ic = 1
         self.tc = 1
-        # Question embeddings keyed by (task_id, question_id); these back
+        # Question embeddings of (task_id, question_id), the first
+        # ``_question_count`` rows of a store graph copies share; these back
         # the task-centroid and question components of traversal states.
         # Every (task, question id) an edge lists has one.
-        self.question_embeddings: dict[tuple[str, str], EmbeddingVector] = {}
+        self._questions = _QuestionStore(embedder.dimension)
+        self._question_count = 0
         # Flat scan index over every stored instruction text, backed by a
         # buffer that grows geometrically, so construction stays near-linear.
         self._index_buffer = _RowBuffer(embedder.dimension)
@@ -164,11 +295,12 @@ class InstructionGraph:
         # Read-only arrays for traversal, compiled on the first read after
         # the graph last changed; None while stale. A stale graph may hold
         # the index of an earlier state, its base, which no other graph
-        # holds, with the (edge key, task id) pairs written since: the next
-        # read patches the base instead of compiling from scratch.
+        # holds, with the question ids each (edge key, task id) pair gained
+        # since: the next read patches the base instead of compiling from
+        # scratch.
         self._compiled: GraphIndex | None = None
         self._base: GraphIndex | None = None
-        self._written: set[tuple[tuple[int, int], str]] = set()
+        self._written: dict[tuple[tuple[int, int], str], list[str]] = {}
         # Nodes and edges this graph shares with copies made by or of it;
         # the first write to one copies it (see ``copy``).
         self._shared_nodes: set[int] = set()
@@ -191,6 +323,26 @@ class InstructionGraph:
     def _index_nodes(self) -> np.ndarray:
         return self._index_buffer.ids[: self._index_size]
 
+    @property
+    def question_embeddings(self) -> Mapping[tuple[str, str], EmbeddingVector]:
+        """Registered question embeddings by (task id, question id),
+        read-only, in registration order."""
+        return _QuestionView(self._questions, self._question_count)
+
+    def _register(self, questions: list[tuple[tuple[str, str], str]]) -> None:
+        """Register the embedding of each (key, text) whose key the graph
+        does not hold yet, in order, with one append."""
+        new: dict[tuple[str, str], EmbeddingVector] = {}
+        for key, text in questions:
+            if key not in new and not self._questions.holds(self._question_count, key):
+                new[key] = embed_text(text, self.embedder, transient=True)
+        if new:
+            self._add_questions(list(new), list(new.values()))
+
+    def _add_questions(self, keys: list[tuple[str, str]], vectors: list[EmbeddingVector]) -> None:
+        self._questions = self._questions.append(self._question_count, keys, vectors)
+        self._question_count += len(keys)
+
     def instruction_count(self) -> int:
         return sum(len(node.instructions) for node in self.nodes.values())
 
@@ -201,7 +353,7 @@ class InstructionGraph:
         """The read-only traversal index of the graph as it is now."""
         if self._compiled is None:
             self._compiled = GraphIndex(self, self._base, self._written)
-            self._base, self._written = None, set()
+            self._base, self._written = None, {}
         return self._compiled
 
     def _stale(self) -> None:
@@ -210,10 +362,10 @@ class InstructionGraph:
         if self._compiled is not None:
             self._base, self._compiled = self._compiled, None
 
-    def _wrote(self, key: tuple[int, int], task_id: str) -> None:
-        """Called after a write to an edge's question ids for a task."""
+    def _wrote(self, key: tuple[int, int], task_id: str, question_id: str) -> None:
+        """Called after a question id is added to an edge's ids for a task."""
         if self._base is not None:
-            self._written.add((key, task_id))
+            self._written.setdefault((key, task_id), []).append(question_id)
 
     def out_edges(self, node_id: int) -> list[EdgeSet]:
         """Edges leaving ``node_id``, in (from, to) order."""
@@ -224,13 +376,13 @@ class InstructionGraph:
         return self.index().in_edges(node_id)
 
     def copy(self) -> "InstructionGraph":
-        """A copy that shares nodes, edges, embeddings and the instruction
-        rows of the scan buffer with this graph.
+        """A copy that shares nodes, edges, embeddings, the instruction
+        rows of the scan buffer and the question store with this graph.
 
-        Embeddings and instruction entries are immutable and scan-buffer
-        rows append-only. A shared node or edge is copied by whichever graph
-        writes to it first, so neither graph ever sees the other's writes.
-        The copy holds no reference to this graph.
+        Embeddings and instruction entries are immutable, and scan-buffer
+        and question-store rows append-only. A shared node or edge is
+        copied by whichever graph writes to it first, so neither graph ever
+        sees the other's writes. The copy holds no reference to this graph.
 
         A copy is made to be extended and read in this graph's place, so
         this graph's compiled index moves to the copy as its base, and a
@@ -242,7 +394,7 @@ class InstructionGraph:
         twin.ic, twin.tc = self.ic, self.tc
         twin.nodes = dict(self.nodes)
         twin.edges = dict(self.edges)
-        twin.question_embeddings = dict(self.question_embeddings)
+        twin._questions, twin._question_count = self._questions, self._question_count
         twin._index_buffer = self._index_buffer
         twin._index_size = self._index_size
         twin._index_texts = list(self._index_texts)
@@ -279,13 +431,14 @@ class GraphIndex:
     * Instructions: a view of the graph's float64 scan buffer with per-row
       norms; ``node_rows`` lists row ids grouped by node in node-id order
       and by text within a node, delimited by ``node_ptr``.
-    * Questions: the graph's question embeddings in insertion order with
-      their validity flags, referenced by row id (``question_pos``).
+    * Questions: the graph's question store (``questions``), whose rows the
+      index reads directly.
     * Centroids: one float32 row per (edge, task), equal to
       ``task_centroid`` over the task's questions in id order, with norms
-      of its float64 values; ``centroid_ptr`` delimits an edge's rows,
-      ``centroid_tasks`` names each row's task, and ``question_ptr`` /
-      ``question_rows`` give each centroid's question row ids.
+      of its float64 values and the float64 sum it divides (``sums``);
+      ``centroid_ptr`` delimits an edge's rows, ``centroid_tasks`` names
+      each row's task, and ``question_ptr`` / ``question_rows`` give each
+      centroid's question rows.
     * Adjacency: edges in (from, to) order with their ``sources`` and
       ``targets``, CSR by source node (``out_ptr``) and by target node
       (``in_order``, ``in_ptr``).
@@ -295,36 +448,37 @@ class GraphIndex:
     A graph only grows: node ids, instruction rows and questions are only
     appended. So a patch keeps every part of the base that the writes
     since left alone and recomputes only the centroids of the (edge, task)
-    pairs written, and it equals the index compiled from scratch bit for
-    bit.
+    pairs written, mostly by adding the new questions to the base's sums,
+    and it equals the index compiled from scratch bit for bit.
 
     The only rows it adds are the centroids, stored as float32 because
-    ``task_centroid`` rounds them to float32 anyway. The index holds no
-    reference to its graph.
+    ``task_centroid`` rounds them to float32 anyway, and their sums. The
+    index holds no reference to its graph.
     """
 
     def __init__(
         self,
         graph: InstructionGraph,
         base: "GraphIndex | None" = None,
-        written: set[tuple[tuple[int, int], str]] = frozenset(),
+        written: dict[tuple[tuple[int, int], str], list[str]] | None = None,
     ):
         """The index of ``graph``: compiled from scratch, or patched from
-        ``base``, where ``written`` holds every (edge key, task id) pair
+        ``base``, where ``written`` maps every (edge key, task id) pair
         whose question ids changed since the base's state, new edges
-        included. The patch takes over the base's lists, dicts and sets,
-        which only grow, and extends them in place: a base serves one
-        patch."""
+        included, to the ids added. The patch takes over the base's lists,
+        dicts, sets and row stores, which only grow, and extends them in
+        place: a base serves one patch."""
+        touched: dict[tuple[int, int], dict[str, list[str]]] = {}
         if base is None:
             base = GraphIndex._empty(graph.embedder.dimension)
-            touched = {key: set(edge.tasks) for key, edge in graph.edges.items()}
+            for key, edge in graph.edges.items():
+                touched[key] = dict.fromkeys(edge.tasks, [])
         else:
-            touched = {}
-            for key, task_id in written:
-                touched.setdefault(key, set()).add(task_id)
+            for (key, task_id), question_ids in written.items():
+                touched.setdefault(key, {})[task_id] = question_ids
         self.dimension = base.dimension
+        self.questions = graph._questions
         self._add_rows(graph, base)
-        self._add_questions(graph, base)
         order = self._add_edges(graph, base, touched)
         self._add_centroids(graph, base, touched, order)
 
@@ -333,15 +487,16 @@ class GraphIndex:
         """The index of a graph holding nothing: the base of a full compile."""
         empty = cls.__new__(cls)
         empty.dimension = dimension
-        empty.texts, empty.node_ids, empty.questions = [], [], []
-        empty.node_pos, empty.question_pos, empty.edge_pos = {}, {}, {}
+        empty.texts, empty.node_ids = [], []
+        empty.node_pos, empty.edge_pos = {}, {}
         empty.instruction_norms = empty.centroid_norms = np.zeros(0)
-        empty.question_valid = np.zeros(0, dtype=bool)
+        empty.centroid_valid = np.zeros(0, dtype=bool)
         empty.sources = empty.targets = np.zeros(0, dtype=np.int64)
         empty.node_rows = empty.question_rows = np.zeros(0, dtype=np.intp)
         empty.node_ptr = empty.centroid_ptr = empty.question_ptr = np.zeros(1, dtype=np.intp)
         empty.centroid_tasks = np.zeros(0, dtype=object)
         empty.centroids = empty._centroid_store = np.zeros((0, dimension), dtype=np.float32)
+        empty.sums = empty._sum_store = np.zeros((0, dimension), dtype=np.float64)
         return empty
 
     def _add_rows(self, graph: InstructionGraph, base: "GraphIndex") -> None:
@@ -381,18 +536,6 @@ class GraphIndex:
         counts[:known] += np.diff(base.node_ptr)
         self.node_ptr = np.concatenate([[0], np.cumsum(counts)])
 
-    def _add_questions(self, graph: InstructionGraph, base: "GraphIndex") -> None:
-        """Question rows: the base's, then the questions registered since."""
-        first = len(base.questions)
-        added = list(islice(graph.question_embeddings.items(), first, None))
-        self.questions = base.questions
-        self.questions.extend(vector for _, vector in added)
-        self.question_pos = base.question_pos
-        self.question_pos.update((key, pos) for pos, (key, _) in enumerate(added, first))
-        self.question_valid = np.concatenate(
-            [base.question_valid, np.array([vector.valid for _, vector in added], dtype=bool)]
-        )
-
     def _add_edges(
         self, graph: InstructionGraph, base: "GraphIndex", touched: dict
     ) -> np.ndarray:
@@ -418,14 +561,22 @@ class GraphIndex:
         """Centroid rows: an untouched edge keeps its base rows, a touched
         edge keeps the base rows of its untouched tasks and gets fresh rows
         for the others. ``src`` gives each centroid's row among the base's
-        rows followed by the fresh ones."""
+        rows followed by the fresh ones.
+
+        A fresh row continues the base row of its task on the edge when
+        every new question id sorts after that row's last id: its question
+        rows are the base's followed by the new ones, and its sum adds the
+        new questions to the base's, in id order, as ``np.mean`` would add
+        them. Any other fresh row is summed from its first question.
+        """
+        store = self.questions
         old_count = len(base.centroid_tasks)
         counts = np.zeros(len(order), dtype=np.intp)
         starts = np.zeros(len(order), dtype=np.intp)
         old = order < len(base.sources)
         counts[old] = np.diff(base.centroid_ptr)[order[old]]
         starts[old] = base.centroid_ptr[order[old]]
-        fresh_tasks, fresh_ptr, fresh_rows, patched = [], [0], [], {}
+        fresh_tasks, segments, added, continued, patched = [], [], [], [], {}
         for key in sorted(touched):
             edge, pos, was = graph.edges[key], self.edge_pos[key], base.edge_pos.get(key)
             kept = {} if was is None else {
@@ -439,11 +590,21 @@ class GraphIndex:
                     continue
                 rows_of_edge.append(old_count + len(fresh_tasks))
                 fresh_tasks.append(task_id)
-                fresh_rows.extend(
-                    self.question_pos[(task_id, question_id)]
-                    for question_id in sorted(edge.tasks[task_id])
+                new_ids = sorted(touched[key][task_id])
+                c = kept.get(task_id)
+                if c is not None:
+                    lo, hi = base.question_ptr[c], base.question_ptr[c + 1]
+                    if new_ids[0] > store.keys[base.question_rows[hi - 1]][1]:
+                        segments.append(base.question_rows[lo:hi])
+                    else:
+                        c = None
+                if c is None:
+                    new_ids = sorted(edge.tasks[task_id])
+                continued.append(-1 if c is None else c)
+                added.append(len(new_ids))
+                segments.append(
+                    np.array([store.rows[(task_id, q)] for q in new_ids], dtype=np.intp)
                 )
-                fresh_ptr.append(len(fresh_rows))
             patched[pos] = rows_of_edge
             counts[pos] = len(rows_of_edge)
         self.centroid_ptr = np.concatenate([[0], np.cumsum(counts)])
@@ -455,37 +616,50 @@ class GraphIndex:
         )[src]
 
         # Question rows of every centroid, gathered from the base's and the fresh lists.
-        fresh_ptr = np.array(fresh_ptr, dtype=np.intp)
-        sizes = np.concatenate([np.diff(base.question_ptr), np.diff(fresh_ptr)])[src]
+        continued = np.array(continued, dtype=np.intp)
+        fresh_rows = np.concatenate([np.zeros(0, dtype=np.intp), *segments])
+        fresh_sizes = np.array(added, dtype=np.intp)
+        fresh_sizes[continued >= 0] += np.diff(base.question_ptr)[continued[continued >= 0]]
+        fresh_ptr = np.concatenate([[0], np.cumsum(fresh_sizes)])
+        sizes = np.concatenate([np.diff(base.question_ptr), fresh_sizes])[src]
         firsts = np.concatenate([base.question_ptr[:-1], len(base.question_rows) + fresh_ptr[:-1]])
         self.question_ptr = np.concatenate([[0], np.cumsum(sizes)])
-        self.question_rows = np.concatenate(
-            [base.question_rows, np.array(fresh_rows, dtype=np.intp)]
-        )[np.repeat(firsts[src] - self.question_ptr[:-1], sizes) + np.arange(self.question_ptr[-1])]
-        self.centroid_valid = (
-            np.logical_or.reduceat(self.question_valid[self.question_rows], self.question_ptr[:-1])
-            if len(src) else np.zeros(0, dtype=bool)
-        )
+        gather = np.repeat(firsts[src] - self.question_ptr[:-1], sizes)
+        self.question_rows = np.concatenate([base.question_rows, fresh_rows])[
+            gather + np.arange(self.question_ptr[-1])
+        ]
 
+        # Fresh centroids follow in ``src`` in the order they were made.
+        kept_at = np.flatnonzero(src < old_count)
+        fresh_at = np.flatnonzero(src >= old_count)
+        self.centroid_valid = np.empty(len(src), dtype=bool)
+        self.centroid_valid[kept_at] = base.centroid_valid[src[kept_at]]
+        if len(fresh_at):
+            self.centroid_valid[fresh_at] = np.logical_or.reduceat(
+                store.valid[fresh_rows], fresh_ptr[:-1]
+            )
+        # The base sums a fresh row continues, read before the kept rows move.
+        start_sums = base.sums[continued[continued >= 0]]
         self._place_kept_centroids(base, src)
         self.centroid_norms = np.empty(len(src), dtype=np.float64)
-        kept_at = np.flatnonzero(src < old_count)
         self.centroid_norms[kept_at] = base.centroid_norms[src[kept_at]]
-        fresh_at = np.flatnonzero(src >= old_count)
-        self.centroid_norms[fresh_at] = self._fill_centroids(fresh_at, fresh_ptr, fresh_rows)
+        self.centroid_norms[fresh_at] = self._fill_centroids(
+            fresh_at, fresh_ptr, fresh_rows, np.array(added, dtype=np.intp), start_sums,
+            np.cumsum(continued >= 0) - 1,
+        )
 
     def _place_kept_centroids(self, base: "GraphIndex", src: np.ndarray) -> None:
-        """Set ``centroids`` to the first ``len(src)`` rows of a store with
-        spare rows, holding the base rows each centroid keeps.
+        """Set ``centroids`` and ``sums`` to the first ``len(src)`` rows of
+        stores with spare rows, holding the base rows each centroid keeps.
 
-        The base's store is reused when it has room. A kept row never moves
-        to a lower position, since every row before it is kept or replaced
-        by a fresh row, so the runs of kept rows are moved up in place, the
-        last run first and each run from its end, a block at a time: no
-        temporary of the store's size is made. A store without room is
-        replaced by one with a quarter more rows than needed.
+        The base's stores are reused when they have room. A kept row never
+        moves to a lower position, since every row before it is kept or
+        replaced by a fresh row, so the runs of kept rows are moved up in
+        place, the last run first and each run from its end, a block at a
+        time: no temporary of a store's size is made. A store without room
+        is replaced by one with a quarter more rows than needed.
         """
-        count, store = len(src), base._centroid_store
+        count = len(src)
         kept_at = np.flatnonzero(src < len(base.centroid_tasks))
         breaks = np.flatnonzero((np.diff(kept_at) != 1) | (np.diff(src[kept_at]) != 1)) + 1
         runs = [
@@ -493,46 +667,68 @@ class GraphIndex:
             for lo, hi in zip([0, *breaks], [*breaks, len(kept_at)])
             if hi > lo
         ]
+        self._centroid_store = self._placed(base._centroid_store, runs, count)
+        self._sum_store = self._placed(base._sum_store, runs, count)
+        self.centroids = self._centroid_store[:count]
+        self.sums = self._sum_store[:count]
+
+    def _placed(self, store: np.ndarray, runs: list, count: int) -> np.ndarray:
+        """``store`` with each run of kept rows moved into place, or a
+        larger store holding them."""
         if len(store) < count:
-            store = np.empty((count + count // 4, self.dimension), dtype=np.float32)
+            grown = np.empty((count + count // 4, self.dimension), dtype=store.dtype)
             for dst, first, size in runs:
-                store[dst:dst + size] = base._centroid_store[first:first + size]
-        else:
-            step = block_rows(self.dimension)
-            for dst, first, size in reversed(runs):
-                if dst == first:
-                    continue
-                for hi in range(size, 0, -step):
-                    lo = max(0, hi - step)
-                    store[dst + lo:dst + hi] = store[first + lo:first + hi]
-        self._centroid_store = store
-        self.centroids = store[:count]
+                grown[dst:dst + size] = store[first:first + size]
+            return grown
+        step = block_rows(self.dimension)
+        for dst, first, size in reversed(runs):
+            if dst == first:
+                continue
+            for hi in range(size, 0, -step):
+                lo = max(0, hi - step)
+                store[dst + lo:dst + hi] = store[first + lo:first + hi]
+        return store
 
-    def _question_block(self, rows) -> np.ndarray:
-        return np.array([self.questions[row].values for row in rows], dtype=np.float64)
-
-    def _fill_centroids(self, dst: np.ndarray, ptr: np.ndarray, rows: list[int]) -> np.ndarray:
+    def _fill_centroids(
+        self,
+        dst: np.ndarray,
+        ptr: np.ndarray,
+        rows: np.ndarray,
+        added: np.ndarray,
+        start_sums: np.ndarray,
+        start_at: np.ndarray,
+    ) -> np.ndarray:
         """Write ``task_centroid`` of each group ``rows[ptr[i]:ptr[i + 1]]``
-        of question rows to centroid row ``dst[i]``, bit for bit; returns
-        the norms of their float64 values.
+        of question rows to centroid row ``dst[i]``, bit for bit, and the
+        float64 sum it divides to sum row ``dst[i]``; returns the norms of
+        the centroids' float64 values.
 
         As in ``task_centroid``'s ``np.mean``, each float64 sum adds the
         questions in order and is divided by the count before rounding to
-        float32. Sums are taken for a block of centroids at a time, adding
-        the j-th questions of the block in one step, so no temporary grows
-        with the graph.
+        float32. Only the last ``added[i]`` questions of a group are added:
+        to ``start_sums[start_at[i]]``, the sum of the others, where the
+        group has fewer questions than that, else to the first question.
+        Sums are taken for a block of centroids at a time, adding the j-th
+        questions of the block in one step, so no temporary grows with the
+        graph.
         """
-        rows = np.array(rows, dtype=np.intp)
         counts = np.diff(ptr)
         norms = np.zeros(len(counts), dtype=np.float64)
         step = block_rows(self.dimension)
         for lo in range(0, len(counts), step):
-            starts = ptr[:-1][lo:lo + step]
             sizes = counts[lo:lo + step]
-            sums = self._question_block(rows[starts])
-            for j in range(1, sizes.max()):
-                deeper = np.flatnonzero(sizes > j)
-                sums[deeper] += self._question_block(rows[starts[deeper] + j])
+            # Each group's next question to add, as a position in ``rows``.
+            ends = ptr[lo + 1:lo + step + 1]
+            firsts = ends - added[lo:lo + step]
+            continues = added[lo:lo + step] < sizes
+            sums = np.empty((len(sizes), self.dimension), dtype=np.float64)
+            sums[continues] = start_sums[start_at[lo:lo + step][continues]]
+            sums[~continues] = self.questions.dense(rows[firsts[~continues]])
+            firsts[~continues] += 1
+            for j in range(int((ends - firsts).max())):
+                deeper = np.flatnonzero(firsts + j < ends)
+                sums[deeper] += self.questions.dense(rows[firsts[deeper] + j])
+            self.sums[dst[lo:lo + step]] = sums
             sums /= sizes[:, None]
             block = sums.astype(np.float32)
             self.centroids[dst[lo:lo + step]] = block
@@ -570,6 +766,9 @@ class QueryScores:
     def __init__(self, index: GraphIndex, query: EmbeddingVector):
         self.index = index
         self.query = query
+        # Best question cosine by centroid row, as traversal meets an edge
+        # again and again.
+        self._question_sims: dict[int, float] = {}
         by_row = cosine_rows(query, index.instructions, index.instruction_norms)
         self.centroids = cosine_rows(
             query, index.centroids, index.centroid_norms, index.centroid_valid
@@ -609,10 +808,13 @@ class QueryScores:
         pos = index.edge_pos[(edge.from_node, edge.to_node)]
         start, stop = index.centroid_ptr[pos], index.centroid_ptr[pos + 1]
         best = start + int(np.argmax(self.centroids[start:stop]))
-        rows = index.question_rows[index.question_ptr[best]:index.question_ptr[best + 1]]
-        block = index._question_block(rows)
-        sims = cosine_rows(self.query, block, row_norms(block), index.question_valid[rows])
-        return float(self.centroids[best]), float(sims.max())
+        question_sim = self._question_sims.get(best)
+        if question_sim is None:
+            rows = index.question_rows[index.question_ptr[best]:index.question_ptr[best + 1]]
+            store = index.questions
+            sims = cosine_rows(self.query, store.dense(rows), store.norms[rows], store.valid[rows])
+            question_sim = self._question_sims[best] = float(sims.max())
+        return float(self.centroids[best]), question_sim
 
 
 def knn_nearest(
@@ -674,7 +876,8 @@ _SCAN_BLOCK_BYTES = 1 << 21
 
 # A graph with fewer stored values than this (512 KB) is scanned with one
 # matrix-vector product per inserted instruction, which then costs less
-# than scoring a block.
+# than scoring a block; a write that leaves the graph below it makes no
+# ``_BlockScan`` at all.
 _SMALL_VALUES = 1 << 16
 
 
@@ -707,6 +910,15 @@ class _BlockScan:
         self.keys: dict[bytes, int] = {}  # query values -> row of ``scores``
         self.size = 0  # rows stored when the block started
         self.scores = np.zeros((0, 0))
+
+    @classmethod
+    def of_write(cls, graph: InstructionGraph, texts: list[str]) -> "_BlockScan | None":
+        """The scan of a write inserting ``texts``; None when the graph
+        stays below ``_SMALL_VALUES`` stored values through the write, so
+        no block would start."""
+        if (graph._index_size + len(texts)) * graph.embedder.dimension < _SMALL_VALUES:
+            return None
+        return cls(texts)
 
     def embedding(self, graph: InstructionGraph, text: str) -> EmbeddingVector:
         """``embed_text`` of ``text``; for the write's next instruction,
@@ -813,18 +1025,19 @@ def insert_path(
     connect the previous node to the current one, recording the path's
     task and question. The write's instructions are scored in blocks (see
     ``knn_nearest``): by ``_scan`` when the path is part of a larger write
-    whose next instructions it holds, else by a scan of this path alone.
+    whose next instructions it holds, else by a scan of this path alone,
+    unless the graph is too small for blocks (``_BlockScan.of_write``).
     """
     graph._stale()
-    key = (path.task_id, path.question_id)
-    if key not in graph.question_embeddings:
-        graph.question_embeddings[key] = embed_text(question_text, graph.embedder, transient=True)
+    graph._register([((path.task_id, path.question_id), question_text)])
     if _scan is None:
-        _scan = _BlockScan(list(path.instructions))
+        _scan = _BlockScan.of_write(graph, list(path.instructions))
     previous: int | None = None
     node_sequence: list[int] = []
     for position, text in enumerate(path.instructions):
-        embedding = _scan.embedding(graph, text)
+        embedding = (
+            embed_text(text, graph.embedder) if _scan is None else _scan.embedding(graph, text)
+        )
         if not embedding.valid:
             raise DataError(f"instruction {text!r} embeds to an invalid vector")
         source = (path.task_id, path.question_id, position)
@@ -851,8 +1064,8 @@ def insert_path(
                 edge = EdgeSet(previous, node_id)
                 graph.edges[key] = edge
                 graph.tc += 1
-            edge.add_task(path.task_id, path.question_id)
-            graph._wrote(key, path.task_id)
+            if edge.add_task(path.task_id, path.question_id):
+                graph._wrote(key, path.task_id, path.question_id)
         previous = node_id
         node_sequence.append(node_id)
     return node_sequence
@@ -887,7 +1100,8 @@ def _insert_corpus(graph: InstructionGraph, corpus: TaskCorpus) -> None:
         for path in question.paths
         if path.is_correct
     ]
-    scan = _BlockScan([text for path, _ in writes for text in path.instructions])
+    graph._register([((path.task_id, path.question_id), text) for path, text in writes])
+    scan = _BlockScan.of_write(graph, [text for path, _ in writes for text in path.instructions])
     for path, question_text in writes:
         insert_path(graph, path, question_text=question_text, _scan=scan)
 
@@ -978,11 +1192,16 @@ def load_graph(source: str | Path) -> InstructionGraph:
                 )
                 graph._index_add(node.node_id, entry["text"], embedding)
             graph.nodes[node.node_id] = node
+        keys, vectors = [], []
         for q_doc in doc.get("questions", []):
+            keys.append((q_doc["task_id"], q_doc["question_id"]))
             values = hex_to_floats(q_doc["embedding"], embedder.dimension)
-            graph.question_embeddings[(q_doc["task_id"], q_doc["question_id"])] = (
-                EmbeddingVector(values, valid=bool(q_doc["valid"]))
-            )
+            vectors.append(EmbeddingVector(values, valid=bool(q_doc["valid"])))
+        if len(set(keys)) < len(keys):
+            task_id, question_id = next(key for key in keys if keys.count(key) > 1)
+            raise MalformedFileError(f"{source}: question {task_id}/{question_id} appears twice")
+        graph._add_questions(keys, vectors)
+        stored = graph.question_embeddings
         for edge_doc in doc["edges"]:
             edge = EdgeSet(int(edge_doc["from"]), int(edge_doc["to"]))
             name = f"{source}: edge {edge.from_node}->{edge.to_node}"
@@ -994,7 +1213,7 @@ def load_graph(source: str | Path) -> InstructionGraph:
                 if not question_ids:
                     raise MalformedFileError(f"{name} lists task {task_id} with no question")
                 for question_id in question_ids:
-                    if (task_id, question_id) not in graph.question_embeddings:
+                    if (task_id, question_id) not in stored:
                         raise MalformedFileError(
                             f"{name} lists question {task_id}/{question_id}, which is not stored"
                         )

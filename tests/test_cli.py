@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from ragplan.backend import MockBackend
 from ragplan.cli import build_parser, load_run_config, main
 from ragplan.corpus import InstructionPath, load_corpus_jsonl, split_by_hint
+from ragplan.graph import load_graph, save_graph
 from ragplan.world import SyntheticWorldSpec, load_world
 
 DEMO_CONFIG = {
@@ -49,6 +51,25 @@ def test_build_graph_prints_stats_and_writes_graph(workspace, capsys):
     captured = capsys.readouterr().out
     assert "nodes=" in captured
     assert (out / "graph.json").exists()
+
+
+# The SHA-256 of the demo graph file (configs/demo.json), frozen when
+# question embeddings moved into a sparse store: neither the file format
+# nor any value written may change.
+DEMO_GRAPH_SHA256 = "b00c01458066328c193f241859d55da0019673f0b6b7ba1a8e25c03a9d504b56"
+
+
+def test_demo_graph_file_is_unchanged_and_round_trips(tmp_path):
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "demo.json")
+    assert main(["gen", "--demo", "--config", config, "--out", str(tmp_path / "gen")]) == 0
+    assert main([
+        "build-graph", str(tmp_path / "gen" / "corpus.jsonl"), "--support-only",
+        "--config", config, "--out", str(tmp_path / "graph"),
+    ]) == 0
+    written = (tmp_path / "graph" / "graph.json").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == DEMO_GRAPH_SHA256
+    save_graph(load_graph(tmp_path / "graph" / "graph.json"), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == written
 
 
 def test_build_graph_empty_corpus_exits_zero(workspace, capsys):

@@ -354,6 +354,25 @@ class TestPersistence:
         doc["tc"] = len(doc["edges"]) + 2
         self.assert_rejected(dest, doc, "tc")
 
+    def test_duplicate_question_rejected(self, tmp_path):
+        # The question store is append-only, so a second entry for one
+        # (task, question id) could not replace the first.
+        dest, doc = self.saved_doc(tmp_path)
+        doc["questions"].append(dict(doc["questions"][0]))
+        self.assert_rejected(dest, doc, "question T1/q1 appears twice")
+
+    def test_question_values_round_trip_bit_for_bit(self, tmp_path):
+        # Questions are stored sparsely, by the bit patterns of their values:
+        # -0.0 and NaN must come back as they were written.
+        dest, doc = self.saved_doc(tmp_path)
+        values = np.frombuffer(bytes.fromhex(doc["questions"][0]["embedding"]), "<f4").copy()
+        values[:3] = [-0.0, np.nan, np.inf]
+        doc["questions"][0]["embedding"] = values.tobytes().hex()
+        dest.write_text(json.dumps(doc), encoding="utf-8")
+        again = tmp_path / "again.json"
+        save_graph(load_graph(dest), again)
+        assert json.loads(again.read_text(encoding="utf-8"))["questions"] == doc["questions"]
+
     def test_node_without_instructions_rejected(self, tmp_path):
         # Traversal ranks every node by its best instruction.
         dest, doc = self.saved_doc(tmp_path)

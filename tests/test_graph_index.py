@@ -20,7 +20,14 @@ import numpy as np
 import pytest
 
 from ragplan.corpus import InstructionPath, Question, TaskCorpus, split_by_hint
-from ragplan.embedding import EmbedderConfig, block_rows, cosine, embed_text, task_centroid
+from ragplan.embedding import (
+    EmbedderConfig,
+    block_rows,
+    cosine,
+    embed_text,
+    row_norms,
+    task_centroid,
+)
 from ragplan.graph import (
     GraphIndex,
     build_graph,
@@ -524,9 +531,10 @@ def test_extend_matches_deepcopy_extension_on_demo_world():
 
 
 def assert_same_index(patched, fresh):
-    # The centroid store holds the centroids and spare rows.
-    fields = set(vars(fresh)) - {"text_nodes", "_centroid_store"}
-    assert set(vars(patched)) - {"text_nodes", "_centroid_store"} == fields
+    # The centroid and sum stores hold the centroids and sums and spare rows.
+    spare = {"text_nodes", "_centroid_store", "_sum_store"}
+    fields = set(vars(fresh)) - spare
+    assert set(vars(patched)) - spare == fields
     for name in sorted(fields):
         got, want = getattr(patched, name), getattr(fresh, name)
         if isinstance(want, np.ndarray):
@@ -535,9 +543,12 @@ def assert_same_index(patched, fresh):
                 assert got.tolist() == want.tolist(), name
             else:
                 assert got.tobytes() == want.tobytes(), name
-        elif name in ("edges", "questions"):
-            # The graph's own edge and question objects, in the same order.
+        elif name == "edges":
+            # The graph's own edge objects, in the same order.
             assert len(got) == len(want) and all(a is b for a, b in zip(got, want)), name
+        elif name == "questions":
+            # The graph's own question store.
+            assert got is want, name
         else:
             assert got == want, name
 
@@ -567,15 +578,21 @@ def test_patched_index_equals_fresh_index_after_every_extension(seed):
     assert_traversals_match(graph, "amber birch grove", *policies(seed)[0], seed=seed)
 
 
-def test_patched_index_equals_fresh_index_over_benchmark_writes(tmp_path):
-    # The index-4k benchmark's seed-1 graph and write batches, with the
-    # graph loaded from its file as the benchmark serves it.
+def bench_inputs():
+    """The benchmark's input generators (``bench/inputs.py``)."""
     bench = str(Path(__file__).resolve().parents[1] / "bench")
     sys.path.insert(0, bench)
     try:
         import inputs
     finally:
         sys.path.remove(bench)
+    return inputs
+
+
+def test_patched_index_equals_fresh_index_over_benchmark_writes(tmp_path):
+    # The index-4k benchmark's seed-1 graph and write batches, with the
+    # graph loaded from its file as the benchmark serves it.
+    inputs = bench_inputs()
     save_graph(
         build_graph(inputs.random_corpus(1, 4000), 0.4, EmbedderConfig(dimension=256)),
         tmp_path / "graph.json",
@@ -642,3 +659,159 @@ def test_patch_moves_long_runs_of_kept_centroids_in_place():
     assert "T_new" in graph.edges[(first.from_node, first.to_node)].tasks
     assert "T_new" in patched.centroid_tasks[:patched.centroid_ptr[1]]
     assert patched._centroid_store is index._centroid_store
+
+
+# -- centroid sums -----------------------------------------------------------------
+#
+# A patch continues a centroid's float64 sum with its new questions only
+# when their ids all sort after the centroid's last id, as ``np.mean``
+# then adds them last; otherwise it sums the centroid again.
+
+
+@pytest.fixture
+def centroid_sums(monkeypatch):
+    """Counts the fresh centroids that continued a base sum and those
+    summed from their first question."""
+    counts = {"continued": 0, "summed": 0}
+    original = GraphIndex._fill_centroids
+
+    def counted(index, dst, ptr, rows, added, *rest):
+        continued = int(np.count_nonzero(added < np.diff(ptr)))
+        counts["continued"] += continued
+        counts["summed"] += len(added) - continued
+        return original(index, dst, ptr, rows, added, *rest)
+
+    monkeypatch.setattr(GraphIndex, "_fill_centroids", counted)
+    return counts
+
+
+EDGE_A = ("Search[amber birch]", "Lookup[cobalt dune]")
+EDGE_B = ("Check[ember fjord]", "Fetch[grove heath]")
+
+
+def corpus_of_paths(*paths):
+    corpus = TaskCorpus()
+    for path in paths:
+        corpus.add(Question(path.question_id, path.task_id, f"question {path.question_id}",
+                            "answer", paths=(path,)))
+    return corpus
+
+
+def patch_counted(graph, batch, counts):
+    """Extend ``graph`` with ``batch``, read it, and return the counts of
+    the patch alone, checked against a fresh index."""
+    graph.index()
+    counts.update(continued=0, summed=0)
+    graph = extend_graph(graph, batch)
+    patched = graph.index()
+    seen = dict(counts)
+    assert_same_index(patched, GraphIndex(graph))
+    for pos, edge in enumerate(patched.edges):
+        rows = patched.centroids[patched.centroid_ptr[pos]:patched.centroid_ptr[pos + 1]]
+        expected = [c.values for _, c, _ in ref_edge_task_centroids(graph, edge)]
+        assert np.array_equal(rows, np.array(expected))
+    return graph, seen
+
+
+@pytest.mark.parametrize("first, later, continued", [
+    ("w0999-1", "w1000-1", True),
+    ("w999-1", "w1000-1", False),  # "w1000-1" sorts before "w999-1"
+    ("w1", "q1", False),
+])
+def test_a_question_continues_the_sum_only_when_its_id_sorts_last(
+    centroid_sums, first, later, continued
+):
+    graph = build_graph(corpus_of_paths(InstructionPath(EDGE_A, "T1", first, 1.0)), 0.4,
+                        EmbedderConfig(dimension=64))
+    assert len(graph.edges) == 1
+    batch = corpus_of_paths(InstructionPath(EDGE_A, "T1", later, 1.0))
+    graph, seen = patch_counted(graph, batch, centroid_sums)
+    assert seen == {"continued": int(continued), "summed": int(not continued)}
+    assert sorted(next(iter(graph.edges.values())).tasks["T1"]) == sorted([first, later])
+
+
+def test_a_new_task_on_an_edge_is_summed(centroid_sums):
+    graph = build_graph(corpus_of_paths(InstructionPath(EDGE_A, "T1", "q1", 1.0)), 0.4,
+                        EmbedderConfig(dimension=64))
+    batch = corpus_of_paths(InstructionPath(EDGE_A, "T2", "q2", 1.0))
+    graph, seen = patch_counted(graph, batch, centroid_sums)
+    assert seen == {"continued": 0, "summed": 1}
+    assert sorted(next(iter(graph.edges.values())).tasks) == ["T1", "T2"]
+
+
+def test_one_patch_continues_some_sums_and_sums_others_again(centroid_sums):
+    paths = [InstructionPath(texts, task, qid, 1.0)
+             for texts in (EDGE_A, EDGE_B) for task, qid in (("T1", "w5"), ("T2", "w5"))]
+    graph = build_graph(corpus_of_paths(*paths), 0.4, EmbedderConfig(dimension=64))
+    assert len(graph.edges) == 2
+    batch = corpus_of_paths(
+        InstructionPath(EDGE_A, "T1", "w6", 1.0),  # continues
+        InstructionPath(EDGE_A, "T2", "w10", 1.0),  # sorts before "w5"
+        InstructionPath(EDGE_B, "T2", "w7", 1.0),  # continues
+        InstructionPath(EDGE_B, "T3", "w8", 1.0),  # a new task
+    )
+    _, seen = patch_counted(graph, batch, centroid_sums)
+    assert seen == {"continued": 2, "summed": 2}
+
+
+def test_continued_sums_over_many_writes(centroid_sums):
+    # Ids that sort in write order keep continuing the same sums.
+    graph = build_graph(random_corpus(31, "a"), 0.5, EmbedderConfig(dimension=64))
+    continued = 0
+    for i in range(6):
+        batch = random_corpus(3100 + i, f"b{i}-")
+        graph, seen = patch_counted(graph, batch, centroid_sums)
+        continued += seen["continued"]
+    assert continued > 0
+
+
+# -- the question store --------------------------------------------------------------
+
+
+def test_sibling_copies_each_see_only_their_own_questions():
+    # A serving loop extends the same graph again and again.
+    parent = random_graph(12)
+    parent.index()
+    before = list(parent.question_embeddings)
+    children = [extend_graph(parent, random_corpus(1200 + i, f"s{i}-")) for i in range(3)]
+    for i, child in enumerate(children):
+        written = [(q.task_id, q.question_id)
+                   for q in random_corpus(1200 + i, f"s{i}-").iter_questions()]
+        assert list(child.question_embeddings) == before + written
+        for question in random_corpus(1200 + i, f"s{i}-").iter_questions():
+            stored = child.question_embeddings[(question.task_id, question.question_id)]
+            expected = embed_text(question.text, child.embedder)
+            assert stored.valid == expected.valid
+            assert np.array_equal(stored.values, expected.values)
+        assert_same_index(child.index(), GraphIndex(child))
+    assert list(parent.question_embeddings) == before
+    # Copies share the store: the first child appends to it in place, and
+    # each later one to a copy of the parent's rows.
+    assert children[0]._questions is parent._questions
+    assert len({id(child._questions) for child in children}) == 3
+
+
+def test_stored_question_norms_are_row_norms_of_the_rebuilt_rows():
+    # ``best_task`` divides by the stored norms instead of taking the
+    # norms of the block it gathers; both must agree bit for bit.
+    graph, query = demo_graph()
+    graph = extend_graph(graph, query)
+    store, count = graph._questions, graph._question_count
+    rows = np.arange(count)
+    assert store.norms[:count].tobytes() == row_norms(store.dense(rows)).tobytes()
+    for row, vector in zip(rows, graph.question_embeddings.values()):
+        assert store.dense(rows[row:row + 1])[0].tobytes() == (
+            vector.values.astype(np.float64).tobytes())
+
+
+def test_question_store_keeps_at_most_400_bytes_per_question():
+    inputs = bench_inputs()
+    graph = build_graph(inputs.random_corpus(2, 4000), 0.4, EmbedderConfig(dimension=256))
+    for batch in islice(inputs.index_write_batches(2, 60), 30):
+        graph = extend_graph(graph, batch)
+    store = graph._questions
+    # Array storage, spare capacity included.
+    stored = sum(array.nbytes for array in (
+        store.offsets, store.valid, store.norms, store.positions, store.values))
+    assert graph._question_count > 1500
+    assert stored <= 400 * graph._question_count
