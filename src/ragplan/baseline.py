@@ -29,13 +29,13 @@ class VerbatimRetriever:
             gold = question.gold_path
             if gold is not None:
                 self.cases.append(
-                    _StoredCase(embed_text(question.text, embedder), gold)
+                    _StoredCase(embed_text(question.text, embedder, transient=True), gold)
                 )
 
     def select(self, question_text: str) -> InstructionPath:
         if not self.cases:
             raise NotFoundError("no stored cases to retrieve from")
-        query = embed_text(question_text, self.embedder)
+        query = embed_text(question_text, self.embedder, transient=True)
         best_index = max(
             range(len(self.cases)),
             key=lambda i: (cosine(query, self.cases[i].question_embedding), -i),

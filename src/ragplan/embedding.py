@@ -80,46 +80,84 @@ def _normalize_text(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def _features(text: str, config: EmbedderConfig) -> list[str]:
-    normalized = _normalize_text(text)
-    feats = [f"w:{w}" for w in _WORD_RE.findall(normalized)]
+def _codes(words_of: str, window: str, stop: int, config: EmbedderConfig) -> np.ndarray:
+    """The code of every feature occurrence: the words of ``words_of`` and
+    the character n-grams of ``window`` that start before position
+    ``stop``. Each distinct feature is hashed once, to a bucket and a sign
+    (signed hashing keeps collisions unbiased); its code is the bucket,
+    plus the dimension where the feature counts negative. Codes are
+    16-bit where they fit, which halves the piece cache."""
+    feats = [f"w:{w}" for w in _WORD_RE.findall(words_of)]
     for n in range(config.ngram_min, config.ngram_max + 1):
         feats.extend(
-            f"c{n}:{normalized[i:i + n]}" for i in range(len(normalized) - n + 1)
+            f"c{n}:{window[i:i + n]}" for i in range(min(len(window) - n + 1, stop))
         )
-    return feats
-
-
-def _embed(text: str, config: EmbedderConfig) -> EmbeddingVector:
-    """Each distinct feature is hashed once, to a bucket and a sign (signed
-    hashing keeps collisions unbiased), and adds its signed count there.
-    Every bucket is an exact integer sum of ±1, so the vector does not
-    depend on the order of the additions."""
-    counts = Counter(_features(text, config))
-    if not counts:
-        return EmbeddingVector(np.zeros(config.dimension, dtype=np.float32), valid=False)
     keyed = hashlib.blake2b(digest_size=8, key=config.seed.to_bytes(8, "little", signed=True))
-    buckets, weights = [], []
-    for feat, count in counts.items():
+    codes, counts = [], []
+    for feat, count in Counter(feats).items():
         digest = keyed.copy()
         digest.update(feat.encode("utf-8"))
         value = int.from_bytes(digest.digest(), "little")
-        buckets.append(value % config.dimension)
-        weights.append(count if value >> 63 else -count)
-    accum = np.bincount(buckets, weights, minlength=config.dimension)
+        codes.append(value % config.dimension + (0 if value >> 63 else config.dimension))
+        counts.append(count)
+    dtype = np.uint16 if 2 * config.dimension <= 1 << 16 else np.int32
+    return np.repeat(np.array(codes, dtype=dtype), counts)
+
+
+# Serialized candidate paths join their instructions with this separator.
+_SEPARATOR = " -> "
+
+
+@lru_cache(maxsize=16384)
+def _piece_codes(piece: str, before: bool, after: bool, config: EmbedderConfig) -> np.ndarray:
+    """``_codes`` of a piece of a text split at separators: its words, and
+    the n-grams that start in it or in the separator before it
+    (``before``), running on into the separator after it (``after``)."""
+    window = _SEPARATOR * before + piece + _SEPARATOR * after
+    codes = _codes(piece, window, len(_SEPARATOR) * before + len(piece), config)
+    codes.setflags(write=False)
+    return codes
+
+
+def _embed(text: str, config: EmbedderConfig) -> EmbeddingVector:
+    """Each feature adds its signed count to its bucket. Every bucket is an
+    exact integer sum of ±1, so the vector does not depend on the order of
+    the additions, and a text split at separators is the sum of its
+    pieces' codes.
+
+    That holds when no n-gram reaches across a whole separator from one
+    piece into the next (``ngram_max`` at most one more than the
+    separator's length): every n-gram then starts in exactly one piece or
+    in the separator before it. Normalized text has no leading, trailing
+    or double space, so no piece is empty.
+    """
+    normalized = _normalize_text(text)
+    if _SEPARATOR in normalized and config.ngram_max <= len(_SEPARATOR) + 1:
+        pieces = normalized.split(_SEPARATOR)
+        last = len(pieces) - 1
+        codes = np.concatenate([
+            _piece_codes(piece, i > 0, i < last, config) for i, piece in enumerate(pieces)
+        ])
+    else:
+        codes = _codes(normalized, normalized, len(normalized), config)
+    dimension = config.dimension
+    counts = np.bincount(codes, minlength=2 * dimension)
+    accum = (counts[:dimension] - counts[dimension:]).astype(np.float64)
     norm = float(np.linalg.norm(accum))
     if norm == 0.0:
         return EmbeddingVector(accum.astype(np.float32), valid=False)
     return EmbeddingVector((accum / norm).astype(np.float32), valid=True)
 
 
-# Texts embedded again and again (instructions, queries) share one large
-# cache. Texts embedded for one use keep a small cache of their own:
-# serialized candidate paths, which are many and, once the graph changes,
-# never repeat, and registered questions, whose vectors the graph keeps.
-# Its size is set from the serving loop on the demo bundle: over 5,000
-# ops, 14,250 path embeds held 3,250 distinct paths, and 2,048 entries
-# keep a hit ratio of 0.74 against 0.77 for an unbounded cache.
+# Instruction texts, which the graph embeds again and again, share one
+# large cache. Queries, questions and serialized candidate paths keep a
+# small cache of their own: paths are many and, once the graph changes,
+# never repeat, a query is mostly seen once, and the graph keeps the
+# vectors of the questions it registers. Its size is set from the serving
+# loop on the demo bundle: over 5,000 ops, 14,250 path embeds held 3,250
+# distinct paths, and 2,048 entries keep a hit ratio of 0.74 against 0.77
+# for an unbounded cache. A path's pieces, mostly instructions seen in
+# many paths, have a third cache.
 _embed_text_cached = lru_cache(maxsize=65536)(_embed)
 _embed_transient_cached = lru_cache(maxsize=2048)(_embed)
 
@@ -127,8 +165,8 @@ _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class _EmbedCaches:
-    """Both embedding caches, counted and cleared together as one
-    ``lru_cache`` would be."""
+    """The embedding caches, cleared together as one ``lru_cache`` would
+    be; ``cache_info`` counts text embeds, not pieces."""
 
     caches = (_embed_text_cached, _embed_transient_cached)
 
@@ -137,7 +175,7 @@ class _EmbedCaches:
         return _CacheInfo(*(sum(column) for column in zip(*infos)))
 
     def cache_clear(self) -> None:
-        for cache in self.caches:
+        for cache in (*self.caches, _piece_codes):
             cache.cache_clear()
 
 
@@ -146,8 +184,8 @@ _embed_cached = _EmbedCaches()
 
 def embed_text(text: str, config: EmbedderConfig, *, transient: bool = False) -> EmbeddingVector:
     """Embed ``text`` deterministically; empty text yields an invalid zero
-    vector. ``transient`` marks a text embedded for one use (a serialized
-    candidate path or a registered question), cached apart."""
+    vector. ``transient`` marks a text embedded for one use (a query, a
+    serialized candidate path or a registered question), cached apart."""
     return (_embed_transient_cached if transient else _embed_text_cached)(text, config)
 
 

@@ -100,14 +100,13 @@ class _Rows:
     norms: np.ndarray  # (n,) projection norms
 
 
-def _project_rows(
-    matrix: np.ndarray, texts: list[str], embedder: EmbedderConfig, *, transient: bool = False
-) -> _Rows:
-    """Embed texts (``transient`` as in ``embed_text``) and project every row
-    through ``matrix`` at once. A row with a zero projection, as of a text
-    that embeds invalid (a zero vector), stays zero and has norm 0."""
+def _project_rows(matrix: np.ndarray, texts: list[str], embedder: EmbedderConfig) -> _Rows:
+    """Embed texts (questions or serialized paths, both ``transient`` as in
+    ``embed_text``) and project every row through ``matrix`` at once. A row
+    with a zero projection, as of a text that embeds invalid (a zero
+    vector), stays zero and has norm 0."""
     base = np.array(
-        [embed_text(text, embedder, transient=transient).values for text in texts], dtype=np.float64
+        [embed_text(text, embedder, transient=True).values for text in texts], dtype=np.float64
     )
     raw = base @ matrix.T
     norms = np.sqrt(np.vecdot(raw, raw))
@@ -133,7 +132,7 @@ def encode_question(params: EncoderParams, question: str) -> EmbeddingVector:
 
 
 def encode_path(params: EncoderParams, path: InstructionPath) -> EmbeddingVector:
-    return _encoding(_project_rows(params.wp, [path.serialized()], params.embedder, transient=True))
+    return _encoding(_project_rows(params.wp, [path.serialized()], params.embedder))
 
 
 def _info_nce(scores: np.ndarray, positives: np.ndarray, strict: bool) -> tuple[float, np.ndarray]:
@@ -191,9 +190,7 @@ def qpa_loss_and_grads(
     if not pairs:
         raise DataError("qpa loss over an empty batch")
     q = _project_rows(params.wq, [question for question, _ in pairs], params.embedder)
-    p = _project_rows(
-        params.wp, [path.serialized() for _, path in pairs], params.embedder, transient=True
-    )
+    p = _project_rows(params.wp, [path.serialized() for _, path in pairs], params.embedder)
     scores = (q.unit @ p.unit.T) / params.tau
     diagonal = np.arange(len(pairs))
     loss_qp, deltas_qp = _info_nce(scores, diagonal, strict)
@@ -221,9 +218,7 @@ def qpm_loss_and_grads(
         raise DataError("qpm loss over an empty batch")
     d = params.dimension
     q = _project_rows(params.wq, [question for question, _, _ in triples], params.embedder)
-    p = _project_rows(
-        params.wp, [path.serialized() for _, path, _ in triples], params.embedder, transient=True
-    )
+    p = _project_rows(params.wp, [path.serialized() for _, path, _ in triples], params.embedder)
     labels = np.array([label for _, _, label in triples], dtype=np.float64)
     count = labels.size
     w_q = params.qpm_w[:d]
@@ -286,9 +281,7 @@ def ft_loss_and_grads(
     if pool.best_index is None:
         raise DataError("ft loss needs a pool with best_index set")
     q = _project_rows(params.wq, [question], params.embedder)
-    p = _project_rows(
-        params.wp, [path.serialized() for path in pool.paths()], params.embedder, transient=True
-    )
+    p = _project_rows(params.wp, [path.serialized() for path in pool.paths()], params.embedder)
     scores = (q.unit @ p.unit.T) / params.tau
     loss, deltas = _info_nce(scores, np.array([pool.best_index]), strict)
     return 0.5 * loss, _contrastive_grads(params, q, p, 0.5 * deltas)

@@ -766,9 +766,10 @@ class QueryScores:
     def __init__(self, index: GraphIndex, query: EmbeddingVector):
         self.index = index
         self.query = query
-        # Best question cosine by centroid row, as traversal meets an edge
-        # again and again.
+        # Best question cosine by centroid row, and state rows by (node,
+        # in-edge), as traversal meets an edge or a state again and again.
         self._question_sims: dict[int, float] = {}
+        self._states: dict[tuple, np.ndarray] = {}
         by_row = cosine_rows(query, index.instructions, index.instruction_norms)
         self.centroids = cosine_rows(
             query, index.centroids, index.centroid_norms, index.centroid_valid
@@ -815,6 +816,19 @@ class QueryScores:
             sims = cosine_rows(self.query, store.dense(rows), store.norms[rows], store.valid[rows])
             question_sim = self._question_sims[best] = float(sims.max())
         return float(self.centroids[best]), question_sim
+
+    def state(self, node_id: int, in_edge: EdgeSet | None) -> np.ndarray:
+        """The read-only policy state row of a node reached through
+        ``in_edge``: its affinity, then ``best_task`` of the edge, or zeros
+        without one."""
+        key = (node_id, None if in_edge is None else (in_edge.from_node, in_edge.to_node))
+        row = self._states.get(key)
+        if row is None:
+            task_sim, question_sim = (0.0, 0.0) if in_edge is None else self.best_task(in_edge)
+            row = np.array([self.affinity(node_id), task_sim, question_sim], dtype=np.float64)
+            row.setflags(write=False)
+            self._states[key] = row
+        return row
 
 
 def knn_nearest(

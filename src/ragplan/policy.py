@@ -145,13 +145,13 @@ def build_state(
     components are zero.
 
     ``query`` is an embedding or, to score a query once for many states,
-    its ``QueryScores`` against the graph's index.
+    its ``QueryScores`` against the graph's index, which keeps each state
+    row it makes. The row is read-only.
     """
     if node_id not in graph.nodes:
         raise NotFoundError(f"node {node_id} not in graph")
     scores = query if isinstance(query, QueryScores) else QueryScores(graph.index(), query)
-    task_sim, question_sim = (0.0, 0.0) if in_edge is None else scores.best_task(in_edge)
-    return np.array([scores.affinity(node_id), task_sim, question_sim], dtype=np.float64)
+    return scores.state(node_id, in_edge)
 
 
 def _forward(params: PolicyParams, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -275,6 +275,10 @@ def traverse(
     similarity; exclude, a dead end, or the length cap emits the current
     path and backtracks. Traversal stops after K paths or once the node
     visit budget is spent.
+
+    Each node's best instruction and ordered out-edges, and each state's
+    policy probabilities, are worked out once per traversal; rule hooks,
+    the branch-edge filter, the budget and sampling stay per visit.
     """
     if graph.is_empty():
         raise NotFoundError("cannot traverse an empty graph")
@@ -285,9 +289,43 @@ def traverse(
     # The weights do not change during a traversal: checked once here,
     # each visit checks only its state.
     _check_finite_params(params)
-    scores = QueryScores(graph.index(), embed_text(query_text, graph.embedder))
+    scores = QueryScores(graph.index(), embed_text(query_text, graph.embedder, transient=True))
     hooks = [RULE_HOOKS[name] for name in config.rule_hooks]
     budget = {"left": config.max_nodes_visited}
+    best_texts: dict[int, str] = {}
+    orders: dict[int, list[EdgeSet]] = {}
+    probs: dict[bytes, tuple[float, float]] = {}
+
+    def best_text_of(node_id: int) -> str:
+        text = best_texts.get(node_id)
+        if text is None:
+            text = best_texts[node_id] = scores.best_text(node_id)
+        return text
+
+    def ordered_out_edges(node_id: int) -> list[EdgeSet]:
+        """Primary key: how well the child's instructions match the query;
+        edge task similarity breaks ties. Terminal helper nodes aggregate
+        every task and would otherwise outrank the branch that actually
+        mentions the queried entities. Children are distinct, so the order
+        is total and filtering after sorting keeps it."""
+        order = orders.get(node_id)
+        if order is None:
+            order = orders[node_id] = sorted(
+                graph.out_edges(node_id),
+                key=lambda edge: (
+                    -scores.affinity(edge.to_node),
+                    -scores.edge_score(edge),
+                    edge.to_node,
+                ),
+            )
+        return order
+
+    def policy_probs(state: np.ndarray) -> tuple[float, float]:
+        key = state.tobytes()
+        pair = probs.get(key)
+        if pair is None:
+            pair = probs[key] = _checked_forward(params, state)
+        return pair
 
     def start_walks(start: int):
         """Depth-first candidate generator rooted at one start node."""
@@ -311,12 +349,12 @@ def traverse(
                 return
             budget["left"] -= 1
             state = build_state(graph, scores, node_id, in_edge)
-            best_text = scores.best_text(node_id)
+            best_text = best_text_of(node_id)
             forced = any(not hook(best_text, path_texts) for hook in hooks)
             if forced:
                 action, log_prob = EXCLUDE, 0.0
             else:
-                p_include, p_exclude = _checked_forward(params, state)
+                p_include, p_exclude = policy_probs(state)
                 if mode == "greedy":
                     action = INCLUDE if p_include >= p_exclude else EXCLUDE
                 else:
@@ -336,20 +374,9 @@ def traverse(
             node_stack.append(node_id)
             neighbors = [
                 edge
-                for edge in graph.out_edges(node_id)
+                for edge in ordered_out_edges(node_id)
                 if (edge.from_node, edge.to_node) not in edges_on_branch
             ]
-            # Primary key: how well the child's instructions match the
-            # query; edge task similarity breaks ties. Terminal helper
-            # nodes aggregate every task and would otherwise outrank the
-            # branch that actually mentions the queried entities.
-            neighbors.sort(
-                key=lambda edge: (
-                    -scores.affinity(edge.to_node),
-                    -scores.edge_score(edge),
-                    edge.to_node,
-                )
-            )
             if len(path_texts) >= config.max_path_len or not neighbors:
                 yield snapshot()
             else:
@@ -444,7 +471,9 @@ def make_warmstart_dataset(
         gold = question.gold_path
         if gold is None:
             continue
-        query = QueryScores(graph.index(), embed_text(question.text, graph.embedder))
+        query = QueryScores(
+            graph.index(), embed_text(question.text, graph.embedder, transient=True)
+        )
         sequence = _path_node_sequence(graph, gold)
         if sequence is None:
             continue

@@ -1,0 +1,46 @@
+"""The per-text embedding that ``ragplan.embedding._embed`` replaced for
+texts split at path separators, kept as a test oracle: every feature of
+the whole normalized text hashed and counted in one pass. A text summed
+from its pieces' cached codes must give the same values and ``valid``
+flag, bit for bit.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from collections import Counter
+
+import numpy as np
+
+from ragplan.embedding import _WORD_RE, EmbedderConfig, _normalize_text
+
+
+def features(text: str, config: EmbedderConfig) -> list[str]:
+    """Every feature of the normalized text, repeats included: its words,
+    then its character n-grams by length."""
+    normalized = _normalize_text(text)
+    feats = [f"w:{w}" for w in _WORD_RE.findall(normalized)]
+    for n in range(config.ngram_min, config.ngram_max + 1):
+        feats.extend(
+            f"c{n}:{normalized[i:i + n]}" for i in range(len(normalized) - n + 1)
+        )
+    return feats
+
+
+def embed_reference(text: str, config: EmbedderConfig) -> tuple[np.ndarray, bool]:
+    counts = Counter(features(text, config))
+    if not counts:
+        return np.zeros(config.dimension, dtype=np.float32), False
+    keyed = hashlib.blake2b(digest_size=8, key=config.seed.to_bytes(8, "little", signed=True))
+    buckets, weights = [], []
+    for feat, count in counts.items():
+        digest = keyed.copy()
+        digest.update(feat.encode("utf-8"))
+        value = int.from_bytes(digest.digest(), "little")
+        buckets.append(value % config.dimension)
+        weights.append(count if value >> 63 else -count)
+    accum = np.bincount(buckets, weights, minlength=config.dimension)
+    norm = float(np.linalg.norm(accum))
+    if norm == 0.0:
+        return accum.astype(np.float32), False
+    return (accum / norm).astype(np.float32), True

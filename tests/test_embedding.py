@@ -10,7 +10,6 @@ from ragplan.embedding import (
     EmbedderConfig,
     EmbeddingVector,
     _embed,
-    _features,
     cosine,
     cosine_rows,
     embed_text,
@@ -18,6 +17,8 @@ from ragplan.embedding import (
     task_centroid,
 )
 from ragplan.errors import ConfigError, DataError
+
+from embed_reference import embed_reference, features
 
 CFG = EmbedderConfig()
 
@@ -82,7 +83,7 @@ def reference_embed(text, config):
     """The per-feature loop the counting kernel replaced: every feature,
     repeats included, hashed on its own and added as ±1 in order."""
     accum = np.zeros(config.dimension, dtype=np.float64)
-    feats = _features(text, config)
+    feats = features(text, config)
     if not feats:
         return accum.astype(np.float32), False
     key = config.seed.to_bytes(8, "little", signed=True)
@@ -137,6 +138,65 @@ class TestCountingKernel:
         embedding._embed_cached.cache_clear()
         assert embedding._embed_cached.cache_info().currsize == 0
 
+
+
+# Pieces, separators (spaced, unspaced and repeated), whitespace runs, and
+# letters whose lowercase depends on context (final sigma) or is longer
+# than the letter (dotted capital I).
+PATH_PARTS = [" -> ", "->", " ->", "-> ", "Search[Ed Wood]", "lookup[x]", "a", "b1",
+              "Σ", "ΑΣ", "İ", "ß", " ", "  \t\n ", "[", "]", ">", "-"]
+path_texts = st.lists(st.sampled_from(PATH_PARTS), max_size=24).map("".join)
+
+
+class TestComposedEmbedding:
+    """Texts with path separators are summed from cached piece codes."""
+
+    @pytest.mark.parametrize("ngrams", [(1, 5), (2, 3), (3, 5), (3, 6)])
+    @given(text=path_texts | st.text(max_size=60),
+           dimension=st.sampled_from([8, 16, 256]), seed=st.integers(-3, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_per_text_embedding_bit_for_bit(self, ngrams, text, dimension, seed):
+        config = EmbedderConfig(dimension, seed, *ngrams)
+        values, valid = embed_reference(text, config)
+        vector = _embed(text, config)
+        assert vector.valid == valid
+        assert vector.values.dtype == np.float32
+        assert vector.values.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("text", [
+        " -> Search[a] -> ", "Search[a] ->  -> -> Lookup[b]", " ->  -> ", "->a->b",
+        "ΑΣ -> ΣΑ -> Σ", "İstanbul -> İ", "a  ->\t\nb", "a -> b", "", " \t ",
+    ])
+    @pytest.mark.parametrize("ngrams", [(1, 5), (2, 3), (3, 5), (3, 6)])
+    @pytest.mark.parametrize("dimension", [16, 40000])  # 16-bit and 32-bit codes
+    def test_edge_cases_equal_the_per_text_embedding(self, text, ngrams, dimension):
+        config = EmbedderConfig(dimension, 1, *ngrams)
+        values, valid = embed_reference(text, config)
+        vector = _embed(text, config)
+        assert (vector.values.tobytes(), vector.valid) == (values.tobytes(), valid)
+
+    def test_n_grams_longer_than_a_separator_and_a_letter_take_the_per_text_path(self):
+        embedding._embed_cached.cache_clear()
+        _embed("Search[a] -> Lookup[b]", EmbedderConfig(ngram_min=3, ngram_max=6))
+        assert embedding._piece_codes.cache_info().currsize == 0
+        _embed("Search[a] -> Lookup[b]", EmbedderConfig(ngram_min=3, ngram_max=5))
+        assert embedding._piece_codes.cache_info().currsize == 2
+
+    def test_piece_cache_is_bounded_cleared_with_the_others_and_not_counted(self):
+        embedding._embed_cached.cache_clear()
+        path = "Search[amber] -> Lookup[birch] -> Finish[cedar]"
+        embed_text(path, CFG)
+        embed_text("Search[amber] -> Finish[dune]", CFG, transient=True)
+        pieces = embedding._piece_codes.cache_info()
+        assert pieces.maxsize == 16384
+        assert (pieces.hits, pieces.currsize) == (1, 4)
+        info = embedding._embed_cached.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+        codes = embedding._piece_codes("amber", False, True, CFG)
+        with pytest.raises(ValueError):
+            codes[0] = 0
+        embedding._embed_cached.cache_clear()
+        assert embedding._piece_codes.cache_info().currsize == 0
 
 class TestCosine:
     def test_identity(self):
