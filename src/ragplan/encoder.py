@@ -338,7 +338,8 @@ def load_encoder(source) -> tuple[EncoderParams, bool]:
             embedder=embedder,
         )
         strict = bool(doc["strict_qpa"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+        # A setting out of range in the file (embedder, tau, shapes) is bad data.
         raise MalformedFileError(f"{source}: malformed encoder file: {exc}") from exc
     if not all(np.isfinite(v).all() for v in (params.wq, params.wp, params.qpm_w, params.tau)):
         raise MalformedFileError(f"{source}: encoder file holds a non-finite value")

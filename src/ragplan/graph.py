@@ -9,6 +9,7 @@ Edges record which tasks (and questions) traversed each node pair.
 
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_left
 from collections.abc import Mapping
@@ -93,179 +94,100 @@ class GraphStats:
     mean_node_size: float
 
 
-class _RowBuffer:
-    """Append-only float64 rows, each with the id of its node, with spare
-    capacity, shared by graph copies.
+class _Store:
+    """The column arrays of an append-only row store, the number of rows
+    written to them, and the row of each key when there is a ``key``
+    column; shared by the handles that read the store."""
 
-    A graph reads the first ``size`` rows, a count it keeps itself; rows
-    below any graph's count never change. ``filled`` counts the rows
-    written, so a graph may append in place only while its count equals
-    ``filled``. Another graph sharing the buffer appends to a copy.
+    def __init__(self, columns: dict[str, np.ndarray], filled: int):
+        self.columns, self.filled = columns, filled
+        keys = columns["key"][:filled].tolist() if "key" in columns else []
+        self.rows = dict(zip(keys, range(filled)))
+
+
+class _Rows(dict):
+    """One graph's handle on an append-only store of rows: named column
+    arrays that graph copies share, of which the graph reads the first
+    ``count`` rows. The handle maps each column name to a view of those
+    rows.
+
+    Rows below any handle's count never change, and rows past those
+    written (``filled``) are never read, so they are left unwritten. A
+    handle appends in place while its count equals ``filled`` and the
+    arrays have room. Otherwise it appends to new arrays holding a copy
+    of its first ``count`` rows, with room for a quarter more rows than
+    they then hold and at least 64 (doubling would leave up to half the
+    rows unused). So sibling copies never see each other's rows: the first
+    to append extends the shared arrays, and each later one forks.
+    ``append`` returns the handle after the write and leaves this one as
+    it was.
     """
 
-    def __init__(self, dimension: int, capacity: int = 0):
-        # Rows past ``filled`` are never read, so they are left unwritten.
-        self.array = np.empty((capacity, dimension), dtype=np.float64)
-        self.ids = np.empty(capacity, dtype=np.int64)
-        self.filled = 0
-        # The largest norm of the first ``normed`` rows.
-        self.norm, self.normed = 0.0, 0
+    __slots__ = ("_store", "count")
 
-    def append(self, size: int, values: np.ndarray, node_id: int) -> "_RowBuffer":
-        """Write ``values`` and ``node_id`` after the first ``size`` rows;
-        returns the buffer that now holds all ``size + 1`` rows: this one,
-        or a new one when this one is full or filled past ``size`` by
-        another graph.
+    def __init__(self, store: _Store, count: int):
+        super().__init__((name, array[:count]) for name, array in store.columns.items())
+        self._store, self.count = store, count
 
-        A full buffer grows by a quarter, to at least 64 rows: doubling
-        would leave up to half the rows unused, and rows take 8 bytes per
-        dimension."""
-        target = self
-        capacity = len(self.array)
-        if size == capacity or size != self.filled:
-            if size == capacity:
-                capacity = max(64, capacity + capacity // 4)
-            target = _RowBuffer(self.array.shape[1], capacity)
-            target.array[:size] = self.array[:size]
-            target.ids[:size] = self.ids[:size]
-            # A bound over more rows than were copied still bounds them.
-            target.norm, target.normed = self.norm, min(self.normed, size)
-        target.array[size] = values
-        target.ids[size] = node_id
-        target.filled = size + 1
-        return target
+    @classmethod
+    def of(cls, **columns) -> "_Rows":
+        """An empty store of the given columns, each a dtype, or a
+        (dtype, width) pair for rows of values."""
+        arrays = {}
+        for name, spec in columns.items():
+            dtype, *width = spec if isinstance(spec, tuple) else (spec,)
+            arrays[name] = np.empty((0, *width), dtype=dtype)
+        return cls(_Store(arrays, 0), 0)
 
-    def max_norm(self) -> float:
-        """An upper bound on the norm of every row written: their largest
-        norm, NaN once a row holds a NaN."""
-        if self.normed < self.filled:
-            norms = row_norms(self.array[self.normed:self.filled])
-            self.norm = float(np.maximum(self.norm, norms.max()))
-            self.normed = self.filled
-        return self.norm
+    def find(self, key) -> int | None:
+        """The row holding ``key`` among the first ``count`` rows, if any."""
+        row = self._store.rows.get(key, self.count)
+        return row if row < self.count else None
 
-
-def _grown(array: np.ndarray, size: int, needed: int, least: int) -> np.ndarray:
-    """``array`` if it holds ``needed`` entries, else a copy of its first
-    ``size`` entries with room for a quarter more than ``needed``."""
-    if len(array) >= needed:
-        return array
-    grown = np.empty(max(least, needed + needed // 4), dtype=array.dtype)
-    grown[:size] = array[:size]
-    return grown
-
-
-class _QuestionStore:
-    """Append-only question embeddings, kept sparse, shared by graph copies.
-
-    A hashed text fills few buckets, so a question keeps only the positions
-    whose float32 bit pattern is not zero (so -0.0 is kept) and their
-    values, delimited by ``offsets``, with its validity flag and the
-    ``row_norms`` of its float64 values: enough to rebuild the embedding
-    bit for bit. ``keys`` names each row and ``rows`` finds it.
-
-    As with ``_RowBuffer``, a graph reads the first ``count`` rows, a count
-    it keeps itself, and rows below any graph's count never change. A graph
-    appends in place only while its count equals ``filled``; another graph
-    sharing the store appends to a copy. Arrays that fill up are replaced
-    by larger copies in place, so every graph sharing the store reads them.
-    """
-
-    def __init__(self, dimension: int):
-        self.dimension = dimension
-        self.keys: list[tuple[str, str]] = []
-        self.rows: dict[tuple[str, str], int] = {}
-        # Rows past ``filled`` and entries past ``offsets[filled]`` are unwritten.
-        self.offsets = np.zeros(1, dtype=np.int64)
-        self.valid = np.empty(0, dtype=bool)
-        self.norms = np.empty(0, dtype=np.float64)
-        self.positions = np.empty(0, dtype=np.min_scalar_type(dimension - 1))
-        self.values = np.empty(0, dtype=np.float32)
-        self.filled = 0
-
-    def holds(self, count: int, key: tuple[str, str]) -> bool:
-        """Whether ``key`` is among the first ``count`` rows."""
-        return self.rows.get(key, count) < count
-
-    def append(
-        self, count: int, keys: list[tuple[str, str]], vectors: list[EmbeddingVector]
-    ) -> "_QuestionStore":
-        """Write ``vectors`` under ``keys`` after the first ``count`` rows;
-        returns the store that now holds them all: this one, or a copy of
-        its first ``count`` rows when another graph filled it past
-        ``count``."""
-        target = self
-        if count != self.filled:
-            # Views sized to the rows kept: the first write to each grows
-            # it into an array of the copy's own.
-            target = _QuestionStore(self.dimension)
-            target.keys = self.keys[:count]
-            target.rows = dict(zip(target.keys, range(count)))
-            used = int(self.offsets[count])
-            target.offsets = self.offsets[:count + 1]
-            target.valid, target.norms = self.valid[:count], self.norms[:count]
-            target.positions, target.values = self.positions[:used], self.values[:used]
-        values = np.array([vector.values for vector in vectors], dtype=np.float32)
-        values = values.reshape(len(vectors), self.dimension)
-        kept = np.flatnonzero(values.view(np.uint32))
-        of_row, positions = np.divmod(kept, self.dimension)
-        end = count + len(vectors)
-        used = int(target.offsets[count])
-        offsets = used + np.cumsum(np.bincount(of_row, minlength=len(vectors)))
-        stop = used + len(kept)
-        target.positions = _grown(target.positions, used, stop, 1024)
-        target.values = _grown(target.values, used, stop, 1024)
-        target.positions[used:stop] = positions
-        target.values[used:stop] = values.ravel()[kept]
-        target.offsets = _grown(target.offsets, count + 1, end + 1, 65)
-        target.offsets[count + 1:end + 1] = offsets
-        target.valid = _grown(target.valid, count, end, 64)
-        target.norms = _grown(target.norms, count, end, 64)
-        target.valid[count:end] = [vector.valid for vector in vectors]
-        target.norms[count:end] = row_norms(values.astype(np.float64))
-        target.keys.extend(keys)
-        target.rows.update(zip(keys, range(count, end)))
-        target.filled = end
-        return target
-
-    def dense(self, rows: np.ndarray) -> np.ndarray:
-        """The float64 values of the given rows, gathered with one scatter."""
-        starts = self.offsets[rows]
-        sizes = self.offsets[rows + 1] - starts
-        ends = np.cumsum(sizes)
-        total = int(ends[-1]) if len(ends) else 0
-        entries = np.repeat(starts - (ends - sizes), sizes) + np.arange(total)
-        out = np.zeros((len(rows), self.dimension), dtype=np.float64)
-        out[np.repeat(np.arange(len(rows)), sizes), self.positions[entries]] = self.values[entries]
-        return out
-
-    def vector(self, row: int) -> EmbeddingVector:
-        values = np.zeros(self.dimension, dtype=np.float32)
-        lo, hi = self.offsets[row], self.offsets[row + 1]
-        values[self.positions[lo:hi]] = self.values[lo:hi]
-        return EmbeddingVector(values, valid=bool(self.valid[row]))
+    def append(self, **values) -> "_Rows":
+        """The handle on these rows followed by ``values``, which gives
+        the new rows of every column."""
+        store, count = self._store, self.count
+        end = count + len(next(iter(values.values())))
+        if count != store.filled or end > len(next(iter(store.columns.values()))):
+            size = max(64, end + end // 4)
+            columns = {}
+            for name, array in store.columns.items():
+                columns[name] = np.empty((size, *array.shape[1:]), dtype=array.dtype)
+                columns[name][:count] = array[:count]
+            store = _Store(columns, count)
+        for name, column in store.columns.items():
+            column[count:end] = values[name]
+        if "key" in values:
+            store.rows.update(zip(values["key"], range(count, end)))
+        store.filled = end
+        return _Rows(store, end)
 
 
 class _QuestionView(Mapping):
-    """The first ``count`` questions of a store, read-only, by (task id,
-    question id) in registration order; each access rebuilds the vector."""
+    """The questions of a graph, read-only, by (task id, question id) in
+    registration order; each access rebuilds the vector."""
 
-    def __init__(self, store: _QuestionStore, count: int):
-        self._store, self._count = store, count
+    def __init__(self, questions: _Rows, entries: _Rows, dimension: int):
+        self._questions, self._entries, self._dimension = questions, entries, dimension
 
     def __getitem__(self, key: tuple[str, str]) -> EmbeddingVector:
-        if not self._store.holds(self._count, key):
+        row = self._questions.find(key)
+        if row is None:
             raise KeyError(key)
-        return self._store.vector(self._store.rows[key])
+        lo, hi = self._questions["start"][row], self._questions["end"][row]
+        values = np.zeros(self._dimension, dtype=np.float32)
+        values[self._entries["position"][lo:hi]] = self._entries["value"][lo:hi]
+        return EmbeddingVector(values, valid=bool(self._questions["valid"][row]))
 
     def __contains__(self, key: object) -> bool:
-        return self._store.holds(self._count, key)
+        return self._questions.find(key) is not None
 
     def __iter__(self):
-        return islice(self._store.keys, self._count)
+        return iter(self._questions["key"].tolist())
 
     def __len__(self) -> int:
-        return self._count
+        return self._questions.count
 
 
 class InstructionGraph:
@@ -281,17 +203,25 @@ class InstructionGraph:
         # Next node / edge ids to assign, as in the construction counters.
         self.ic = 1
         self.tc = 1
-        # Question embeddings of (task_id, question_id), the first
-        # ``_question_count`` rows of a store graph copies share; these back
-        # the task-centroid and question components of traversal states.
-        # Every (task, question id) an edge lists has one.
-        self._questions = _QuestionStore(embedder.dimension)
-        self._question_count = 0
-        # Flat scan index over every stored instruction text, backed by a
-        # buffer that grows geometrically, so construction stays near-linear.
-        self._index_buffer = _RowBuffer(embedder.dimension)
-        self._index_size = 0
-        self._index_texts: list[str] = []
+        # Append-only row stores that graph copies share (see ``_Rows``).
+        # Question embeddings of (task_id, question_id) back the
+        # task-centroid and question components of traversal states, and
+        # every (task, question id) an edge lists has one. A hashed text
+        # fills few buckets, so a question keeps only the positions whose
+        # float32 bit pattern is not zero (so -0.0 is kept) and their
+        # values, as entry rows from its ``start`` to its ``end``, with its
+        # validity flag and the ``row_norms`` of its float64 values: enough
+        # to rebuild the embedding bit for bit.
+        dimension = embedder.dimension
+        self._questions = _Rows.of(
+            start=np.int64, end=np.int64, valid=bool, norm=np.float64, key=object
+        )
+        self._entries = _Rows.of(position=np.min_scalar_type(dimension - 1), value=np.float32)
+        # Scan rows: the float64 values of every stored (node, text), in
+        # insertion order, with the node id, the text and the row's norm.
+        self._scan = _Rows.of(
+            values=(np.float64, dimension), nodes=np.int64, texts=object, norms=np.float64
+        )
         # Read-only arrays for traversal, compiled on the first read after
         # the graph last changed; None while stale. A stale graph may hold
         # the index of an earlier state, its base, which no other graph
@@ -308,40 +238,46 @@ class InstructionGraph:
 
     # -- indexing ---------------------------------------------------------
 
-    def _index_add(self, node_id: int, text: str, embedding: EmbeddingVector) -> None:
-        self._index_buffer = self._index_buffer.append(
-            self._index_size, embedding.values, node_id
+    def _index_add(self, node_ids: list[int], texts: list[str], values: np.ndarray) -> None:
+        """Append scan rows: the embeddings ``values`` of ``texts`` in ``node_ids``."""
+        values = values.astype(np.float64)
+        self._scan = self._scan.append(
+            values=values, nodes=node_ids, texts=texts, norms=row_norms(values)
         )
-        self._index_size += 1
-        self._index_texts.append(text)
-
-    @property
-    def _index_vectors(self) -> np.ndarray:
-        return self._index_buffer.array[: self._index_size]
-
-    @property
-    def _index_nodes(self) -> np.ndarray:
-        return self._index_buffer.ids[: self._index_size]
 
     @property
     def question_embeddings(self) -> Mapping[tuple[str, str], EmbeddingVector]:
         """Registered question embeddings by (task id, question id),
         read-only, in registration order."""
-        return _QuestionView(self._questions, self._question_count)
+        return _QuestionView(self._questions, self._entries, self.embedder.dimension)
 
     def _register(self, questions: list[tuple[tuple[str, str], str]]) -> None:
         """Register the embedding of each (key, text) whose key the graph
         does not hold yet, in order, with one append."""
         new: dict[tuple[str, str], EmbeddingVector] = {}
         for key, text in questions:
-            if key not in new and not self._questions.holds(self._question_count, key):
+            if key not in new and self._questions.find(key) is None:
                 new[key] = embed_text(text, self.embedder, transient=True)
         if new:
-            self._add_questions(list(new), list(new.values()))
+            vectors = list(new.values())
+            self._add_questions(
+                list(new), np.array([v.values for v in vectors]), [v.valid for v in vectors]
+            )
 
-    def _add_questions(self, keys: list[tuple[str, str]], vectors: list[EmbeddingVector]) -> None:
-        self._questions = self._questions.append(self._question_count, keys, vectors)
-        self._question_count += len(keys)
+    def _add_questions(
+        self, keys: list[tuple[str, str]], values: np.ndarray, valid: list[bool]
+    ) -> None:
+        """Append questions: float32 embedding ``values``, one row per key."""
+        values = values.reshape(len(keys), self.embedder.dimension)
+        kept = np.flatnonzero(values.view(np.uint32))
+        of_row, positions = np.divmod(kept, self.embedder.dimension)
+        sizes = np.bincount(of_row, minlength=len(keys))
+        ends = self._entries.count + np.cumsum(sizes)
+        self._entries = self._entries.append(position=positions, value=values.ravel()[kept])
+        self._questions = self._questions.append(
+            start=ends - sizes, end=ends, valid=valid, norm=row_norms(values.astype(np.float64)),
+            key=np.fromiter(keys, dtype=object, count=len(keys)),
+        )
 
     def instruction_count(self) -> int:
         return sum(len(node.instructions) for node in self.nodes.values())
@@ -376,11 +312,11 @@ class InstructionGraph:
         return self.index().in_edges(node_id)
 
     def copy(self) -> "InstructionGraph":
-        """A copy that shares nodes, edges, embeddings, the instruction
-        rows of the scan buffer and the question store with this graph.
+        """A copy that shares nodes, edges, embeddings, scan rows and
+        questions with this graph.
 
-        Embeddings and instruction entries are immutable, and scan-buffer
-        and question-store rows append-only. A shared node or edge is
+        Embeddings and instruction entries are immutable, and scan rows and
+        questions append-only. A shared node or edge is
         copied by whichever graph writes to it first, so neither graph ever
         sees the other's writes. The copy holds no reference to this graph.
 
@@ -390,15 +326,12 @@ class InstructionGraph:
         graph without a compiled index (a second copy, or a copy of a copy
         not yet read) gets no base and compiles its index from scratch.
         """
-        twin = InstructionGraph(self.delta, self.embedder)
-        twin.ic, twin.tc = self.ic, self.tc
-        twin.nodes = dict(self.nodes)
-        twin.edges = dict(self.edges)
-        twin._questions, twin._question_count = self._questions, self._question_count
-        twin._index_buffer = self._index_buffer
-        twin._index_size = self._index_size
-        twin._index_texts = list(self._index_texts)
-        twin._base, self._compiled = self._compiled, None
+        # The copy starts as this graph's fields, row store handles included,
+        # and then gets containers of its own.
+        twin = copy.copy(self)
+        twin.nodes, twin.edges = dict(self.nodes), dict(self.edges)
+        twin._base, twin._compiled, twin._written = self._compiled, None, {}
+        self._compiled = None
         for graph in (self, twin):
             graph._shared_nodes = set(self.nodes)
             graph._shared_edges = set(self.edges)
@@ -428,11 +361,12 @@ class InstructionGraph:
 class GraphIndex:
     """Arrays compiled from one state of an ``InstructionGraph`` for traversal.
 
-    * Instructions: a view of the graph's float64 scan buffer with per-row
-      norms; ``node_rows`` lists row ids grouped by node in node-id order
-      and by text within a node, delimited by ``node_ptr``.
-    * Questions: the graph's question store (``questions``), whose rows the
-      index reads directly.
+    * Instructions: the float64 values, norms and texts of the graph's
+      scan rows (``instructions``, ``instruction_norms``, ``texts``), read
+      from its scan store; ``node_rows`` lists row ids grouped by node in
+      node-id order and by text within a node, delimited by ``node_ptr``.
+    * Questions: the handles on the graph's question rows (``questions``)
+      and their entry rows (``entries``), which ``dense`` gathers.
     * Centroids: one float32 row per (edge, task), equal to
       ``task_centroid`` over the task's questions in id order, with norms
       of its float64 values and the float64 sum it divides (``sums``);
@@ -451,7 +385,9 @@ class GraphIndex:
     pairs written, mostly by adding the new questions to the base's sums,
     and it equals the index compiled from scratch bit for bit.
 
-    The only rows it adds are the centroids, stored as float32 because
+    It reads the graph's row stores up to the counts of the state it
+    indexes, which later appends never change (see ``_Rows``). The only
+    rows it adds are the centroids, stored as float32 because
     ``task_centroid`` rounds them to float32 anyway, and their sums. The
     index holds no reference to its graph.
     """
@@ -466,8 +402,8 @@ class GraphIndex:
         ``base``, where ``written`` maps every (edge key, task id) pair
         whose question ids changed since the base's state, new edges
         included, to the ids added. The patch takes over the base's lists,
-        dicts, sets and row stores, which only grow, and extends them in
-        place: a base serves one patch."""
+        dicts and centroid and sum stores, which only grow, and extends them
+        in place: a base serves one patch."""
         touched: dict[tuple[int, int], dict[str, list[str]]] = {}
         if base is None:
             base = GraphIndex._empty(graph.embedder.dimension)
@@ -477,7 +413,7 @@ class GraphIndex:
             for (key, task_id), question_ids in written.items():
                 touched.setdefault(key, {})[task_id] = question_ids
         self.dimension = base.dimension
-        self.questions = graph._questions
+        self.questions, self.entries = graph._questions, graph._entries
         self._add_rows(graph, base)
         order = self._add_edges(graph, base, touched)
         self._add_centroids(graph, base, touched, order)
@@ -487,9 +423,9 @@ class GraphIndex:
         """The index of a graph holding nothing: the base of a full compile."""
         empty = cls.__new__(cls)
         empty.dimension = dimension
-        empty.texts, empty.node_ids = [], []
+        empty.texts, empty.node_ids = np.zeros(0, dtype=object), []
         empty.node_pos, empty.edge_pos = {}, {}
-        empty.instruction_norms = empty.centroid_norms = np.zeros(0)
+        empty.centroid_norms = np.zeros(0)
         empty.centroid_valid = np.zeros(0, dtype=bool)
         empty.sources = empty.targets = np.zeros(0, dtype=np.int64)
         empty.node_rows = empty.question_rows = np.zeros(0, dtype=np.intp)
@@ -501,13 +437,10 @@ class GraphIndex:
 
     def _add_rows(self, graph: InstructionGraph, base: "GraphIndex") -> None:
         """Instruction rows and nodes: the base's, then the new ones."""
-        size, start, known = graph._index_size, len(base.texts), len(base.node_ids)
-        self.texts = base.texts
-        self.texts.extend(graph._index_texts[start:size])
-        self.instructions = graph._index_vectors
-        self.instruction_norms = np.concatenate(
-            [base.instruction_norms, row_norms(self.instructions[start:])]
-        )
+        scan, start, known = graph._scan, len(base.texts), len(base.node_ids)
+        self.texts = scan["texts"]
+        self.instructions = scan["values"]
+        self.instruction_norms = scan["norms"]
         # New node ids are above every earlier one, so new nodes sort last.
         self.node_ids = base.node_ids
         self.node_ids.extend(sorted(islice(graph.nodes, known, None)))
@@ -515,7 +448,7 @@ class GraphIndex:
         self.node_pos.update((self.node_ids[pos], pos) for pos in range(known, len(self.node_ids)))
         node_of = {
             row: self.node_pos[node_id]
-            for row, node_id in enumerate(graph._index_nodes[start:].tolist(), start)
+            for row, node_id in enumerate(scan["nodes"][start:].tolist(), start)
         }
         rows = sorted(node_of, key=lambda row: (node_of[row], self.texts[row]))
         # A new row goes before the first row of its node with a later
@@ -569,7 +502,7 @@ class GraphIndex:
         new questions to the base's, in id order, as ``np.mean`` would add
         them. Any other fresh row is summed from its first question.
         """
-        store = self.questions
+        questions = self.questions
         old_count = len(base.centroid_tasks)
         counts = np.zeros(len(order), dtype=np.intp)
         starts = np.zeros(len(order), dtype=np.intp)
@@ -594,7 +527,7 @@ class GraphIndex:
                 c = kept.get(task_id)
                 if c is not None:
                     lo, hi = base.question_ptr[c], base.question_ptr[c + 1]
-                    if new_ids[0] > store.keys[base.question_rows[hi - 1]][1]:
+                    if new_ids[0] > questions["key"][base.question_rows[hi - 1]][1]:
                         segments.append(base.question_rows[lo:hi])
                     else:
                         c = None
@@ -603,7 +536,7 @@ class GraphIndex:
                 continued.append(-1 if c is None else c)
                 added.append(len(new_ids))
                 segments.append(
-                    np.array([store.rows[(task_id, q)] for q in new_ids], dtype=np.intp)
+                    np.array([questions.find((task_id, q)) for q in new_ids], dtype=np.intp)
                 )
             patched[pos] = rows_of_edge
             counts[pos] = len(rows_of_edge)
@@ -636,7 +569,7 @@ class GraphIndex:
         self.centroid_valid[kept_at] = base.centroid_valid[src[kept_at]]
         if len(fresh_at):
             self.centroid_valid[fresh_at] = np.logical_or.reduceat(
-                store.valid[fresh_rows], fresh_ptr[:-1]
+                questions["valid"][fresh_rows], fresh_ptr[:-1]
             )
         # The base sums a fresh row continues, read before the kept rows move.
         start_sums = base.sums[continued[continued >= 0]]
@@ -723,17 +656,30 @@ class GraphIndex:
             continues = added[lo:lo + step] < sizes
             sums = np.empty((len(sizes), self.dimension), dtype=np.float64)
             sums[continues] = start_sums[start_at[lo:lo + step][continues]]
-            sums[~continues] = self.questions.dense(rows[firsts[~continues]])
+            sums[~continues] = self.dense(rows[firsts[~continues]])
             firsts[~continues] += 1
             for j in range(int((ends - firsts).max())):
                 deeper = np.flatnonzero(firsts + j < ends)
-                sums[deeper] += self.questions.dense(rows[firsts[deeper] + j])
+                sums[deeper] += self.dense(rows[firsts[deeper] + j])
             self.sums[dst[lo:lo + step]] = sums
             sums /= sizes[:, None]
             block = sums.astype(np.float32)
             self.centroids[dst[lo:lo + step]] = block
             norms[lo:lo + step] = row_norms(block.astype(np.float64))
         return norms
+
+    def dense(self, rows: np.ndarray) -> np.ndarray:
+        """The float64 values of the given question rows, gathered with one scatter."""
+        starts = self.questions["start"][rows]
+        sizes = self.questions["end"][rows] - starts
+        ends = np.cumsum(sizes)
+        total = int(ends[-1]) if len(ends) else 0
+        entries = np.repeat(starts - (ends - sizes), sizes) + np.arange(total)
+        out = np.zeros((len(rows), self.dimension), dtype=np.float64)
+        out[np.repeat(np.arange(len(rows)), sizes), self.entries["position"][entries]] = (
+            self.entries["value"][entries]
+        )
+        return out
 
     @cached_property
     def text_nodes(self) -> dict[str, list[int]]:
@@ -812,8 +758,10 @@ class QueryScores:
         question_sim = self._question_sims.get(best)
         if question_sim is None:
             rows = index.question_rows[index.question_ptr[best]:index.question_ptr[best + 1]]
-            store = index.questions
-            sims = cosine_rows(self.query, store.dense(rows), store.norms[rows], store.valid[rows])
+            questions = index.questions
+            sims = cosine_rows(
+                self.query, index.dense(rows), questions["norm"][rows], questions["valid"][rows]
+            )
             question_sim = self._question_sims[best] = float(sims.max())
         return float(self.centroids[best]), question_sim
 
@@ -854,10 +802,10 @@ def knn_nearest(
     candidates = None if _scan is None else _scan.nearest(graph, query, excluded)
     if candidates is None:
         candidates = _scan_all(graph, query, excluded)
-    node_ids = graph._index_nodes
-    best = min(candidates, key=lambda i: (node_ids[i], graph._index_texts[i]))
+    node_ids, texts = graph._scan["nodes"], graph._scan["texts"]
+    best = min(candidates, key=lambda i: (node_ids[i], texts[i]))
     node_id = int(node_ids[best])
-    text = graph._index_texts[best]
+    text = texts[best]
     # Re-derive the similarity exactly; identical texts must compare as 1.0
     # so threshold decisions at delta = 1.0 stay meaningful.
     psi = cosine(query, graph.nodes[node_id].instructions[text].embedding)
@@ -869,11 +817,11 @@ def _scan_all(
 ) -> np.ndarray:
     """Rows tied for the highest score over every stored row outside the
     excluded node, from one matrix-vector product."""
-    node_ids = graph._index_nodes
+    node_ids = graph._scan["nodes"]
     if node_ids.size == 0:
         raise NotFoundError("graph holds no instructions")
     if query.valid:
-        sims = graph._index_vectors @ query.values.astype(np.float64)
+        sims = graph._scan["values"] @ query.values.astype(np.float64)
     else:
         sims = np.zeros(node_ids.size, dtype=np.float64)
     if excluded is not None:
@@ -924,13 +872,16 @@ class _BlockScan:
         self.keys: dict[bytes, int] = {}  # query values -> row of ``scores``
         self.size = 0  # rows stored when the block started
         self.scores = np.zeros((0, 0))
+        # The largest norm of the first ``normed`` rows; ``np.max`` makes it
+        # NaN once one holds a NaN.
+        self.norm, self.normed = 0.0, 0
 
     @classmethod
     def of_write(cls, graph: InstructionGraph, texts: list[str]) -> "_BlockScan | None":
         """The scan of a write inserting ``texts``; None when the graph
         stays below ``_SMALL_VALUES`` stored values through the write, so
         no block would start."""
-        if (graph._index_size + len(texts)) * graph.embedder.dimension < _SMALL_VALUES:
+        if (graph._scan.count + len(texts)) * graph.embedder.dimension < _SMALL_VALUES:
             return None
         return cls(texts)
 
@@ -948,7 +899,7 @@ class _BlockScan:
         return self.ahead[pos]
 
     def _start(self, graph: InstructionGraph) -> None:
-        self.size = rows = graph._index_size
+        self.size = rows = graph._scan.count
         limit = max(1, min(rows, _SCAN_BLOCK_BYTES // (8 * max(rows, 1))))
         block: dict[bytes, np.ndarray] = {}
         for pos in range(self.served, len(self.texts)):
@@ -960,7 +911,7 @@ class _BlockScan:
         self.keys = {key: row for row, key in enumerate(block)}
         dimension = graph.embedder.dimension
         queries = np.array(list(block.values()), dtype=np.float64).reshape(len(block), dimension)
-        self.scores = queries @ graph._index_vectors.T
+        self.scores = queries @ graph._scan["values"].T
 
     def nearest(
         self, graph: InstructionGraph, query: EmbeddingVector, excluded: int | None
@@ -992,7 +943,8 @@ class _BlockScan:
         instruction's embedding. A graph of fewer than ``_SMALL_VALUES``
         stored values is left to ``_scan_all`` without a block.
         """
-        count = graph._index_size
+        scan = graph._scan
+        count = scan.count
         if count * query.dimension < _SMALL_VALUES:
             row = None
         else:
@@ -1004,15 +956,18 @@ class _BlockScan:
         self.served += 1
         if row is None or not query.valid or count == 0:
             return None
-        vectors = graph._index_vectors
+        vectors = scan["values"]
         values = query.values.astype(np.float64)
         scores = np.concatenate([self.scores[row], vectors[self.size:] @ values])
         if excluded is not None:
-            scores[graph._index_nodes == excluded] = -np.inf
+            scores[scan["nodes"] == excluded] = -np.inf
         best = int(np.argmax(scores))
         top = float(scores[best])
         dimension_u = query.dimension * 2.0**-53
-        bound = graph._index_buffer.max_norm() * math.sqrt(values @ values)
+        if self.normed < count:
+            self.norm = float(scan["norms"][self.normed:].max(initial=self.norm))
+            self.normed = count
+        bound = self.norm * math.sqrt(values @ values)
         bound *= dimension_u / (1.0 - dimension_u)
         # The factor 1 + 1e-6 covers the rounding of the bound and the gaps.
         margin = 4.0 * bound * (1.0 + 1e-6)
@@ -1069,7 +1024,7 @@ def insert_path(
         is_new_text = text not in node.instructions
         node.add(text, embedding, source)
         if is_new_text:
-            graph._index_add(node_id, text, embedding)
+            graph._index_add([node_id], [text], embedding.values[None])
         if previous is not None:
             key = (previous, node_id)
             if key in graph.edges:
@@ -1182,10 +1137,7 @@ def load_graph(source: str | Path) -> InstructionGraph:
         graph = InstructionGraph(delta=float(doc["delta"]), embedder=embedder)
         graph.ic = int(doc["ic"])
         graph.tc = int(doc["tc"])
-        # Sized to fit: a loaded graph keeps no spare rows of its own.
-        graph._index_buffer = _RowBuffer(
-            embedder.dimension, sum(len(node_doc["instructions"]) for node_doc in doc["nodes"])
-        )
+        node_ids, texts, rows = [], [], []
         for node_doc in doc["nodes"]:
             node = NodeSet(int(node_doc["node_id"]))
             if node.node_id in graph.nodes:
@@ -1198,23 +1150,29 @@ def load_graph(source: str | Path) -> InstructionGraph:
                         f"{source}: node {node.node_id} lists {entry['text']!r} twice"
                     )
                 values = hex_to_floats(entry["embedding"], embedder.dimension)
-                embedding = EmbeddingVector(values, valid=True)
                 node.instructions[entry["text"]] = Instruction(
                     entry["text"],
-                    embedding,
+                    EmbeddingVector(values, valid=True),
                     [tuple(s) for s in entry["sources"]],
                 )
-                graph._index_add(node.node_id, entry["text"], embedding)
+                node_ids.append(node.node_id)
+                texts.append(entry["text"])
+                rows.append(values)
             graph.nodes[node.node_id] = node
-        keys, vectors = [], []
+        graph._index_add(node_ids, texts, _finite_rows(
+            source, rows, embedder.dimension, lambda i: f"node {node_ids[i]} {texts[i]!r}"
+        ))
+        keys, valid, rows = [], [], []
         for q_doc in doc.get("questions", []):
             keys.append((q_doc["task_id"], q_doc["question_id"]))
-            values = hex_to_floats(q_doc["embedding"], embedder.dimension)
-            vectors.append(EmbeddingVector(values, valid=bool(q_doc["valid"])))
+            rows.append(hex_to_floats(q_doc["embedding"], embedder.dimension))
+            valid.append(bool(q_doc["valid"]))
         if len(set(keys)) < len(keys):
             task_id, question_id = next(key for key in keys if keys.count(key) > 1)
             raise MalformedFileError(f"{source}: question {task_id}/{question_id} appears twice")
-        graph._add_questions(keys, vectors)
+        graph._add_questions(keys, _finite_rows(
+            source, rows, embedder.dimension, lambda i: "question {}/{}".format(*keys[i])
+        ), valid)
         stored = graph.question_embeddings
         for edge_doc in doc["edges"]:
             edge = EdgeSet(int(edge_doc["from"]), int(edge_doc["to"]))
@@ -1233,7 +1191,8 @@ def load_graph(source: str | Path) -> InstructionGraph:
                         )
                 edge.tasks[task_id] = set(question_ids)
             graph.edges[(edge.from_node, edge.to_node)] = edge
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as exc:
+        # A setting out of range in the file (delta, embedder) is bad data.
         raise MalformedFileError(f"{source}: malformed graph document: {exc}") from exc
     if graph.nodes and graph.ic <= max(graph.nodes):
         raise MalformedFileError(f"{source}: ic {graph.ic} is not above every node id")
@@ -1242,6 +1201,16 @@ def load_graph(source: str | Path) -> InstructionGraph:
             f"{source}: tc {graph.tc} does not match {len(graph.edges)} edges"
         )
     return graph
+
+
+def _finite_rows(source, rows: list[np.ndarray], dimension: int, name) -> np.ndarray:
+    """``rows`` as one matrix. No embedding holds a NaN or an infinity, so
+    a file whose row ``i`` does is malformed; ``name(i)`` names the row."""
+    matrix = np.array(rows, dtype=np.float32).reshape(len(rows), dimension)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if len(bad):
+        raise MalformedFileError(f"{source}: {name(bad[0])} holds a non-finite value")
+    return matrix
 
 
 def graphs_equal(a: InstructionGraph, b: InstructionGraph) -> bool:

@@ -17,11 +17,11 @@ from ragplan.graph import KnnHit
 def knn_nearest_reference(graph, query, excluded=None, **_):
     if query.dimension != graph.embedder.dimension:
         raise ConfigError("query dimension does not match the graph embedder")
-    node_ids = graph._index_nodes
+    node_ids, texts = graph._scan["nodes"], graph._scan["texts"]
     if node_ids.size == 0:
         raise NotFoundError("graph holds no instructions")
     if query.valid:
-        sims = graph._index_vectors @ query.values.astype(np.float64)
+        sims = graph._scan["values"] @ query.values.astype(np.float64)
     else:
         sims = np.zeros(node_ids.size, dtype=np.float64)
     if excluded is not None:
@@ -30,9 +30,9 @@ def knn_nearest_reference(graph, query, excluded=None, **_):
     if best_sim == -np.inf:
         raise NotFoundError("graph holds no instructions outside the excluded node")
     candidates = np.flatnonzero(sims == best_sim)
-    best = min(candidates, key=lambda i: (node_ids[i], graph._index_texts[i]))
+    best = min(candidates, key=lambda i: (node_ids[i], texts[i]))
     node_id = int(node_ids[best])
-    text = graph._index_texts[best]
+    text = texts[best]
     psi = cosine(query, graph.nodes[node_id].instructions[text].embedding)
     return KnnHit(node_id=node_id, text=text, psi=psi)
 

@@ -400,6 +400,40 @@ def test_retrieve_on_a_graph_listing_an_unstored_question_is_data_error(
     assert "not stored" in capsys.readouterr().err
 
 
+def nan_instruction(doc):
+    entry = doc["nodes"][0]["instructions"][0]
+    entry["embedding"] = "0000c07f" + entry["embedding"][8:]  # a float32 NaN
+
+
+@pytest.mark.parametrize("member, change", [
+    ("graph", lambda doc: doc.update(delta=1.5)),
+    ("graph", lambda doc: doc["embedder"].update(dimension=4)),
+    ("graph", nan_instruction),
+    ("encoder", lambda doc: doc["embedder"].update(ngram_min=9)),
+], ids=["graph-delta", "graph-dimension", "graph-nan", "encoder-ngram-min"])
+def test_bundle_file_with_a_bad_value_is_data_error(
+    workspace, trained, tmp_path, capsys, member, change
+):
+    # A bad setting in a saved file is bad data (exit 3), not a bad run
+    # configuration (exit 2).
+    import shutil
+
+    root, config_path, _ = workspace
+    bundle_dir = tmp_path / "bundle"
+    shutil.copytree(trained / "bundle", bundle_dir)
+    member_file = bundle_dir / f"{member}.json"
+    doc = json.loads(member_file.read_text(encoding="utf-8"))
+    change(doc)
+    member_file.write_text(json.dumps(doc), encoding="utf-8")
+    code = main([
+        "retrieve", "--bundle", str(bundle_dir), "Which is older?",
+        "--config", str(config_path),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and str(member_file) in err
+
+
 def test_eval_traces_written_when_requested(workspace, trained):
     root, config_path, gen_dir = workspace
     out = root / "eval-traces"

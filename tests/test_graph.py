@@ -1,4 +1,5 @@
 import json
+import re
 import math
 
 import numpy as np
@@ -363,15 +364,46 @@ class TestPersistence:
 
     def test_question_values_round_trip_bit_for_bit(self, tmp_path):
         # Questions are stored sparsely, by the bit patterns of their values:
-        # -0.0 and NaN must come back as they were written.
+        # -0.0 and subnormals must come back as they were written.
         dest, doc = self.saved_doc(tmp_path)
         values = np.frombuffer(bytes.fromhex(doc["questions"][0]["embedding"]), "<f4").copy()
-        values[:3] = [-0.0, np.nan, np.inf]
+        tiny = np.finfo(np.float32).smallest_subnormal
+        values[:3] = [-0.0, tiny, -tiny]
         doc["questions"][0]["embedding"] = values.tobytes().hex()
         dest.write_text(json.dumps(doc), encoding="utf-8")
         again = tmp_path / "again.json"
         save_graph(load_graph(dest), again)
         assert json.loads(again.read_text(encoding="utf-8"))["questions"] == doc["questions"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_instruction_rejected(self, tmp_path, value):
+        # A NaN row would poison the block scan's rounding bound.
+        dest, doc = self.saved_doc(tmp_path)
+        entry = doc["nodes"][1]["instructions"][0]
+        values = np.frombuffer(bytes.fromhex(entry["embedding"]), "<f4").copy()
+        values[5] = value
+        entry["embedding"] = values.tobytes().hex()
+        name = f"node {doc['nodes'][1]['node_id']} {entry['text']!r}"
+        self.assert_rejected(dest, doc, re.escape(f"{name} holds a non-finite value"))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_question_rejected(self, tmp_path, value):
+        dest, doc = self.saved_doc(tmp_path)
+        values = np.frombuffer(bytes.fromhex(doc["questions"][1]["embedding"]), "<f4").copy()
+        values[7] = value
+        doc["questions"][1]["embedding"] = values.tobytes().hex()
+        self.assert_rejected(dest, doc, "question T2/q2 holds a non-finite value")
+
+    @pytest.mark.parametrize("field, value", [
+        ("delta", 1.5),
+        ("embedder", {"dimension": 4, "seed": 0, "ngram_min": 3, "ngram_max": 5}),
+        ("embedder", {"dimension": 256, "seed": 0, "ngram_min": 9, "ngram_max": 5}),
+    ])
+    def test_setting_out_of_range_is_malformed(self, tmp_path, field, value):
+        # The settings are data of the file, not configuration of the run.
+        dest, doc = self.saved_doc(tmp_path)
+        doc[field] = value
+        self.assert_rejected(dest, doc, "malformed graph document")
 
     def test_node_without_instructions_rejected(self, tmp_path):
         # Traversal ranks every node by its best instruction.

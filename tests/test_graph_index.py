@@ -468,10 +468,10 @@ def deepcopy_extend(graph, corpus):
 
 
 def assert_scan_rows_match(graph):
-    """Every scan-buffer row holds the embedding of its instruction."""
-    rows = graph._index_vectors
-    assert len(rows) == graph.instruction_count()
-    for row, node_id, text in zip(rows, graph._index_nodes, graph._index_texts):
+    """Every scan row holds the embedding of its instruction."""
+    scan = graph._scan
+    assert scan.count == graph.instruction_count()
+    for row, node_id, text in zip(scan["values"], scan["nodes"], scan["texts"]):
         assert np.array_equal(row, graph.nodes[node_id].instructions[text].embedding.values)
 
 
@@ -546,8 +546,8 @@ def assert_same_index(patched, fresh):
         elif name == "edges":
             # The graph's own edge objects, in the same order.
             assert len(got) == len(want) and all(a is b for a, b in zip(got, want)), name
-        elif name == "questions":
-            # The graph's own question store.
+        elif name in ("questions", "entries"):
+            # The graph's own question stores.
             assert got is want, name
         else:
             assert got == want, name
@@ -765,30 +765,46 @@ def test_continued_sums_over_many_writes(centroid_sums):
     assert continued > 0
 
 
-# -- the question store --------------------------------------------------------------
+# -- the row stores ----------------------------------------------------------------
 
 
-def test_sibling_copies_each_see_only_their_own_questions():
-    # A serving loop extends the same graph again and again.
+def columns_of(handle):
+    """Every column a store handle reads, as lists."""
+    return {name: handle[name].tolist() for name in handle._store.columns}
+
+
+def capacity_of(handle):
+    return len(next(iter(handle._store.columns.values())))
+
+
+@pytest.mark.parametrize("store", ["_scan", "_questions"])
+def test_sibling_copies_each_see_only_their_own_rows(store):
+    # A serving loop extends the same graph again and again. The first
+    # child appends to the shared store in place, and each later one to a
+    # copy of the parent's rows. The last child writes more rows than the
+    # parent's arrays hold, so its copy is also outgrown within the write.
     parent = random_graph(12)
     parent.index()
+    snapshot = copy.deepcopy(parent)
     before = list(parent.question_embeddings)
-    children = [extend_graph(parent, random_corpus(1200 + i, f"s{i}-")) for i in range(3)]
-    for i, child in enumerate(children):
-        written = [(q.task_id, q.question_id)
-                   for q in random_corpus(1200 + i, f"s{i}-").iter_questions()]
+    rows, capacity = columns_of(getattr(parent, store)), capacity_of(getattr(parent, store))
+    batches = [random_corpus(1200 + i, f"s{i}-") for i in range(3)] + [TaskCorpus()]
+    for j in range(16):
+        for question in random_corpus(1300 + j, f"b{j}-").iter_questions():
+            batches[-1].add(question)
+    children = [extend_graph(parent, batch) for batch in batches]
+    for child, batch in zip(children, batches):
+        written = [(q.task_id, q.question_id) for q in batch.iter_questions()]
         assert list(child.question_embeddings) == before + written
-        for question in random_corpus(1200 + i, f"s{i}-").iter_questions():
-            stored = child.question_embeddings[(question.task_id, question.question_id)]
-            expected = embed_text(question.text, child.embedder)
-            assert stored.valid == expected.valid
-            assert np.array_equal(stored.values, expected.values)
+        assert graphs_equal(child, deepcopy_extend(snapshot, batch))
+        assert_scan_rows_match(child)
         assert_same_index(child.index(), GraphIndex(child))
-    assert list(parent.question_embeddings) == before
-    # Copies share the store: the first child appends to it in place, and
-    # each later one to a copy of the parent's rows.
-    assert children[0]._questions is parent._questions
-    assert len({id(child._questions) for child in children}) == 3
+    assert graphs_equal(parent, snapshot)
+    assert columns_of(getattr(parent, store)) == rows
+    stores = [getattr(child, store)._store for child in children]
+    assert stores[0] is getattr(parent, store)._store
+    assert len({id(shared) for shared in stores}) == len(children)
+    assert getattr(children[-1], store).count > capacity
 
 
 def test_stored_question_norms_are_row_norms_of_the_rebuilt_rows():
@@ -796,11 +812,11 @@ def test_stored_question_norms_are_row_norms_of_the_rebuilt_rows():
     # norms of the block it gathers; both must agree bit for bit.
     graph, query = demo_graph()
     graph = extend_graph(graph, query)
-    store, count = graph._questions, graph._question_count
-    rows = np.arange(count)
-    assert store.norms[:count].tobytes() == row_norms(store.dense(rows)).tobytes()
+    index = graph.index()
+    rows = np.arange(graph._questions.count)
+    assert graph._questions["norm"].tobytes() == row_norms(index.dense(rows)).tobytes()
     for row, vector in zip(rows, graph.question_embeddings.values()):
-        assert store.dense(rows[row:row + 1])[0].tobytes() == (
+        assert index.dense(rows[row:row + 1])[0].tobytes() == (
             vector.values.astype(np.float64).tobytes())
 
 
@@ -809,9 +825,8 @@ def test_question_store_keeps_at_most_400_bytes_per_question():
     graph = build_graph(inputs.random_corpus(2, 4000), 0.4, EmbedderConfig(dimension=256))
     for batch in islice(inputs.index_write_batches(2, 60), 30):
         graph = extend_graph(graph, batch)
-    store = graph._questions
-    # Array storage, spare capacity included.
-    stored = sum(array.nbytes for array in (
-        store.offsets, store.valid, store.norms, store.positions, store.values))
-    assert graph._question_count > 1500
-    assert stored <= 400 * graph._question_count
+    # Array storage of both question stores, spare capacity included.
+    stored = sum(array.nbytes for handle in (graph._questions, graph._entries)
+                 for array in handle._store.columns.values())
+    assert graph._questions.count > 1500
+    assert stored <= 400 * graph._questions.count

@@ -175,9 +175,12 @@ def test_a_non_finite_row_takes_the_exact_scan():
     graph = InstructionGraph(delta=0.0, embedder=EmbedderConfig(dimension=64))
     insert_path(graph, InstructionPath(("Search[amber]", "Lookup[birch]"), "T1", "q1", 1.0),
                 "question q1")
-    graph._index_buffer.array[1, 3] = np.nan  # as a loaded graph may hold
+    # No graph holds such a row (``load_graph`` rejects one): write it in
+    # place, with the norm an append would have stored.
+    graph._scan["values"][1, 3] = np.nan
+    graph._scan["norms"][1] = np.nan
     query = embed_text("Search[amber]", graph.embedder)
-    for excluded in (None, 1):
+    for excluded in (None, 1, 2):
         assert _BlockScan(["Search[amber]"]).nearest(graph, query, excluded) is None
 
 
@@ -218,13 +221,13 @@ def test_a_block_spanning_a_buffer_regrowth(monkeypatch):
     embedder = EmbedderConfig(dimension=64)
     words = [f"{a} {b}" for a, b in itertools.product(WORDS, WORDS) if a != b]
     graph = build_graph(corpus_of(words[:60]), 1.0, embedder)
-    buffer = graph._index_buffer
-    assert graph._index_size == 60 and len(buffer.array) == 64
+    store = graph._scan._store
+    assert graph._scan.count == 60 and len(store.columns["values"]) == 64
     write = corpus_of(words[60:72], prefix="w")
     starts.clear()
     extended = extend_graph(graph, write)
     assert len(starts) == 1
-    assert extended._index_size == 72 and extended._index_buffer is not buffer
+    assert extended._scan.count == 72 and extended._scan._store is not store
     with reference_scan():
         assert graphs_equal(extended, extend_graph(graph, write))
 
@@ -244,7 +247,7 @@ def test_small_graphs_keep_the_exact_scan(monkeypatch, exact_scans):
     embedder = EmbedderConfig(dimension=64)
     corpus = random_corpus(1, 160)
     graph = build_graph(corpus, 0.4, embedder)
-    assert graph._index_size * 64 < graph_module._SMALL_VALUES
+    assert graph._scan.count * 64 < graph_module._SMALL_VALUES
     with reference_scan():
         assert graphs_equal(graph, build_graph(corpus, 0.4, embedder))
     assert exact_scans["returned"] > 0
