@@ -109,7 +109,7 @@ class _Rows(dict):
     """One graph's handle on an append-only store of rows: named column
     arrays that graph copies share, of which the graph reads the first
     ``count`` rows. The handle maps each column name to a view of those
-    rows.
+    rows, made on its first read: most handles are only appended to.
 
     Rows below any handle's count never change, and rows past those
     written (``filled``) are never read, so they are left unwritten. A
@@ -126,8 +126,11 @@ class _Rows(dict):
     __slots__ = ("_store", "count")
 
     def __init__(self, store: _Store, count: int):
-        super().__init__((name, array[:count]) for name, array in store.columns.items())
         self._store, self.count = store, count
+
+    def __missing__(self, name: str) -> np.ndarray:
+        view = self[name] = self._store.columns[name][:self.count]
+        return view
 
     @classmethod
     def of(cls, **columns) -> "_Rows":

@@ -796,6 +796,11 @@ def test_sibling_copies_each_see_only_their_own_rows(store):
     for child, batch in zip(children, batches):
         written = [(q.task_id, q.question_id) for q in batch.iter_questions()]
         assert list(child.question_embeddings) == before + written
+        for question in batch.iter_questions():
+            stored = child.question_embeddings[(question.task_id, question.question_id)]
+            expected = embed_text(question.text, child.embedder)
+            assert stored.valid == expected.valid
+            assert np.array_equal(stored.values, expected.values)
         assert graphs_equal(child, deepcopy_extend(snapshot, batch))
         assert_scan_rows_match(child)
         assert_same_index(child.index(), GraphIndex(child))
