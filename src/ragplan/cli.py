@@ -118,7 +118,7 @@ def _save_bundle(bundle: AgentBundle, out: Path, config: RunConfig) -> list[Path
     paths = [out / "graph.json", out / "policy.json", out / "encoder.json", out / "bundle.json"]
     save_graph(bundle.graph, paths[0])
     save_policy(bundle.policy, paths[1])
-    save_encoder(bundle.encoder, paths[2], strict_qpa=config.strict_qpa)
+    paths.append(save_encoder(bundle.encoder, paths[2], strict_qpa=config.strict_qpa))
     (out / "bundle.json").write_text(
         json.dumps({"k": bundle.rl_config.k, "rule_hooks": list(bundle.rl_config.rule_hooks)},
                    sort_keys=True),
@@ -250,8 +250,8 @@ def cmd_adapt(args: argparse.Namespace) -> int:
         policy_path = task_dir / "policy.json"
         encoder_path = task_dir / "encoder.json"
         save_policy(task_bundle.policy, policy_path)
-        save_encoder(task_bundle.encoder, encoder_path, strict_qpa=config.strict_qpa)
-        outputs.extend([policy_path, encoder_path])
+        payload_path = save_encoder(task_bundle.encoder, encoder_path, strict_qpa=config.strict_qpa)
+        outputs.extend([policy_path, encoder_path, payload_path])
     inputs = {"support": support_path, **_bundle_files(args.bundle, "bundle")}
     if args.world:
         inputs["world"] = args.world

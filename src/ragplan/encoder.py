@@ -7,11 +7,20 @@ encodings with a symmetric contrastive loss plus a binary match head;
 fine-tuning contrasts the answer-verified best path of a pool against
 the rest. Selection is a plain cosine argmax, so nothing depends on
 how many candidates are offered.
+
+Parameters and gradients each live in one flat float64 buffer laid out
+``wq | wp | qpm_w``, and the meta-loop hands these buffers on without
+copying them. On disk an encoder is a small versioned JSON header plus
+a sidecar payload holding exactly that buffer as raw little-endian
+float64; the header records the payload's file name, value count and
+sha256, and loading checks all three and that every value is finite.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -19,54 +28,110 @@ from .corpus import InstructionPath
 from .corpus import score  # noqa: F401  bench/tracer.py wraps ragplan.encoder.score
 from .embedding import EmbedderConfig, EmbeddingVector, cosine, embed_text
 from .errors import ConfigError, DataError, MalformedFileError, NotFoundError
-from .serialize import floats_to_hex, hex_to_floats, read_versioned, write_versioned
+from .serialize import read_versioned, write_versioned
 
-ENCODER_KIND = "encoder-params"
+ENCODER_KIND = "encoder-header"
+PAYLOAD_SUFFIX = ".f64"
 PATH_SEPARATOR = " -> "
 
 
-@dataclass
-class EncoderParams:
-    wq: np.ndarray  # (d, d) question projection
-    wp: np.ndarray  # (d, d) path projection
-    qpm_w: np.ndarray  # (2d + 1,) linear match head over [q ; p ; 1]
-    tau: float
-    embedder: EmbedderConfig
+def _flat_size(d: int) -> int:
+    return 2 * d * d + 2 * d + 1
 
-    def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.tau}")
-        d = self.embedder.dimension
-        if self.wq.shape != (d, d) or self.wp.shape != (d, d):
-            raise ConfigError("projection shapes do not match the embedder dimension")
-        if self.qpm_w.shape != (2 * d + 1,):
-            raise ConfigError("match head must have 2d+1 entries")
+
+def _split(flat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``wq``, ``wp`` and ``qpm_w`` views of a ``wq | wp | qpm_w`` buffer."""
+    return flat[: d * d].reshape(d, d), flat[d * d : 2 * d * d].reshape(d, d), flat[2 * d * d :]
+
+
+def _assign(view: np.ndarray, value, message: str) -> None:
+    value = np.asarray(value, dtype=np.float64)
+    if value.shape != view.shape:
+        raise ConfigError(message)
+    view[...] = value
+
+
+class EncoderParams:
+    """Encoder weights in one flat float64 buffer laid out ``wq | wp |
+    qpm_w``, the ``to_vector`` layout; ``wq``, ``wp`` and ``qpm_w`` are
+    views of it.
+
+    The buffer has one owner. The constructor copies its arrays into a
+    new buffer, and assigning a field writes into the buffer.
+    ``to_vector`` returns the buffer as a read-only view, so a write to
+    that vector raises instead of changing these params.
+    ``with_vector`` takes a writable, contiguous float64 vector over
+    without a copy: the caller gives it up, and a later write to it
+    changes the new params and no others. It copies any other vector,
+    such as another params' ``to_vector()``.
+    """
+
+    def __init__(
+        self,
+        wq: np.ndarray,  # (d, d) question projection
+        wp: np.ndarray,  # (d, d) path projection
+        qpm_w: np.ndarray,  # (2d + 1,) linear match head over [q ; p ; 1]
+        tau: float,
+        embedder: EmbedderConfig,
+    ) -> None:
+        self._own(np.empty(_flat_size(embedder.dimension)), tau, embedder)
+        self.wq, self.wp, self.qpm_w = wq, wp, qpm_w
+
+    @classmethod
+    def _wrap(cls, flat: np.ndarray, tau: float, embedder: EmbedderConfig) -> "EncoderParams":
+        params = cls.__new__(cls)
+        params._own(flat, tau, embedder)
+        return params
+
+    def _own(self, flat: np.ndarray, tau: float, embedder: EmbedderConfig) -> None:
+        if tau <= 0:
+            raise ConfigError(f"temperature must be positive, got {tau}")
+        self._flat, self.tau, self.embedder = flat, tau, embedder
 
     @property
     def dimension(self) -> int:
         return self.embedder.dimension
 
+    @property
+    def wq(self) -> np.ndarray:
+        return _split(self._flat, self.dimension)[0]
+
+    @wq.setter
+    def wq(self, value) -> None:
+        _assign(self.wq, value, "projection shapes do not match the embedder dimension")
+
+    @property
+    def wp(self) -> np.ndarray:
+        return _split(self._flat, self.dimension)[1]
+
+    @wp.setter
+    def wp(self, value) -> None:
+        _assign(self.wp, value, "projection shapes do not match the embedder dimension")
+
+    @property
+    def qpm_w(self) -> np.ndarray:
+        return _split(self._flat, self.dimension)[2]
+
+    @qpm_w.setter
+    def qpm_w(self, value) -> None:
+        _assign(self.qpm_w, value, "match head must have 2d+1 entries")
+
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.wq.ravel(), self.wp.ravel(), self.qpm_w])
+        vector = self._flat.view()
+        vector.flags.writeable = False
+        return vector
 
     def with_vector(self, vector: np.ndarray) -> "EncoderParams":
-        d = self.dimension
-        size = 2 * d * d + 2 * d + 1
+        size = _flat_size(self.dimension)
         if vector.size != size:
             raise ConfigError(f"encoder vector has {vector.size} entries, expected {size}")
-        flat = np.array(vector, dtype=np.float64)
-        return EncoderParams(
-            wq=flat[: d * d].reshape(d, d),
-            wp=flat[d * d : 2 * d * d].reshape(d, d),
-            qpm_w=flat[2 * d * d :],
-            tau=self.tau,
-            embedder=self.embedder,
-        )
+        flags = vector.flags
+        if not (vector.dtype == np.float64 and flags.writeable and flags.c_contiguous):
+            vector = np.array(vector, dtype=np.float64)
+        return EncoderParams._wrap(vector, self.tau, self.embedder)
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            self.wq.copy(), self.wp.copy(), self.qpm_w.copy(), self.tau, self.embedder
-        )
+        return EncoderParams._wrap(self._flat.copy(), self.tau, self.embedder)
 
 
 def init_encoder_params(
@@ -75,20 +140,15 @@ def init_encoder_params(
     """Identity projections by default, so an untrained selector ranks by
     base-embedding cosine; pass a scale for random gaussian projections."""
     d = embedder.dimension
+    params = EncoderParams._wrap(np.zeros(_flat_size(d)), tau, embedder)
     if scale is None:
-        wq = np.eye(d)
-        wp = np.eye(d)
+        np.fill_diagonal(params.wq, 1.0)
+        np.fill_diagonal(params.wp, 1.0)
     else:
         rng = np.random.default_rng(seed)
-        wq = scale * rng.standard_normal((d, d))
-        wp = scale * rng.standard_normal((d, d))
-    return EncoderParams(
-        wq=wq,
-        wp=wp,
-        qpm_w=np.zeros(2 * d + 1),
-        tau=tau,
-        embedder=embedder,
-    )
+        params.wq = scale * rng.standard_normal((d, d))
+        params.wp = scale * rng.standard_normal((d, d))
+    return params
 
 
 @dataclass
@@ -114,13 +174,13 @@ def _project_rows(matrix: np.ndarray, texts: list[str], embedder: EmbedderConfig
     return _Rows(base, unit, norms)
 
 
-def _project_backward(rows: _Rows, d_unit: np.ndarray) -> np.ndarray:
-    """dL/d(projection matrix) from dL/d(unit rows): back through the
-    normalization row by row, then one ``d_rawᵀ @ base``."""
+def _project_backward(rows: _Rows, d_unit: np.ndarray, out: np.ndarray) -> None:
+    """Write dL/d(projection matrix) into ``out`` from dL/d(unit rows):
+    back through the normalization row by row, then one ``d_rawᵀ @ base``."""
     tangent = d_unit - np.vecdot(d_unit, rows.unit)[:, None] * rows.unit
     norms = rows.norms[:, None]
     d_raw = np.divide(tangent, norms, out=np.zeros_like(tangent), where=norms > 0.0)
-    return d_raw.T @ rows.base
+    np.matmul(d_raw.T, rows.base, out=out)
 
 
 def _encoding(rows: _Rows) -> EmbeddingVector:
@@ -157,28 +217,29 @@ def _info_nce(scores: np.ndarray, positives: np.ndarray, strict: bool) -> tuple[
     return float((lse[:, 0] - scores[rows, positives]).sum() / n), deltas
 
 
-@dataclass
 class EncoderGrads:
-    wq: np.ndarray
-    wp: np.ndarray
-    qpm_w: np.ndarray
+    """Encoder gradients in one flat float64 buffer, in the ``to_vector``
+    layout of ``EncoderParams``; ``wq``, ``wp`` and ``qpm_w`` are views of
+    it. The buffer starts uninitialized, and every loss writes all three
+    parts. ``to_vector`` returns the buffer itself, not a copy."""
+
+    def __init__(self, dimension: int) -> None:
+        self._flat = np.empty(_flat_size(dimension))
+        self.wq, self.wp, self.qpm_w = _split(self._flat, dimension)
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.wq.ravel(), self.wp.ravel(), self.qpm_w])
-
-    def __add__(self, other: "EncoderGrads") -> "EncoderGrads":
-        return EncoderGrads(self.wq + other.wq, self.wp + other.wp, self.qpm_w + other.qpm_w)
+        return self._flat
 
 
 def _contrastive_grads(
     params: EncoderParams, q: _Rows, p: _Rows, d_scores: np.ndarray
 ) -> EncoderGrads:
     """Gradients of a loss over the scores ``q.unit @ p.unit.T / tau``."""
-    return EncoderGrads(
-        _project_backward(q, (d_scores @ p.unit) / params.tau),
-        _project_backward(p, (d_scores.T @ q.unit) / params.tau),
-        np.zeros_like(params.qpm_w),
-    )
+    grads = EncoderGrads(params.dimension)
+    _project_backward(q, (d_scores @ p.unit) / params.tau, grads.wq)
+    _project_backward(p, (d_scores.T @ q.unit) / params.tau, grads.wp)
+    grads.qpm_w[:] = 0.0
+    return grads
 
 
 def qpa_loss_and_grads(
@@ -228,10 +289,13 @@ def qpm_loss_and_grads(
     clipped = np.clip(prob, 1e-7, 1.0 - 1e-7)
     loss = -(labels * np.log(clipped) + (1.0 - labels) * np.log(1.0 - clipped)).sum()
     dz = (prob - labels) / count
-    g_head = np.concatenate([dz @ q.unit, dz @ p.unit, [dz.sum()]])
-    return float(loss / count), EncoderGrads(
-        _project_backward(q, np.outer(dz, w_q)), _project_backward(p, np.outer(dz, w_p)), g_head
-    )
+    grads = EncoderGrads(d)
+    _project_backward(q, np.outer(dz, w_q), grads.wq)
+    _project_backward(p, np.outer(dz, w_p), grads.wp)
+    grads.qpm_w[:d] = dz @ q.unit
+    grads.qpm_w[d : 2 * d] = dz @ p.unit
+    grads.qpm_w[-1] = dz.sum()
+    return float(loss / count), grads
 
 
 def pt_loss_and_grads(
@@ -240,9 +304,10 @@ def pt_loss_and_grads(
     strict: bool = False,
 ) -> tuple[float, float, EncoderGrads]:
     """Pre-training objective: alignment loss plus match loss."""
-    align, g_align = qpa_loss_and_grads(params, pairs, strict)
+    align, grads = qpa_loss_and_grads(params, pairs, strict)
     match, g_match = qpm_loss_and_grads(params, make_qpm_batch(pairs))
-    return align, match, g_align + g_match
+    np.add(grads.to_vector(), g_match.to_vector(), out=grads.to_vector())
+    return align, match, grads
 
 
 @dataclass
@@ -306,7 +371,17 @@ def select_path(
     return candidates[int(np.argmax(sims))]
 
 
-def save_encoder(params: EncoderParams, destination, strict_qpa: bool = False) -> None:
+def save_encoder(params: EncoderParams, destination, strict_qpa: bool = False) -> Path:
+    """Write the header ``destination`` and, next to it, the payload:
+    the weights as raw little-endian float64 in the ``to_vector`` layout.
+    The header names the payload and records its value count and sha256.
+    Returns the payload's path."""
+    destination = Path(destination)
+    payload = destination.with_suffix(PAYLOAD_SUFFIX)
+    if payload == destination:
+        raise ConfigError(f"an encoder header cannot be named *{PAYLOAD_SUFFIX}: {destination}")
+    values = params.to_vector().astype("<f8", copy=False)
+    values.tofile(payload)
     write_versioned(
         destination,
         ENCODER_KIND,
@@ -315,32 +390,56 @@ def save_encoder(params: EncoderParams, destination, strict_qpa: bool = False) -
             "tau": params.tau,
             "strict_qpa": strict_qpa,
             "embedder": params.embedder.to_json(),
-            "data": {
-                "wq": floats_to_hex(params.wq.ravel(), dtype="<f8"),
-                "wp": floats_to_hex(params.wp.ravel(), dtype="<f8"),
-                "qpm_w": floats_to_hex(params.qpm_w, dtype="<f8"),
+            "payload": {
+                "file": payload.name,
+                "values": int(values.size),
+                "sha256": hashlib.sha256(values).hexdigest(),
             },
         },
     )
+    return payload
 
 
 def load_encoder(source) -> tuple[EncoderParams, bool]:
+    """Read an encoder header and its payload; returns (params, strict_qpa).
+
+    The payload must sit next to the header, hold exactly the header's
+    value count for its dimension, hash to the header's sha256 and be
+    finite; the params wrap it without a copy."""
     doc = read_versioned(source, ENCODER_KIND)
     try:
         embedder = EmbedderConfig.from_json(doc["embedder"])
         d = int(doc["dimension"])
-        data = doc["data"]
-        params = EncoderParams(
-            wq=hex_to_floats(data["wq"], d * d, dtype="<f8").reshape(d, d),
-            wp=hex_to_floats(data["wp"], d * d, dtype="<f8").reshape(d, d),
-            qpm_w=hex_to_floats(data["qpm_w"], 2 * d + 1, dtype="<f8"),
-            tau=float(doc["tau"]),
-            embedder=embedder,
-        )
+        tau = float(doc["tau"])
         strict = bool(doc["strict_qpa"])
+        name = doc["payload"]["file"]
+        count = int(doc["payload"]["values"])
+        digest = str(doc["payload"]["sha256"])
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         # A setting out of range in the file (embedder, tau, shapes) is bad data.
         raise MalformedFileError(f"{source}: malformed encoder file: {exc}") from exc
-    if not all(np.isfinite(v).all() for v in (params.wq, params.wp, params.qpm_w, params.tau)):
+    if d != embedder.dimension or count != _flat_size(d):
+        raise MalformedFileError(
+            f"{source}: header lists {count} values at dimension {d}; the embedder's "
+            f"dimension {embedder.dimension} needs {_flat_size(embedder.dimension)}"
+        )
+    if not isinstance(name, str) or not name or Path(name).name != name:
+        raise MalformedFileError(f"{source}: payload {name!r} is not a file name")
+    payload = Path(source).with_name(name)
+    try:
+        size = payload.stat().st_size
+        values = np.fromfile(payload, dtype="<f8") if size == 8 * count else None
+    except OSError as exc:
+        raise MalformedFileError(f"{source}: cannot read payload: {exc}") from exc
+    if values is None:
+        raise MalformedFileError(f"{payload}: holds {size} bytes, expected {8 * count}")
+    values = values.astype(np.float64, copy=False)
+    if hashlib.sha256(values).hexdigest() != digest:
+        raise MalformedFileError(f"{payload}: sha256 does not match the encoder header")
+    if not (np.isfinite(values).all() and np.isfinite(tau)):
         raise MalformedFileError(f"{source}: encoder file holds a non-finite value")
+    try:
+        params = EncoderParams._wrap(values, tau, embedder)
+    except ConfigError as exc:
+        raise MalformedFileError(f"{source}: malformed encoder file: {exc}") from exc
     return params, strict

@@ -135,6 +135,13 @@ def _single_task_corpus(questions: list[Question]) -> TaskCorpus:
     return corpus
 
 
+def _descend(encoder: EncoderParams, grad: np.ndarray, lr: float) -> EncoderParams:
+    """``encoder - lr * grad`` as new params, computed in ``grad``'s
+    buffer, which the new params take over."""
+    grad *= lr
+    return encoder.with_vector(np.subtract(encoder.to_vector(), grad, out=grad))
+
+
 def _adapt_inner(
     base: AgentBundle, questions: list[Question], config: MetaConfig, ws_key: tuple
 ) -> AgentBundle:
@@ -158,13 +165,10 @@ def _adapt_inner(
         policy = base.policy.copy()
     pairs = [(q.text, q.gold_path) for q in questions if q.gold_path is not None]
     if pairs:
-        vector = base.encoder.to_vector()
+        encoder = base.encoder
         for _ in range(config.inner_steps):
-            _, _, grads = pt_loss_and_grads(
-                base.encoder.with_vector(vector), pairs, strict=config.strict_qpa
-            )
-            vector = vector - config.inner_lr * grads.to_vector()
-        encoder = base.encoder.with_vector(vector)
+            _, _, grads = pt_loss_and_grads(encoder, pairs, strict=config.strict_qpa)
+            encoder = _descend(encoder, grads.to_vector(), config.inner_lr)
     else:
         encoder = base.encoder.copy()
     return AgentBundle(policy=policy, encoder=encoder, graph=base.graph, rl_config=base.rl_config)
@@ -323,9 +327,10 @@ def meta_train(
     graph = build_graph(support, delta, embedder)
     bundle = init_bundle(graph, rl_config, seed=config.seed)
     policy_vec = bundle.policy.to_vector()
-    encoder_vec = bundle.encoder.to_vector()
+    encoder = bundle.encoder
+    encoder_grad = np.zeros_like(encoder.to_vector())
     policy_opt = AdamState.zeros(policy_vec.size)
-    encoder_opt = AdamState.zeros(encoder_vec.size)
+    encoder_opt = AdamState.zeros(encoder_grad.size)
     baseline = ReturnBaseline(window=rl_config.baseline_window)
     log: list[dict] = []
     task_ids = [t for t in support.task_ids() if support.questions(t)]
@@ -338,7 +343,7 @@ def meta_train(
         picked = iter_rng.choice(len(task_ids), size=batch_size, replace=False)
         batch = [task_ids[i] for i in sorted(picked)]
         policy_grad = np.zeros_like(policy_vec)
-        encoder_grad = np.zeros_like(encoder_vec)
+        encoder_grad.fill(0.0)  # reused: 16.8 MB at d = 1024
         for task_id in batch:
             sample_rng = _rng(config.seed, "support-batch", iteration, task_id)
             inner_questions = _sample_questions(
@@ -349,7 +354,7 @@ def meta_train(
                 continue
             base = AgentBundle(
                 policy=PolicyParams.from_vector(policy_vec),
-                encoder=bundle.encoder.with_vector(encoder_vec),
+                encoder=encoder,
                 graph=graph,
                 rl_config=rl_config,
             )
@@ -371,9 +376,11 @@ def meta_train(
                 record["iteration"] = iteration
             log.extend(records)
         policy_vec = adam_step(policy_vec, policy_grad, policy_opt, config.outer_lr)
-        encoder_vec = adam_step(encoder_vec, encoder_grad, encoder_opt, config.outer_lr)
+        encoder = encoder.with_vector(
+            adam_step(encoder.to_vector(), encoder_grad, encoder_opt, config.outer_lr)
+        )
     bundle.policy = PolicyParams.from_vector(policy_vec)
-    bundle.encoder = bundle.encoder.with_vector(encoder_vec)
+    bundle.encoder = encoder
     return bundle, log
 
 
@@ -406,9 +413,8 @@ def fewshot_adapt(
             continue
         inner = _adapt_inner(base, questions, config, (config.seed, "fewshot-ws", task_id))
         policy_vec = inner.policy.to_vector()
-        encoder_vec = inner.encoder.to_vector()
         pg_grad = np.zeros_like(policy_vec)
-        ft_grad = np.zeros_like(encoder_vec)
+        ft_grad = np.zeros_like(inner.encoder.to_vector())
         _rollout_and_accumulate(
             questions, inner, new_support, backend, metric, config,
             ReturnBaseline(window=bundle.rl_config.baseline_window),
@@ -416,7 +422,7 @@ def fewshot_adapt(
         )
         adapted[task_id] = AgentBundle(
             policy=PolicyParams.from_vector(policy_vec - config.outer_lr * pg_grad),
-            encoder=bundle.encoder.with_vector(encoder_vec - config.outer_lr * ft_grad),
+            encoder=_descend(inner.encoder, ft_grad, config.outer_lr),
             graph=extended,
             rl_config=bundle.rl_config,
         )

@@ -1,9 +1,13 @@
 """Versioned JSON persistence helpers, and the reader that builds a
 config dataclass from a JSON object.
 
-Float payloads are stored as hex of little-endian floats, so save/load
-round-trips are bit-exact across platforms: float64 (``<f8``) for policy
-and encoder weights, float32 (``<f4``, the default) for embeddings.
+Float payloads inside JSON are stored as hex of little-endian floats, so
+save/load round-trips are bit-exact across platforms: float64 (``<f8``)
+for policy weights, float32 (``<f4``, the default) for embeddings.
+Encoder weights are too large for hex: an encoder file is a small
+versioned header written here, next to a raw little-endian float64
+payload whose value count and sha256 the header records (see
+``ragplan.encoder.save_encoder``).
 """
 
 from __future__ import annotations

@@ -11,6 +11,8 @@ from ragplan.corpus import InstructionPath, load_corpus_jsonl, split_by_hint
 from ragplan.graph import load_graph, save_graph
 from ragplan.world import SyntheticWorldSpec, load_world
 
+from encoder_faults import FAULTS
+
 DEMO_CONFIG = {
     "seed": 7,
     "delta": 0.4,
@@ -578,3 +580,52 @@ def test_commands_do_not_mutate_inputs(workspace, trained):
     ])
     after = {p.name: sha256_file(p) for p in gen_dir.iterdir() if p.suffix != ""}
     assert before == after
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_eval_on_a_damaged_encoder_payload_is_data_error(
+    workspace, trained, tmp_path, capsys, fault
+):
+    import shutil
+
+    root, config_path, gen_dir = workspace
+    bundle_dir = tmp_path / "bundle"
+    shutil.copytree(trained / "bundle", bundle_dir)
+    FAULTS[fault](bundle_dir / "encoder.json")
+    code = main([
+        "eval", "--bundle", str(bundle_dir), "--query", str(gen_dir / "corpus.jsonl"),
+        "--world", str(gen_dir / "world.json"), "--config", str(config_path),
+        "--out", str(tmp_path / "eval"),
+    ])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("data error")
+
+
+def test_train_and_adapt_list_the_encoder_payloads(workspace, trained):
+    root, config_path, gen_dir = workspace
+    out = root / "adapt-outputs"
+    assert main([
+        "adapt", "--bundle", str(trained / "bundle"), "--support", str(gen_dir / "corpus.jsonl"),
+        "--world", str(gen_dir / "world.json"), "--config", str(config_path), "--out", str(out),
+    ]) == 0
+    for run, payloads in ((trained, [trained / "bundle" / "encoder.f64"]),
+                          (out, sorted((out / "tasks").glob("*/encoder.f64")))):
+        assert payloads and all(p.exists() for p in payloads)
+        manifest = json.loads((run / "manifest.json").read_text(encoding="utf-8"))
+        assert {str(p) for p in payloads} <= set(manifest["outputs"])
+
+
+def test_train_reruns_write_every_bundle_member_byte_identical(workspace, trained):
+    root, config_path, gen_dir = workspace
+    again = root / "train-members"
+    assert main([
+        "train", "--corpus", str(gen_dir / "corpus.jsonl"),
+        "--world", str(gen_dir / "world.json"),
+        "--config", str(config_path), "--out", str(again),
+    ]) == 0
+    first = {p.name: p.read_bytes() for p in (trained / "bundle").iterdir()}
+    second = {p.name: p.read_bytes() for p in (again / "bundle").iterdir()}
+    assert sorted(first) == sorted(
+        ["bundle.json", "encoder.f64", "encoder.json", "graph.json", "policy.json"]
+    )
+    assert first == second

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,10 @@ from ragplan.encoder import (
     save_encoder,
     select_path,
 )
-from ragplan.errors import DataError, MalformedFileError, NotFoundError
+from ragplan.errors import ConfigError, DataError, MalformedFileError, NotFoundError
 from ragplan.meta import evaluate_pool
 from ragplan.optim import AdamState, adam_step
+from encoder_faults import FAULTS
 from scalar_kernels import _normalize_backprop, _project
 
 CFG = EmbedderConfig(dimension=16)
@@ -555,3 +558,104 @@ class TestInvariants:
             qpa_loss_and_grads(params, [])
         with pytest.raises(DataError):
             qpm_loss_and_grads(params, [])
+
+
+class TestEncoderPayload:
+    def test_header_names_a_raw_payload_next_to_it(self, tmp_path):
+        params = init_encoder_params(CFG, seed=44, scale=0.3)
+        dest = tmp_path / "encoder.json"
+        payload = save_encoder(params, dest)
+        assert payload == tmp_path / "encoder.f64"
+        assert payload.read_bytes() == params.to_vector().astype("<f8").tobytes()
+        header = json.loads(dest.read_text(encoding="utf-8"))
+        assert header["payload"]["file"] == "encoder.f64"
+        assert header["payload"]["values"] == params.to_vector().size
+        assert dest.stat().st_size < 1000
+
+    def test_loaded_params_wrap_the_payload_buffer(self, tmp_path):
+        dest = tmp_path / "encoder.json"
+        save_encoder(init_encoder_params(CFG, seed=44, scale=0.3), dest)
+        loaded, _ = load_encoder(dest)
+        assert np.shares_memory(loaded.wq, loaded.to_vector())
+        assert np.shares_memory(loaded.qpm_w, loaded.to_vector())
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_damaged_payload_rejected(self, tmp_path, fault):
+        dest = tmp_path / "encoder.json"
+        save_encoder(init_encoder_params(CFG, seed=44, scale=0.3), dest)
+        FAULTS[fault](dest)
+        with pytest.raises(MalformedFileError):
+            load_encoder(dest)
+
+    def test_header_cannot_take_the_payload_name(self, tmp_path):
+        with pytest.raises(ConfigError):
+            save_encoder(identity_params(), tmp_path / "encoder.f64")
+
+
+class TestParamsAsValues:
+    """The fields are views of one buffer, yet the params keep behaving as
+    values: assignment and element writes reach the buffer, and no vector
+    handed out or taken in lets one params change another."""
+
+    def test_assigning_a_field_writes_through(self):
+        params = init_encoder_params(CFG, seed=45, scale=0.4)
+        head = np.arange(params.qpm_w.size, dtype=np.float64)
+        params.qpm_w = head
+        params.wq = 2.0 * np.eye(CFG.dimension)
+        vector = params.to_vector()
+        assert np.array_equal(vector[-head.size :], head)
+        assert np.array_equal(vector[: CFG.dimension**2], (2.0 * np.eye(CFG.dimension)).ravel())
+        assert np.array_equal(params.with_vector(vector).qpm_w, head)
+
+    def test_assigning_a_wrong_shape_is_config_error(self):
+        params = identity_params()
+        with pytest.raises(ConfigError):
+            params.qpm_w = np.zeros(3)
+        with pytest.raises(ConfigError):
+            params.wp = np.eye(CFG.dimension + 1)
+
+    def test_element_write_shows_in_the_saved_file(self, tmp_path):
+        params = init_encoder_params(CFG, seed=46, scale=0.4)
+        params.wq.flat[7] = 12.5
+        params.qpm_w[-1] = -3.0
+        dest = tmp_path / "encoder.json"
+        save_encoder(params, dest)
+        loaded, _ = load_encoder(dest)
+        assert loaded.wq.flat[7] == 12.5
+        assert loaded.qpm_w[-1] == -3.0
+
+    def test_to_vector_is_read_only(self):
+        params = init_encoder_params(CFG, seed=47, scale=0.4)
+        before = params.to_vector().copy()
+        with pytest.raises(ValueError):
+            params.to_vector()[0] = 99.0
+        assert np.array_equal(params.to_vector(), before)
+
+    def test_with_vector_takes_a_writable_vector_over(self):
+        params = init_encoder_params(CFG, seed=48, scale=0.4)
+        before = params.to_vector().copy()
+        vector = before.copy()
+        taken = params.with_vector(vector)
+        vector[0] = 99.0
+        assert taken.wq[0, 0] == 99.0
+        assert np.array_equal(params.to_vector(), before)
+
+    def test_with_vector_copies_another_params_vector(self):
+        params = init_encoder_params(CFG, seed=49, scale=0.4)
+        before = params.to_vector().copy()
+        twin = params.with_vector(params.to_vector())
+        twin.wq[0, 0] = 99.0
+        twin.qpm_w = np.ones(params.qpm_w.size)
+        assert np.array_equal(params.to_vector(), before)
+        copied = params.copy()
+        copied.wp[1, 1] = -7.0
+        assert np.array_equal(params.to_vector(), before)
+
+    def test_grads_share_one_buffer(self):
+        params = init_encoder_params(CFG, seed=50, scale=0.4)
+        params.qpm_w = 0.3 * np.random.default_rng(50).standard_normal(params.qpm_w.size)
+        _, _, grads = pt_loss_and_grads(params, sample_pairs(3))
+        vector = grads.to_vector()
+        assert vector is grads.to_vector()
+        for part in (grads.wq, grads.wp, grads.qpm_w):
+            assert np.shares_memory(part, vector)
