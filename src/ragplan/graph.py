@@ -120,7 +120,8 @@ class _Rows(dict):
     rows unused). So sibling copies never see each other's rows: the first
     to append extends the shared arrays, and each later one forks.
     ``append`` returns the handle after the write and leaves this one as
-    it was.
+    it was. (A ``GraphIndex`` owns its centroid store alone, and rewrites
+    rows of it in place; see there.)
     """
 
     __slots__ = ("_store", "count")
@@ -147,11 +148,11 @@ class _Rows(dict):
         row = self._store.rows.get(key, self.count)
         return row if row < self.count else None
 
-    def append(self, **values) -> "_Rows":
-        """The handle on these rows followed by ``values``, which gives
-        the new rows of every column."""
+    def extend(self, extra: int) -> "_Rows":
+        """The handle on these rows followed by ``extra`` rows that the
+        caller then writes through it."""
         store, count = self._store, self.count
-        end = count + len(next(iter(values.values())))
+        end = count + extra
         if count != store.filled or end > len(next(iter(store.columns.values()))):
             size = max(64, end + end // 4)
             columns = {}
@@ -159,12 +160,19 @@ class _Rows(dict):
                 columns[name] = np.empty((size, *array.shape[1:]), dtype=array.dtype)
                 columns[name][:count] = array[:count]
             store = _Store(columns, count)
+        store.filled = end
+        return _Rows(store, end)
+
+    def append(self, **values) -> "_Rows":
+        """The handle on these rows followed by ``values``, which gives
+        the new rows of every column."""
+        grown = self.extend(len(next(iter(values.values()))))
+        store, count, end = grown._store, self.count, grown.count
         for name, column in store.columns.items():
             column[count:end] = values[name]
         if "key" in values:
             store.rows.update(zip(values["key"], range(count, end)))
-        store.filled = end
-        return _Rows(store, end)
+        return grown
 
 
 class _QuestionView(Mapping):
@@ -370,12 +378,15 @@ class GraphIndex:
       node-id order and by text within a node, delimited by ``node_ptr``.
     * Questions: the handles on the graph's question rows (``questions``)
       and their entry rows (``entries``), which ``dense`` gathers.
-    * Centroids: one float32 row per (edge, task), equal to
-      ``task_centroid`` over the task's questions in id order, with norms
-      of its float64 values and the float64 sum it divides (``sums``);
-      ``centroid_ptr`` delimits an edge's rows, ``centroid_tasks`` names
-      each row's task, and ``question_ptr`` / ``question_rows`` give each
-      centroid's question rows.
+    * Centroids: a store of one row per (edge, task) pair (``centroids``):
+      its float32 ``values``, equal to ``task_centroid`` over the task's
+      questions in id order, the ``norms`` of their float64 values, the
+      float64 ``sums`` they divide and the ``valid`` flags. Traversal
+      reads them by slot, one per pair in edge order and by task within
+      an edge: ``centroid_ptr`` delimits an edge's slots, and each slot
+      has its pair's row (``centroid_rows``), its task
+      (``centroid_tasks``) and its question rows (``question_ptr`` /
+      ``question_rows``).
     * Adjacency: edges in (from, to) order with their ``sources`` and
       ``targets``, CSR by source node (``out_ptr``) and by target node
       (``in_order``, ``in_ptr``).
@@ -385,8 +396,12 @@ class GraphIndex:
     A graph only grows: node ids, instruction rows and questions are only
     appended. So a patch keeps every part of the base that the writes
     since left alone and recomputes only the centroids of the (edge, task)
-    pairs written, mostly by adding the new questions to the base's sums,
-    and it equals the index compiled from scratch bit for bit.
+    pairs written, mostly by adding the new questions to the base's sums.
+    A pair keeps its centroid row for its whole life: a patch rewrites
+    the row of a pair written in place, appends a row for a new pair and
+    rebuilds only the slot arrays, so no row ever moves. In slot order
+    the patched index equals the index compiled from scratch bit for
+    bit, and a compile numbers the rows in slot order.
 
     It reads the graph's row stores up to the counts of the state it
     indexes, which later appends never change (see ``_Rows``). The only
@@ -405,8 +420,8 @@ class GraphIndex:
         ``base``, where ``written`` maps every (edge key, task id) pair
         whose question ids changed since the base's state, new edges
         included, to the ids added. The patch takes over the base's lists,
-        dicts and centroid and sum stores, which only grow, and extends them
-        in place: a base serves one patch."""
+        dicts and centroid store, and extends and rewrites them in place: a
+        base serves one patch."""
         touched: dict[tuple[int, int], dict[str, list[str]]] = {}
         if base is None:
             base = GraphIndex._empty(graph.embedder.dimension)
@@ -428,14 +443,14 @@ class GraphIndex:
         empty.dimension = dimension
         empty.texts, empty.node_ids = np.zeros(0, dtype=object), []
         empty.node_pos, empty.edge_pos = {}, {}
-        empty.centroid_norms = np.zeros(0)
-        empty.centroid_valid = np.zeros(0, dtype=bool)
         empty.sources = empty.targets = np.zeros(0, dtype=np.int64)
-        empty.node_rows = empty.question_rows = np.zeros(0, dtype=np.intp)
+        empty.node_rows = empty.question_rows = empty.centroid_rows = np.zeros(0, dtype=np.intp)
         empty.node_ptr = empty.centroid_ptr = empty.question_ptr = np.zeros(1, dtype=np.intp)
         empty.centroid_tasks = np.zeros(0, dtype=object)
-        empty.centroids = empty._centroid_store = np.zeros((0, dimension), dtype=np.float32)
-        empty.sums = empty._sum_store = np.zeros((0, dimension), dtype=np.float64)
+        empty.centroids = _Rows.of(
+            values=(np.float32, dimension), sums=(np.float64, dimension), norms=np.float64,
+            valid=bool,
+        )
         return empty
 
     def _add_rows(self, graph: InstructionGraph, base: "GraphIndex") -> None:
@@ -494,16 +509,18 @@ class GraphIndex:
     def _add_centroids(
         self, graph: InstructionGraph, base: "GraphIndex", touched: dict, order: np.ndarray
     ) -> None:
-        """Centroid rows: an untouched edge keeps its base rows, a touched
-        edge keeps the base rows of its untouched tasks and gets fresh rows
-        for the others. ``src`` gives each centroid's row among the base's
-        rows followed by the fresh ones.
+        """Centroid slots: an untouched edge keeps its base slots, a touched
+        edge keeps the base slots of its untouched tasks and gets fresh
+        slots for the others. ``src`` gives each slot among the base's
+        slots followed by the fresh ones.
 
-        A fresh row continues the base row of its task on the edge when
-        every new question id sorts after that row's last id: its question
-        rows are the base's followed by the new ones, and its sum adds the
-        new questions to the base's, in id order, as ``np.mean`` would add
-        them. Any other fresh row is summed from its first question.
+        A fresh slot writes its pair's row: the base row of a pair the base
+        has, else a row appended to the store. It continues the sum in that
+        row when every new question id sorts after the row's last id: its
+        question rows are the base's followed by the new ones, and its sum
+        adds the new questions to the base's, in id order, as ``np.mean``
+        would add them. Any other fresh slot is summed from its first
+        question.
         """
         questions = self.questions
         old_count = len(base.centroid_tasks)
@@ -512,50 +529,55 @@ class GraphIndex:
         old = order < len(base.sources)
         counts[old] = np.diff(base.centroid_ptr)[order[old]]
         starts[old] = base.centroid_ptr[order[old]]
-        fresh_tasks, segments, added, continued, patched = [], [], [], [], {}
+        fresh_tasks, dst, segments, fresh_sizes, added, patched = [], [], [], [], [], {}
         for key in sorted(touched):
             edge, pos, was = graph.edges[key], self.edge_pos[key], base.edge_pos.get(key)
             kept = {} if was is None else {
                 base.centroid_tasks[c]: c
                 for c in range(base.centroid_ptr[was], base.centroid_ptr[was + 1])
             }
-            rows_of_edge = []
+            slots = []
             for task_id in sorted(edge.tasks):
-                if task_id not in touched[key]:
-                    rows_of_edge.append(kept[task_id])
-                    continue
-                rows_of_edge.append(old_count + len(fresh_tasks))
-                fresh_tasks.append(task_id)
-                new_ids = sorted(touched[key][task_id])
                 c = kept.get(task_id)
+                if task_id not in touched[key]:
+                    slots.append(c)
+                    continue
+                slots.append(old_count + len(fresh_tasks))
+                fresh_tasks.append(task_id)
+                # -1 marks a new pair, which gets a row below.
+                dst.append(-1 if c is None else base.centroid_rows[c])
+                new_ids = sorted(touched[key][task_id])
+                prior = np.zeros(0, dtype=np.intp)
                 if c is not None:
                     lo, hi = base.question_ptr[c], base.question_ptr[c + 1]
                     if new_ids[0] > questions["key"][base.question_rows[hi - 1]][1]:
-                        segments.append(base.question_rows[lo:hi])
-                    else:
-                        c = None
-                if c is None:
+                        prior = base.question_rows[lo:hi]
+                if not len(prior):
                     new_ids = sorted(edge.tasks[task_id])
-                continued.append(-1 if c is None else c)
+                segments += [
+                    prior,
+                    np.array([questions.find((task_id, q)) for q in new_ids], dtype=np.intp),
+                ]
+                fresh_sizes.append(len(prior) + len(new_ids))
                 added.append(len(new_ids))
-                segments.append(
-                    np.array([questions.find((task_id, q)) for q in new_ids], dtype=np.intp)
-                )
-            patched[pos] = rows_of_edge
-            counts[pos] = len(rows_of_edge)
+            patched[pos] = slots
+            counts[pos] = len(slots)
         self.centroid_ptr = np.concatenate([[0], np.cumsum(counts)])
         src = np.repeat(starts - self.centroid_ptr[:-1], counts) + np.arange(self.centroid_ptr[-1])
-        for pos, rows_of_edge in patched.items():
-            src[self.centroid_ptr[pos]:self.centroid_ptr[pos + 1]] = rows_of_edge
+        for pos, slots in patched.items():
+            src[self.centroid_ptr[pos]:self.centroid_ptr[pos + 1]] = slots
         self.centroid_tasks = np.concatenate(
             [base.centroid_tasks, np.array(fresh_tasks, dtype=object)]
         )[src]
+        dst = np.array(dst, dtype=np.intp)
+        new = np.flatnonzero(dst < 0)
+        self.centroids = base.centroids.extend(len(new))
+        dst[new] = np.arange(base.centroids.count, self.centroids.count)
+        self.centroid_rows = np.concatenate([base.centroid_rows, dst])[src]
 
-        # Question rows of every centroid, gathered from the base's and the fresh lists.
-        continued = np.array(continued, dtype=np.intp)
+        # Question rows of every slot, gathered from the base's and the fresh lists.
         fresh_rows = np.concatenate([np.zeros(0, dtype=np.intp), *segments])
-        fresh_sizes = np.array(added, dtype=np.intp)
-        fresh_sizes[continued >= 0] += np.diff(base.question_ptr)[continued[continued >= 0]]
+        fresh_sizes = np.array(fresh_sizes, dtype=np.intp)
         fresh_ptr = np.concatenate([[0], np.cumsum(fresh_sizes)])
         sizes = np.concatenate([np.diff(base.question_ptr), fresh_sizes])[src]
         firsts = np.concatenate([base.question_ptr[:-1], len(base.question_rows) + fresh_ptr[:-1]])
@@ -564,112 +586,50 @@ class GraphIndex:
         self.question_rows = np.concatenate([base.question_rows, fresh_rows])[
             gather + np.arange(self.question_ptr[-1])
         ]
-
-        # Fresh centroids follow in ``src`` in the order they were made.
-        kept_at = np.flatnonzero(src < old_count)
-        fresh_at = np.flatnonzero(src >= old_count)
-        self.centroid_valid = np.empty(len(src), dtype=bool)
-        self.centroid_valid[kept_at] = base.centroid_valid[src[kept_at]]
-        if len(fresh_at):
-            self.centroid_valid[fresh_at] = np.logical_or.reduceat(
+        if len(dst):
+            self.centroids["valid"][dst] = np.logical_or.reduceat(
                 questions["valid"][fresh_rows], fresh_ptr[:-1]
             )
-        # The base sums a fresh row continues, read before the kept rows move.
-        start_sums = base.sums[continued[continued >= 0]]
-        self._place_kept_centroids(base, src)
-        self.centroid_norms = np.empty(len(src), dtype=np.float64)
-        self.centroid_norms[kept_at] = base.centroid_norms[src[kept_at]]
-        self.centroid_norms[fresh_at] = self._fill_centroids(
-            fresh_at, fresh_ptr, fresh_rows, np.array(added, dtype=np.intp), start_sums,
-            np.cumsum(continued >= 0) - 1,
-        )
-
-    def _place_kept_centroids(self, base: "GraphIndex", src: np.ndarray) -> None:
-        """Set ``centroids`` and ``sums`` to the first ``len(src)`` rows of
-        stores with spare rows, holding the base rows each centroid keeps.
-
-        The base's stores are reused when they have room. A kept row never
-        moves to a lower position, since every row before it is kept or
-        replaced by a fresh row, so the runs of kept rows are moved up in
-        place, the last run first and each run from its end, a block at a
-        time: no temporary of a store's size is made. A store without room
-        is replaced by one with a quarter more rows than needed.
-        """
-        count = len(src)
-        kept_at = np.flatnonzero(src < len(base.centroid_tasks))
-        breaks = np.flatnonzero((np.diff(kept_at) != 1) | (np.diff(src[kept_at]) != 1)) + 1
-        runs = [
-            (kept_at[lo], src[kept_at[lo]], hi - lo)
-            for lo, hi in zip([0, *breaks], [*breaks, len(kept_at)])
-            if hi > lo
-        ]
-        self._centroid_store = self._placed(base._centroid_store, runs, count)
-        self._sum_store = self._placed(base._sum_store, runs, count)
-        self.centroids = self._centroid_store[:count]
-        self.sums = self._sum_store[:count]
-
-    def _placed(self, store: np.ndarray, runs: list, count: int) -> np.ndarray:
-        """``store`` with each run of kept rows moved into place, or a
-        larger store holding them."""
-        if len(store) < count:
-            grown = np.empty((count + count // 4, self.dimension), dtype=store.dtype)
-            for dst, first, size in runs:
-                grown[dst:dst + size] = store[first:first + size]
-            return grown
-        step = block_rows(self.dimension)
-        for dst, first, size in reversed(runs):
-            if dst == first:
-                continue
-            for hi in range(size, 0, -step):
-                lo = max(0, hi - step)
-                store[dst + lo:dst + hi] = store[first + lo:first + hi]
-        return store
+        self._fill_centroids(dst, fresh_ptr, fresh_rows, np.array(added, dtype=np.intp))
 
     def _fill_centroids(
-        self,
-        dst: np.ndarray,
-        ptr: np.ndarray,
-        rows: np.ndarray,
-        added: np.ndarray,
-        start_sums: np.ndarray,
-        start_at: np.ndarray,
-    ) -> np.ndarray:
+        self, dst: np.ndarray, ptr: np.ndarray, rows: np.ndarray, added: np.ndarray
+    ) -> None:
         """Write ``task_centroid`` of each group ``rows[ptr[i]:ptr[i + 1]]``
-        of question rows to centroid row ``dst[i]``, bit for bit, and the
-        float64 sum it divides to sum row ``dst[i]``; returns the norms of
-        the centroids' float64 values.
+        of question rows to centroid row ``dst[i]``, bit for bit, with the
+        norm of its float64 values and the float64 sum it divides.
 
         As in ``task_centroid``'s ``np.mean``, each float64 sum adds the
         questions in order and is divided by the count before rounding to
         float32. Only the last ``added[i]`` questions of a group are added:
-        to ``start_sums[start_at[i]]``, the sum of the others, where the
+        to the sum row ``dst[i]`` holds, that of the others, where the
         group has fewer questions than that, else to the first question.
         Sums are taken for a block of centroids at a time, adding the j-th
         questions of the block in one step, so no temporary grows with the
         graph.
         """
+        centroids = self.centroids
         counts = np.diff(ptr)
-        norms = np.zeros(len(counts), dtype=np.float64)
         step = block_rows(self.dimension)
         for lo in range(0, len(counts), step):
+            at = dst[lo:lo + step]
             sizes = counts[lo:lo + step]
             # Each group's next question to add, as a position in ``rows``.
             ends = ptr[lo + 1:lo + step + 1]
             firsts = ends - added[lo:lo + step]
             continues = added[lo:lo + step] < sizes
             sums = np.empty((len(sizes), self.dimension), dtype=np.float64)
-            sums[continues] = start_sums[start_at[lo:lo + step][continues]]
+            sums[continues] = centroids["sums"][at[continues]]
             sums[~continues] = self.dense(rows[firsts[~continues]])
             firsts[~continues] += 1
             for j in range(int((ends - firsts).max())):
                 deeper = np.flatnonzero(firsts + j < ends)
                 sums[deeper] += self.dense(rows[firsts[deeper] + j])
-            self.sums[dst[lo:lo + step]] = sums
+            centroids["sums"][at] = sums
             sums /= sizes[:, None]
             block = sums.astype(np.float32)
-            self.centroids[dst[lo:lo + step]] = block
-            norms[lo:lo + step] = row_norms(block.astype(np.float64))
-        return norms
+            centroids["values"][at] = block
+            centroids["norms"][at] = row_norms(block.astype(np.float64))
 
     def dense(self, rows: np.ndarray) -> np.ndarray:
         """The float64 values of the given question rows, gathered with one scatter."""
@@ -715,21 +675,23 @@ class QueryScores:
     def __init__(self, index: GraphIndex, query: EmbeddingVector):
         self.index = index
         self.query = query
-        # Best question cosine by centroid row, and state rows by (node,
+        # Best question cosine by centroid slot, and state rows by (node,
         # in-edge), as traversal meets an edge or a state again and again.
         self._question_sims: dict[int, float] = {}
         self._states: dict[tuple, np.ndarray] = {}
         by_row = cosine_rows(query, index.instructions, index.instruction_norms)
+        centroids = index.centroids
+        # Centroid cosines in slot order.
         self.centroids = cosine_rows(
-            query, index.centroids, index.centroid_norms, index.centroid_valid
-        )
+            query, centroids["values"], centroids["norms"], centroids["valid"]
+        )[index.centroid_rows]
         # Instruction cosines in node_rows order; every node has a row.
         self.by_node_row = by_row[index.node_rows]
         self.node_affinity = (
             np.maximum.reduceat(self.by_node_row, index.node_ptr[:-1])
             if len(self.by_node_row) else np.zeros(0)
         )
-        # Every edge has a centroid row.
+        # Every edge has a centroid slot.
         self.edge_scores = (
             np.maximum.reduceat(self.centroids, index.centroid_ptr[:-1])
             if len(index.edges) else np.zeros(0)

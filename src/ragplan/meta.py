@@ -89,9 +89,6 @@ class EvalReport:
     per_task: dict[str, dict] = field(default_factory=dict)
     macro_average: float = 0.0
 
-    def task_mean(self, task_id: str) -> float:
-        return self.per_task[task_id]["mean_delta"]
-
 
 def _stable_int(*parts) -> int:
     text = "|".join(str(p) for p in parts)

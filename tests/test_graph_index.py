@@ -22,7 +22,6 @@ import pytest
 from ragplan.corpus import InstructionPath, Question, TaskCorpus, split_by_hint
 from ragplan.embedding import (
     EmbedderConfig,
-    block_rows,
     cosine,
     embed_text,
     row_norms,
@@ -377,11 +376,17 @@ def test_adjacency_and_text_lookup_match_scalar_reference(seed):
             assert _path_node_sequence(graph, path) == ref_path_node_sequence(graph, path)
 
 
+def centroids_of_edge(index, pos):
+    """The centroid values of an edge's slots."""
+    rows = index.centroid_rows[index.centroid_ptr[pos]:index.centroid_ptr[pos + 1]]
+    return index.centroids["values"][rows]
+
+
 def test_centroid_rows_are_task_centroids_bit_for_bit():
     graph, _ = demo_graph()
     index = graph.index()
     for pos, edge in enumerate(index.edges):
-        rows = index.centroids[index.centroid_ptr[pos]:index.centroid_ptr[pos + 1]]
+        rows = centroids_of_edge(index, pos)
         expected = [c.values.astype(np.float64) for _, c, _ in ref_edge_task_centroids(graph, edge)]
         assert len(rows) == len(expected)
         for row, value in zip(rows, expected):
@@ -530,14 +535,29 @@ def test_extend_matches_deepcopy_extension_on_demo_world():
 # order, bit for bit.
 
 
+def centroid_columns(index):
+    """Every column of the centroid store, in slot order."""
+    return {name: index.centroids[name][index.centroid_rows]
+            for name in index.centroids._store.columns}
+
+
 def assert_same_index(patched, fresh):
-    # The centroid and sum stores hold the centroids and sums and spare rows.
-    spare = {"text_nodes", "_centroid_store", "_sum_store"}
+    # A fresh index numbers its centroid rows in slot order, and a patched
+    # one keeps each pair's row, so the rows compare in slot order.
+    assert fresh.centroid_rows.tolist() == list(range(fresh.centroids.count))
+    assert sorted(patched.centroid_rows.tolist()) == list(range(patched.centroids.count))
+    spare = {"text_nodes", "centroid_rows"}
     fields = set(vars(fresh)) - spare
     assert set(vars(patched)) - spare == fields
     for name in sorted(fields):
         got, want = getattr(patched, name), getattr(fresh, name)
-        if isinstance(want, np.ndarray):
+        if name == "centroids":
+            got, want = centroid_columns(patched), centroid_columns(fresh)
+            assert got.keys() == want.keys()
+            for column in want:
+                assert got[column].dtype == want[column].dtype, column
+                assert got[column].tobytes() == want[column].tobytes(), column
+        elif isinstance(want, np.ndarray):
             assert (got.dtype, got.shape) == (want.dtype, want.shape), name
             if want.dtype == object:
                 assert got.tolist() == want.tolist(), name
@@ -642,23 +662,46 @@ def test_in_place_insert_patches_the_index():
     assert_traversals_match(graph, "ember fjord", *policies(9)[0], seed=9)
 
 
-def test_patch_moves_long_runs_of_kept_centroids_in_place():
-    # A new task on the first edge puts a centroid before all the others,
-    # so every kept row moves up one place in the reused store, in runs
-    # longer than the block the move copies at a time.
+def edge_texts(index, edge):
+    """A text of each end of ``edge``, so a path over them follows it."""
+    return tuple(
+        index.texts[index.node_rows[index.node_ptr[index.node_pos[node_id]]]]
+        for node_id in (edge.from_node, edge.to_node)
+    )
+
+
+def test_a_new_pair_before_every_other_slot_takes_the_next_row():
+    # A new task on the first edge puts a slot before all the others: its
+    # centroid takes the store's next row, and every other slot keeps its
+    # base row in the same store.
     graph, _ = demo_graph()
     index = graph.index()
+    base_rows, base_tasks = index.centroid_rows.copy(), index.centroid_tasks.copy()
+    store, count = index.centroids._store, index.centroids.count
     first = index.edges[0]
-    texts = tuple(
-        index.texts[index.node_rows[index.node_ptr[index.node_pos[node_id]]]]
-        for node_id in (first.from_node, first.to_node)
-    )
-    assert len(index.centroids) > block_rows(graph.embedder.dimension) + 1
-    insert_path(graph, InstructionPath(texts, "T_new", "n1", 1.0), question_text="a new task")
+    insert_path(graph, InstructionPath(edge_texts(index, first), "T_new", "n1", 1.0),
+                question_text="a new task")
     patched = read_patched(graph)
-    assert "T_new" in graph.edges[(first.from_node, first.to_node)].tasks
-    assert "T_new" in patched.centroid_tasks[:patched.centroid_ptr[1]]
-    assert patched._centroid_store is index._centroid_store
+    slot = patched.centroid_tasks[:patched.centroid_ptr[1]].tolist().index("T_new")
+    assert patched.centroid_rows[slot] == count
+    others = np.delete(np.arange(len(patched.centroid_rows)), slot)
+    assert patched.centroid_rows[others].tolist() == base_rows.tolist()
+    assert patched.centroid_tasks[others].tolist() == base_tasks.tolist()
+    assert patched.centroids._store is store
+
+
+def test_a_write_of_more_new_pairs_than_spare_rows_grows_the_store():
+    graph, _ = demo_graph()
+    index = graph.index()
+    store = index.centroids._store
+    spare = len(store.columns["values"]) - index.centroids.count
+    paths = [InstructionPath(edge_texts(index, edge), f"T_new{i}", "n1", 1.0)
+             for i, edge in enumerate(index.edges[:spare + 1])]
+    assert len(paths) == spare + 1
+    graph = extend_graph(graph, corpus_of_paths(*paths))
+    patched = read_patched(graph)
+    assert patched.centroids._store is not store
+    assert patched.centroids.count == index.centroids.count + spare + 1
 
 
 # -- centroid sums -----------------------------------------------------------------
@@ -707,7 +750,7 @@ def patch_counted(graph, batch, counts):
     seen = dict(counts)
     assert_same_index(patched, GraphIndex(graph))
     for pos, edge in enumerate(patched.edges):
-        rows = patched.centroids[patched.centroid_ptr[pos]:patched.centroid_ptr[pos + 1]]
+        rows = centroids_of_edge(patched, pos)
         expected = [c.values for _, c, _ in ref_edge_task_centroids(graph, edge)]
         assert np.array_equal(rows, np.array(expected))
     return graph, seen
