@@ -155,14 +155,6 @@ def extract_instruction_path(prompt: str) -> str:
     return prompt[start:end]
 
 
-def extract_question(prompt: str) -> str:
-    marker = f"{QUESTION_HEADER}\n"
-    start = prompt.find(marker)
-    if start < 0:
-        raise MalformedResponseError("prompt holds no task block")
-    return prompt[start + len(marker):].strip()
-
-
 _ACTION_LINE_RE = re.compile(
     r"^\s*(?:Act(?:ion)?\s*\d*\s*:\s*)?([A-Za-z]\w*)(?:\[([^\]]*)\])?\s*$"
 )

@@ -8,10 +8,20 @@ fine-tuning contrasts the answer-verified best path of a pool against
 the rest. Selection is a plain cosine argmax, so nothing depends on
 how many candidates are offered.
 
-Parameters and gradients each live in one flat float64 buffer laid out
-``wq | wp | qpm_w``, and the meta-loop hands these buffers on without
-copying them. On disk an encoder is a small versioned JSON header plus
-a sidecar payload holding exactly that buffer as raw little-endian
+Parameters live in one flat float64 buffer laid out ``wq | wp | qpm_w``.
+A projection's gradient is a sum of products ``d_rawᵀ @ base`` over a
+few rows, so the losses return it as factors: the rows of ``d_raw`` and
+the base-embedding rows they multiply (``Factors``, held by
+``EncoderGrads``). A sum of gradients stacks its rows. An encoder moved
+by such steps is an ``AdaptedEncoder``, the base plus the steps'
+factors, which projects rows without forming its weights. Factors
+become dense only when asked: ``EncoderGrads.to_vector`` and its
+``wq``/``wp`` views form the gradient with one product per side, in the
+parameters' layout, as Adam needs it; ``AdaptedEncoder.dense`` forms
+adapted weights, as a saved file needs them.
+
+On disk an encoder is a small versioned JSON header plus a sidecar
+payload holding exactly the parameter buffer as raw little-endian
 float64; the header records the payload's file name, value count and
 sha256, and loading checks all three and that every value is finite.
 """
@@ -33,6 +43,7 @@ from .serialize import read_versioned, write_versioned
 ENCODER_KIND = "encoder-header"
 PAYLOAD_SUFFIX = ".f64"
 PATH_SEPARATOR = " -> "
+SIDES = ("wq", "wp")  # the projections, as named in EncoderParams and EncoderGrads
 
 
 def _flat_size(d: int) -> int:
@@ -133,6 +144,10 @@ class EncoderParams:
     def copy(self) -> "EncoderParams":
         return EncoderParams._wrap(self._flat.copy(), self.tau, self.embedder)
 
+    def project(self, side: str, x: np.ndarray) -> np.ndarray:
+        """Rows ``x`` of base embeddings through projection ``side``."""
+        return x @ getattr(self, side).T
+
 
 def init_encoder_params(
     embedder: EmbedderConfig, seed: int = 0, tau: float = 0.07, scale: float | None = None
@@ -159,40 +174,155 @@ class _Rows:
     unit: np.ndarray  # (n, d) unit-normalized projections; zero where the norm is 0
     norms: np.ndarray  # (n,) projection norms
 
+    def take(self, index) -> "_Rows":
+        return _Rows(self.base[index], self.unit[index], self.norms[index])
 
-def _project_rows(matrix: np.ndarray, texts: list[str], embedder: EmbedderConfig) -> _Rows:
+
+def _project_rows(encoder, side: str, texts: list[str]) -> _Rows:
     """Embed texts (questions or serialized paths, both ``transient`` as in
-    ``embed_text``) and project every row through ``matrix`` at once. A row
-    with a zero projection, as of a text that embeds invalid (a zero
-    vector), stays zero and has norm 0."""
+    ``embed_text``) and project every row through the encoder's ``side``
+    (``"wq"`` or ``"wp"``) at once. A row with a zero projection, as of a
+    text that embeds invalid (a zero vector), stays zero and has norm 0."""
+    embedder = encoder.embedder
     base = np.array(
         [embed_text(text, embedder, transient=True).values for text in texts], dtype=np.float64
-    )
-    raw = base @ matrix.T
+    ).reshape(len(texts), embedder.dimension)
+    raw = encoder.project(side, base)
     norms = np.sqrt(np.vecdot(raw, raw))
     unit = np.divide(raw, norms[:, None], out=np.zeros_like(raw), where=norms[:, None] > 0.0)
     return _Rows(base, unit, norms)
 
 
-def _project_backward(rows: _Rows, d_unit: np.ndarray, out: np.ndarray) -> None:
-    """Write dL/d(projection matrix) into ``out`` from dL/d(unit rows):
-    back through the normalization row by row, then one ``d_rawᵀ @ base``."""
-    tangent = d_unit - np.vecdot(d_unit, rows.unit)[:, None] * rows.unit
-    norms = rows.norms[:, None]
-    d_raw = np.divide(tangent, norms, out=np.zeros_like(tangent), where=norms > 0.0)
-    np.matmul(d_raw.T, rows.base, out=out)
+@dataclass(frozen=True)
+class Factors:
+    """A d×d matrix kept as ``d_rawᵀ @ base``: rows of back-propagated
+    error (scaled by the learning rate in an update) and the base-embedding
+    rows they multiply. A sum of such matrices stacks its rows."""
+
+    d_raw: np.ndarray  # (m, d)
+    base: np.ndarray  # (m, d)
+
+    @classmethod
+    def of(cls, rows: _Rows, d_unit: np.ndarray) -> "Factors":
+        """The gradient of a projection matrix from dL/d(unit rows): back
+        through the normalization row by row; a zero-norm row gets zero."""
+        tangent = d_unit - np.vecdot(d_unit, rows.unit)[:, None] * rows.unit
+        norms = rows.norms[:, None]
+        d_raw = np.divide(tangent, norms, out=np.zeros_like(tangent), where=norms > 0.0)
+        return cls(d_raw, rows.base)
+
+    @classmethod
+    def stack(cls, parts: list["Factors"], dimension: int) -> "Factors":
+        if not parts:
+            return cls(np.zeros((0, dimension)), np.zeros((0, dimension)))
+        return cls(np.concatenate([f.d_raw for f in parts]), np.concatenate([f.base for f in parts]))
+
+    def dense(self, out: np.ndarray | None = None) -> np.ndarray:
+        return np.matmul(self.d_raw.T, self.base, out=out)
 
 
-def _encoding(rows: _Rows) -> EmbeddingVector:
-    return EmbeddingVector(rows.unit[0].astype(np.float32), valid=bool(rows.norms[0] > 0.0))
+class EncoderGrads:
+    """Encoder gradients as factors: ``factors["wq"]`` and ``factors["wp"]``
+    are the projections' gradients as ``Factors``, and ``head`` the match
+    head's dense (2d + 1,) gradient.
+
+    Nothing d×d is formed until asked. ``to_vector`` forms the dense
+    gradient on its first call, one ``matmul`` per side, in one flat
+    buffer in the ``to_vector`` layout of ``EncoderParams``, and returns
+    that same buffer from then on; ``wq``, ``wp`` and ``qpm_w`` are views
+    of it."""
+
+    def __init__(self, wq: Factors, wp: Factors, head: np.ndarray) -> None:
+        self.factors = {"wq": wq, "wp": wp}
+        self.head = head
+        self._flat: np.ndarray | None = None
+
+    @classmethod
+    def total(cls, parts: list["EncoderGrads"], dimension: int) -> "EncoderGrads":
+        """The sum of ``parts``, with each side's factors stacked so that its
+        dense form is one product."""
+        factors = [Factors.stack([g.factors[side] for g in parts], dimension) for side in SIDES]
+        head = np.zeros(2 * dimension + 1)
+        for grads in parts:
+            head += grads.head
+        return cls(*factors, head)
+
+    def scaled(self, factor: float) -> "EncoderGrads":
+        return EncoderGrads(
+            *(Factors(factor * self.factors[side].d_raw, self.factors[side].base) for side in SIDES),
+            factor * self.head,
+        )
+
+    def to_vector(self) -> np.ndarray:
+        if self._flat is None:
+            d = self.head.size // 2
+            flat = np.empty(_flat_size(d))
+            wq, wp, qpm_w = _split(flat, d)
+            self.factors["wq"].dense(out=wq)
+            self.factors["wp"].dense(out=wp)
+            qpm_w[:] = self.head
+            self._flat = flat
+        return self._flat
+
+    @property
+    def wq(self) -> np.ndarray:
+        return _split(self.to_vector(), self.head.size // 2)[0]
+
+    @property
+    def wp(self) -> np.ndarray:
+        return _split(self.to_vector(), self.head.size // 2)[1]
+
+    @property
+    def qpm_w(self) -> np.ndarray:
+        return _split(self.to_vector(), self.head.size // 2)[2]
+
+
+class AdaptedEncoder:
+    """``base`` moved by gradient steps that stay factors.
+
+    ``update`` is the sum of the steps taken, each gradient scaled by its
+    learning rate, so an adapted projection is ``W − Uᵀ @ B`` for the
+    base's ``W`` and the update's stacked rows ``U`` (scaled ``d_raw``)
+    and ``B`` (their base embeddings). It is never formed: a row block x
+    projects as ``x Wᵀ − (x Bᵀ) U``. The match head, 2d + 1 values, is
+    kept dense. ``dense`` forms the adapted weights once, as new params.
+    """
+
+    def __init__(self, base: EncoderParams, update: EncoderGrads | None = None) -> None:
+        self.base = base
+        self.update = EncoderGrads.total([], base.dimension) if update is None else update
+        self.qpm_w = base.qpm_w - self.update.head
+        self.tau, self.embedder = base.tau, base.embedder
+
+    @property
+    def dimension(self) -> int:
+        return self.base.dimension
+
+    def project(self, side: str, x: np.ndarray) -> np.ndarray:
+        step = self.update.factors[side]
+        return self.base.project(side, x) - (x @ step.base.T) @ step.d_raw
+
+    def descend(self, grads: EncoderGrads, lr: float) -> "AdaptedEncoder":
+        """This encoder moved by ``-lr * grads``, still as factors."""
+        return AdaptedEncoder(
+            self.base, EncoderGrads.total([self.update, grads.scaled(lr)], self.dimension)
+        )
+
+    def dense(self) -> EncoderParams:
+        """``base − update`` as new params: one product per side."""
+        return self.base.with_vector(self.base.to_vector() - self.update.to_vector())
+
+
+def _encoding(rows: _Rows, i: int = 0) -> EmbeddingVector:
+    return EmbeddingVector(rows.unit[i].astype(np.float32), valid=bool(rows.norms[i] > 0.0))
 
 
 def encode_question(params: EncoderParams, question: str) -> EmbeddingVector:
-    return _encoding(_project_rows(params.wq, [question], params.embedder))
+    return _encoding(_project_rows(params, "wq", [question]))
 
 
 def encode_path(params: EncoderParams, path: InstructionPath) -> EmbeddingVector:
-    return _encoding(_project_rows(params.wp, [path.serialized()], params.embedder))
+    return _encoding(_project_rows(params, "wp", [path.serialized()]))
 
 
 def _info_nce(scores: np.ndarray, positives: np.ndarray, strict: bool) -> tuple[float, np.ndarray]:
@@ -217,97 +347,123 @@ def _info_nce(scores: np.ndarray, positives: np.ndarray, strict: bool) -> tuple[
     return float((lse[:, 0] - scores[rows, positives]).sum() / n), deltas
 
 
-class EncoderGrads:
-    """Encoder gradients in one flat float64 buffer, in the ``to_vector``
-    layout of ``EncoderParams``; ``wq``, ``wp`` and ``qpm_w`` are views of
-    it. The buffer starts uninitialized, and every loss writes all three
-    parts. ``to_vector`` returns the buffer itself, not a copy."""
-
-    def __init__(self, dimension: int) -> None:
-        self._flat = np.empty(_flat_size(dimension))
-        self.wq, self.wp, self.qpm_w = _split(self._flat, dimension)
-
-    def to_vector(self) -> np.ndarray:
-        return self._flat
+def _contrastive(
+    tau: float, q: _Rows, p: _Rows, d_scores: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """dL/d(unit rows) of each side for a loss over ``q.unit @ p.unit.T / tau``."""
+    return (d_scores @ p.unit) / tau, (d_scores.T @ q.unit) / tau
 
 
-def _contrastive_grads(
-    params: EncoderParams, q: _Rows, p: _Rows, d_scores: np.ndarray
-) -> EncoderGrads:
-    """Gradients of a loss over the scores ``q.unit @ p.unit.T / tau``."""
-    grads = EncoderGrads(params.dimension)
-    _project_backward(q, (d_scores @ p.unit) / params.tau, grads.wq)
-    _project_backward(p, (d_scores.T @ q.unit) / params.tau, grads.wp)
-    grads.qpm_w[:] = 0.0
-    return grads
+def _grads(q: _Rows, p: _Rows, d_q: np.ndarray, d_p: np.ndarray, head=None) -> EncoderGrads:
+    if head is None:
+        head = np.zeros(2 * q.base.shape[1] + 1)
+    return EncoderGrads(Factors.of(q, d_q), Factors.of(p, d_p), head)
+
+
+def _pair_rows(encoder, pairs: list[tuple[str, InstructionPath]]) -> tuple[_Rows, _Rows]:
+    q = _project_rows(encoder, "wq", [question for question, _ in pairs])
+    p = _project_rows(encoder, "wp", [path.serialized() for _, path in pairs])
+    return q, p
+
+
+def _qpa(tau: float, q: _Rows, p: _Rows, strict: bool):
+    """Symmetric in-batch InfoNCE of row-aligned pairs; returns the loss and
+    dL/d(unit rows) of each side."""
+    scores = (q.unit @ p.unit.T) / tau
+    diagonal = np.arange(len(q.norms))
+    loss_qp, deltas_qp = _info_nce(scores, diagonal, strict)
+    loss_pq, deltas_pq = _info_nce(scores.T, diagonal, strict)
+    return 0.5 * (loss_qp + loss_pq), *_contrastive(tau, q, p, 0.5 * (deltas_qp + deltas_pq.T))
 
 
 def qpa_loss_and_grads(
-    params: EncoderParams,
+    encoder,
     pairs: list[tuple[str, InstructionPath]],
     strict: bool = False,
 ) -> tuple[float, EncoderGrads]:
     """Symmetric in-batch contrastive alignment of question/path pairs."""
     if not pairs:
         raise DataError("qpa loss over an empty batch")
-    q = _project_rows(params.wq, [question for question, _ in pairs], params.embedder)
-    p = _project_rows(params.wp, [path.serialized() for _, path in pairs], params.embedder)
-    scores = (q.unit @ p.unit.T) / params.tau
-    diagonal = np.arange(len(pairs))
-    loss_qp, deltas_qp = _info_nce(scores, diagonal, strict)
-    loss_pq, deltas_pq = _info_nce(scores.T, diagonal, strict)
-    loss = 0.5 * (loss_qp + loss_pq)
-    return loss, _contrastive_grads(params, q, p, 0.5 * (deltas_qp + deltas_pq.T))
+    q, p = _pair_rows(encoder, pairs)
+    loss, d_q, d_p = _qpa(encoder.tau, q, p, strict)
+    return loss, _grads(q, p, d_q, d_p)
+
+
+def _qpm_pairing(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair rows and labels of ``make_qpm_batch`` over ``n`` pairs: each
+    matched pair labeled 1, then, from two pairs on, each question with
+    the next pair's path labeled 0."""
+    rows = np.arange(n)
+    if n < 2:
+        return rows, rows, np.ones(n)
+    return (
+        np.concatenate([rows, rows]),
+        np.concatenate([rows, np.roll(rows, -1)]),
+        np.concatenate([np.ones(n), np.zeros(n)]),
+    )
 
 
 def make_qpm_batch(
     pairs: list[tuple[str, InstructionPath]]
 ) -> list[tuple[str, InstructionPath, int]]:
     """Matched pairs labeled 1 plus an in-batch derangement labeled 0."""
-    triples = [(question, path, 1) for question, path in pairs]
-    if len(pairs) >= 2:
-        for i, (question, _) in enumerate(pairs):
-            triples.append((question, pairs[(i + 1) % len(pairs)][1], 0))
-    return triples
+    questions, paths, labels = _qpm_pairing(len(pairs))
+    return [
+        (pairs[i][0], pairs[j][1], int(label)) for i, j, label in zip(questions, paths, labels)
+    ]
 
 
-def qpm_loss_and_grads(
-    params: EncoderParams, triples: list[tuple[str, InstructionPath, int]]
-) -> tuple[float, EncoderGrads]:
-    """Binary cross-entropy of the linear match head over projected pairs."""
-    if not triples:
-        raise DataError("qpm loss over an empty batch")
-    d = params.dimension
-    q = _project_rows(params.wq, [question for question, _, _ in triples], params.embedder)
-    p = _project_rows(params.wp, [path.serialized() for _, path, _ in triples], params.embedder)
-    labels = np.array([label for _, _, label in triples], dtype=np.float64)
+def _qpm(qpm_w: np.ndarray, q: _Rows, p: _Rows, labels: np.ndarray):
+    """Binary cross-entropy of the linear match head over row-aligned
+    pairs; returns the loss, dL/d(unit rows) of each side and the head's
+    gradient."""
+    d = q.base.shape[1]
     count = labels.size
-    w_q = params.qpm_w[:d]
-    w_p = params.qpm_w[d : 2 * d]
-    z = q.unit @ w_q + p.unit @ w_p + params.qpm_w[-1]
+    w_q = qpm_w[:d]
+    w_p = qpm_w[d : 2 * d]
+    z = q.unit @ w_q + p.unit @ w_p + qpm_w[-1]
     prob = 1.0 / (1.0 + np.exp(-z))
     clipped = np.clip(prob, 1e-7, 1.0 - 1e-7)
     loss = -(labels * np.log(clipped) + (1.0 - labels) * np.log(1.0 - clipped)).sum()
     dz = (prob - labels) / count
-    grads = EncoderGrads(d)
-    _project_backward(q, np.outer(dz, w_q), grads.wq)
-    _project_backward(p, np.outer(dz, w_p), grads.wp)
-    grads.qpm_w[:d] = dz @ q.unit
-    grads.qpm_w[d : 2 * d] = dz @ p.unit
-    grads.qpm_w[-1] = dz.sum()
-    return float(loss / count), grads
+    head = np.empty(2 * d + 1)
+    head[:d] = dz @ q.unit
+    head[d : 2 * d] = dz @ p.unit
+    head[-1] = dz.sum()
+    return float(loss / count), np.outer(dz, w_q), np.outer(dz, w_p), head
+
+
+def qpm_loss_and_grads(
+    encoder, triples: list[tuple[str, InstructionPath, int]]
+) -> tuple[float, EncoderGrads]:
+    """Binary cross-entropy of the linear match head over projected pairs."""
+    if not triples:
+        raise DataError("qpm loss over an empty batch")
+    q, p = _pair_rows(encoder, [(question, path) for question, path, _ in triples])
+    labels = np.array([label for _, _, label in triples], dtype=np.float64)
+    loss, d_q, d_p, head = _qpm(encoder.qpm_w, q, p, labels)
+    return loss, _grads(q, p, d_q, d_p, head)
 
 
 def pt_loss_and_grads(
-    params: EncoderParams,
+    encoder,
     pairs: list[tuple[str, InstructionPath]],
     strict: bool = False,
 ) -> tuple[float, float, EncoderGrads]:
-    """Pre-training objective: alignment loss plus match loss."""
-    align, grads = qpa_loss_and_grads(params, pairs, strict)
-    match, g_match = qpm_loss_and_grads(params, make_qpm_batch(pairs))
-    np.add(grads.to_vector(), g_match.to_vector(), out=grads.to_vector())
-    return align, match, grads
+    """Pre-training objective: alignment loss plus match loss.
+
+    The match batch (``make_qpm_batch``) pairs the same texts again, so
+    both losses read one projection per side, and their row gradients
+    add up before one back-projection per side."""
+    if not pairs:
+        raise DataError("qpa loss over an empty batch")
+    q, p = _pair_rows(encoder, pairs)
+    align, d_q, d_p = _qpa(encoder.tau, q, p, strict)
+    questions, paths, labels = _qpm_pairing(len(pairs))
+    match, m_q, m_p, head = _qpm(encoder.qpm_w, q.take(questions), p.take(paths), labels)
+    np.add.at(d_q, questions, m_q)
+    np.add.at(d_p, paths, m_p)
+    return align, match, _grads(q, p, d_q, d_p, head)
 
 
 @dataclass
@@ -331,8 +487,41 @@ class PathPool:
         return [entry.path for entry in self.entries]
 
 
+class PoolRows:
+    """Questions and the paths of their pools, each side projected in one
+    product, for selection and fine-tuning alike.
+
+    Question ``i`` owns the pool paths ``pools[i]``, stored one after the
+    other in ``p``; ``similarities`` and ``ft_loss_and_grads`` read the
+    same rows."""
+
+    def __init__(self, encoder, questions: list[str], pools: list[list[InstructionPath]]) -> None:
+        self.tau = encoder.tau
+        self.q = _project_rows(encoder, "wq", questions)
+        self.p = _project_rows(encoder, "wp", [path.serialized() for pool in pools for path in pool])
+        self.starts = np.cumsum([0] + [len(pool) for pool in pools])
+
+    def _pool(self, i: int, count: int | None = None) -> _Rows:
+        start, end = self.starts[i], self.starts[i + 1]
+        return self.p.take(slice(start, end if count is None else start + count))
+
+    def similarities(self, i: int, count: int) -> np.ndarray:
+        """``cosine`` of question ``i``'s encoding with each of the first
+        ``count`` paths of its pool, as ``candidate_similarities`` gives
+        them."""
+        encoded_q = _encoding(self.q, i)
+        paths = self._pool(i, count)
+        return np.array([cosine(encoded_q, _encoding(paths, j)) for j in range(count)])
+
+    def ft_loss_and_grads(self, i: int, best: int, strict: bool) -> tuple[float, EncoderGrads]:
+        """``ft_loss_and_grads`` of question ``i`` against its pool."""
+        q, p = self.q.take(slice(i, i + 1)), self._pool(i)
+        loss, deltas = _info_nce((q.unit @ p.unit.T) / self.tau, np.array([best]), strict)
+        return 0.5 * loss, _grads(q, p, *_contrastive(self.tau, q, p, 0.5 * deltas))
+
+
 def ft_loss_and_grads(
-    params: EncoderParams,
+    encoder,
     question: str,
     pool: PathPool,
     strict: bool = False,
@@ -345,11 +534,9 @@ def ft_loss_and_grads(
     """
     if pool.best_index is None:
         raise DataError("ft loss needs a pool with best_index set")
-    q = _project_rows(params.wq, [question], params.embedder)
-    p = _project_rows(params.wp, [path.serialized() for path in pool.paths()], params.embedder)
-    scores = (q.unit @ p.unit.T) / params.tau
-    loss, deltas = _info_nce(scores, np.array([pool.best_index]), strict)
-    return 0.5 * loss, _contrastive_grads(params, q, p, 0.5 * deltas)
+    return PoolRows(encoder, [question], [pool.paths()]).ft_loss_and_grads(
+        0, pool.best_index, strict
+    )
 
 
 def candidate_similarities(

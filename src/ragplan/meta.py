@@ -8,6 +8,15 @@ the adapted parameters and applied to the base ones. Few-shot
 adaptation extends the graph with the new support set and derives
 per-task parameters; testing evaluates each task with its own adapted
 bundle and reports per-task plus macro averages.
+
+Encoder updates stay factors (``ragplan.encoder``) until Adam or a saved
+file needs them dense. The inner step leaves an ``AdaptedEncoder``, the
+base plus factors. A task's rollout traverses all its questions first,
+then projects the questions and every pool path in one product per
+side, and those rows serve both selection and fine-tuning. The
+fine-tuning factors of a meta-batch become the dense outer gradient in
+one stacked product per side, just before ``adam_step``; few-shot
+adaptation forms each task's adapted encoder once, for its bundle.
 """
 
 from __future__ import annotations
@@ -22,13 +31,16 @@ from .backend import PlanResult
 from .corpus import MetricKind, Question, TaskCorpus, score
 from .embedding import EmbedderConfig
 from .encoder import (
+    AdaptedEncoder,
+    EncoderGrads,
     EncoderParams,
     PathPool,
+    PoolRows,
     candidate_similarities,
-    ft_loss_and_grads,
     init_encoder_params,
     pt_loss_and_grads,
 )
+from .encoder import ft_loss_and_grads  # noqa: F401  bench/tracer.py wraps ragplan.meta.ft_loss_and_grads
 from .errors import DataError, NotFoundError
 from .graph import InstructionGraph, build_graph, extend_graph
 from .optim import AdamState, ReturnBaseline, adam_step
@@ -70,7 +82,7 @@ class MetaConfig:
 @dataclass
 class AgentBundle:
     policy: PolicyParams
-    encoder: EncoderParams
+    encoder: EncoderParams  # an AdaptedEncoder only between inner adaptation and rollout
     graph: InstructionGraph
     rl_config: RlConfig
 
@@ -132,18 +144,12 @@ def _single_task_corpus(questions: list[Question]) -> TaskCorpus:
     return corpus
 
 
-def _descend(encoder: EncoderParams, grad: np.ndarray, lr: float) -> EncoderParams:
-    """``encoder - lr * grad`` as new params, computed in ``grad``'s
-    buffer, which the new params take over."""
-    grad *= lr
-    return encoder.with_vector(np.subtract(encoder.to_vector(), grad, out=grad))
-
-
 def _adapt_inner(
     base: AgentBundle, questions: list[Question], config: MetaConfig, ws_key: tuple
 ) -> AgentBundle:
     """Inner adaptation of both agents on support questions: warm-start BCE
-    steps for the policy, pre-training steps for the encoder."""
+    steps for the policy, pre-training steps for the encoder. The adapted
+    encoder is an ``AdaptedEncoder``: the base plus the steps' factors."""
     examples = make_warmstart_dataset(
         base.graph,
         _single_task_corpus(questions),
@@ -161,13 +167,11 @@ def _adapt_inner(
     else:
         policy = base.policy.copy()
     pairs = [(q.text, q.gold_path) for q in questions if q.gold_path is not None]
+    encoder = AdaptedEncoder(base.encoder)
     if pairs:
-        encoder = base.encoder
         for _ in range(config.inner_steps):
             _, _, grads = pt_loss_and_grads(encoder, pairs, strict=config.strict_qpa)
-            encoder = _descend(encoder, grads.to_vector(), config.inner_lr)
-    else:
-        encoder = base.encoder.copy()
+            encoder = encoder.descend(grads, config.inner_lr)
     return AgentBundle(policy=policy, encoder=encoder, graph=base.graph, rl_config=base.rl_config)
 
 
@@ -268,30 +272,43 @@ def _rollout_and_accumulate(
     baseline: ReturnBaseline,
     rng_key: tuple,
     policy_grad: np.ndarray,
-    encoder_grad: np.ndarray,
+    ft_grads: list[EncoderGrads],
 ) -> list[dict]:
     """Outer-loop rollouts at the adapted parameters.
 
-    Each question is traversed by sampling, its candidates plus sampled
-    negatives are scored through the backend, and the selected episode's
-    REINFORCE gradient and the pool's fine-tuning gradient are added into
-    ``policy_grad`` and ``encoder_grad`` in place. Returns one record per
-    question.
+    Each question is traversed by sampling, and negatives are sampled for
+    its pool. Then the questions and every pool path (candidates plus
+    negatives) are projected, one product per side, and the same rows
+    serve selection and fine-tuning. Per question, in order, the pool is
+    scored through the backend, the selected episode's REINFORCE gradient
+    is added into ``policy_grad`` in place, and the pool's fine-tuning
+    gradient is appended to ``ft_grads`` as factors. Returns one record
+    per question.
     """
     rl_config = agents.rl_config
-    records = []
+    walks = []
     for question in questions:
         rng = _rng(*rng_key, question.question_id)
-        candidates, _, selected = retrieve(agents, question, mode="sample", rng=rng)
-        if selected is None:
-            records.append(_record(question, candidates, selected))
+        candidates = traverse(
+            agents.graph, question.text, agents.policy, rl_config, mode="sample", rng=rng,
+            task_id=question.task_id, question_id=question.question_id,
+        )
+        paths = [c.path for c in candidates]
+        if candidates:
+            paths += _sample_negative_paths(
+                negatives_from, question.question_id, config.pool_extra_negatives, rng
+            )
+        walks.append((question, candidates, paths))
+    rows = PoolRows(
+        agents.encoder, [question.text for question, _, _ in walks], [p for _, _, p in walks]
+    )
+    records = []
+    for row, (question, candidates, paths) in enumerate(walks):
+        if not candidates:
+            records.append(_record(question, candidates, None))
             continue
-        extras = _sample_negative_paths(
-            negatives_from, question.question_id, config.pool_extra_negatives, rng
-        )
-        pool = evaluate_pool(
-            question, PathPool.from_paths([c.path for c in candidates] + extras), backend, metric
-        )
+        selected = int(np.argmax(rows.similarities(row, len(candidates))))
+        pool = evaluate_pool(question, PathPool.from_paths(paths), backend, metric)
         entry = pool.entries[selected]
         episode = candidates[selected].episode
         episode.reward = entry.delta
@@ -301,10 +318,7 @@ def _rollout_and_accumulate(
         policy_grad += pg_grad
         for value in episode_returns(episode, rl_config.gamma):
             baseline.update(float(value))
-        _, ft_grads = ft_loss_and_grads(
-            agents.encoder, question.text, pool, strict=config.strict_qpa
-        )
-        encoder_grad += ft_grads.to_vector()
+        ft_grads.append(rows.ft_loss_and_grads(row, pool.best_index, config.strict_qpa)[1])
     return records
 
 
@@ -325,9 +339,8 @@ def meta_train(
     bundle = init_bundle(graph, rl_config, seed=config.seed)
     policy_vec = bundle.policy.to_vector()
     encoder = bundle.encoder
-    encoder_grad = np.zeros_like(encoder.to_vector())
     policy_opt = AdamState.zeros(policy_vec.size)
-    encoder_opt = AdamState.zeros(encoder_grad.size)
+    encoder_opt = AdamState.zeros(encoder.to_vector().size)
     baseline = ReturnBaseline(window=rl_config.baseline_window)
     log: list[dict] = []
     task_ids = [t for t in support.task_ids() if support.questions(t)]
@@ -340,7 +353,7 @@ def meta_train(
         picked = iter_rng.choice(len(task_ids), size=batch_size, replace=False)
         batch = [task_ids[i] for i in sorted(picked)]
         policy_grad = np.zeros_like(policy_vec)
-        encoder_grad.fill(0.0)  # reused: 16.8 MB at d = 1024
+        ft_grads: list[EncoderGrads] = []
         for task_id in batch:
             sample_rng = _rng(config.seed, "support-batch", iteration, task_id)
             inner_questions = _sample_questions(
@@ -367,12 +380,14 @@ def meta_train(
                 continue
             records = _rollout_and_accumulate(
                 outer_questions, adapted, support, backend, metric, config, baseline,
-                (config.seed, "roll", iteration, task_id), policy_grad, encoder_grad,
+                (config.seed, "roll", iteration, task_id), policy_grad, ft_grads,
             )
             for record in records:
                 record["iteration"] = iteration
             log.extend(records)
         policy_vec = adam_step(policy_vec, policy_grad, policy_opt, config.outer_lr)
+        # The meta-batch's fine-tuning factors, dense: one stacked product per side.
+        encoder_grad = EncoderGrads.total(ft_grads, encoder.dimension).to_vector()
         encoder = encoder.with_vector(
             adam_step(encoder.to_vector(), encoder_grad, encoder_opt, config.outer_lr)
         )
@@ -411,15 +426,16 @@ def fewshot_adapt(
         inner = _adapt_inner(base, questions, config, (config.seed, "fewshot-ws", task_id))
         policy_vec = inner.policy.to_vector()
         pg_grad = np.zeros_like(policy_vec)
-        ft_grad = np.zeros_like(inner.encoder.to_vector())
+        ft_grads: list[EncoderGrads] = []
         _rollout_and_accumulate(
             questions, inner, new_support, backend, metric, config,
             ReturnBaseline(window=bundle.rl_config.baseline_window),
-            (config.seed, "fewshot-roll", task_id), pg_grad, ft_grad,
+            (config.seed, "fewshot-roll", task_id), pg_grad, ft_grads,
         )
+        ft_total = EncoderGrads.total(ft_grads, inner.encoder.dimension)
         adapted[task_id] = AgentBundle(
             policy=PolicyParams.from_vector(policy_vec - config.outer_lr * pg_grad),
-            encoder=_descend(inner.encoder, ft_grad, config.outer_lr),
+            encoder=inner.encoder.descend(ft_total, config.outer_lr).dense(),
             graph=extended,
             rl_config=bundle.rl_config,
         )

@@ -13,7 +13,6 @@ from ragplan.backend import (
     MockBackend,
     build_prompt,
     extract_instruction_path,
-    extract_question,
     http_complete,
     make_backend,
     mock_execute,
@@ -86,11 +85,6 @@ class TestBuildPrompt:
         for template in ("hotpotqa", "alfworld", "webshop", "synthetic"):
             prompt = build_prompt("What hue?", path, template)
             assert extract_instruction_path(prompt) == path.serialized()
-
-    def test_question_recoverable(self):
-        path = InstructionPath(("Search[x]",), "T1", "q1")
-        prompt = build_prompt("What is the hue of amber fox?", path, "synthetic")
-        assert extract_question(prompt) == "What is the hue of amber fox?"
 
     def test_unknown_template_rejected(self):
         with pytest.raises(ConfigError):
