@@ -8,39 +8,34 @@ and noise-robustness comparisons.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 from .corpus import InstructionPath, MetricKind, Question, TaskCorpus, score
-from .embedding import EmbedderConfig, EmbeddingVector, cosine, embed_text
+from .embedding import EmbedderConfig, cosine_rows, embed_text, row_norms
 from .errors import NotFoundError
 
 
-@dataclass
-class _StoredCase:
-    question_embedding: EmbeddingVector
-    path: InstructionPath
-
-
 class VerbatimRetriever:
+    """Every support question with a gold path, its embedding kept as one
+    float32 row; ``select`` scores them all with one ``cosine_rows``."""
+
     def __init__(self, support: TaskCorpus, embedder: EmbedderConfig):
         self.embedder = embedder
-        self.cases: list[_StoredCase] = []
-        for question in support.iter_questions():
-            gold = question.gold_path
-            if gold is not None:
-                self.cases.append(
-                    _StoredCase(embed_text(question.text, embedder, transient=True), gold)
-                )
+        stored = [q for q in support.iter_questions() if q.gold_path is not None]
+        self.paths: list[InstructionPath] = [q.gold_path for q in stored]
+        vectors = [embed_text(q.text, embedder, transient=True) for q in stored]
+        values = [v.values for v in vectors]
+        self.rows = np.array(values, dtype=np.float32).reshape(-1, embedder.dimension)
+        self.norms = row_norms(self.rows.astype(np.float64))
+        self.valid = np.array([v.valid for v in vectors], dtype=bool)
 
     def select(self, question_text: str) -> InstructionPath:
-        if not self.cases:
+        """The stored path of the most similar stored question; ties go to
+        the lowest index."""
+        if not self.paths:
             raise NotFoundError("no stored cases to retrieve from")
         query = embed_text(question_text, self.embedder, transient=True)
-        best_index = max(
-            range(len(self.cases)),
-            key=lambda i: (cosine(query, self.cases[i].question_embedding), -i),
-        )
-        return self.cases[best_index].path
+        return self.paths[int(np.argmax(cosine_rows(query, self.rows, self.norms, self.valid)))]
 
 
 def evaluate_verbatim(

@@ -32,7 +32,7 @@ from .corpus import (
 )
 from .config import RunConfig
 from .encoder import load_encoder, save_encoder
-from .errors import BackendError, ConfigError, DataError, RagplanError
+from .errors import BackendError, ConfigError, DataError, MalformedFileError, RagplanError
 from .graph import build_graph, graph_stats, load_graph, save_graph
 from .meta import (
     AgentBundle,
@@ -42,7 +42,7 @@ from .meta import (
     meta_train,
     retrieve,
 )
-from .policy import load_policy, save_policy
+from .policy import RlConfig, load_policy, save_policy
 from .serialize import read_fields, sha256_file
 from .world import SyntheticWorldSpec, demo_spec, gen_world, load_world, save_world
 
@@ -128,16 +128,29 @@ def _save_bundle(bundle: AgentBundle, out: Path, config: RunConfig) -> list[Path
 
 
 def _bundle_files(directory: str | Path, prefix: str,
-                  names: tuple[str, ...] = ("graph", "policy", "encoder")) -> dict[str, Path]:
+                  names: tuple[str, ...] = ("graph", "policy", "encoder", "bundle")
+                  ) -> dict[str, Path]:
     """The manifest inputs of a bundle directory, keyed ``<prefix>_<name>``."""
     return {f"{prefix}_{name}": Path(directory) / f"{name}.json" for name in names}
 
 
 def _load_bundle(directory: str | Path, config: RunConfig) -> AgentBundle:
+    """The bundle in ``directory``, run under ``config.rl``, whose rule hooks
+    must be the ones in ``bundle.json``; ``k`` is the run's choice."""
     files = _bundle_files(directory, "bundle")
     for path in files.values():
         _require_file(path, "bundle")
-    graph_path, policy_path, encoder_path = files.values()
+    graph_path, policy_path, encoder_path, bundle_path = files.values()
+    try:
+        trained = json.loads(bundle_path.read_text(encoding="utf-8"))
+        if not isinstance(trained, dict) or sorted(trained) != ["k", "rule_hooks"]:
+            raise ConfigError("expected an object with an int k and a list of rule hooks")
+        hooks = read_fields(RlConfig, trained).rule_hooks
+    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MalformedFileError(f"{bundle_path}: malformed bundle file: {exc}") from exc
+    if hooks != config.rl.rule_hooks:
+        raise ConfigError(f"the run config's rl.rule_hooks {list(config.rl.rule_hooks)} differ "
+                          f"from {list(hooks)}, the bundle's ({bundle_path})")
     graph = load_graph(graph_path)
     policy = load_policy(policy_path)
     encoder, _ = load_encoder(encoder_path)

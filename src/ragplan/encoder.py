@@ -6,7 +6,9 @@ and unit-normalized. Pre-training aligns paired question/path
 encodings with a symmetric contrastive loss plus a binary match head;
 fine-tuning contrasts the answer-verified best path of a pool against
 the rest. Selection is a plain cosine argmax, so nothing depends on
-how many candidates are offered.
+how many candidates are offered. Serving and training select alike,
+through ``PoolRows``: one projection product per side, then
+``cosine_rows``, which equals ``cosine`` bit for bit.
 
 Parameters live in one flat float64 buffer laid out ``wq | wp | qpm_w``.
 A projection's gradient is a sum of products ``d_rawᵀ @ base`` over a
@@ -36,7 +38,8 @@ import numpy as np
 
 from .corpus import InstructionPath
 from .corpus import score  # noqa: F401  bench/tracer.py wraps ragplan.encoder.score
-from .embedding import EmbedderConfig, EmbeddingVector, cosine, embed_text
+from .embedding import EmbedderConfig, EmbeddingVector, cosine_rows, embed_text, row_norms
+from .embedding import cosine  # noqa: F401  bench/tracer.py wraps ragplan.encoder.cosine
 from .errors import ConfigError, DataError, MalformedFileError, NotFoundError
 from .serialize import read_versioned, write_versioned
 
@@ -313,18 +316,6 @@ class AdaptedEncoder:
         return self.base.with_vector(self.base.to_vector() - self.update.to_vector())
 
 
-def _encoding(rows: _Rows, i: int = 0) -> EmbeddingVector:
-    return EmbeddingVector(rows.unit[i].astype(np.float32), valid=bool(rows.norms[i] > 0.0))
-
-
-def encode_question(params: EncoderParams, question: str) -> EmbeddingVector:
-    return _encoding(_project_rows(params, "wq", [question]))
-
-
-def encode_path(params: EncoderParams, path: InstructionPath) -> EmbeddingVector:
-    return _encoding(_project_rows(params, "wp", [path.serialized()]))
-
-
 def _info_nce(scores: np.ndarray, positives: np.ndarray, strict: bool) -> tuple[float, np.ndarray]:
     """InfoNCE of each score row against its positive column, averaged
     over rows; returns (loss, dL/d scores).
@@ -507,11 +498,13 @@ class PoolRows:
 
     def similarities(self, i: int, count: int) -> np.ndarray:
         """``cosine`` of question ``i``'s encoding with each of the first
-        ``count`` paths of its pool, as ``candidate_similarities`` gives
-        them."""
-        encoded_q = _encoding(self.q, i)
+        ``count`` paths of its pool, encodings being float32 as in
+        ``EmbeddingVector``; one ``cosine_rows`` call."""
+        valid = bool(self.q.norms[i] > 0.0)
+        question = EmbeddingVector(self.q.unit[i].astype(np.float32), valid=valid)
         paths = self._pool(i, count)
-        return np.array([cosine(encoded_q, _encoding(paths, j)) for j in range(count)])
+        rows = paths.unit.astype(np.float32)
+        return cosine_rows(question, rows, row_norms(rows.astype(np.float64)), paths.norms > 0.0)
 
     def ft_loss_and_grads(self, i: int, best: int, strict: bool) -> tuple[float, EncoderGrads]:
         """``ft_loss_and_grads`` of question ``i`` against its pool."""
@@ -542,10 +535,8 @@ def ft_loss_and_grads(
 def candidate_similarities(
     params: EncoderParams, question: str, candidates: list[InstructionPath]
 ) -> np.ndarray:
-    encoded_q = encode_question(params, question)
-    return np.array(
-        [cosine(encoded_q, encode_path(params, path)) for path in candidates]
-    )
+    """``PoolRows.similarities`` of one question and its candidates."""
+    return PoolRows(params, [question], [candidates]).similarities(0, len(candidates))
 
 
 def select_path(

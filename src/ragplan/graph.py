@@ -211,9 +211,8 @@ class InstructionGraph:
         self.embedder = embedder
         self.nodes: dict[int, NodeSet] = {}
         self.edges: dict[tuple[int, int], EdgeSet] = {}
-        # Next node / edge ids to assign, as in the construction counters.
+        # Next node id to assign, as in the construction counter.
         self.ic = 1
-        self.tc = 1
         # Append-only row stores that graph copies share (see ``_Rows``).
         # Question embeddings of (task_id, question_id) back the
         # task-centroid and question components of traversal states, and
@@ -255,6 +254,11 @@ class InstructionGraph:
         self._scan = self._scan.append(
             values=values, nodes=node_ids, texts=texts, norms=row_norms(values)
         )
+
+    @property
+    def tc(self) -> int:
+        """Next edge id: edges are never removed, so the edge count plus one."""
+        return len(self.edges) + 1
 
     @property
     def question_embeddings(self) -> Mapping[tuple[str, str], EmbeddingVector]:
@@ -997,7 +1001,6 @@ def insert_path(
             else:
                 edge = EdgeSet(previous, node_id)
                 graph.edges[key] = edge
-                graph.tc += 1
             if edge.add_task(path.task_id, path.question_id):
                 graph._wrote(key, path.task_id, path.question_id)
         previous = node_id
@@ -1101,7 +1104,7 @@ def load_graph(source: str | Path) -> InstructionGraph:
         embedder = EmbedderConfig.from_json(doc["embedder"])
         graph = InstructionGraph(delta=float(doc["delta"]), embedder=embedder)
         graph.ic = int(doc["ic"])
-        graph.tc = int(doc["tc"])
+        tc = int(doc["tc"])
         node_ids, texts, rows = [], [], []
         for node_doc in doc["nodes"]:
             node = NodeSet(int(node_doc["node_id"]))
@@ -1161,10 +1164,8 @@ def load_graph(source: str | Path) -> InstructionGraph:
         raise MalformedFileError(f"{source}: malformed graph document: {exc}") from exc
     if graph.nodes and graph.ic <= max(graph.nodes):
         raise MalformedFileError(f"{source}: ic {graph.ic} is not above every node id")
-    if graph.tc != len(graph.edges) + 1:
-        raise MalformedFileError(
-            f"{source}: tc {graph.tc} does not match {len(graph.edges)} edges"
-        )
+    if tc != graph.tc:
+        raise MalformedFileError(f"{source}: tc {tc} does not match {len(graph.edges)} edges")
     return graph
 
 
@@ -1180,7 +1181,7 @@ def _finite_rows(source, rows: list[np.ndarray], dimension: int, name) -> np.nda
 
 def graphs_equal(a: InstructionGraph, b: InstructionGraph) -> bool:
     """Deep structural equality, embeddings compared bit-exactly."""
-    if (a.delta, a.embedder, a.ic, a.tc) != (b.delta, b.embedder, b.ic, b.tc):
+    if (a.delta, a.embedder, a.ic) != (b.delta, b.embedder, b.ic):
         return False
     if set(a.nodes) != set(b.nodes) or set(a.edges) != set(b.edges):
         return False

@@ -464,16 +464,6 @@ def answer_question(
     )
 
 
-def evaluate_bundle(
-    bundle: AgentBundle, corpus: TaskCorpus, backend, metric: MetricKind
-) -> EvalReport:
-    records = [
-        answer_question(bundle, question, backend, metric)
-        for question in corpus.iter_questions()
-    ]
-    return summarize_records(records)
-
-
 def summarize_records(records: list[dict]) -> EvalReport:
     per_task: dict[str, dict] = {}
     for record in records:
@@ -503,10 +493,16 @@ def meta_test(
 ) -> EvalReport:
     """Evaluate each task's query questions with that task's bundle."""
     records = []
-    for task_id in query.task_ids():
-        bundle = adapted.get(task_id, default_bundle)
+    for question in query.iter_questions():
+        bundle = adapted.get(question.task_id, default_bundle)
         if bundle is None:
-            raise DataError(f"no adapted bundle for task {task_id} and no default")
-        for question in sorted(query.questions(task_id), key=lambda q: q.question_id):
-            records.append(answer_question(bundle, question, backend, metric))
+            raise DataError(f"no adapted bundle for task {question.task_id} and no default")
+        records.append(answer_question(bundle, question, backend, metric))
     return summarize_records(records)
+
+
+def evaluate_bundle(
+    bundle: AgentBundle, corpus: TaskCorpus, backend, metric: MetricKind
+) -> EvalReport:
+    """Evaluate every question of ``corpus`` with one bundle."""
+    return meta_test({}, corpus, metric, backend, default_bundle=bundle)

@@ -8,6 +8,11 @@ question projects itself and its candidates one row at a time for
 selection, projects them again for fine-tuning and adds its dense
 gradient into the meta-batch's. ``ragplan.meta`` keeps the same updates
 as factors and forms them once; only the rounding order differs.
+
+Selection here is the single-row path that ``ragplan.encoder`` replaced
+with ``PoolRows``: each text is projected alone and each candidate
+scored with a scalar ``cosine`` (``encode_question``, ``encode_path``,
+``candidate_similarities``, ``retrieve``).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ragplan.embedding import EmbedderConfig, embed_text
+from ragplan.embedding import EmbedderConfig, EmbeddingVector, cosine, embed_text
 from ragplan.encoder import (
     EncoderParams,
     PathPool,
@@ -37,7 +42,6 @@ from ragplan.meta import (
     _stable_int,
     evaluate_pool,
     init_bundle,
-    retrieve,
 )
 from ragplan.optim import AdamState, ReturnBaseline, adam_step
 from ragplan.policy import (
@@ -46,6 +50,7 @@ from ragplan.policy import (
     episode_returns,
     make_warmstart_dataset,
     pg_loss_and_grad,
+    traverse,
 )
 
 
@@ -64,6 +69,35 @@ def _project_rows(matrix: np.ndarray, texts: list[str], embedder: EmbedderConfig
     norms = np.sqrt(np.vecdot(raw, raw))
     unit = np.divide(raw, norms[:, None], out=np.zeros_like(raw), where=norms[:, None] > 0.0)
     return _Rows(base, unit, norms)
+
+
+def _encoding(matrix: np.ndarray, text: str, embedder: EmbedderConfig) -> EmbeddingVector:
+    rows = _project_rows(matrix, [text], embedder)
+    return EmbeddingVector(rows.unit[0].astype(np.float32), valid=bool(rows.norms[0] > 0.0))
+
+
+def encode_question(params, question: str) -> EmbeddingVector:
+    return _encoding(params.wq, question, params.embedder)
+
+
+def encode_path(params, path) -> EmbeddingVector:
+    return _encoding(params.wp, path.serialized(), params.embedder)
+
+
+def candidate_similarities(params, question: str, candidates) -> np.ndarray:
+    encoded_q = encode_question(params, question)
+    return np.array([cosine(encoded_q, encode_path(params, path)) for path in candidates])
+
+
+def retrieve(bundle, question, mode="greedy", rng=None):
+    candidates = traverse(
+        bundle.graph, question.text, bundle.policy, bundle.rl_config, mode=mode, rng=rng,
+        task_id=question.task_id, question_id=question.question_id,
+    )
+    if not candidates:
+        return candidates, np.zeros(0), None
+    sims = candidate_similarities(bundle.encoder, question.text, [c.path for c in candidates])
+    return candidates, sims, int(np.argmax(sims))
 
 
 def _project_backward(rows: _Rows, d_unit: np.ndarray, out: np.ndarray) -> None:

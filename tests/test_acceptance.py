@@ -29,8 +29,6 @@ from ragplan.embedding import EmbedderConfig, embed_text
 from ragplan.encoder import (
     EncoderParams,
     PathPool,
-    encode_path,
-    encode_question,
     ft_loss_and_grads,
     init_encoder_params,
     load_encoder,

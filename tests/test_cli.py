@@ -412,7 +412,8 @@ def nan_instruction(doc):
     ("graph", lambda doc: doc["embedder"].update(dimension=4)),
     ("graph", nan_instruction),
     ("encoder", lambda doc: doc["embedder"].update(ngram_min=9)),
-], ids=["graph-delta", "graph-dimension", "graph-nan", "encoder-ngram-min"])
+    ("bundle", lambda doc: doc.update(rule_hooks=["no-such-hook"])),
+], ids=["graph-delta", "graph-dimension", "graph-nan", "encoder-ngram-min", "bundle-hook"])
 def test_bundle_file_with_a_bad_value_is_data_error(
     workspace, trained, tmp_path, capsys, member, change
 ):
@@ -434,6 +435,65 @@ def test_bundle_file_with_a_bad_value_is_data_error(
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("data error") and str(member_file) in err
+
+
+@pytest.mark.parametrize("text", [
+    "[]", '{"k": 3}', '{"k": "3", "rule_hooks": []}', '{"k": true, "rule_hooks": []}',
+    '{"k": 3, "rule_hooks": "no-lookup-before-search"}', '{"k": 3, "rule_hooks": [], "x": 1}',
+    "{",
+])
+def test_bundle_json_that_is_not_an_int_k_and_a_hook_list_is_data_error(
+    workspace, trained, tmp_path, capsys, text
+):
+    import shutil
+
+    _, config_path, _ = workspace
+    bundle_dir = tmp_path / "bundle"
+    shutil.copytree(trained / "bundle", bundle_dir)
+    (bundle_dir / "bundle.json").write_text(text, encoding="utf-8")
+    code = main([
+        "retrieve", "--bundle", str(bundle_dir), "Which is older?", "--config", str(config_path),
+    ])
+    assert code == 3
+    assert str(bundle_dir / "bundle.json") in capsys.readouterr().err
+
+
+def test_a_bundle_runs_only_under_the_rule_hooks_it_was_trained_with(tmp_path, capsys):
+    # configs/demo.json turns the opt-in rule hook on, and the demo bundle
+    # scores lower without it, so a run config that leaves it out is a
+    # configuration error. K stays a choice of the run.
+    config = json.loads((Path(__file__).resolve().parents[1] / "configs" / "demo.json")
+                        .read_text(encoding="utf-8"))
+    config["meta"]["iterations"] = 1
+    with_hooks, without_hooks = tmp_path / "demo.json", tmp_path / "no-hooks.json"
+    with_hooks.write_text(json.dumps(config), encoding="utf-8")
+    del config["rl"]["rule_hooks"]
+    without_hooks.write_text(json.dumps(config), encoding="utf-8")
+    gen, bundle = tmp_path / "gen", tmp_path / "train" / "bundle"
+    assert main(["gen", "--demo", "--config", str(with_hooks), "--out", str(gen)]) == 0
+    assert main(["train", "--corpus", str(gen / "corpus.jsonl"), "--world", str(gen / "world.json"),
+                 "--config", str(with_hooks), "--out", str(tmp_path / "train")]) == 0
+    run = ["eval", "--bundle", str(bundle), "--query", str(gen / "corpus.jsonl"),
+           "--world", str(gen / "world.json")]
+    capsys.readouterr()
+    assert main([*run, "--config", str(without_hooks), "--out", str(tmp_path / "e0")]) == 2
+    err = capsys.readouterr().err
+    assert "[]" in err and "['no-lookup-before-search']" in err
+    assert main([*run, "--config", str(with_hooks), "--out", str(tmp_path / "e1")]) == 0
+    assert main(["retrieve", "--bundle", str(bundle), "Which is older?",
+                 "--config", str(with_hooks), "--k", "5"]) == 0
+
+
+def test_a_bundle_trained_without_rule_hooks_refuses_a_config_with_them(workspace, trained):
+    root, _, _ = workspace
+    config_path = root / "hooked.json"
+    config_path.write_text(json.dumps(
+        dict(DEMO_CONFIG, rl={"rule_hooks": ["no-lookup-before-search"]})), encoding="utf-8")
+    code = main([
+        "retrieve", "--bundle", str(trained / "bundle"), "Which is older?",
+        "--config", str(config_path),
+    ])
+    assert code == 2
 
 
 def test_eval_traces_written_when_requested(workspace, trained):
@@ -549,7 +609,7 @@ def test_manifests_hash_every_file_read(workspace, trained):
                  "--query", str(corpus), *common, "--out", str(eval_out)]) == 0
     assert main(["sweep", "--corpus", str(corpus), "--parameter", "k", "--values", "1",
                  "--bundle", str(bundle), *common, "--out", str(sweep_out)]) == 0
-    bundle_files = {bundle / f"{name}.json" for name in ("graph", "policy", "encoder")}
+    bundle_files = {bundle / f"{name}.json" for name in ("graph", "policy", "encoder", "bundle")}
     task_files = set((adapt_out / "tasks").rglob("*.json"))
     assert task_files
     expected = {

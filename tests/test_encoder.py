@@ -9,8 +9,6 @@ from ragplan.encoder import (
     EncoderParams,
     PathPool,
     candidate_similarities,
-    encode_path,
-    encode_question,
     ft_loss_and_grads,
     init_encoder_params,
     load_encoder,
@@ -25,6 +23,7 @@ from ragplan.errors import ConfigError, DataError, MalformedFileError, NotFoundE
 from ragplan.meta import evaluate_pool
 from ragplan.optim import AdamState, adam_step
 from encoder_faults import FAULTS
+from meta_reference import encode_path, encode_question
 from scalar_kernels import _normalize_backprop, _project
 
 CFG = EmbedderConfig(dimension=16)

@@ -124,6 +124,9 @@ class TestInsertPath:
         insert_path(graph, P11, "question q1")
         assert graph.ic == 1 + max(graph.nodes)
         assert graph.tc == 1 + len(graph.edges)
+        with pytest.raises(AttributeError):
+            graph.tc = 1  # derived from the edges, not kept
+        assert graph.copy().tc == graph.tc
 
     def test_reinsert_same_path_is_structurally_idempotent(self):
         graph = InstructionGraph(delta=0.4, embedder=CFG)

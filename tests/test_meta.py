@@ -233,6 +233,19 @@ class TestMetaTest:
             float(np.mean([s["mean_delta"] for s in report.per_task.values()]))
         )
 
+    def test_evaluate_bundle_answers_each_question_in_corpus_order(self, small_setup):
+        # evaluate_bundle is meta_test with only a default bundle; it must
+        # give the records of answering every question in iter_questions order.
+        _, support, query, backend, rl = small_setup
+        bundle = init_bundle(build_graph(support, 0.4, EMBEDDER), rl, seed=5)
+        report = evaluate_bundle(bundle, query, backend, METRIC)
+        expected = [
+            answer_question(bundle, question, backend, METRIC)
+            for question in query.iter_questions()
+        ]
+        assert report.records == expected and expected
+        assert report.macro_average == summarize_records(expected).macro_average
+
     def test_missing_bundle_without_default_rejected(self, small_setup):
         _, support, query, backend, rl = small_setup
         with pytest.raises(DataError):

@@ -5,15 +5,16 @@ once: the inner step leaves the base plus factors, each task's rollout
 projects its questions and pool paths in one product per side, and a
 meta-batch's fine-tuning gradient is one stacked product per side. The
 dense loop in ``meta_reference.py`` forms every gradient and adapted
-encoder as it goes. Only the rounding order differs, so on the demo
-world the logs, policies and evaluation records must be identical and
-the encoder weights agree within 1e-12.
+encoder as it goes, and selects one row at a time. Only the rounding
+order differs, so on the demo world the logs, policies and evaluation
+records must be identical and the encoder weights agree within 1e-12.
 """
 
 import numpy as np
 import pytest
 
 from meta_reference import (
+    candidate_similarities as single_row_similarities,
     ft_loss_and_grads as dense_ft,
     pt_loss_and_grads as dense_pt,
     qpa_loss_and_grads as dense_qpa,
@@ -22,8 +23,8 @@ from meta_reference import (
     reference_meta_train,
 )
 from ragplan.backend import BackendConfig, MockBackend
-from ragplan.corpus import MetricKind, split_by_hint
-from ragplan.embedding import EmbedderConfig
+from ragplan.corpus import InstructionPath, MetricKind, split_by_hint
+from ragplan.embedding import EmbedderConfig, EmbeddingVector, cosine
 from ragplan.encoder import (
     AdaptedEncoder,
     PathPool,
@@ -35,7 +36,7 @@ from ragplan.encoder import (
     qpa_loss_and_grads,
     qpm_loss_and_grads,
 )
-from ragplan.meta import MetaConfig, fewshot_adapt, meta_test, meta_train
+from ragplan.meta import MetaConfig, fewshot_adapt, meta_test, meta_train, retrieve
 from ragplan.policy import RlConfig
 from ragplan.world import demo_spec, gen_world
 from test_kernel_oracle import QUESTIONS, random_pairs
@@ -154,3 +155,52 @@ def test_adapted_encoder_projects_as_its_dense_form():
         assert np.allclose(a.unit, b.unit, rtol=0.0, atol=1e-14)
         assert np.allclose(a.norms, b.norms, rtol=1e-14, atol=0.0)
     assert np.array_equal(params.to_vector(), small_params(7, head_scale=0.3).to_vector())
+
+
+def test_pooled_selection_matches_the_single_row_path_on_the_demo(demo, trained):
+    # Serving selects through PoolRows; the single-row path it replaced
+    # projects each text alone. One row or many through the same W moves
+    # only the rounding.
+    _, support, query, _ = demo
+    (bundle, _), _ = trained
+    selections = 0
+    for question in [*support.iter_questions(), *query.iter_questions()]:
+        candidates, sims, selected = retrieve(bundle, question)
+        if selected is None:
+            continue
+        reference = single_row_similarities(
+            bundle.encoder, question.text, [c.path for c in candidates]
+        )
+        assert selected == int(np.argmax(reference))
+        assert np.abs(sims - reference).max() <= 1e-6
+        selections += 1
+    assert selections > 50
+
+
+def pair_cosines(rows, i):
+    """A per-pair ``cosine`` loop over question ``i`` and its pool."""
+
+    def encoding(side, j):
+        return EmbeddingVector(side.unit[j].astype(np.float32), valid=bool(side.norms[j] > 0.0))
+
+    pool = range(rows.starts[i], rows.starts[i + 1])
+    return np.array([cosine(encoding(rows.q, i), encoding(rows.p, j)) for j in pool])
+
+
+def test_pool_similarities_equal_a_per_pair_cosine_loop_bit_for_bit():
+    invalid = InstructionPath(("?",), "T1", "invalid")  # embeds to zero: norm 0
+    for seed in range(6):
+        pairs = random_pairs(6, seed)
+        questions = [question for question, _ in pairs[:3]]
+        pools = [[path for _, path in pairs[i:i + 3]] + [invalid] for i in range(3)]
+        for params in (small_params(seed), init_encoder_params(EMBEDDER_16)):
+            rows = PoolRows(params, questions, pools)
+            for i, pool in enumerate(pools):
+                sims = rows.similarities(i, len(pool))
+                assert np.array_equal(sims, pair_cosines(rows, i))
+                assert sims[-1] == 0.0
+    question = "hue of amber fox?"
+    own_text = InstructionPath((question,), "T1", "q0")
+    identity = init_encoder_params(EMBEDDER_16)
+    sims = PoolRows(identity, [question], [[own_text, invalid]]).similarities(0, 2)
+    assert sims.tolist() == [1.0, 0.0]
