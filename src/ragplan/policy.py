@@ -31,6 +31,8 @@ from .serialize import (
 
 HIDDEN_UNITS = 20
 STATE_SIZE = 3
+POLICY_SHAPES = {"w1": (HIDDEN_UNITS, STATE_SIZE), "b1": (HIDDEN_UNITS,),
+                 "w2": (2, HIDDEN_UNITS), "b2": (2,)}
 PROB_FLOOR = 1e-7
 POLICY_KIND = "policy-params"
 
@@ -548,8 +550,9 @@ def load_policy(source) -> PolicyParams:
         shapes = doc["shapes"]
         data = doc["data"]
         arrays = {}
-        for name in ("w1", "b1", "w2", "b2"):
-            shape = tuple(shapes[name])
+        for name, shape in POLICY_SHAPES.items():
+            if shapes[name] != list(shape):
+                raise ValueError(f"{name} has shape {shapes[name]}, expected {list(shape)}")
             arrays[name] = hex_to_floats(
                 data[name], int(np.prod(shape)), dtype="<f8"
             ).reshape(shape)

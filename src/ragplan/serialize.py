@@ -4,9 +4,11 @@ config dataclass from a JSON object.
 Float payloads inside JSON are stored as hex of little-endian floats, so
 save/load round-trips are bit-exact across platforms: float64 (``<f8``)
 for policy weights, float32 (``<f4``, the default) for embeddings.
-Encoder weights are too large for hex: an encoder file is a small
-versioned header written here, next to a raw little-endian float64
-payload whose value count and sha256 the header records (see
+Encoder weights are too large for hex: an encoder file is a versioned
+header written here, next to a raw little-endian float64 payload that
+holds only the block of each projection where it differs from the
+identity, then the match head. The header records the blocks' index
+sets, the value count and a sha256 over both (see
 ``ragplan.encoder.save_encoder``).
 """
 

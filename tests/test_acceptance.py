@@ -78,6 +78,8 @@ from ragplan.world import (
     is_recombination,
 )
 
+from encoder_reference import load_full_encoder, save_full_encoder
+
 METRIC = MetricKind.TOKEN_F1
 PIPELINE_EMBEDDER = EmbedderConfig(dimension=1024)
 PIPELINE_RL = RlConfig(rule_hooks=("no-lookup-before-search",))
@@ -604,3 +606,17 @@ class TestCriterion12Persistence:
             "graph/policy/encoder files round-trip bit-exactly and version "
             "mismatches raise typed errors",
         )
+
+    def test_trained_encoder_loads_alike_from_both_layouts(self, tmp_path, trained):
+        # The identity-block layout against the full raw one it replaced.
+        encoder = trained[0].encoder
+        full_payload = save_full_encoder(encoder, tmp_path / "full.json")
+        block_payload = save_encoder(encoder, tmp_path / "blocks.json")
+        from_full, _ = load_full_encoder(tmp_path / "full.json")
+        from_blocks, _ = load_encoder(tmp_path / "blocks.json")
+        weights = encoder.to_vector().tobytes()
+        ratio = block_payload.stat().st_size / full_payload.stat().st_size
+        ok = from_full.to_vector().tobytes() == from_blocks.to_vector().tobytes() == weights
+        report(12, ok and ratio < 0.65,
+               f"the trained encoder loads bit-exactly from both layouts; the block "
+               f"payload is {ratio:.1%} of the full one")

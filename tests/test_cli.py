@@ -661,6 +661,29 @@ def test_eval_on_a_damaged_encoder_payload_is_data_error(
     assert capsys.readouterr().err.startswith("data error")
 
 
+def test_eval_on_a_policy_with_transposed_shapes_is_data_error(
+    workspace, trained, tmp_path, capsys
+):
+    # The payloads keep their sizes, so only a check of each shape catches it.
+    import shutil
+
+    root, config_path, gen_dir = workspace
+    bundle_dir = tmp_path / "bundle"
+    shutil.copytree(trained / "bundle", bundle_dir)
+    policy_file = bundle_dir / "policy.json"
+    doc = json.loads(policy_file.read_text(encoding="utf-8"))
+    doc["shapes"].update(w1=[3, 20], w2=[20, 2])
+    policy_file.write_text(json.dumps(doc), encoding="utf-8")
+    code = main([
+        "eval", "--bundle", str(bundle_dir), "--query", str(gen_dir / "corpus.jsonl"),
+        "--world", str(gen_dir / "world.json"), "--config", str(config_path),
+        "--out", str(tmp_path / "eval"),
+    ])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and str(policy_file) in err
+
+
 def test_train_and_adapt_list_the_encoder_payloads(workspace, trained):
     root, config_path, gen_dir = workspace
     out = root / "adapt-outputs"

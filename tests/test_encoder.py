@@ -559,29 +559,75 @@ class TestInvariants:
             qpm_loss_and_grads(params, [])
 
 
+def moved_params(seed=44):
+    """Identity projections moved on a block of rows 2–9 and columns 1–12 of
+    ``wq`` and rows 0–15, columns 3 and 7 of ``wp``, with a nonzero head."""
+    rng = np.random.default_rng(seed)
+    params = identity_params()
+    params.wq[2:10, 1:13] += rng.standard_normal((8, 12))
+    params.wp[:, [3, 7]] = rng.standard_normal((16, 2))
+    params.qpm_w = rng.standard_normal(params.qpm_w.size)
+    return params
+
+
+def round_trip(params, tmp_path):
+    dest = tmp_path / "encoder.json"
+    save_encoder(params, dest)
+    loaded, _ = load_encoder(dest)
+    assert loaded.to_vector().tobytes() == params.to_vector().tobytes()
+    return json.loads(dest.read_text(encoding="utf-8"))
+
+
 class TestEncoderPayload:
-    def test_header_names_a_raw_payload_next_to_it(self, tmp_path):
-        params = init_encoder_params(CFG, seed=44, scale=0.3)
+    def test_payload_holds_the_moved_blocks_then_the_head(self, tmp_path):
+        params = moved_params()
         dest = tmp_path / "encoder.json"
         payload = save_encoder(params, dest)
         assert payload == tmp_path / "encoder.f64"
-        assert payload.read_bytes() == params.to_vector().astype("<f8").tobytes()
+        wq_rows, wq_cols, wp_rows, wp_cols = range(2, 10), range(1, 13), range(16), [3, 7]
+        blocks = [params.wq[np.ix_(wq_rows, wq_cols)], params.wp[np.ix_(wp_rows, wp_cols)]]
+        expected = np.concatenate([b.ravel() for b in blocks] + [params.qpm_w])
+        assert payload.read_bytes() == expected.astype("<f8").tobytes()
         header = json.loads(dest.read_text(encoding="utf-8"))
+        assert header["layout"] == "identity-blocks"
+        assert header["blocks"] == {
+            "wq": {"rows": list(wq_rows), "cols": list(wq_cols)},
+            "wp": {"rows": list(wp_rows), "cols": wp_cols},
+        }
         assert header["payload"]["file"] == "encoder.f64"
-        assert header["payload"]["values"] == params.to_vector().size
-        assert dest.stat().st_size < 1000
+        assert header["payload"]["values"] == expected.size
 
-    def test_loaded_params_wrap_the_payload_buffer(self, tmp_path):
+    def test_loaded_params_own_one_buffer(self, tmp_path):
+        params = moved_params()
         dest = tmp_path / "encoder.json"
-        save_encoder(init_encoder_params(CFG, seed=44, scale=0.3), dest)
+        save_encoder(params, dest)
         loaded, _ = load_encoder(dest)
+        assert loaded.to_vector().tobytes() == params.to_vector().tobytes()
         assert np.shares_memory(loaded.wq, loaded.to_vector())
         assert np.shares_memory(loaded.qpm_w, loaded.to_vector())
+
+    def test_identity_stores_empty_blocks(self, tmp_path):
+        header = round_trip(identity_params(), tmp_path)
+        assert all(header["blocks"][side] == {"rows": [], "cols": []} for side in ("wq", "wp"))
+        assert header["payload"]["values"] == 2 * CFG.dimension + 1
+
+    def test_gaussian_init_stores_full_blocks(self, tmp_path):
+        header = round_trip(init_encoder_params(CFG, seed=44, scale=0.3), tmp_path)
+        every = list(range(CFG.dimension))
+        assert all(header["blocks"][side] == {"rows": every, "cols": every}
+                   for side in ("wq", "wp"))
+
+    def test_negative_zero_counts_as_moved(self, tmp_path):
+        params = identity_params()
+        params.wp[5, 9] = -0.0
+        header = round_trip(params, tmp_path)
+        assert header["blocks"]["wp"] == {"rows": [5], "cols": [9]}
+        assert header["blocks"]["wq"] == {"rows": [], "cols": []}
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_damaged_payload_rejected(self, tmp_path, fault):
         dest = tmp_path / "encoder.json"
-        save_encoder(init_encoder_params(CFG, seed=44, scale=0.3), dest)
+        save_encoder(moved_params(), dest)
         FAULTS[fault](dest)
         with pytest.raises(MalformedFileError):
             load_encoder(dest)
