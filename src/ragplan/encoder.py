@@ -48,7 +48,7 @@ from .corpus import score  # noqa: F401  bench/tracer.py wraps ragplan.encoder.s
 from .embedding import EmbedderConfig, EmbeddingVector, cosine_rows, embed_text, row_norms
 from .embedding import cosine  # noqa: F401  bench/tracer.py wraps ragplan.encoder.cosine
 from .errors import ConfigError, DataError, MalformedFileError, NotFoundError
-from .serialize import read_versioned, write_versioned
+from .serialize import read_value, read_versioned, write_versioned
 
 ENCODER_KIND = "encoder-header"
 ENCODER_LAYOUT = "identity-blocks"
@@ -671,11 +671,11 @@ def load_encoder(source) -> tuple[EncoderParams, bool]:
         )
     try:
         embedder = EmbedderConfig.from_json(doc["embedder"])
-        d = int(doc["dimension"])
-        tau = float(doc["tau"])
+        d = read_value(doc, "dimension", int)
+        tau = read_value(doc, "tau", float)
         strict = doc["strict_qpa"]
         name = doc["payload"]["file"]
-        count = int(doc["payload"]["values"])
+        count = read_value(doc["payload"], "values", int)
         expected = str(doc["payload"]["sha256"])
         blocks = [
             tuple(_index_set(doc["blocks"][side][key], d) for key in ("rows", "cols"))

@@ -31,7 +31,7 @@ from .embedding import (
     row_norms,
 )
 from .errors import ConfigError, DataError, MalformedFileError, NotFoundError
-from .serialize import floats_to_hex, hex_to_floats, read_versioned, write_versioned
+from .serialize import floats_to_hex, hex_to_floats, read_value, read_versioned, write_versioned
 
 GRAPH_KIND = "instruction-graph"
 
@@ -1102,29 +1102,28 @@ def load_graph(source: str | Path) -> InstructionGraph:
     doc = read_versioned(source, GRAPH_KIND)
     try:
         embedder = EmbedderConfig.from_json(doc["embedder"])
-        graph = InstructionGraph(delta=float(doc["delta"]), embedder=embedder)
-        graph.ic = int(doc["ic"])
-        tc = int(doc["tc"])
+        graph = InstructionGraph(delta=read_value(doc, "delta", float), embedder=embedder)
+        graph.ic = read_value(doc, "ic", int)
+        tc = read_value(doc, "tc", int)
         node_ids, texts, rows = [], [], []
         for node_doc in doc["nodes"]:
-            node = NodeSet(int(node_doc["node_id"]))
+            node = NodeSet(read_value(node_doc, "node_id", int))
             if node.node_id in graph.nodes:
                 raise MalformedFileError(f"{source}: node {node.node_id} appears twice")
             if not node_doc["instructions"]:
                 raise MalformedFileError(f"{source}: node {node.node_id} has no instructions")
             for entry in node_doc["instructions"]:
-                if entry["text"] in node.instructions:
-                    raise MalformedFileError(
-                        f"{source}: node {node.node_id} lists {entry['text']!r} twice"
-                    )
+                text = read_value(entry, "text", str)
+                if text in node.instructions:
+                    raise MalformedFileError(f"{source}: node {node.node_id} lists {text!r} twice")
                 values = hex_to_floats(entry["embedding"], embedder.dimension)
-                node.instructions[entry["text"]] = Instruction(
-                    entry["text"],
+                node.instructions[text] = Instruction(
+                    text,
                     EmbeddingVector(values, valid=True),
                     [tuple(s) for s in entry["sources"]],
                 )
                 node_ids.append(node.node_id)
-                texts.append(entry["text"])
+                texts.append(text)
                 rows.append(values)
             graph.nodes[node.node_id] = node
         graph._index_add(node_ids, texts, _finite_rows(
@@ -1132,9 +1131,9 @@ def load_graph(source: str | Path) -> InstructionGraph:
         ))
         keys, valid, rows = [], [], []
         for q_doc in doc.get("questions", []):
-            keys.append((q_doc["task_id"], q_doc["question_id"]))
+            keys.append((read_value(q_doc, "task_id", str), read_value(q_doc, "question_id", str)))
             rows.append(hex_to_floats(q_doc["embedding"], embedder.dimension))
-            valid.append(bool(q_doc["valid"]))
+            valid.append(read_value(q_doc, "valid", bool))
         if len(set(keys)) < len(keys):
             task_id, question_id = next(key for key in keys if keys.count(key) > 1)
             raise MalformedFileError(f"{source}: question {task_id}/{question_id} appears twice")
@@ -1143,7 +1142,7 @@ def load_graph(source: str | Path) -> InstructionGraph:
         ), valid)
         stored = graph.question_embeddings
         for edge_doc in doc["edges"]:
-            edge = EdgeSet(int(edge_doc["from"]), int(edge_doc["to"]))
+            edge = EdgeSet(read_value(edge_doc, "from", int), read_value(edge_doc, "to", int))
             name = f"{source}: edge {edge.from_node}->{edge.to_node}"
             if edge.from_node not in graph.nodes or edge.to_node not in graph.nodes:
                 raise MalformedFileError(f"{name} names a missing node")

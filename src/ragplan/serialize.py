@@ -114,13 +114,21 @@ def read_fields(cls, doc, base=None, prefix: str = "", fixed: tuple[str, ...] = 
         if dataclasses.is_dataclass(hint):
             values[name] = read_fields(hint, value, getattr(base, name), key + ".",
                                        fields[name].metadata.get("fixed", ()))
-        elif _has_type(hint, value):
-            # hint(value) turns an int read into a float field into a float
-            values[name] = tuple(value) if isinstance(value, list) else hint(value)
         else:
-            expected = f"{hint} as a list" if typing.get_origin(hint) is tuple else hint.__name__
-            raise ConfigError(f"config key {key!r} must be {expected}, got {value!r}")
+            values[name] = read_value(doc, name, hint, key)
     return dataclasses.replace(base, **values)
+
+
+def read_value(doc: dict, name: str, hint, key: str | None = None):
+    """``doc[name]``, which must have the type ``hint`` by the rule of
+    ``read_fields``; a missing name raises KeyError and a value of another
+    type ConfigError, naming it as ``key`` (default ``name``)."""
+    value = doc[name]
+    if not _has_type(hint, value):
+        expected = f"{hint} as a list" if typing.get_origin(hint) is tuple else hint.__name__
+        raise ConfigError(f"config key {key or name!r} must be {expected}, got {value!r}")
+    # hint(value) turns an int read into a float field into a float
+    return tuple(value) if isinstance(value, list) else hint(value)
 
 
 def check_minimums(config, **minimums) -> None:
@@ -132,6 +140,8 @@ def check_minimums(config, **minimums) -> None:
 
 
 def _has_type(hint, value) -> bool:
+    if type(value) is hint:
+        return True
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, list):
             return False

@@ -407,13 +407,60 @@ def nan_instruction(doc):
     entry["embedding"] = "0000c07f" + entry["embedding"][8:]  # a float32 NaN
 
 
-@pytest.mark.parametrize("member, change", [
-    ("graph", lambda doc: doc.update(delta=1.5)),
-    ("graph", lambda doc: doc["embedder"].update(dimension=4)),
-    ("graph", nan_instruction),
-    ("encoder", lambda doc: doc["embedder"].update(ngram_min=9)),
-    ("bundle", lambda doc: doc.update(rule_hooks=["no-such-hook"])),
-], ids=["graph-delta", "graph-dimension", "graph-nan", "encoder-ngram-min", "bundle-hook"])
+def as_string(doc, key):
+    doc[key] = str(doc[key])
+
+
+def numbered_question(doc):
+    # The same number in the question list and on every edge that lists it.
+    question = doc["questions"][0]
+    old, question["question_id"] = question["question_id"], 7
+    for edge in doc["edges"]:
+        ids = edge["tasks"].get(question["task_id"], [])
+        if old in ids:
+            ids[ids.index(old)] = 7
+
+
+# The first five values are out of range. Each one after them has the
+# wrong JSON type and would otherwise load, most by converting to a valid
+# value (the string "256" to 256, 5.9 to 5, true to 1), so only a type
+# check rejects it.
+BAD_VALUES = {
+    "graph-delta": ("graph", lambda doc: doc.update(delta=1.5)),
+    "graph-dimension": ("graph", lambda doc: doc["embedder"].update(dimension=4)),
+    "graph-nan": ("graph", nan_instruction),
+    "encoder-ngram-min": ("encoder", lambda doc: doc["embedder"].update(ngram_min=9)),
+    "bundle-hook": ("bundle", lambda doc: doc.update(rule_hooks=["no-such-hook"])),
+    "graph-seed-fraction": ("graph", lambda doc: doc["embedder"].update(seed=0.5)),
+    "graph-seed-bool": ("graph", lambda doc: doc["embedder"].update(seed=True)),
+    "graph-dimension-string": ("graph", lambda doc: as_string(doc["embedder"], "dimension")),
+    "graph-ngram-max-fraction": ("graph", lambda doc: doc["embedder"].update(ngram_max=5.9)),
+    "graph-delta-string": ("graph", lambda doc: as_string(doc, "delta")),
+    "graph-delta-bool": ("graph", lambda doc: doc.update(delta=True)),
+    "graph-ic-fraction": ("graph", lambda doc: doc.update(ic=doc["ic"] + 0.5)),
+    "graph-tc-string": ("graph", lambda doc: as_string(doc, "tc")),
+    "graph-node-id-string": ("graph", lambda doc: as_string(doc["nodes"][0], "node_id")),
+    "graph-edge-from-string": ("graph", lambda doc: as_string(doc["edges"][0], "from")),
+    "graph-question-valid-string": (
+        "graph", lambda doc: as_string(doc["questions"][0], "valid")
+    ),
+    "graph-instruction-text-number": (
+        "graph", lambda doc: doc["nodes"][0]["instructions"][0].update(text=5)
+    ),
+    "graph-question-id-number": ("graph", numbered_question),
+    "encoder-seed-fraction": ("encoder", lambda doc: doc["embedder"].update(seed=0.5)),
+    "encoder-ngram-min-bool": ("encoder", lambda doc: doc["embedder"].update(ngram_min=True)),
+    "encoder-dimension-string": ("encoder", lambda doc: as_string(doc, "dimension")),
+    "encoder-dimension-float": ("encoder", lambda doc: doc.update(dimension=256.0)),
+    "encoder-tau-string": ("encoder", lambda doc: as_string(doc, "tau")),
+    "encoder-tau-bool": ("encoder", lambda doc: doc.update(tau=True)),
+    "encoder-values-float": (
+        "encoder", lambda doc: doc["payload"].update(values=float(doc["payload"]["values"]))
+    ),
+}
+
+
+@pytest.mark.parametrize("member, change", BAD_VALUES.values(), ids=BAD_VALUES)
 def test_bundle_file_with_a_bad_value_is_data_error(
     workspace, trained, tmp_path, capsys, member, change
 ):

@@ -198,6 +198,59 @@ class TestComposedEmbedding:
         embedding._embed_cached.cache_clear()
         assert embedding._piece_codes.cache_info().currsize == 0
 
+def table_size():
+    return sum(map(len, embedding._feature_tables.values()))
+
+
+class TestFeatureTables:
+    """Each feature is hashed once per process and its code kept in a table
+    per seed, dimension and feature kind."""
+
+    CONFIGS = [EmbedderConfig(dimension, seed, *ngrams)
+               for dimension in (16, 40000)  # 16-bit and 32-bit codes
+               for seed in (0, -1, 7)
+               for ngrams in ((3, 5), (1, 3))]
+
+    def test_alternating_configs_equal_the_per_text_embedding(self):
+        # Every text under every config in turn, so each config reads codes
+        # that the configs before it put in the tables.
+        embedding._embed_cached.cache_clear()
+        for text in oracle_texts() + ["Search[amber] -> Lookup[birch]"]:
+            for config in self.CONFIGS:
+                values, valid = embed_reference(text, config)
+                vector = _embed(text, config)
+                assert (vector.values.tobytes(), vector.valid) == (values.tobytes(), valid), (
+                    text, config)
+        assert table_size() > 0
+        embedding._embed_cached.cache_clear()
+        assert embedding._feature_tables == {}
+
+    def test_a_full_table_is_cleared_and_the_results_hold(self, monkeypatch):
+        embedding._embed_cached.cache_clear()
+        monkeypatch.setattr(embedding, "_FEATURE_CODES_MAX", 40)
+        sizes = []
+        for text in oracle_texts():
+            values, valid = embed_reference(text, CFG)
+            vector = _embed(text, CFG)
+            assert (vector.values.tobytes(), vector.valid) == (values.tobytes(), valid), text
+            sizes.append(table_size())
+        # A miss clears full tables before it adds the features of one text.
+        assert max(sizes) > 40
+        assert any(after < before for before, after in zip(sizes, sizes[1:]))
+        embedding._embed_cached.cache_clear()
+
+    def test_a_cached_text_adds_nothing_to_the_tables(self):
+        embedding._embed_cached.cache_clear()
+        embed_text("Search[amber birch]", CFG)
+        embed_text("Search[amber] -> Lookup[birch]", CFG, transient=True)
+        embedding._feature_tables.clear()
+        embed_text("Search[amber birch]", CFG)
+        embed_text("Search[amber] -> Lookup[birch]", CFG, transient=True)
+        assert embedding._embed_cached.cache_info().hits == 2
+        assert table_size() == 0
+        embedding._embed_cached.cache_clear()
+
+
 class TestCosine:
     def test_identity(self):
         v = embed_text("Search[Ed Wood]", CFG)

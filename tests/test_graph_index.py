@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ragplan import embedding
 from ragplan.corpus import InstructionPath, Question, TaskCorpus, split_by_hint
 from ragplan.embedding import (
     EmbedderConfig,
@@ -53,6 +54,8 @@ from ragplan.policy import (
     traverse,
 )
 from ragplan.world import demo_spec, gen_world
+
+from embed_reference import codes_reference
 
 STATE_ATOL = 1e-12
 OPERATORS = ["Search", "Lookup", "Check", "Fetch"]
@@ -622,6 +625,28 @@ def test_patched_index_equals_fresh_index_over_benchmark_writes(tmp_path):
     for batch in islice(inputs.index_write_batches(1, 60), 25):
         graph = extend_graph(graph, batch)
         read_patched(graph)
+
+
+def test_graph_built_through_the_feature_tables_equals_one_hashed_per_feature(
+    tmp_path, monkeypatch
+):
+    # The index-4k benchmark's corpus and writes at a few hundred
+    # instructions, embedded once with every feature occurrence hashed on
+    # its own and once through the feature tables.
+    inputs = bench_inputs()
+    saved = []
+    for codes in (codes_reference, embedding._codes):
+        monkeypatch.setattr(embedding, "_codes", codes)
+        embedding._embed_cached.cache_clear()
+        graph = build_graph(inputs.random_corpus(1, 300), 0.4, EmbedderConfig(dimension=256))
+        for batch in islice(inputs.index_write_batches(1, 60), 3):
+            graph = extend_graph(graph, batch)
+        path = tmp_path / f"graph{len(saved)}.json"
+        save_graph(graph, path)
+        saved.append(path.read_bytes())
+        assert bool(embedding._feature_tables) == (codes is not codes_reference)
+    embedding._embed_cached.cache_clear()
+    assert saved[0] == saved[1]
 
 
 def test_only_the_first_copy_of_an_indexed_graph_gets_a_base():
