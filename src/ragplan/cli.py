@@ -153,7 +153,7 @@ def _load_bundle(directory: str | Path, config: RunConfig) -> AgentBundle:
                           f"from {list(hooks)}, the bundle's ({bundle_path})")
     graph = load_graph(graph_path)
     policy = load_policy(policy_path)
-    encoder, _ = load_encoder(encoder_path)
+    encoder, _ = load_encoder(encoder_path, graph.embedder)
     return AgentBundle(policy=policy, encoder=encoder, graph=graph, rl_config=config.rl)
 
 
@@ -315,7 +315,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 inputs.update(files)
                 policy_path, encoder_path = files.values()
                 policy = load_policy(policy_path)
-                encoder, _ = load_encoder(encoder_path)
+                encoder, _ = load_encoder(encoder_path, graph.embedder)
                 bundles[task_dir.name] = AgentBundle(
                     policy=policy, encoder=encoder, graph=graph, rl_config=base.rl_config
                 )

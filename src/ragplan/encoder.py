@@ -10,7 +10,15 @@ how many candidates are offered. Serving and training select alike,
 through ``PoolRows``: one projection product per side, then
 ``cosine_rows``, which equals ``cosine`` bit for bit.
 
-Parameters live in one flat float64 buffer laid out ``wq | wp | qpm_w``.
+Parameters live in one flat float64 buffer laid out ``wq | wp | qpm_w``,
+each projection stored column-major. Base embeddings are sparse: a
+hashed demo text sets a few hundred of d = 1024 columns. So a projection
+multiplies only the columns its batch uses, ``x[:, used] @ W[:,
+used].T``, and reads just those columns of W, each one contiguous,
+gathering a few hundred at a time. Training, ``AdaptedEncoder``,
+``PoolRows`` and serving all project through this one product
+(``EncoderParams.project``).
+
 A projection's gradient is a sum of products ``d_rawᵀ @ base`` over a
 few rows, so the losses return it as factors: the rows of ``d_raw`` and
 the base-embedding rows they multiply (``Factors``, held by
@@ -26,12 +34,15 @@ On disk an encoder is a versioned JSON header plus a sidecar payload of
 raw little-endian float64. Training moves each projection away from its
 identity init only on a block of rows × columns, so the payload holds,
 for ``wq`` then ``wp``, the smallest block outside which the projection
-equals the identity bit for bit, row-major, then ``qpm_w``. The header
-records each block's sorted row and column index sets, the payload's
-file name and value count, and one sha256 over the index sets and the
-values. Loading checks all of them and that every value is finite, and
-reads the blocks into one buffer filled with the identity. The trained
-demo encoder (d = 1024) stores 9.4 MB of its 16.8 MB of weights.
+equals the identity bit for bit, row-major (whatever the layout in
+memory), then ``qpm_w``. The header records each block's sorted row and
+column index sets, the payload's file name and value count, and one
+sha256 over the index sets and the values. Loading checks all of them
+and that every value is finite, and reads the blocks into one buffer
+filled with the identity. Given the embedder config of the graph the
+encoder serves, it checks the header against it before it allocates
+anything. The trained demo encoder (d = 1024) stores 9.4 MB of its
+16.8 MB of weights.
 """
 
 from __future__ import annotations
@@ -57,6 +68,13 @@ PATH_SEPARATOR = " -> "
 SIDES = ("wq", "wp")  # the projections, as named in EncoderParams and EncoderGrads
 _ONE_BITS = np.float64(1.0).view(np.uint64)
 _PIECE_VALUES = 1 << 14  # values a save or load moves at a time: 128 KB
+# Columns of W a projection gathers at a time: 2 MB at d = 1024. On the
+# demo, a read's question uses about 130 columns and its candidate paths
+# about 310; a training projection uses 425 at the median and up to 616.
+# Gathering all of them at once left 3-5 MB temporaries that raised
+# serve-demo's peak RSS from 176 to 191 MB (heap fragmentation across its
+# two training builds).
+_PROJECT_COLUMNS = 256
 
 
 def _flat_size(d: int) -> int:
@@ -64,8 +82,11 @@ def _flat_size(d: int) -> int:
 
 
 def _split(flat: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``wq``, ``wp`` and ``qpm_w`` views of a ``wq | wp | qpm_w`` buffer."""
-    return flat[: d * d].reshape(d, d), flat[d * d : 2 * d * d].reshape(d, d), flat[2 * d * d :]
+    """The ``wq``, ``wp`` and ``qpm_w`` views of a ``wq | wp | qpm_w`` buffer,
+    where each d×d projection is stored column-major: ``wq[r, c]`` is
+    ``flat[c * d + r]``."""
+    wq, wp = (flat[k * d * d : (k + 1) * d * d].reshape(d, d, order="F") for k in (0, 1))
+    return wq, wp, flat[2 * d * d :]
 
 
 def _assign(view: np.ndarray, value, message: str) -> None:
@@ -77,8 +98,8 @@ def _assign(view: np.ndarray, value, message: str) -> None:
 
 class EncoderParams:
     """Encoder weights in one flat float64 buffer laid out ``wq | wp |
-    qpm_w``, the ``to_vector`` layout; ``wq``, ``wp`` and ``qpm_w`` are
-    views of it.
+    qpm_w``, the ``to_vector`` layout, with each projection column-major;
+    ``wq``, ``wp`` and ``qpm_w`` are views of it.
 
     The buffer has one owner. The constructor copies its arrays into a
     new buffer, and assigning a field writes into the buffer.
@@ -158,8 +179,18 @@ class EncoderParams:
         return EncoderParams._wrap(self._flat.copy(), self.tau, self.embedder)
 
     def project(self, side: str, x: np.ndarray) -> np.ndarray:
-        """Rows ``x`` of base embeddings through projection ``side``."""
-        return x @ getattr(self, side).T
+        """Rows ``x`` of base embeddings through projection ``side``,
+        ``x[:, used] @ W[:, used].T`` over the columns some row uses, so
+        only those columns of W are read. W's columns are gathered
+        ``_PROJECT_COLUMNS`` at a time. A batch that uses no column
+        projects to zero rows."""
+        used = np.flatnonzero(x.any(axis=0))
+        w = getattr(self, side)
+        out = np.zeros((len(x), self.dimension))
+        for start in range(0, used.size, _PROJECT_COLUMNS):
+            columns = used[start : start + _PROJECT_COLUMNS]
+            out += x[:, columns] @ w[:, columns].T
+        return out
 
 
 def init_encoder_params(
@@ -593,13 +624,17 @@ def _block_digest(blocks: list[tuple[np.ndarray, np.ndarray]]):
     return digest
 
 
-def _block_pieces(params: EncoderParams, blocks: list[tuple[np.ndarray, np.ndarray]]):
-    """Each side's block in payload order, as (projection view, index) pieces
-    of whole block rows and at most ``_PIECE_VALUES`` values."""
-    for side, (rows, cols) in zip(SIDES, blocks):
+def _block_pieces(blocks: list[tuple[np.ndarray, np.ndarray]], d: int):
+    """Each side's block in payload order, as pieces of whole block rows and
+    at most ``_PIECE_VALUES`` values. A piece is the positions of its
+    values in the params' flat buffer, where a projection is column-major,
+    as a (columns, rows) array: the transpose of the piece's row-major
+    order on disk, so that moving a piece walks the buffer in order."""
+    for offset, (rows, cols) in zip((0, d * d), blocks):
+        column_starts = offset + cols[:, None] * d
         step = max(1, _PIECE_VALUES // max(1, cols.size))
         for start in range(0, rows.size, step):
-            yield getattr(params, side), np.ix_(rows[start : start + step], cols)
+            yield column_starts + rows[start : start + step]
 
 
 def save_encoder(params: EncoderParams, destination, strict_qpa: bool = False) -> Path:
@@ -615,9 +650,10 @@ def save_encoder(params: EncoderParams, destination, strict_qpa: bool = False) -
         raise ConfigError(f"an encoder header cannot be named *{PAYLOAD_SUFFIX}: {destination}")
     blocks = [_moved_block(getattr(params, side)) for side in SIDES]
     digest = _block_digest(blocks)
+    flat = params.to_vector()
     with open(payload, "wb") as handle:
-        for w, index in _block_pieces(params, blocks):
-            values = w[index].astype("<f8", copy=False)
+        for positions in _block_pieces(blocks, params.dimension):
+            values = np.ascontiguousarray(flat[positions].T).astype("<f8", copy=False)
             digest.update(values)
             values.tofile(handle)
         head = params.qpm_w.astype("<f8", copy=False)
@@ -655,14 +691,20 @@ def _read_into(handle, out: np.ndarray, digest) -> bool:
     return bool(np.isfinite(out).all())
 
 
-def load_encoder(source) -> tuple[EncoderParams, bool]:
+def load_encoder(
+    source, expected_embedder: EmbedderConfig | None = None
+) -> tuple[EncoderParams, bool]:
     """Read an encoder header and its payload; returns (params, strict_qpa).
 
-    The header's index sets must be sorted, distinct and in range, and its
-    value count must be what they and the dimension make. The payload must
-    sit next to the header, hold exactly that count, hash with the index
-    sets to the header's sha256 and be finite. The params own one buffer,
-    filled with the identity; each block is read piece by piece into it."""
+    Given ``expected_embedder``, the config of the graph the encoder
+    serves, the header's embedder must equal it; this is checked before
+    anything is allocated, so a header cannot size the buffer past the
+    graph's dimension. The header's index sets must be sorted, distinct
+    and in range, and its value count must be what they and the dimension
+    make. The payload must sit next to the header, hold exactly that
+    count, hash with the index sets to the header's sha256 and be finite.
+    The params own one buffer, filled with the identity; each block is
+    read piece by piece into it."""
     doc = read_versioned(source, ENCODER_KIND)
     if doc.get("layout") != ENCODER_LAYOUT:
         raise MalformedFileError(
@@ -686,6 +728,11 @@ def load_encoder(source) -> tuple[EncoderParams, bool]:
         raise MalformedFileError(f"{source}: malformed encoder file: {exc}") from exc
     if not isinstance(strict, bool):
         raise MalformedFileError(f"{source}: strict_qpa must be true or false, got {strict!r}")
+    if expected_embedder is not None and embedder != expected_embedder:
+        raise MalformedFileError(
+            f"{source}: encoder embedder {embedder.to_json()} differs from the graph's "
+            f"{expected_embedder.to_json()}"
+        )
     if d != embedder.dimension or count != _block_values(blocks, d):
         raise MalformedFileError(
             f"{source}: header lists {count} values at dimension {d}, where its blocks "
@@ -703,10 +750,10 @@ def load_encoder(source) -> tuple[EncoderParams, bool]:
                 raise MalformedFileError(f"{payload}: holds {size} bytes, expected {8 * count}")
             params = init_encoder_params(embedder, tau=tau)
             finite = bool(np.isfinite(tau))
-            for w, index in _block_pieces(params, blocks):
-                piece = np.empty((index[0].size, index[1].size), dtype="<f8")
+            for positions in _block_pieces(blocks, d):
+                piece = np.empty(positions.shape[::-1], dtype="<f8")
                 finite &= _read_into(handle, piece, digest)
-                w[index] = piece
+                params._flat[positions] = np.ascontiguousarray(piece.T)
             finite &= _read_into(handle, params.qpm_w, digest)
     except OSError as exc:
         raise MalformedFileError(f"{source}: cannot read payload: {exc}") from exc

@@ -6,8 +6,11 @@ loss is taken: each loss writes ``d_rawᵀ @ base`` into a flat buffer,
 the inner step forms each adapted encoder densely, and each rollout
 question projects itself and its candidates one row at a time for
 selection, projects them again for fine-tuning and adds its dense
-gradient into the meta-batch's. ``ragplan.meta`` keeps the same updates
-as factors and forms them once; only the rounding order differs.
+gradient into the meta-batch's. Every projection multiplies all d
+columns of W (``dense_projection``), where ``EncoderParams.project``
+multiplies only the columns a batch uses. ``ragplan.meta`` keeps the
+same updates as factors and forms them once; only the rounding order
+differs.
 
 Selection here is the single-row path that ``ragplan.encoder`` replaced
 with ``PoolRows``: each text is projected alone and each candidate
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ragplan.embedding import EmbedderConfig, EmbeddingVector, cosine, embed_text
+from ragplan.embedding import EmbeddingVector, cosine, embed_text
 from ragplan.encoder import (
     EncoderParams,
     PathPool,
@@ -61,27 +64,36 @@ class _Rows:
     norms: np.ndarray
 
 
-def _project_rows(matrix: np.ndarray, texts: list[str], embedder: EmbedderConfig) -> _Rows:
+def dense_projection(params, side: str, base: np.ndarray) -> np.ndarray:
+    """Rows through every column of projection ``side``, the product that
+    ``EncoderParams.project`` replaced with one over the columns used. A
+    test that compares rounding with the program's own projection patches
+    ``meta_reference.dense_projection``."""
+    return base @ getattr(params, side).T
+
+
+def _project_rows(params, side: str, texts: list[str]) -> _Rows:
     base = np.array(
-        [embed_text(text, embedder, transient=True).values for text in texts], dtype=np.float64
+        [embed_text(text, params.embedder, transient=True).values for text in texts],
+        dtype=np.float64,
     )
-    raw = base @ matrix.T
+    raw = dense_projection(params, side, base)
     norms = np.sqrt(np.vecdot(raw, raw))
     unit = np.divide(raw, norms[:, None], out=np.zeros_like(raw), where=norms[:, None] > 0.0)
     return _Rows(base, unit, norms)
 
 
-def _encoding(matrix: np.ndarray, text: str, embedder: EmbedderConfig) -> EmbeddingVector:
-    rows = _project_rows(matrix, [text], embedder)
+def _encoding(params, side: str, text: str) -> EmbeddingVector:
+    rows = _project_rows(params, side, [text])
     return EmbeddingVector(rows.unit[0].astype(np.float32), valid=bool(rows.norms[0] > 0.0))
 
 
 def encode_question(params, question: str) -> EmbeddingVector:
-    return _encoding(params.wq, question, params.embedder)
+    return _encoding(params, "wq", question)
 
 
 def encode_path(params, path) -> EmbeddingVector:
-    return _encoding(params.wp, path.serialized(), params.embedder)
+    return _encoding(params, "wp", path.serialized())
 
 
 def candidate_similarities(params, question: str, candidates) -> np.ndarray:
@@ -127,8 +139,8 @@ def _contrastive_grads(params, q, p, d_scores) -> DenseGrads:
 
 
 def qpa_loss_and_grads(params, pairs, strict=False):
-    q = _project_rows(params.wq, [question for question, _ in pairs], params.embedder)
-    p = _project_rows(params.wp, [path.serialized() for _, path in pairs], params.embedder)
+    q = _project_rows(params, "wq", [question for question, _ in pairs])
+    p = _project_rows(params, "wp", [path.serialized() for _, path in pairs])
     scores = (q.unit @ p.unit.T) / params.tau
     diagonal = np.arange(len(pairs))
     loss_qp, deltas_qp = _info_nce(scores, diagonal, strict)
@@ -139,8 +151,8 @@ def qpa_loss_and_grads(params, pairs, strict=False):
 
 def qpm_loss_and_grads(params, triples):
     d = params.dimension
-    q = _project_rows(params.wq, [question for question, _, _ in triples], params.embedder)
-    p = _project_rows(params.wp, [path.serialized() for _, path, _ in triples], params.embedder)
+    q = _project_rows(params, "wq", [question for question, _, _ in triples])
+    p = _project_rows(params, "wp", [path.serialized() for _, path, _ in triples])
     labels = np.array([label for _, _, label in triples], dtype=np.float64)
     count = labels.size
     w_q = params.qpm_w[:d]
@@ -169,8 +181,8 @@ def pt_loss_and_grads(params, pairs, strict=False):
 def ft_loss_and_grads(params, question, pool: PathPool, strict=False):
     if pool.best_index is None:
         raise DataError("ft loss needs a pool with best_index set")
-    q = _project_rows(params.wq, [question], params.embedder)
-    p = _project_rows(params.wp, [path.serialized() for path in pool.paths()], params.embedder)
+    q = _project_rows(params, "wq", [question])
+    p = _project_rows(params, "wp", [path.serialized() for path in pool.paths()])
     scores = (q.unit @ p.unit.T) / params.tau
     loss, deltas = _info_nce(scores, np.array([pool.best_index]), strict)
     return 0.5 * loss, _contrastive_grads(params, q, p, 0.5 * deltas)

@@ -158,11 +158,11 @@ def qpm_reference(params, triples):
 
 
 def pt_reference(params, pairs, strict=False):
-    """(qpa loss, qpm loss, flat gradient of their sum)."""
+    """(qpa loss, qpm loss, and the gradient of their sum as g_wq, g_wp,
+    g_head)."""
     align, a_wq, a_wp = qpa_reference(params, pairs, strict)
     match, m_wq, m_wp, g_head = qpm_reference(params, make_qpm_batch(pairs))
-    flat = np.concatenate([(a_wq + m_wq).ravel(), (a_wp + m_wp).ravel(), g_head])
-    return align, match, flat
+    return align, match, a_wq + m_wq, a_wp + m_wp, g_head
 
 
 def ft_reference(params, question, paths, best, strict=False):

@@ -3,15 +3,19 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ragplan.backend import MockBackend
 from ragplan.cli import build_parser, load_run_config, main
 from ragplan.corpus import InstructionPath, load_corpus_jsonl, split_by_hint
+from ragplan.embedding import EmbedderConfig, embed_text
+from ragplan.encoder import init_encoder_params, load_encoder, save_encoder
 from ragplan.graph import load_graph, save_graph
 from ragplan.world import SyntheticWorldSpec, load_world
 
 from encoder_faults import FAULTS
+from encoder_reference import save_block_encoder
 
 DEMO_CONFIG = {
     "seed": 7,
@@ -72,6 +76,65 @@ def test_demo_graph_file_is_unchanged_and_round_trips(tmp_path):
     assert hashlib.sha256(written).hexdigest() == DEMO_GRAPH_SHA256
     save_graph(load_graph(tmp_path / "graph" / "graph.json"), tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == written
+
+
+# The SHA-256 of the README demo's train log and evaluation records
+# (configs/demo.json, 40 iterations). A rounding change that flips a
+# rollout's or an evaluated question's selection changes them.
+DEMO_TRAIN_LOG_SHA256 = "98775fc6f7f9f0bce93b161673962e9c81c6c6e7ba1a5f0fbfe4a24396ce234c"
+DEMO_EVAL_RESULTS_SHA256 = "76c49b82306fed4e14e4333290b4cb90ce437be2d6367bce0ba6bc9bb33cade7"
+
+
+@pytest.fixture(scope="module")
+def demo_run(tmp_path_factory):
+    """README steps 1, 3 and 4 on configs/demo.json: gen, train and eval."""
+    root = tmp_path_factory.mktemp("demo")
+    config = str(Path(__file__).resolve().parents[1] / "configs" / "demo.json")
+    corpus, world = str(root / "gen" / "corpus.jsonl"), str(root / "gen" / "world.json")
+    assert main(["gen", "--demo", "--config", config, "--out", str(root / "gen")]) == 0
+    assert main([
+        "train", "--corpus", corpus, "--world", world, "--config", config,
+        "--out", str(root / "train"),
+    ]) == 0
+    assert main([
+        "eval", "--bundle", str(root / "train" / "bundle"), "--query", corpus,
+        "--world", world, "--config", config, "--out", str(root / "eval"),
+    ]) == 0
+    return root
+
+
+def test_demo_train_log_and_eval_results_are_unchanged(demo_run):
+    for path, expected in (
+        (demo_run / "train" / "train_log.jsonl", DEMO_TRAIN_LOG_SHA256),
+        (demo_run / "eval" / "results.jsonl", DEMO_EVAL_RESULTS_SHA256),
+    ):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, path.name
+
+
+def test_trained_demo_encoder_projects_saves_and_loads_as_the_references(demo_run, tmp_path):
+    # The gathered projection against the dense product over every column,
+    # and the file format against a writer that works on row-major weights.
+    bundle = demo_run / "train" / "bundle"
+    encoder, _ = load_encoder(bundle / "encoder.json")
+    questions = list(load_corpus_jsonl(demo_run / "gen" / "corpus.jsonl").iter_questions())
+    texts = {
+        "wq": [q.text for q in questions],
+        "wp": [q.gold_path.serialized() for q in questions if q.gold_path is not None],
+    }
+    for side, side_texts in texts.items():
+        x = np.array([embed_text(t, encoder.embedder, transient=True).values
+                      for t in side_texts], dtype=np.float64)
+        for rows in (x[:1], x[:3], x):
+            dense = rows @ getattr(encoder, side).T
+            gap = np.linalg.norm(encoder.project(side, rows) - dense)
+            assert gap <= 1e-12 * np.linalg.norm(dense)
+    (tmp_path / "reference").mkdir()
+    save_block_encoder(encoder, tmp_path / "reference" / "encoder.json")
+    for name in ("encoder.json", "encoder.f64"):
+        assert (tmp_path / "reference" / name).read_bytes() == (bundle / name).read_bytes()
+    loaded, _ = load_encoder(tmp_path / "reference" / "encoder.json")
+    for side in ("wq", "wp", "qpm_w"):
+        assert getattr(loaded, side).tobytes() == getattr(encoder, side).tobytes()
 
 
 def test_build_graph_empty_corpus_exits_zero(workspace, capsys):
@@ -706,6 +769,47 @@ def test_eval_on_a_damaged_encoder_payload_is_data_error(
     ])
     assert code == 3
     assert capsys.readouterr().err.startswith("data error")
+
+
+def _change_embedder(header, change):
+    """Make the encoder ``header`` disagree with its graph's embedder.
+    ``seed`` keeps the payload, whose sha256 does not cover the embedder;
+    ``dimension`` saves an identity encoder at 2048, whose 4,097-value
+    payload would make ``load_encoder`` allocate 2 × 2048² weights."""
+    doc = json.loads(header.read_text(encoding="utf-8"))
+    if change == "seed":
+        doc["embedder"]["seed"] = 1
+        header.write_text(json.dumps(doc), encoding="utf-8")
+    else:
+        embedder = EmbedderConfig(**{**doc["embedder"], "dimension": 2048})
+        save_encoder(init_encoder_params(embedder), header)
+
+
+@pytest.mark.parametrize("change", ["seed", "dimension"])
+@pytest.mark.parametrize("target", ["bundle", "adapted-task"])
+def test_eval_on_an_encoder_of_another_embedder_is_data_error(
+    workspace, trained, tmp_path, capsys, target, change
+):
+    import shutil
+
+    root, config_path, gen_dir = workspace
+    bundle_dir = tmp_path / "bundle"
+    shutil.copytree(trained / "bundle", bundle_dir)
+    common = ["--world", str(gen_dir / "world.json"), "--config", str(config_path)]
+    command = ["eval", "--bundle", str(bundle_dir), "--query", str(gen_dir / "corpus.jsonl"),
+               *common, "--out", str(tmp_path / "eval")]
+    if target == "bundle":
+        header = bundle_dir / "encoder.json"
+    else:
+        adapted = tmp_path / "adapt"
+        assert main(["adapt", "--bundle", str(bundle_dir), "--support",
+                     str(gen_dir / "corpus.jsonl"), *common, "--out", str(adapted)]) == 0
+        header = sorted((adapted / "tasks").glob("*/encoder.json"))[0]
+        command += ["--adapted", str(adapted)]
+    _change_embedder(header, change)
+    assert main(command) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and str(header) in err and "embedder" in err
 
 
 def test_eval_on_a_policy_with_transposed_shapes_is_data_error(

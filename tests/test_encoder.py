@@ -8,6 +8,7 @@ from ragplan.embedding import EmbedderConfig, cosine, embed_text
 from ragplan.encoder import (
     EncoderParams,
     PathPool,
+    _project_rows,
     candidate_similarities,
     ft_loss_and_grads,
     init_encoder_params,
@@ -23,7 +24,8 @@ from ragplan.errors import ConfigError, DataError, MalformedFileError, NotFoundE
 from ragplan.meta import evaluate_pool
 from ragplan.optim import AdamState, adam_step
 from encoder_faults import FAULTS
-from meta_reference import encode_path, encode_question
+from encoder_reference import save_block_encoder
+from meta_reference import dense_projection, encode_path, encode_question
 from scalar_kernels import _normalize_backprop, _project
 
 CFG = EmbedderConfig(dimension=16)
@@ -635,6 +637,95 @@ class TestEncoderPayload:
     def test_header_cannot_take_the_payload_name(self, tmp_path):
         with pytest.raises(ConfigError):
             save_encoder(identity_params(), tmp_path / "encoder.f64")
+
+
+class TestFileFormat:
+    """The params hold each projection column-major, yet the file keeps its
+    row-major blocks: ``save_encoder`` writes what a writer working on
+    row-major copies writes, and ``load_encoder`` reads that writer's
+    files to the same weights."""
+
+    @pytest.mark.parametrize("make", [
+        identity_params, moved_params, lambda: init_encoder_params(CFG, seed=44, scale=0.3),
+    ])
+    def test_save_writes_the_row_major_reference_bytes(self, tmp_path, make):
+        params = make()
+        for name, save in (("ours", save_encoder), ("reference", save_block_encoder)):
+            (tmp_path / name).mkdir()
+            save(params, tmp_path / name / "encoder.json", strict_qpa=True)
+        for name in ("encoder.json", "encoder.f64"):
+            assert (tmp_path / "ours" / name).read_bytes() == (
+                tmp_path / "reference" / name).read_bytes()
+        loaded, strict = load_encoder(tmp_path / "reference" / "encoder.json")
+        assert strict is True
+        for side in ("wq", "wp", "qpm_w"):
+            assert getattr(loaded, side).tobytes() == getattr(params, side).tobytes()
+
+    def test_load_checks_the_graph_embedder_first(self, tmp_path):
+        dest = tmp_path / "encoder.json"
+        save_encoder(moved_params(), dest)
+        assert load_encoder(dest, CFG)[0].to_vector().tobytes() == (
+            moved_params().to_vector().tobytes())
+        for other in (EmbedderConfig(dimension=32), EmbedderConfig(dimension=16, seed=1)):
+            with pytest.raises(MalformedFileError, match="embedder"):
+                load_encoder(dest, other)
+
+
+def embedded_rows(texts, embedder):
+    return np.array(
+        [embed_text(text, embedder, transient=True).values for text in texts], dtype=np.float64
+    ).reshape(len(texts), embedder.dimension)
+
+
+class TestGatheredProjection:
+    """``EncoderParams.project`` multiplies only the columns a batch uses."""
+
+    TEXTS = [question for question, _ in sample_pairs(6)] + [
+        path.serialized() for _, path in sample_pairs(6)
+    ]
+
+    @pytest.mark.parametrize("dimension", [16, 1024])
+    def test_matches_the_dense_product_on_gaussian_weights(self, dimension):
+        embedder = EmbedderConfig(dimension=dimension)
+        for seed in range(3):
+            params = init_encoder_params(embedder, seed=seed, scale=0.3)
+            rng = np.random.default_rng(seed)
+            x = embedded_rows(self.TEXTS, embedder)
+            x[2] = 0.0
+            # Sparse rows as embedded, a dense batch that uses every column
+            # (several gathers at d = 1024), and a sparse random one.
+            batches = [x, x[:1], x[rng.permutation(len(x))[:3]],
+                       rng.standard_normal((2, dimension)),
+                       rng.standard_normal((4, dimension)) * (rng.random(dimension) < 0.2)]
+            for side in ("wq", "wp"):
+                for rows in batches:
+                    dense = dense_projection(params, side, rows)
+                    gap = np.linalg.norm(params.project(side, rows) - dense)
+                    assert gap <= 1e-12 * np.linalg.norm(dense)
+
+    def test_is_bit_identical_for_identity_weights(self):
+        embedder = EmbedderConfig(dimension=1024)
+        params = init_encoder_params(embedder)
+        x = embedded_rows(self.TEXTS, embedder)
+        for side in ("wq", "wp"):
+            for rows in (x, x[:1], -x[3:5]):
+                ours = params.project(side, rows)
+                assert ours.tobytes() == dense_projection(params, side, rows).tobytes()
+                assert ours.tobytes() == (rows + 0.0).tobytes()
+
+    def test_unused_rows_and_batches_project_to_zero(self):
+        params = init_encoder_params(CFG, seed=3, scale=0.3)
+        x = embedded_rows(["hue of amber fox?", "", "era of birch owl?"], CFG)
+        for side in ("wq", "wp"):
+            ours = params.project(side, x)
+            assert ours.shape == (3, CFG.dimension)
+            assert np.linalg.norm(ours[1]) == 0.0
+            for empty in (np.zeros((3, CFG.dimension)), embedded_rows(["", "?"], CFG)):
+                ours = params.project(side, empty)
+                assert ours.shape == empty.shape and np.linalg.norm(ours) == 0.0
+        rows = _project_rows(params, "wp", ["", "?"])
+        assert rows.unit.shape == (2, CFG.dimension)
+        assert not rows.norms.any() and not rows.unit.any()
 
 
 class TestParamsAsValues:
