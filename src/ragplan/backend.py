@@ -6,28 +6,26 @@ description, instruction definitions, demonstrations, and the planning
 path, followed by the question to solve. The mock backend parses the
 path back out of the rendered prompt and executes it literally against
 a synthetic world, which keeps rewards deterministic; the HTTP backend
-sends the prompt to any chat-completions endpoint and extracts actions
-from the reply.
+POSTs the prompt to any chat-completions endpoint through the standard
+library's ``urllib``, maps each failure onto a typed ``BackendError``,
+and extracts actions from the reply.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import re
-import time
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .corpus import InstructionPath, Question
-from .errors import (
-    AuthError,
-    BackendError,
-    BackendTimeoutError,
-    ConfigError,
-    MalformedResponseError,
-)
+from .errors import (AuthError, BackendError, BackendTimeoutError, ConfigError,
+                     MalformedResponseError)
+from .serialize import check_minimums
 from .world import World
 
 PATH_SLOT_HEADER = "Here is the provided action sequence:"
@@ -334,6 +332,10 @@ class BackendConfig:
             raise ConfigError(f"unknown backend kind {self.kind!r}")
         if not 0.0 <= self.noise <= 1.0:
             raise ConfigError(f"noise must be in [0, 1], got {self.noise}")
+        if not 0.0 < self.timeout <= threading.TIMEOUT_MAX:  # the longest a socket takes
+            raise ConfigError(
+                f"timeout must be > 0 and <= {threading.TIMEOUT_MAX:g}, got {self.timeout}")
+        check_minimums(self, max_retries=0)
 
 
 class MockBackend:
@@ -362,72 +364,68 @@ class MockBackend:
         return PlanResult(answer=answer, ok=True, trace=trace, prompt=prompt)
 
 
-@dataclass
-class HttpTelemetry:
-    retries: int = 0
-    status: int = 0
-    elapsed: float = 0.0
-
-
-def http_complete(
-    config: BackendConfig, prompt: str, telemetry: HttpTelemetry | None = None
-) -> str:
+def http_complete(config: BackendConfig, prompt: str) -> str:
     """POST a chat completion and return the first choice's text.
 
-    Retries transient failures (5xx, timeouts) up to ``max_retries``
-    times; auth and parse failures raise typed errors immediately.
+    A 5xx, a timeout, or a refused or dropped connection is retried at
+    once, up to ``max_retries`` times; the last failure then raises
+    BackendTimeoutError if it timed out, else BackendError. A 401 or 403
+    raises AuthError at once. Any other status but 200 raises BackendError,
+    a redirect too: a POST is not redirected. A reply that is not a
+    completion with a string ``content`` raises MalformedResponseError.
     """
-    # Imported here: requests and what it loads take about 14 MB, which a
-    # process without an HTTP backend never needs.
-    import requests
+    # Imported here: a process without an HTTP backend never needs urllib.
+    import urllib.error
+    import urllib.request
+    from http.client import HTTPException
+
+    class NoRedirect(urllib.request.HTTPRedirectHandler):
+        def redirect_request(self, *args):  # the 3xx then raises HTTPError
+            return None
 
     if not config.endpoint:
         raise ConfigError("http backend needs an endpoint URL")
     api_key = os.environ.get(config.auth_env, "")
     if not api_key:
         raise AuthError(f"no credential in ${config.auth_env}")
-    headers = {
-        "Authorization": f"Bearer {api_key}",
-        "Content-Type": "application/json",
-    }
-    body = {
+    headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
+    body = json.dumps({
         "model": config.model,
         "messages": [{"role": "user", "content": prompt}],
         "temperature": config.temperature,
-    }
-    started = time.monotonic()
-    attempts = config.max_retries + 1
-    last_error: Exception | None = None
-    for attempt in range(attempts):
-        if telemetry is not None:
-            telemetry.retries = attempt
+    }).encode("utf-8")
+    opener = urllib.request.build_opener(NoRedirect)
+    for _ in range(config.max_retries + 1):
         try:
-            response = requests.post(
-                config.endpoint, headers=headers, json=body, timeout=config.timeout
-            )
-        except requests.Timeout:
-            last_error = BackendTimeoutError(f"request timed out after {config.timeout}s")
+            request = urllib.request.Request(config.endpoint, body, headers)
+            with opener.open(request, timeout=config.timeout) as response:
+                status, payload = response.status, response.read()
+        except urllib.error.HTTPError as exc:
+            status, payload = exc.code, b""
+            exc.close()
+        except (OSError, HTTPException) as exc:
+            reason = getattr(exc, "reason", exc)  # a URLError wraps the socket error
+            error = (BackendTimeoutError(f"request timed out after {config.timeout}s")
+                     if isinstance(reason, TimeoutError) else
+                     BackendError(f"request failed: {reason!r}"))
             continue
-        except requests.RequestException as exc:
-            last_error = BackendError(f"request failed: {exc}")
+        except ValueError as exc:
+            raise BackendError(f"cannot send to {config.endpoint!r}: {exc}") from exc
+        if status in (401, 403):
+            raise AuthError(f"endpoint rejected the credential ({status})")
+        if status >= 500:
+            error = BackendError(f"server error {status}")
             continue
-        if telemetry is not None:
-            telemetry.status = response.status_code
-            telemetry.elapsed = time.monotonic() - started
-        if response.status_code in (401, 403):
-            raise AuthError(f"endpoint rejected the credential ({response.status_code})")
-        if response.status_code >= 500:
-            last_error = BackendError(f"server error {response.status_code}")
-            continue
-        if response.status_code != 200:
-            raise BackendError(f"unexpected status {response.status_code}")
+        if status != 200:
+            raise BackendError(f"unexpected status {status}")
         try:
-            doc = response.json()
-            return doc["choices"][0]["message"]["content"]
+            content = json.loads(payload)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise MalformedResponseError(f"unparseable completion payload: {exc}") from exc
-    assert last_error is not None
-    raise last_error
+        if not isinstance(content, str):
+            raise MalformedResponseError(f"completion content is {type(content).__name__}")
+        return content
+    raise error
 
 
 class HttpBackend:

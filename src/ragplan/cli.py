@@ -308,6 +308,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         adapted_dir = Path(args.adapted)
         inputs["adapted_graph"] = _require_file(adapted_dir / "graph.json", "adapted graph")
         graph = load_graph(inputs["adapted_graph"])
+        if graph.embedder != base.graph.embedder:
+            raise MalformedFileError(
+                f"{inputs['adapted_graph']}: adapted graph embedder {graph.embedder.to_json()} "
+                f"differs from the bundle graph's {base.graph.embedder.to_json()}")
         tasks_dir = adapted_dir / "tasks"
         if tasks_dir.exists():
             for task_dir in sorted(tasks_dir.iterdir()):

@@ -1,6 +1,10 @@
 import json
 import os
+import socket
+import subprocess
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -9,7 +13,6 @@ import pytest
 from ragplan.backend import (
     BackendConfig,
     HttpBackend,
-    HttpTelemetry,
     MockBackend,
     build_prompt,
     extract_instruction_path,
@@ -22,6 +25,7 @@ from ragplan.corpus import InstructionPath, MetricKind, Question, score
 from ragplan.errors import (
     AuthError,
     BackendError,
+    BackendTimeoutError,
     ConfigError,
     MalformedResponseError,
 )
@@ -199,7 +203,10 @@ class TestMockBackend:
 
 
 class _StubHandler(BaseHTTPRequestHandler):
-    script = []  # list of (status, payload) tuples, consumed per request
+    # list of (status, payload) tuples, consumed per request; the status
+    # "drop" closes the connection without a reply, and "hold" does so
+    # after a second
+    script = []
     requests_seen = []
 
     def do_POST(self):
@@ -211,8 +218,14 @@ class _StubHandler(BaseHTTPRequestHandler):
         status, payload = (
             self.script.pop(0) if self.script else (200, {"choices": []})
         )
+        if status == "hold":
+            time.sleep(1.0)
+        if status in ("drop", "hold"):
+            return
         data = json.dumps(payload).encode("utf-8") if isinstance(payload, dict) else payload
         self.send_response(status)
+        if 300 <= status < 400:
+            self.send_header("Location", self.path)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -225,13 +238,14 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def stub_server():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     _StubHandler.script = []
     _StubHandler.requests_seen = []
     yield server, f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
     thread.join(timeout=2)
+    server.server_close()
 
 
 def completion(text):
@@ -263,10 +277,9 @@ class TestHttpComplete:
             (503, {"error": "busy"}),
             (200, completion("recovered")),
         ]
-        telemetry = HttpTelemetry()
-        text = http_complete(self.config(url), "prompt", telemetry)
+        text = http_complete(self.config(url), "prompt")
         assert text == "recovered"
-        assert telemetry.retries == 2
+        assert len(_StubHandler.requests_seen) == 3
 
     def test_retries_exhausted(self, stub_server, monkeypatch):
         _, url = stub_server
@@ -294,6 +307,77 @@ class TestHttpComplete:
         _StubHandler.script = [(401, {"error": "no"})]
         with pytest.raises(AuthError):
             http_complete(self.config(url), "prompt")
+
+
+    def test_read_timeout_is_backend_timeout_error(self, stub_server, monkeypatch):
+        _, url = stub_server
+        monkeypatch.setenv("RAGPLAN_API_KEY", "secret-key")
+        _StubHandler.script = [("hold", None)]
+        config = BackendConfig(kind="http", endpoint=url, max_retries=0, timeout=0.2)
+        with pytest.raises(BackendTimeoutError):
+            http_complete(config, "prompt")
+
+    def test_refused_connection_is_backend_error(self, monkeypatch):
+        monkeypatch.setenv("RAGPLAN_API_KEY", "secret-key")
+        with socket.socket() as probe:  # a port that nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(BackendError) as caught:
+            http_complete(self.config(f"http://127.0.0.1:{port}/v1", retries=1), "prompt")
+        assert caught.type is BackendError
+
+    def test_dropped_connection_is_retried_then_backend_error(self, stub_server, monkeypatch):
+        _, url = stub_server
+        monkeypatch.setenv("RAGPLAN_API_KEY", "secret-key")
+        _StubHandler.script = [("drop", None)] * 3
+        with pytest.raises(BackendError) as caught:
+            http_complete(self.config(url, retries=2), "prompt")
+        assert caught.type is BackendError
+        assert len(_StubHandler.requests_seen) == 3
+
+    @pytest.mark.parametrize("status", [201, 302, 307, 404])
+    def test_other_status_is_backend_error_without_retry(self, stub_server, monkeypatch, status):
+        # urllib returns a 201 without error, and would follow a 302 as a GET
+        _, url = stub_server
+        monkeypatch.setenv("RAGPLAN_API_KEY", "secret-key")
+        _StubHandler.script = [(status, completion("not a 200"))] * 3
+        with pytest.raises(BackendError, match=f"unexpected status {status}"):
+            http_complete(self.config(url, retries=2), "prompt")
+        assert len(_StubHandler.requests_seen) == 1
+
+    def test_endpoint_that_is_not_a_url_is_backend_error(self, monkeypatch):
+        monkeypatch.setenv("RAGPLAN_API_KEY", "secret-key")
+        with pytest.raises(BackendError) as caught:
+            http_complete(self.config("not a url"), "prompt")
+        assert caught.type is BackendError
+
+    @pytest.mark.parametrize("content", [None, 3, ["Act 1: Finish[yes]"]])
+    def test_content_that_is_not_a_string_is_malformed_response(
+        self, stub_server, monkeypatch, content
+    ):
+        _, url = stub_server
+        monkeypatch.setenv("RAGPLAN_API_KEY", "secret-key")
+        _StubHandler.script = [(200, completion(content))]
+        with pytest.raises(MalformedResponseError):
+            http_complete(self.config(url), "prompt")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_retries", -1), ("timeout", 0.0), ("timeout", -1.0), ("timeout", float("nan")),
+     ("timeout", float("inf")), ("timeout", 1e10)],
+)
+def test_backend_config_rejects_no_attempt_and_a_timeout_a_socket_cannot_take(field, value):
+    with pytest.raises(ConfigError, match=field):
+        BackendConfig(kind="http", endpoint="http://127.0.0.1:9/v1", **{field: value})
+
+
+def test_importing_the_cli_loads_no_http_client():
+    code = "import sys, ragplan.cli; print(sorted({'urllib.request', 'requests'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout
+    assert loaded.strip() == "[]"
 
 
 class TestHttpBackend:
@@ -324,3 +408,17 @@ class TestHttpBackend:
         result = backend.plan(question, question.gold_path)
         assert not result.ok
         assert result.error
+
+    def test_null_content_is_reported_not_raised(self, stub_server, monkeypatch, world_and_corpus):
+        # OpenAI-style endpoints answer a tool call with "content": null
+        _, url = stub_server
+        _, corpus = world_and_corpus
+        monkeypatch.setenv("RAGPLAN_API_KEY", "secret-key")
+        question = sample_question(corpus, kind="value")
+        _StubHandler.script = [(200, completion(None))]
+        backend = HttpBackend(
+            BackendConfig(kind="http", endpoint=url, model="m", max_retries=0, timeout=5.0)
+        )
+        result = backend.plan(question, question.gold_path)
+        assert not result.ok
+        assert "content" in result.error

@@ -11,7 +11,7 @@ from ragplan.cli import build_parser, load_run_config, main
 from ragplan.corpus import InstructionPath, load_corpus_jsonl, split_by_hint
 from ragplan.embedding import EmbedderConfig, embed_text
 from ragplan.encoder import init_encoder_params, load_encoder, save_encoder
-from ragplan.graph import load_graph, save_graph
+from ragplan.graph import build_graph, load_graph, save_graph
 from ragplan.world import SyntheticWorldSpec, load_world
 
 from encoder_faults import FAULTS
@@ -248,6 +248,7 @@ def test_wrongly_typed_config_value_is_config_error(workspace, capsys, override,
         ("rl", "max_path_len", 0),
         ("rl", "max_nodes_visited", 0),
         ("rl", "baseline_window", 0),
+        ("backend", "max_retries", -1),
     ],
 )
 def test_out_of_range_config_value_is_config_error(workspace, capsys, section, key, value):
@@ -255,6 +256,14 @@ def test_out_of_range_config_value_is_config_error(workspace, capsys, section, k
     config = dict(DEMO_CONFIG, **{section: dict(DEMO_CONFIG.get(section, {}), **{key: value})})
     assert run_with_config(root, gen_dir, "range", config) == 2
     assert f"{key} must be >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("timeout", [0.0, -1.0, float("nan")])
+def test_backend_timeout_that_is_not_positive_is_config_error(workspace, capsys, timeout):
+    root, _, gen_dir = workspace
+    config = dict(DEMO_CONFIG, backend={"kind": "http", "timeout": timeout})
+    assert run_with_config(root, gen_dir, "timeout", config) == 2
+    assert "timeout must be > 0" in capsys.readouterr().err
 
 
 def test_removed_rl_learning_rate_is_config_error(workspace, capsys):
@@ -810,6 +819,30 @@ def test_eval_on_an_encoder_of_another_embedder_is_data_error(
     assert main(command) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error") and str(header) in err and "embedder" in err
+
+
+@pytest.mark.parametrize("change", [{"seed": 1}, {"dimension": 512}])
+def test_eval_of_an_adapted_graph_of_another_embedder_is_data_error(
+    workspace, trained, tmp_path, capsys, change
+):
+    # The adapted graph and its task encoders agree with each other, but
+    # not with the bundle they are evaluated under.
+    root, config_path, gen_dir = workspace
+    common = ["--world", str(gen_dir / "world.json"), "--config", str(config_path)]
+    adapted = tmp_path / "adapt"
+    assert main(["adapt", "--bundle", str(trained / "bundle"), "--support",
+                 str(gen_dir / "corpus.jsonl"), *common, "--out", str(adapted)]) == 0
+    embedder = EmbedderConfig(**{**DEMO_CONFIG["embedder"], **change})
+    corpus = load_corpus_jsonl(gen_dir / "corpus.jsonl")
+    save_graph(build_graph(corpus, DEMO_CONFIG["delta"], embedder), adapted / "graph.json")
+    for header in (adapted / "tasks").glob("*/encoder.json"):
+        save_encoder(init_encoder_params(embedder), header)
+    out = tmp_path / "eval"
+    assert main(["eval", "--bundle", str(trained / "bundle"), "--adapted", str(adapted),
+                 "--query", str(gen_dir / "corpus.jsonl"), *common, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and str(adapted / "graph.json") in err
+    assert "embedder" in err and not out.exists()
 
 
 def test_eval_on_a_policy_with_transposed_shapes_is_data_error(
