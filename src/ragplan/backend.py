@@ -440,6 +440,9 @@ class HttpBackend:
         prompt = build_prompt(question.text, path, self.config.template_id)
         try:
             text = http_complete(self.config, prompt)
+        except AuthError:
+            # A missing or rejected credential fails every call alike.
+            raise
         except BackendError as exc:
             return PlanResult(answer="", ok=False, prompt=prompt, error=str(exc))
         actions = parse_actions(text)

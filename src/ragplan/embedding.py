@@ -275,14 +275,18 @@ def cosine_rows(
     if not query.valid or not rows.shape[0]:
         return sims
     qv = query.values.astype(np.float64)
-    step = rows.shape[0] if rows.dtype == np.float64 else block_rows(query.dimension)
-    dots = np.concatenate([
-        np.vecdot(rows[lo:lo + step].astype(np.float64, copy=False), qv)
-        for lo in range(0, rows.shape[0], step)
-    ])
+    if rows.dtype == np.float64:
+        dots = np.vecdot(rows, qv)
+    else:
+        step = block_rows(query.dimension)
+        dots = np.concatenate([
+            np.vecdot(rows[lo:lo + step].astype(np.float64), qv)
+            for lo in range(0, rows.shape[0], step)
+        ])
     denom = float(np.linalg.norm(qv)) * norms
     np.divide(dots, denom, out=sims, where=denom != 0.0)
-    np.clip(sims, -1.0, 1.0, out=sims)
+    np.minimum(sims, 1.0, out=sims)
+    np.maximum(sims, -1.0, out=sims)
     # An identical array divides to within a few ulps of 1.0; cosine()
     # returns exactly 1.0 for it, before any division.
     for i in np.flatnonzero((sims >= 1.0 - 1e-9) | (denom == 0.0)):

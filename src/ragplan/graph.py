@@ -637,6 +637,13 @@ class GraphIndex:
 
     def dense(self, rows: np.ndarray) -> np.ndarray:
         """The float64 values of the given question rows, gathered with one scatter."""
+        if len(rows) == 1:
+            # The common case of a visited centroid: its entries are one slice.
+            row = rows[0]
+            entries = slice(self.questions["start"][row], self.questions["end"][row])
+            out = np.zeros((1, self.dimension), dtype=np.float64)
+            out[0, self.entries["position"][entries]] = self.entries["value"][entries]
+            return out
         starts = self.questions["start"][rows]
         sizes = self.questions["end"][rows] - starts
         ends = np.cumsum(sizes)
@@ -679,6 +686,9 @@ class QueryScores:
     def __init__(self, index: GraphIndex, query: EmbeddingVector):
         self.index = index
         self.query = query
+        # The query's float64 values and norm, as ``cosine_rows`` takes them.
+        self._values = query.values.astype(np.float64)
+        self._norm = float(np.linalg.norm(self._values))
         # Best question cosine by centroid slot, and state rows by (node,
         # in-edge), as traversal meets an edge or a state again and again.
         self._question_sims: dict[int, float] = {}
@@ -727,12 +737,33 @@ class QueryScores:
         question_sim = self._question_sims.get(best)
         if question_sim is None:
             rows = index.question_rows[index.question_ptr[best]:index.question_ptr[best + 1]]
-            questions = index.questions
-            sims = cosine_rows(
-                self.query, index.dense(rows), questions["norm"][rows], questions["valid"][rows]
-            )
-            question_sim = self._question_sims[best] = float(sims.max())
+            question_sim = self._question_sims[best] = self._best_question(rows)
         return float(self.centroids[best]), question_sim
+
+    def _best_question(self, rows: np.ndarray) -> float:
+        """``cosine_rows(query, dense(rows), norms, valid).max()`` over some
+        question rows, bit for bit: one ``np.vecdot``, then ``cosine``'s
+        rules on each row's Python floats. A centroid has one question row
+        or a few, so this skips numpy's per-call cost, not arithmetic. No
+        stored embedding holds a NaN, so Python's ``max`` agrees with
+        numpy's."""
+        if not self.query.valid:
+            return 0.0
+        questions = self.index.questions
+        dense = self.index.dense(rows)
+        sims = []
+        for i, (dot, norm, valid) in enumerate(zip(
+            np.vecdot(dense, self._values).tolist(),
+            questions["norm"][rows].tolist(),
+            questions["valid"][rows].tolist(),
+        )):
+            denom = self._norm * norm
+            sim = min(max(dot / denom, -1.0), 1.0) if denom != 0.0 else 0.0
+            # An identical array scores exactly 1.0, as in ``cosine_rows``.
+            if (sim >= 1.0 - 1e-9 or denom == 0.0) and np.array_equal(dense[i], self._values):
+                sim = 1.0
+            sims.append(sim if valid else 0.0)
+        return max(sims)
 
     def state(self, node_id: int, in_edge: EdgeSet | None) -> np.ndarray:
         """The read-only policy state row of a node reached through

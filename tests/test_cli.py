@@ -16,6 +16,7 @@ from ragplan.world import SyntheticWorldSpec, load_world
 
 from encoder_faults import FAULTS
 from encoder_reference import save_block_encoder
+from test_backend import _StubHandler, stub_server  # noqa: F401 (a fixture)
 
 DEMO_CONFIG = {
     "seed": 7,
@@ -362,6 +363,35 @@ def test_eval_writes_results_and_summary(workspace, trained, capsys):
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert "macro_average" in summary
     assert "macro" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["rejected", None])
+def test_eval_over_http_without_a_valid_key_is_backend_error(
+    workspace, trained, stub_server, monkeypatch, capsys, key  # noqa: F811
+):
+    # A credential fault fails every call alike, so the command stops with
+    # exit 4 at the first plan instead of scoring every question as failed.
+    root, _, gen_dir = workspace
+    _, url = stub_server
+    if key is None:
+        monkeypatch.delenv("RAGPLAN_API_KEY", raising=False)
+    else:
+        monkeypatch.setenv("RAGPLAN_API_KEY", key)
+    _StubHandler.script = [(401, {"error": "bad key"})] * 3
+    config_path = root / "http.json"
+    config_path.write_text(json.dumps(
+        dict(DEMO_CONFIG, backend={"endpoint": url, "model": "m", "max_retries": 2})
+    ), encoding="utf-8")
+    out = root / f"eval-http-{key}"
+    code = main([
+        "eval", "--bundle", str(trained / "bundle"),
+        "--query", str(gen_dir / "corpus.jsonl"),
+        "--config", str(config_path), "--backend", "http", "--out", str(out),
+    ])
+    assert code == 4
+    assert "backend error" in capsys.readouterr().err
+    assert len(_StubHandler.requests_seen) == (0 if key is None else 1)
+    assert not (out / "results.jsonl").exists()
 
 
 def test_adapt_then_eval_with_adapted_bundles(workspace, trained):

@@ -10,6 +10,7 @@ actions and forced flags, and the same states within 1e-12.
 
 import copy
 import gc
+import json
 import sys
 import weakref
 from collections import deque
@@ -23,13 +24,16 @@ from ragplan import embedding
 from ragplan.corpus import InstructionPath, Question, TaskCorpus, split_by_hint
 from ragplan.embedding import (
     EmbedderConfig,
+    EmbeddingVector,
     cosine,
+    cosine_rows,
     embed_text,
     row_norms,
     task_centroid,
 )
 from ragplan.graph import (
     GraphIndex,
+    QueryScores,
     build_graph,
     extend_graph,
     graphs_equal,
@@ -394,6 +398,106 @@ def test_centroid_rows_are_task_centroids_bit_for_bit():
         assert len(rows) == len(expected)
         for row, value in zip(rows, expected):
             assert np.array_equal(row, value)
+
+
+def float_bytes(value):
+    return np.float64(value).tobytes()
+
+
+def assert_best_questions_are_scalar_cosines(graph, queries):
+    """``QueryScores._best_question`` of every centroid slot against
+    ``max(cosine(query, vec))`` over the slot's question vectors, and
+    against ``cosine_rows(...).max()``, bit for bit; and each row of a
+    multi-row ``dense`` against the one-row ``dense`` of that row. Returns
+    the question row count of every slot and the number of (query, slot)
+    pairs where a valid question is identical to a valid query."""
+    index = graph.index()
+    questions = index.questions
+    slots = []
+    for pos, edge in enumerate(index.edges):
+        start, stop = index.centroid_ptr[pos], index.centroid_ptr[pos + 1]
+        reference = ref_edge_task_centroids(graph, edge)
+        assert [task_id for task_id, _, _ in reference] == list(index.centroid_tasks[start:stop])
+        for slot, (_, _, vectors) in zip(range(start, stop), reference):
+            rows = index.question_rows[index.question_ptr[slot]:index.question_ptr[slot + 1]]
+            gathered = index.dense(rows)
+            for i in range(len(rows)):
+                assert index.dense(rows[i:i + 1]).tobytes() == gathered[i].tobytes()
+            slots.append((rows, vectors))
+    identical = 0
+    for query in queries:
+        scores = QueryScores(index, query)
+        for rows, vectors in slots:
+            got = scores._best_question(rows)
+            assert type(got) is float
+            want = max(cosine(query, vec) for vec in vectors)
+            assert float_bytes(got) == float_bytes(want)
+            dense = cosine_rows(
+                query, index.dense(rows), questions["norm"][rows], questions["valid"][rows]
+            )
+            assert float_bytes(got) == float_bytes(dense.max())
+            identical += any(
+                vec.valid and query.valid and np.array_equal(vec.values, query.values)
+                for vec in vectors
+            )
+    return [len(rows) for rows, _ in slots], identical
+
+
+def oracle_queries(graph, texts):
+    """Query vectors: the given texts, every third stored question's own
+    vector (identical arrays score exactly 1.0), and an invalid vector
+    that holds nonzero values (an invalid query scores 0 whatever its
+    values)."""
+    stored = list(graph.question_embeddings.values())
+    valid = [vec for vec in stored if vec.valid]
+    return [
+        *(embed_text(text, graph.embedder) for text in texts),
+        *stored[::3],
+        EmbeddingVector(valid[0].values, valid=False),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_best_question_is_the_scalar_cosine_maximum_bit_for_bit(seed):
+    graph = random_graph(seed)
+    sizes, identical = assert_best_questions_are_scalar_cosines(
+        graph, oracle_queries(graph, queries_for(graph, seed))
+    )
+    assert 1 in sizes and identical
+
+
+def test_best_question_scores_a_question_flagged_invalid_zero(tmp_path):
+    # A loaded question flagged invalid keeps its values; it scores 0
+    # even against a query identical to it.
+    save_graph(random_graph(3), tmp_path / "graph.json")
+    doc = json.loads((tmp_path / "graph.json").read_text(encoding="utf-8"))
+    for entry in doc["questions"][::2]:
+        entry["valid"] = False
+    (tmp_path / "graph.json").write_text(json.dumps(doc), encoding="utf-8")
+    graph = load_graph(tmp_path / "graph.json")
+    flagged = [vec for vec in graph.question_embeddings.values() if not vec.valid]
+    assert any(np.any(vec.values) for vec in flagged)
+    queries = oracle_queries(graph, ["amber birch grove"])
+    assert_best_questions_are_scalar_cosines(
+        graph, queries + [EmbeddingVector(vec.values, valid=True) for vec in flagged]
+    )
+
+
+def test_best_question_bit_for_bit_across_benchmark_writes():
+    # An index-4k-style graph at a few hundred instructions, patched after
+    # each write, queried with the benchmark's read texts and the written
+    # questions.
+    inputs = bench_inputs()
+    graph = build_graph(inputs.random_corpus(1, 400), 0.4, EmbedderConfig(dimension=256))
+    graph.index()
+    reads = inputs.index_queries(1)
+    sizes = []
+    for batch in islice(inputs.index_write_batches(1, 60), 4):
+        graph = extend_graph(graph, batch)
+        read_patched(graph)
+        texts = [next(reads)[0] for _ in range(3)] + [""]
+        sizes += assert_best_questions_are_scalar_cosines(graph, oracle_queries(graph, texts))[0]
+    assert 1 in sizes and max(sizes) >= 3
 
 
 def test_warmstart_states_match_scalar_reference():
