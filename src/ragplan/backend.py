@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import InstructionPath, Question
+from .corpus import PATH_SEPARATOR, InstructionPath, Question
 from .errors import (AuthError, BackendError, BackendTimeoutError, ConfigError,
                      MalformedResponseError)
 from .serialize import check_minimums
@@ -351,7 +351,7 @@ class MockBackend:
         if path is None:
             return PlanResult(answer="", ok=True, prompt=prompt)
         serialized = extract_instruction_path(prompt)
-        instructions = tuple(t for t in serialized.split(" -> ") if t)
+        instructions = tuple(t for t in serialized.split(PATH_SEPARATOR) if t)
         # stable per-call seed so repeated evaluations agree
         digest = hashlib.blake2b(
             f"{self.config.seed}|{question.question_id}|{serialized}".encode("utf-8"),

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .corpus import InstructionPath, MetricKind, Question, TaskCorpus, score
+from .corpus import InstructionPath, MetricKind, Question, TaskCorpus
 from .embedding import EmbedderConfig, cosine_rows, embed_text, row_norms
 from .errors import NotFoundError
+from .meta import plan_delta
 
 
 class VerbatimRetriever:
@@ -55,7 +56,7 @@ def evaluate_verbatim(
             records.append(_record(question, None, "", 0.0, failed=True))
             continue
         result = backend.plan(question, path)
-        delta = score(metric, result.answer, question.answer) if result.ok else 0.0
+        delta = plan_delta(result, metric, question.answer)
         records.append(_record(question, path, result.answer, delta, failed=not result.ok))
     return records
 

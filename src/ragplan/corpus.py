@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DataError, MalformedFileError
 
 CORRECT_PATH_THRESHOLD = 1.0
+PATH_SEPARATOR = " -> "  # joins a serialized path's instructions
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class InstructionPath:
             raise DataError("instruction path holds an empty instruction")
 
     def serialized(self) -> str:
-        return " -> ".join(self.instructions)
+        return PATH_SEPARATOR.join(self.instructions)
 
     @property
     def is_correct(self) -> bool:

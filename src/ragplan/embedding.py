@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .corpus import PATH_SEPARATOR
 from .errors import ConfigError, DataError
 from .serialize import read_value
 
@@ -132,17 +133,13 @@ def _codes(words_of: str, window: str, stop: int, config: EmbedderConfig) -> np.
     return np.array(codes, dtype=np.uint16 if 2 * config.dimension <= 1 << 16 else np.int32)
 
 
-# Serialized candidate paths join their instructions with this separator.
-_SEPARATOR = " -> "
-
-
 @lru_cache(maxsize=16384)
 def _piece_codes(piece: str, before: bool, after: bool, config: EmbedderConfig) -> np.ndarray:
     """``_codes`` of a piece of a text split at separators: its words, and
     the n-grams that start in it or in the separator before it
     (``before``), running on into the separator after it (``after``)."""
-    window = _SEPARATOR * before + piece + _SEPARATOR * after
-    codes = _codes(piece, window, len(_SEPARATOR) * before + len(piece), config)
+    window = PATH_SEPARATOR * before + piece + PATH_SEPARATOR * after
+    codes = _codes(piece, window, len(PATH_SEPARATOR) * before + len(piece), config)
     codes.setflags(write=False)
     return codes
 
@@ -160,8 +157,8 @@ def _embed(text: str, config: EmbedderConfig) -> EmbeddingVector:
     or double space, so no piece is empty.
     """
     normalized = _normalize_text(text)
-    if _SEPARATOR in normalized and config.ngram_max <= len(_SEPARATOR) + 1:
-        pieces = normalized.split(_SEPARATOR)
+    if PATH_SEPARATOR in normalized and config.ngram_max <= len(PATH_SEPARATOR) + 1:
+        pieces = normalized.split(PATH_SEPARATOR)
         last = len(pieces) - 1
         codes = np.concatenate([
             _piece_codes(piece, i > 0, i < last, config) for i, piece in enumerate(pieces)

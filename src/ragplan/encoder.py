@@ -34,8 +34,8 @@ On disk an encoder is a versioned JSON header plus a sidecar payload of
 raw little-endian float64. Training moves each projection away from its
 identity init only on a block of rows × columns, so the payload holds,
 for ``wq`` then ``wp``, the smallest block outside which the projection
-equals the identity bit for bit, row-major (whatever the layout in
-memory), then ``qpm_w``. The header records each block's sorted row and
+equals the identity bit for bit, column by column as the buffer holds
+it, then ``qpm_w``. The header records each block's sorted row and
 column index sets, the payload's file name and value count, and one
 sha256 over the index sets and the values. Loading checks all of them
 and that every value is finite, and reads the blocks into one buffer
@@ -62,9 +62,8 @@ from .errors import ConfigError, DataError, MalformedFileError, NotFoundError
 from .serialize import read_value, read_versioned, write_versioned
 
 ENCODER_KIND = "encoder-header"
-ENCODER_LAYOUT = "identity-blocks"
+ENCODER_LAYOUT = "identity-column-blocks"
 PAYLOAD_SUFFIX = ".f64"
-PATH_SEPARATOR = " -> "
 SIDES = ("wq", "wp")  # the projections, as named in EncoderParams and EncoderGrads
 _ONE_BITS = np.float64(1.0).view(np.uint64)
 _PIECE_VALUES = 1 << 14  # values a save or load moves at a time: 128 KB
@@ -544,8 +543,8 @@ class PoolRows:
         valid = bool(self.q.norms[i] > 0.0)
         question = EmbeddingVector(self.q.unit[i].astype(np.float32), valid=valid)
         paths = self._pool(i, count)
-        rows = paths.unit.astype(np.float32)
-        return cosine_rows(question, rows, row_norms(rows.astype(np.float64)), paths.norms > 0.0)
+        rows = paths.unit.astype(np.float32).astype(np.float64)
+        return cosine_rows(question, rows, row_norms(rows), paths.norms > 0.0)
 
     def ft_loss_and_grads(self, i: int, best: int, strict: bool) -> tuple[float, EncoderGrads]:
         """``ft_loss_and_grads`` of question ``i`` against its pool."""
@@ -625,22 +624,21 @@ def _block_digest(blocks: list[tuple[np.ndarray, np.ndarray]]):
 
 
 def _block_pieces(blocks: list[tuple[np.ndarray, np.ndarray]], d: int):
-    """Each side's block in payload order, as pieces of whole block rows and
-    at most ``_PIECE_VALUES`` values. A piece is the positions of its
-    values in the params' flat buffer, where a projection is column-major,
-    as a (columns, rows) array: the transpose of the piece's row-major
-    order on disk, so that moving a piece walks the buffer in order."""
+    """Each side's block in payload order, as pieces of whole block columns
+    and at most ``_PIECE_VALUES`` values. A piece is the ascending
+    positions of its values in the params' flat buffer, where a projection
+    is column-major, so the payload holds each block column by column,
+    its rows ascending."""
     for offset, (rows, cols) in zip((0, d * d), blocks):
-        column_starts = offset + cols[:, None] * d
-        step = max(1, _PIECE_VALUES // max(1, cols.size))
-        for start in range(0, rows.size, step):
-            yield column_starts + rows[start : start + step]
+        step = max(1, _PIECE_VALUES // max(1, rows.size))
+        for start in range(0, cols.size, step):
+            yield (offset + cols[start : start + step, None] * d + rows).ravel()
 
 
 def save_encoder(params: EncoderParams, destination, strict_qpa: bool = False) -> Path:
     """Write the header ``destination`` and, next to it, the payload: for
     ``wq`` then ``wp``, the block where the projection differs from the
-    identity, row-major, then ``qpm_w``, as raw little-endian float64.
+    identity, column by column, then ``qpm_w``, as raw little-endian float64.
     The header names the payload and records the blocks' row and column
     index sets, the value count and a sha256 of index sets and values.
     Returns the payload's path."""
@@ -653,7 +651,7 @@ def save_encoder(params: EncoderParams, destination, strict_qpa: bool = False) -
     flat = params.to_vector()
     with open(payload, "wb") as handle:
         for positions in _block_pieces(blocks, params.dimension):
-            values = np.ascontiguousarray(flat[positions].T).astype("<f8", copy=False)
+            values = flat[positions].astype("<f8", copy=False)
             digest.update(values)
             values.tofile(handle)
         head = params.qpm_w.astype("<f8", copy=False)
@@ -751,9 +749,9 @@ def load_encoder(
             params = init_encoder_params(embedder, tau=tau)
             finite = bool(np.isfinite(tau))
             for positions in _block_pieces(blocks, d):
-                piece = np.empty(positions.shape[::-1], dtype="<f8")
+                piece = np.empty(positions.size, dtype="<f8")
                 finite &= _read_into(handle, piece, digest)
-                params._flat[positions] = np.ascontiguousarray(piece.T)
+                params._flat[positions] = piece
             finite &= _read_into(handle, params.qpm_w, digest)
     except OSError as exc:
         raise MalformedFileError(f"{source}: cannot read payload: {exc}") from exc

@@ -118,9 +118,7 @@ def init_bundle(
 ) -> AgentBundle:
     return AgentBundle(
         policy=init_policy_params(seed=_stable_int(seed, "policy-init") % (1 << 31)),
-        encoder=init_encoder_params(
-            graph.embedder, seed=_stable_int(seed, "encoder-init") % (1 << 31)
-        ),
+        encoder=init_encoder_params(graph.embedder),
         graph=graph,
         rl_config=rl_config,
     )

@@ -7,7 +7,8 @@ for policy weights, float32 (``<f4``, the default) for embeddings.
 Encoder weights are too large for hex: an encoder file is a versioned
 header written here, next to a raw little-endian float64 payload that
 holds only the block of each projection where it differs from the
-identity, then the match head. The header records the blocks' index
+identity, column by column as the weights sit in memory, then the match
+head. The header records the blocks' index
 sets, the value count and a sha256 over both (see
 ``ragplan.encoder.save_encoder``).
 """

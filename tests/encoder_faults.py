@@ -7,6 +7,9 @@ the value count can. ``moved-old-hash`` moves one index into a gap of
 an index set and hashes the values alone, as the full raw layout did,
 so only a hash that covers the index sets can catch it: it needs an
 encoder with a block that is not full in at least one direction.
+``row-major-layout`` rewrites the file as the ``identity-blocks`` layout
+wrote it, each block row by row under a matching sha256, so only the
+layout check can catch it.
 """
 
 import hashlib
@@ -87,6 +90,19 @@ def _resave_full(header_path):
     save_full_encoder(params, header_path, strict)
 
 
+def _resave_row_major(header_path):
+    params, _ = load_encoder(header_path)
+    doc = _header(header_path)
+    blocks = [[doc["blocks"][side][key] for key in ("rows", "cols")] for side in SIDES]
+    values = np.concatenate(
+        [getattr(params, side)[np.ix_(rows, cols)].ravel() for side, (rows, cols)
+         in zip(SIDES, blocks)] + [params.qpm_w])
+    values.astype("<f8").tofile(_payload(header_path))
+    doc["layout"] = "identity-blocks"
+    _rewrite(header_path, doc)
+    _rehash(header_path, new_rule=True)
+
+
 def _set_field(header_path, key, value):
     doc = _header(header_path)
     doc[key] = value
@@ -114,5 +130,6 @@ FAULTS = {
     "block-count": _drop_last_row,
     "moved-old-hash": _move_into_gap,
     "old-layout": _resave_full,
+    "row-major-layout": _resave_row_major,
     "strict-qpa-string": lambda header: _set_field(header, "strict_qpa", "false"),
 }

@@ -8,11 +8,12 @@ its file name, value count and a sha256 of the values alone. The
 identity-block layout stores only where each projection differs from
 the identity, so both layouts must load to the same weights bit for bit.
 
-``save_block_encoder`` writes the identity-block layout from row-major
-copies of the weights, with its own block search, gather and hash. The
-params keep their projections column-major in memory, so the program's
-``save_encoder`` must write the same bytes as this writer, and
-``load_encoder`` must read this writer's files to the same weights.
+``save_block_encoder`` writes the identity-block layout, each block
+column by column with its rows ascending, from the (d, d) weight views,
+with its own block search, gather and hash; it never reads the flat
+buffer. The program's ``save_encoder`` must write the same bytes as this
+writer, and ``load_encoder`` must read this writer's files to the same
+weights.
 """
 
 from __future__ import annotations
@@ -27,16 +28,12 @@ from ragplan.encoder import ENCODER_KIND, ENCODER_LAYOUT, PAYLOAD_SUFFIX, SIDES,
 from ragplan.serialize import read_versioned, write_versioned
 
 
-def _row_major(params: EncoderParams) -> list[np.ndarray]:
-    return [np.ascontiguousarray(getattr(params, side)) for side in SIDES]
-
-
 def save_full_encoder(params: EncoderParams, destination, strict_qpa: bool = False) -> Path:
     """Write the header ``destination`` and the full raw payload next to
     it; returns the payload's path."""
     destination = Path(destination)
     payload = destination.with_suffix(PAYLOAD_SUFFIX)
-    values = np.concatenate([w.ravel() for w in _row_major(params)] + [params.qpm_w])
+    values = np.concatenate([getattr(params, side).ravel() for side in SIDES] + [params.qpm_w])
     values = values.astype("<f8", copy=False)
     values.tofile(payload)
     write_versioned(
@@ -80,13 +77,13 @@ def _moved_block(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def save_block_encoder(params: EncoderParams, destination, strict_qpa: bool = False) -> Path:
     """Write the identity-block layout (header ``destination``, payload next
-    to it) from row-major copies of the weights; returns the payload's path."""
+    to it), each block column by column; returns the payload's path."""
     destination = Path(destination)
     payload = destination.with_suffix(PAYLOAD_SUFFIX)
-    weights = _row_major(params)
+    weights = [getattr(params, side) for side in SIDES]
     blocks = [_moved_block(w) for w in weights]
     values = np.concatenate(
-        [w[np.ix_(rows, cols)].ravel() for w, (rows, cols) in zip(weights, blocks)]
+        [w[np.ix_(rows, cols)].ravel(order="F") for w, (rows, cols) in zip(weights, blocks)]
         + [params.qpm_w]
     ).astype("<f8", copy=False)
     digest = hashlib.sha256()

@@ -4,8 +4,9 @@ same case, with ties going to the lowest index."""
 
 import pytest
 
-from ragplan.baseline import VerbatimRetriever
-from ragplan.corpus import InstructionPath, Question, TaskCorpus, split_by_hint
+from ragplan.backend import PlanResult
+from ragplan.baseline import VerbatimRetriever, evaluate_verbatim
+from ragplan.corpus import InstructionPath, MetricKind, Question, TaskCorpus, split_by_hint
 from ragplan.embedding import EmbedderConfig, cosine, embed_text
 from ragplan.errors import NotFoundError
 from ragplan.world import demo_spec, gen_world
@@ -57,3 +58,27 @@ def test_ties_go_to_the_lowest_index():
 def test_empty_support_has_nothing_to_select():
     with pytest.raises(NotFoundError):
         VerbatimRetriever(TaskCorpus(), EMBEDDER).select("anything")
+
+
+class RewardBackend:
+    """A stub planner that answers every question "blue" and reports a
+    reward of its own, as a live backend may, or fails on request."""
+
+    def __init__(self, ok=True):
+        self.ok = ok
+
+    def plan(self, question, path):
+        return PlanResult(answer="blue", ok=self.ok, reward=0.25)
+
+
+def test_verbatim_scores_a_reported_reward_as_the_pipeline_does():
+    path = InstructionPath(("Search[q1]",), "T1", "q1")
+    support = corpus_of([Question("q1", "T1", "hue of amber fox", "blue", paths=(path,))])
+    query = corpus_of([Question("q2", "T1", "hue of amber fox", "blue")])
+    # Under reward_score the backend's reward is the score, not the match
+    # of its answer; other metrics score the answer, and a failed plan 0.
+    for metric, ok, delta in ((MetricKind.REWARD_SCORE, True, 0.25),
+                              (MetricKind.TOKEN_F1, True, 1.0),
+                              (MetricKind.REWARD_SCORE, False, 0.0)):
+        [record] = evaluate_verbatim(support, query, RewardBackend(ok), metric, EMBEDDER)
+        assert (record["delta"], record["failed"]) == (delta, not ok)

@@ -114,7 +114,7 @@ def test_demo_train_log_and_eval_results_are_unchanged(demo_run):
 
 def test_trained_demo_encoder_projects_saves_and_loads_as_the_references(demo_run, tmp_path):
     # The gathered projection against the dense product over every column,
-    # and the file format against a writer that works on row-major weights.
+    # and the file format against a writer that works on the weight views.
     bundle = demo_run / "train" / "bundle"
     encoder, _ = load_encoder(bundle / "encoder.json")
     questions = list(load_corpus_jsonl(demo_run / "gen" / "corpus.jsonl").iter_questions())
@@ -808,6 +808,25 @@ def test_eval_on_a_damaged_encoder_payload_is_data_error(
     ])
     assert code == 3
     assert capsys.readouterr().err.startswith("data error")
+
+
+def test_eval_on_a_row_major_encoder_names_the_resave_step(workspace, trained, tmp_path, capsys):
+    # An encoder saved under the earlier ``identity-blocks`` layout, whose
+    # blocks run row by row, is refused with the step that rewrites it.
+    import shutil
+
+    root, config_path, gen_dir = workspace
+    bundle_dir = tmp_path / "bundle"
+    shutil.copytree(trained / "bundle", bundle_dir)
+    FAULTS["row-major-layout"](bundle_dir / "encoder.json")
+    assert main([
+        "eval", "--bundle", str(bundle_dir), "--query", str(gen_dir / "corpus.jsonl"),
+        "--world", str(gen_dir / "world.json"), "--config", str(config_path),
+        "--out", str(tmp_path / "eval"),
+    ]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and "'identity-blocks'" in err
+    assert "re-save it by running train or adapt again" in err
 
 
 def _change_embedder(header, change):

@@ -6,8 +6,12 @@ import pytest
 from ragplan.corpus import InstructionPath, MetricKind, Question
 from ragplan.embedding import EmbedderConfig, cosine, embed_text
 from ragplan.encoder import (
+    _PIECE_VALUES,
+    SIDES,
     EncoderParams,
     PathPool,
+    _block_pieces,
+    _moved_block,
     _project_rows,
     candidate_similarities,
     ft_loss_and_grads,
@@ -588,10 +592,10 @@ class TestEncoderPayload:
         assert payload == tmp_path / "encoder.f64"
         wq_rows, wq_cols, wp_rows, wp_cols = range(2, 10), range(1, 13), range(16), [3, 7]
         blocks = [params.wq[np.ix_(wq_rows, wq_cols)], params.wp[np.ix_(wp_rows, wp_cols)]]
-        expected = np.concatenate([b.ravel() for b in blocks] + [params.qpm_w])
+        expected = np.concatenate([b.T.ravel() for b in blocks] + [params.qpm_w])
         assert payload.read_bytes() == expected.astype("<f8").tobytes()
         header = json.loads(dest.read_text(encoding="utf-8"))
-        assert header["layout"] == "identity-blocks"
+        assert header["layout"] == "identity-column-blocks"
         assert header["blocks"] == {
             "wq": {"rows": list(wq_rows), "cols": list(wq_cols)},
             "wp": {"rows": list(wp_rows), "cols": wp_cols},
@@ -640,15 +644,15 @@ class TestEncoderPayload:
 
 
 class TestFileFormat:
-    """The params hold each projection column-major, yet the file keeps its
-    row-major blocks: ``save_encoder`` writes what a writer working on
-    row-major copies writes, and ``load_encoder`` reads that writer's
-    files to the same weights."""
+    """The file keeps each block column by column, as the params' buffer
+    holds it: ``save_encoder`` writes what a writer working on the (d, d)
+    weight views writes, and ``load_encoder`` reads that writer's files to
+    the same weights."""
 
     @pytest.mark.parametrize("make", [
         identity_params, moved_params, lambda: init_encoder_params(CFG, seed=44, scale=0.3),
     ])
-    def test_save_writes_the_row_major_reference_bytes(self, tmp_path, make):
+    def test_save_writes_the_column_order_reference_bytes(self, tmp_path, make):
         params = make()
         for name, save in (("ours", save_encoder), ("reference", save_block_encoder)):
             (tmp_path / name).mkdir()
@@ -660,6 +664,28 @@ class TestFileFormat:
         assert strict is True
         for side in ("wq", "wp", "qpm_w"):
             assert getattr(loaded, side).tobytes() == getattr(params, side).tobytes()
+
+    @pytest.mark.parametrize("make", [
+        moved_params,
+        lambda: init_encoder_params(EmbedderConfig(dimension=256), seed=44, scale=0.3),
+    ])
+    def test_payload_walks_the_buffer_in_order(self, tmp_path, make):
+        # Each piece is whole block columns at ascending buffer positions,
+        # so the payload is the buffer read at those positions, untransposed.
+        params = make()
+        d = params.dimension
+        payload = save_encoder(params, tmp_path / "encoder.json")
+        blocks = [_moved_block(getattr(params, side)) for side in SIDES]
+        pieces = list(_block_pieces(blocks, d))
+        for piece in pieces:
+            rows = blocks[piece[0] // (d * d)][0]
+            assert piece.ndim == 1 and piece.size <= _PIECE_VALUES
+            assert piece[0] % d == rows[0] and piece.size % rows.size == 0
+        positions = np.concatenate(pieces)
+        assert (np.diff(positions) > 0).all()
+        flat = params.to_vector()
+        expected = np.concatenate([flat[positions], params.qpm_w]).astype("<f8")
+        assert payload.read_bytes() == expected.tobytes()
 
     def test_load_checks_the_graph_embedder_first(self, tmp_path):
         dest = tmp_path / "encoder.json"
