@@ -1,9 +1,11 @@
 """The run config every ``ragplan`` command reads.
 
-A config file is a JSON object in the layout of ``configs/demo.json``:
-top-level ``seed``, ``delta``, ``k``, ``metric``, ``split_ratio`` and
-``strict_qpa``, plus one object per section. Every key is optional; a
-missing key keeps the default of its dataclass field.
+A config file is a JSON object of top-level ``seed``, ``delta``, ``k``,
+``metric``, ``split_ratio`` and ``strict_qpa``, plus one object per
+section (``embedder``, ``rl``, ``meta``, ``backend``), in the layout
+``RunConfig.to_json`` writes. Every key is optional; a missing key keeps
+the default of its dataclass field, so ``configs/demo.json`` lists only
+the values that differ from those defaults.
 """
 
 from __future__ import annotations

@@ -37,30 +37,15 @@ GRAPH_KIND = "instruction-graph"
 
 
 @dataclass
-class Instruction:
-    """A stored instruction: duplicate texts share one entry with merged
-    provenance. An entry is never changed once stored (a new source
-    replaces it), so graph copies share entries."""
-
-    text: str
-    embedding: EmbeddingVector
-    sources: list[tuple[str, str, int]] = field(default_factory=list)
-
-
-@dataclass
 class NodeSet:
+    """A node's instructions: each text, in insertion order, maps to the
+    (task id, question id, position) sources of the path steps that
+    stored it, so duplicate texts share one entry. The text's embedding is
+    kept only in the graph's scan rows. A tuple of sources is never
+    changed (a new source replaces it), so graph copies share them."""
+
     node_id: int
-    instructions: dict[str, Instruction] = field(default_factory=dict)
-
-    def add(self, text: str, embedding: EmbeddingVector, source: tuple[str, str, int]) -> None:
-        entry = self.instructions.get(text)
-        if entry is None:
-            self.instructions[text] = Instruction(text, embedding, [source])
-        else:
-            self.instructions[text] = Instruction(text, entry.embedding, entry.sources + [source])
-
-    def texts(self) -> list[str]:
-        return list(self.instructions)
+    instructions: dict[str, tuple[tuple[str, str, int], ...]] = field(default_factory=dict)
 
 
 @dataclass
@@ -229,6 +214,7 @@ class InstructionGraph:
         self._entries = _Rows.of(position=np.min_scalar_type(dimension - 1), value=np.float32)
         # Scan rows: the float64 values of every stored (node, text), in
         # insertion order, with the node id, the text and the row's norm.
+        # They are the only copy of an instruction's float32 embedding.
         self._scan = _Rows.of(
             values=(np.float64, dimension), nodes=np.int64, texts=object, norms=np.float64
         )
@@ -327,13 +313,13 @@ class InstructionGraph:
         return self.index().in_edges(node_id)
 
     def copy(self) -> "InstructionGraph":
-        """A copy that shares nodes, edges, embeddings, scan rows and
+        """A copy that shares nodes, edges, sources, scan rows and
         questions with this graph.
 
-        Embeddings and instruction entries are immutable, and scan rows and
-        questions append-only. A shared node or edge is
-        copied by whichever graph writes to it first, so neither graph ever
-        sees the other's writes. The copy holds no reference to this graph.
+        Source tuples are immutable, and scan rows and questions
+        append-only. A shared node or edge is copied by whichever graph
+        writes to it first, so neither graph ever sees the other's writes.
+        The copy holds no reference to this graph.
 
         A copy is made to be extended and read in this graph's place, so
         this graph's compiled index moves to the copy as its base, and a
@@ -802,14 +788,14 @@ def knn_nearest(
     candidates = None if _scan is None else _scan.nearest(graph, query, excluded)
     if candidates is None:
         candidates = _scan_all(graph, query, excluded)
-    node_ids, texts = graph._scan["nodes"], graph._scan["texts"]
+    scan = graph._scan
+    node_ids, texts = scan["nodes"], scan["texts"]
     best = min(candidates, key=lambda i: (node_ids[i], texts[i]))
-    node_id = int(node_ids[best])
-    text = texts[best]
-    # Re-derive the similarity exactly; identical texts must compare as 1.0
-    # so threshold decisions at delta = 1.0 stay meaningful.
-    psi = cosine(query, graph.nodes[node_id].instructions[text].embedding)
-    return KnnHit(node_id=node_id, text=text, psi=psi)
+    # Re-derive the similarity exactly from the winning row, whose float64
+    # values are the stored float32 ones; identical texts must compare as
+    # 1.0 so threshold decisions at delta = 1.0 stay meaningful.
+    psi = cosine(query, EmbeddingVector(scan["values"][best]))
+    return KnnHit(node_id=int(node_ids[best]), text=texts[best], psi=psi)
 
 
 def _scan_all(
@@ -1021,9 +1007,9 @@ def insert_path(
         else:
             node_id = hit.node_id
         node = graph._writable_node(node_id)
-        is_new_text = text not in node.instructions
-        node.add(text, embedding, source)
-        if is_new_text:
+        sources = node.instructions.get(text)
+        node.instructions[text] = (sources or ()) + (source,)
+        if sources is None:
             graph._index_add([node_id], [text], embedding.values[None])
         if previous is not None:
             key = (previous, node_id)
@@ -1053,8 +1039,8 @@ def build_graph(support: TaskCorpus, delta: float, embedder: EmbedderConfig) -> 
 def extend_graph(graph: InstructionGraph, new_support: TaskCorpus) -> InstructionGraph:
     """Copy-extend: the original graph is left untouched.
 
-    The extended graph shares every node, edge and embedding it does not
-    change with the original (see ``InstructionGraph.copy``).
+    The extended graph shares every node and edge it does not change, and
+    every stored row, with the original (see ``InstructionGraph.copy``).
     """
     extended = graph.copy()
     _insert_corpus(extended, new_support)
@@ -1088,25 +1074,29 @@ def graph_stats(graph: InstructionGraph) -> GraphStats:
     )
 
 
-def save_graph(graph: InstructionGraph, destination: str | Path) -> None:
-    body = {
+def _graph_body(graph: InstructionGraph) -> dict:
+    """The document ``save_graph`` writes, without its header. An
+    instruction's embedding is the float32 bits of its scan row."""
+    scan = graph._scan
+    rows = dict(zip(zip(scan["nodes"].tolist(), scan["texts"].tolist()), range(scan.count)))
+    return {
         "delta": graph.delta,
         "embedder": graph.embedder.to_json(),
         "ic": graph.ic,
         "tc": graph.tc,
         "nodes": [
             {
-                "node_id": node.node_id,
+                "node_id": node_id,
                 "instructions": [
                     {
-                        "text": entry.text,
-                        "embedding": floats_to_hex(entry.embedding.values),
-                        "sources": [list(s) for s in entry.sources],
+                        "text": text,
+                        "embedding": floats_to_hex(scan["values"][rows[node_id, text]]),
+                        "sources": [list(s) for s in sources],
                     }
-                    for entry in node.instructions.values()
+                    for text, sources in node.instructions.items()
                 ],
             }
-            for _, node in sorted(graph.nodes.items())
+            for node_id, node in sorted(graph.nodes.items())
         ],
         "edges": [
             {
@@ -1126,7 +1116,16 @@ def save_graph(graph: InstructionGraph, destination: str | Path) -> None:
             for (task_id, question_id), vector in sorted(graph.question_embeddings.items())
         ],
     }
-    write_versioned(destination, GRAPH_KIND, body)
+
+
+def save_graph(graph: InstructionGraph, destination: str | Path) -> None:
+    write_versioned(destination, GRAPH_KIND, _graph_body(graph))
+
+
+def graphs_equal(a: InstructionGraph, b: InstructionGraph) -> bool:
+    """Whether ``save_graph`` would write the same document for both: deep
+    structural equality, with embeddings compared bit for bit."""
+    return _graph_body(a) == _graph_body(b)
 
 
 def load_graph(source: str | Path) -> InstructionGraph:
@@ -1147,15 +1146,12 @@ def load_graph(source: str | Path) -> InstructionGraph:
                 text = read_value(entry, "text", str)
                 if text in node.instructions:
                     raise MalformedFileError(f"{source}: node {node.node_id} lists {text!r} twice")
-                values = hex_to_floats(entry["embedding"], embedder.dimension)
-                node.instructions[text] = Instruction(
-                    text,
-                    EmbeddingVector(values, valid=True),
-                    [tuple(s) for s in entry["sources"]],
+                node.instructions[text] = _read_sources(
+                    entry["sources"], f"{source}: node {node.node_id} {text!r}"
                 )
                 node_ids.append(node.node_id)
                 texts.append(text)
-                rows.append(values)
+                rows.append(hex_to_floats(entry["embedding"], embedder.dimension))
             graph.nodes[node.node_id] = node
         graph._index_add(node_ids, texts, _finite_rows(
             source, rows, embedder.dimension, lambda i: f"node {node_ids[i]} {texts[i]!r}"
@@ -1209,29 +1205,15 @@ def _finite_rows(source, rows: list[np.ndarray], dimension: int, name) -> np.nda
     return matrix
 
 
-def graphs_equal(a: InstructionGraph, b: InstructionGraph) -> bool:
-    """Deep structural equality, embeddings compared bit-exactly."""
-    if (a.delta, a.embedder, a.ic) != (b.delta, b.embedder, b.ic):
-        return False
-    if set(a.nodes) != set(b.nodes) or set(a.edges) != set(b.edges):
-        return False
-    for node_id, node in a.nodes.items():
-        other = b.nodes[node_id]
-        if list(node.instructions) != list(other.instructions):
-            return False
-        for text, entry in node.instructions.items():
-            twin = other.instructions[text]
-            if entry.sources != twin.sources:
-                return False
-            if not np.array_equal(entry.embedding.values, twin.embedding.values):
-                return False
-    for key, edge in a.edges.items():
-        if edge.tasks != b.edges[key].tasks:
-            return False
-    if set(a.question_embeddings) != set(b.question_embeddings):
-        return False
-    for key, vector in a.question_embeddings.items():
-        twin = b.question_embeddings[key]
-        if vector.valid != twin.valid or not np.array_equal(vector.values, twin.values):
-            return False
-    return True
+def _read_sources(sources, name: str) -> tuple[tuple[str, str, int], ...]:
+    """An instruction's sources as its file entry lists them: one or more
+    [task id, question id, position] lists; ``name`` names the entry."""
+    if type(sources) is list and sources and all(
+        type(s) is list and len(s) == 3
+        and type(s[0]) is str and type(s[1]) is str and type(s[2]) is int
+        for s in sources
+    ):
+        return tuple(map(tuple, sources))
+    raise MalformedFileError(
+        f"{name} has sources other than [task id, question id, position] lists"
+    )

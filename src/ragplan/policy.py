@@ -413,7 +413,7 @@ def traverse(
     seen_sequences: set[tuple[str, ...]] = set()
     walkers = [start_walks(start) for start in _start_nodes(scores, config.k)]
     active = deque(walkers)
-    while active and len(candidates) < config.k and budget["left"] >= 0:
+    while active and len(candidates) < config.k:
         walker = active.popleft()
         try:
             candidate = next(walker)

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 import numpy as np
 
 import ragplan.graph as graph_module
-from ragplan.embedding import cosine
+from ragplan.embedding import cosine, embed_text
 from ragplan.errors import ConfigError, NotFoundError
 from ragplan.graph import KnnHit
 
@@ -33,7 +33,7 @@ def knn_nearest_reference(graph, query, excluded=None, **_):
     best = min(candidates, key=lambda i: (node_ids[i], texts[i]))
     node_id = int(node_ids[best])
     text = texts[best]
-    psi = cosine(query, graph.nodes[node_id].instructions[text].embedding)
+    psi = cosine(query, embed_text(text, graph.embedder))
     return KnnHit(node_id=node_id, text=text, psi=psi)
 
 

@@ -213,8 +213,8 @@ class TestCriterion03KnnOracle:
             best = None
             for node_id, node in sorted(graph.nodes.items()):
                 for stored_text in sorted(node.instructions):
-                    entry = node.instructions[stored_text]
-                    sim = float(np.dot(q64, entry.embedding.values.astype(np.float64)))
+                    stored = embed_text(stored_text, embedder).values.astype(np.float64)
+                    sim = float(np.dot(q64, stored))
                     if best is None or sim > best[0] + 1e-12:
                         best = (sim, node_id, stored_text)
             if (hit.node_id, hit.text) != (best[1], best[2]):

@@ -98,11 +98,10 @@ class TestKnnNearest:
             best = None
             for node_id, node in sorted(graph.nodes.items()):
                 for text in sorted(node.instructions):
-                    entry = node.instructions[text]
                     sim = float(
                         np.dot(
                             query.values.astype(np.float64),
-                            entry.embedding.values.astype(np.float64),
+                            embed_text(text, CFG).values.astype(np.float64),
                         )
                     )
                     if best is None or sim > best[0] + 1e-12:
@@ -116,7 +115,7 @@ class TestInsertPath:
         sequence = insert_path(graph, P11, "question q1")
         assert sequence == [1, 2, 3, 2]
         assert len(graph.nodes) == 3
-        assert graph.nodes[2].texts() == ["Lookup[nationality]"]
+        assert list(graph.nodes[2].instructions) == ["Lookup[nationality]"]
         assert set(graph.edges) == {(1, 2), (2, 3), (3, 2)}
 
     def test_counters_track_ids_and_edges(self):
@@ -131,12 +130,12 @@ class TestInsertPath:
     def test_reinsert_same_path_is_structurally_idempotent(self):
         graph = InstructionGraph(delta=0.4, embedder=CFG)
         insert_path(graph, P11, "question q1")
-        nodes_before = {nid: node.texts() for nid, node in graph.nodes.items()}
+        nodes_before = {nid: list(node.instructions) for nid, node in graph.nodes.items()}
         insert_path(graph, P11, "question q1")
-        assert {nid: node.texts() for nid, node in graph.nodes.items()} == nodes_before
+        assert {nid: list(node.instructions) for nid, node in graph.nodes.items()} == nodes_before
         # duplicate texts keep one entry with merged provenance
-        entry = graph.nodes[1].instructions["Search[Scott Derrickson]"]
-        assert len(entry.sources) == 2
+        sources = graph.nodes[1].instructions["Search[Scott Derrickson]"]
+        assert len(sources) == 2
 
     def test_second_task_joins_existing_edge(self):
         graph = InstructionGraph(delta=0.4, embedder=CFG)
@@ -414,6 +413,115 @@ class TestPersistence:
         doc["nodes"][0]["instructions"] = []
         self.assert_rejected(dest, doc, "no instructions")
 
+    @pytest.mark.parametrize("sources", [
+        ["abc"], [[1, 2]], [["T1", "q1", "zero"]], "xyz", [], [["T1", "q1", True]],
+    ])
+    def test_malformed_sources_rejected(self, tmp_path, sources):
+        # Each would otherwise load, and a string would be split into
+        # characters, so the file saved back would differ.
+        dest, doc = self.saved_doc(tmp_path)
+        entry = doc["nodes"][0]["instructions"][0]
+        entry["sources"] = sources
+        name = f"node {doc['nodes'][0]['node_id']} {entry['text']!r}"
+        self.assert_rejected(dest, doc, re.escape(f"{name} has sources other than"))
+
+
+def _one_ulp_up(payload):
+    """A hex float32 payload with its first nonzero value one ulp larger in magnitude."""
+    bits = np.frombuffer(bytes.fromhex(payload), "<u4").copy()
+    bits[np.flatnonzero(bits)[0]] += 1
+    return bits.tobytes().hex()
+
+
+def _swap_first_node_texts(doc):
+    entries = doc["nodes"][0]["instructions"]
+    entries[0], entries[1] = entries[1], entries[0]
+
+
+def _drop_second_question_of_first_edge(doc):
+    tasks = doc["edges"][0]["tasks"]
+    tasks["T1"] = tasks["T1"][:1]
+
+
+def _flip_first_question_validity(doc):
+    doc["questions"][0]["valid"] = not doc["questions"][0]["valid"]
+
+
+def _move_first_source(doc):
+    doc["nodes"][0]["instructions"][0]["sources"][0][2] += 1
+
+
+def _nudge_instruction_embedding(doc):
+    entry = doc["nodes"][1]["instructions"][0]
+    entry["embedding"] = _one_ulp_up(entry["embedding"])
+
+
+def _nudge_question_embedding(doc):
+    doc["questions"][1]["embedding"] = _one_ulp_up(doc["questions"][1]["embedding"])
+
+
+class TestGraphsEqual:
+    """``graphs_equal`` against a graph loaded from its saved file with one
+    thing changed."""
+
+    def saved_doc(self, tmp_path):
+        graph = InstructionGraph(delta=0.4, embedder=CFG)
+        insert_path(graph, P11, question_text="Were they of the same nationality?")
+        insert_path(
+            graph,
+            path(["Search[Scott Derrickson]", "Lookup[nationality]"], qid="q3"),
+            question_text="Which nation?",
+        )
+        insert_path(
+            graph,
+            path(["Search[Scott Derrickson film]", "Lookup[nationality of Ed Wood]"],
+                 task="T2", qid="q2"),
+            question_text="Where was he from?",
+        )
+        dest = tmp_path / "graph.json"
+        save_graph(graph, dest)
+        doc = json.loads(dest.read_text(encoding="utf-8"))
+        # Node 1 holds two texts, and edge 1->2 two questions of T1.
+        assert len(doc["nodes"][0]["instructions"]) == 2
+        assert doc["edges"][0]["tasks"]["T1"] == ["q1", "q3"]
+        return graph, dest, doc
+
+    def test_unchanged_file_loads_equal(self, tmp_path):
+        graph, dest, _ = self.saved_doc(tmp_path)
+        assert graphs_equal(graph, load_graph(dest))
+        assert graphs_equal(load_graph(dest), graph)
+
+    @pytest.mark.parametrize("change", [
+        lambda doc: doc.update(delta=0.5),
+        lambda doc: doc.update(ic=doc["ic"] + 1),
+        _swap_first_node_texts,
+        _move_first_source,
+        _nudge_instruction_embedding,
+        _drop_second_question_of_first_edge,
+        _flip_first_question_validity,
+        _nudge_question_embedding,
+    ], ids=[
+        "delta", "ic", "text-order", "source", "instruction-ulp", "edge-questions",
+        "question-validity", "question-ulp",
+    ])
+    def test_one_change_makes_graphs_differ(self, tmp_path, change):
+        graph, dest, doc = self.saved_doc(tmp_path)
+        change(doc)
+        dest.write_text(json.dumps(doc), encoding="utf-8")
+        changed = load_graph(dest)
+        assert not graphs_equal(graph, changed)
+        assert not graphs_equal(changed, graph)
+
+    def test_negative_zero_differs_from_zero(self, tmp_path):
+        # Equality is of bit patterns, as the saved file holds them.
+        graph, dest, doc = self.saved_doc(tmp_path)
+        entry = doc["nodes"][0]["instructions"][0]
+        values = np.frombuffer(bytes.fromhex(entry["embedding"]), "<f4").copy()
+        values[np.flatnonzero(values == 0.0)[0]] = -0.0
+        entry["embedding"] = values.tobytes().hex()
+        dest.write_text(json.dumps(doc), encoding="utf-8")
+        assert not graphs_equal(graph, load_graph(dest))
+
 
 class TestGraphStats:
     def test_empty(self):
@@ -469,16 +577,7 @@ class TestGraphStats:
         paths = [path(random_instruction_texts(rng, 4), qid=f"q{i}") for i in range(10)]
         graph = build_graph(corpus_from_paths(paths), delta=0.45, embedder=CFG)
         for node in graph.nodes.values():
-            entries = list(node.instructions.values())
-            for entry in entries[1:]:
-                best = max(
-                    float(
-                        np.dot(
-                            entry.embedding.values.astype(np.float64),
-                            other.embedding.values.astype(np.float64),
-                        )
-                    )
-                    for other in entries
-                    if other is not entry
-                )
+            entries = [embed_text(t, CFG).values.astype(np.float64) for t in node.instructions]
+            for i, entry in enumerate(entries[1:], 1):
+                best = max(float(np.dot(entry, other)) for other in entries[:i] + entries[i + 1:])
                 assert best >= graph.delta - 1e-9

@@ -93,7 +93,7 @@ def ref_edge_task_centroids(graph, edge):
 def ref_build_state(graph, query, node_id, in_edge):
     node = graph.nodes[node_id]
     instruction_sim = max(
-        (cosine(query, entry.embedding) for entry in node.instructions.values()),
+        (cosine(query, embed_text(text, graph.embedder)) for text in node.instructions),
         default=0.0,
     )
     task_sim = 0.0
@@ -114,7 +114,7 @@ def ref_start_nodes(graph, query, k):
     scored = []
     for node_id, node in sorted(graph.nodes.items()):
         for text in sorted(node.instructions):
-            sim = cosine(query, node.instructions[text].embedding)
+            sim = cosine(query, embed_text(text, graph.embedder))
             scored.append((-sim, node_id, text))
     scored.sort()
     starts = []
@@ -133,14 +133,14 @@ def ref_edge_score(graph, edge, query):
 
 def ref_node_affinity(graph, node_id, query):
     node = graph.nodes[node_id]
-    return max(cosine(query, entry.embedding) for entry in node.instructions.values())
+    return max(cosine(query, embed_text(text, graph.embedder)) for text in node.instructions)
 
 
 def ref_best_instruction(graph, node_id, query):
     node = graph.nodes[node_id]
     return min(
         node.instructions,
-        key=lambda text: (-cosine(query, node.instructions[text].embedding), text),
+        key=lambda text: (-cosine(query, embed_text(text, graph.embedder)), text),
     )
 
 
@@ -584,7 +584,8 @@ def assert_scan_rows_match(graph):
     scan = graph._scan
     assert scan.count == graph.instruction_count()
     for row, node_id, text in zip(scan["values"], scan["nodes"], scan["texts"]):
-        assert np.array_equal(row, graph.nodes[node_id].instructions[text].embedding.values)
+        assert text in graph.nodes[node_id].instructions
+        assert np.array_equal(row, embed_text(text, graph.embedder).values)
 
 
 def assert_extension_matches_deepcopy(parent, batches):

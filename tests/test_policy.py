@@ -329,7 +329,7 @@ class TestBuildState:
         edge = graph.edges[(1, 2)]
         node = graph.nodes[2]
         expected_c1 = max(
-            cosine(query, entry.embedding) for entry in node.instructions.values()
+            cosine(query, embed_text(text, CFG)) for text in node.instructions
         )
         best_task, best_sim, best_vectors = None, -2.0, None
         for task_id in sorted(edge.tasks):
