@@ -24,7 +24,7 @@ class VerbatimRetriever:
         self.embedder = embedder
         stored = [q for q in support.iter_questions() if q.gold_path is not None]
         self.paths: list[InstructionPath] = [q.gold_path for q in stored]
-        vectors = [embed_text(q.text, embedder, transient=True) for q in stored]
+        vectors = [embed_text(q.text, embedder) for q in stored]
         values = [v.values for v in vectors]
         self.rows = np.array(values, dtype=np.float32).reshape(-1, embedder.dimension)
         self.norms = row_norms(self.rows.astype(np.float64))
@@ -35,7 +35,7 @@ class VerbatimRetriever:
         the lowest index."""
         if not self.paths:
             raise NotFoundError("no stored cases to retrieve from")
-        query = embed_text(question_text, self.embedder, transient=True)
+        query = embed_text(question_text, self.embedder)
         return self.paths[int(np.argmax(cosine_rows(query, self.rows, self.norms, self.valid)))]
 
 

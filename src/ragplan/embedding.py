@@ -8,8 +8,11 @@ surface vocabulary.
 
 Each feature is hashed at most once per process: its code comes from a
 table per seed, dimension and feature kind, filled on first sight and
-cleared with the embedding caches. Vectors are cached per text, and a
-serialized path is summed from the cached codes of its pieces.
+cleared with the embedding caches. Count vectors and embeddings are
+cached per text, and a serialized path is summed from the cached codes of
+its pieces. An embedding is its text's integer counts scaled to unit
+norm (``unit_rows``), so a dot product of two count vectors, exact in any
+order, gives their cosine with no rounding before the division.
 """
 
 from __future__ import annotations
@@ -144,11 +147,11 @@ def _piece_codes(piece: str, before: bool, after: bool, config: EmbedderConfig) 
     return codes
 
 
-def _embed(text: str, config: EmbedderConfig) -> EmbeddingVector:
-    """Each feature adds its signed count to its bucket. Every bucket is an
-    exact integer sum of ±1, so the vector does not depend on the order of
-    the additions, and a text split at separators is the sum of its
-    pieces' codes.
+def _counts(text: str, config: EmbedderConfig) -> np.ndarray:
+    """The integer count vector of ``text``, read-only: each feature adds
+    its signed count to its bucket. Every bucket is an exact integer sum of
+    ±1, so the vector does not depend on the order of the additions, and a
+    text split at separators is the sum of its pieces' codes.
 
     That holds when no n-gram reaches across a whole separator from one
     piece into the next (``ngram_max`` at most one more than the
@@ -167,34 +170,49 @@ def _embed(text: str, config: EmbedderConfig) -> EmbeddingVector:
         codes = _codes(normalized, normalized, len(normalized), config)
     dimension = config.dimension
     counts = np.bincount(codes, minlength=2 * dimension)
-    accum = (counts[:dimension] - counts[dimension:]).astype(np.float64)
-    norm = float(np.linalg.norm(accum))
-    if norm == 0.0:
-        return EmbeddingVector(accum.astype(np.float32), valid=False)
-    return EmbeddingVector((accum / norm).astype(np.float32), valid=True)
+    counts = (counts[:dimension] - counts[dimension:]).astype(np.int32)
+    counts.setflags(write=False)
+    return counts
 
 
-# Instruction texts, which the graph embeds again and again, share one
-# large cache. Queries, questions and serialized candidate paths keep a
-# small cache of their own: paths are many and, once the graph changes,
-# never repeat, a query is mostly seen once, and the graph keeps the
-# vectors of the questions it registers. Its size is set from the serving
-# loop on the demo bundle: over 5,000 ops, 14,250 path embeds held 3,250
-# distinct paths, and 2,048 entries keep a hit ratio of 0.74 against 0.77
-# for an unbounded cache. A path's pieces, mostly instructions seen in
-# many paths, have a third cache.
-_embed_text_cached = lru_cache(maxsize=65536)(_embed)
-_embed_transient_cached = lru_cache(maxsize=2048)(_embed)
+def unit_rows(counts: np.ndarray) -> np.ndarray:
+    """``float32(c / ‖c‖)`` of each count vector ``c`` along the last axis,
+    the embedding of the text it counts; a zero vector stays zero.
+
+    A sum of squared integers is exact in float64 in any order, so each
+    norm is the one ``np.linalg.norm`` takes of the vector alone. A norm
+    is 0 or at least 1, and a zero vector divides by 1 to itself."""
+    counts = np.asarray(counts, dtype=np.float64)
+    norms = np.sqrt(np.vecdot(counts, counts))[..., None]
+    return (counts / np.maximum(norms, 1.0)).astype(np.float32)
+
+
+def _embed(text: str, config: EmbedderConfig) -> EmbeddingVector:
+    counts = _counts(text, config)
+    return EmbeddingVector(unit_rows(counts), valid=bool(counts.any()))
+
+
+# Instruction texts, which the graph scores again and again, share one
+# large cache of counts. Queries, questions and serialized candidate paths
+# keep a small cache of embeddings: paths are many and, once the graph
+# changes, never repeat, a query is mostly seen once, and the graph keeps
+# the vectors of the questions it registers. Its size is set from the
+# serving loop on the demo bundle: over 5,000 ops, 14,250 path embeds held
+# 3,250 distinct paths, and 2,048 entries keep a hit ratio of 0.74 against
+# 0.77 for an unbounded cache. A path's pieces, mostly instructions seen
+# in many paths, have a third cache.
+_counts_cached = lru_cache(maxsize=65536)(_counts)
+_embed_text_cached = lru_cache(maxsize=2048)(_embed)
 
 _CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 class _EmbedCaches:
-    """The embedding caches and the feature tables, cleared together as one
-    ``lru_cache`` would be; ``cache_info`` counts text embeds, not pieces
-    or features."""
+    """The count and embedding caches and the feature tables, cleared
+    together as one ``lru_cache`` would be; ``cache_info`` counts texts,
+    not pieces or features."""
 
-    caches = (_embed_text_cached, _embed_transient_cached)
+    caches = (_counts_cached, _embed_text_cached)
 
     def cache_info(self) -> "_CacheInfo":
         infos = [cache.cache_info() for cache in self.caches]
@@ -209,11 +227,16 @@ class _EmbedCaches:
 _embed_cached = _EmbedCaches()
 
 
-def embed_text(text: str, config: EmbedderConfig, *, transient: bool = False) -> EmbeddingVector:
+def embed_counts(text: str, config: EmbedderConfig) -> np.ndarray:
+    """The read-only int32 count vector of ``text``, whose ``unit_rows``
+    is its embedding; all zeros for a text with no feature."""
+    return _counts_cached(text, config)
+
+
+def embed_text(text: str, config: EmbedderConfig) -> EmbeddingVector:
     """Embed ``text`` deterministically; empty text yields an invalid zero
-    vector. ``transient`` marks a text embedded for one use (a query, a
-    serialized candidate path or a registered question), cached apart."""
-    return (_embed_transient_cached if transient else _embed_text_cached)(text, config)
+    vector."""
+    return _embed_text_cached(text, config)
 
 
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:

@@ -222,13 +222,13 @@ class _Rows:
 
 
 def _project_rows(encoder, side: str, texts: list[str]) -> _Rows:
-    """Embed texts (questions or serialized paths, both ``transient`` as in
-    ``embed_text``) and project every row through the encoder's ``side``
-    (``"wq"`` or ``"wp"``) at once. A row with a zero projection, as of a
-    text that embeds invalid (a zero vector), stays zero and has norm 0."""
+    """Embed texts (questions or serialized paths) and project every row
+    through the encoder's ``side`` (``"wq"`` or ``"wp"``) at once. A row
+    with a zero projection, as of a text that embeds invalid (a zero
+    vector), stays zero and has norm 0."""
     embedder = encoder.embedder
     base = np.array(
-        [embed_text(text, embedder, transient=True).values for text in texts], dtype=np.float64
+        [embed_text(text, embedder).values for text in texts], dtype=np.float64
     ).reshape(len(texts), embedder.dimension)
     raw = encoder.project(side, base)
     norms = np.sqrt(np.vecdot(raw, raw))

@@ -25,11 +25,13 @@ from .embedding import (
     EmbedderConfig,
     EmbeddingVector,
     block_rows,
-    cosine,
     cosine_rows,
+    embed_counts,
     embed_text,
     row_norms,
+    unit_rows,
 )
+from .embedding import cosine  # noqa: F401  bench/tracer.py wraps ragplan.graph.cosine
 from .errors import ConfigError, DataError, MalformedFileError, NotFoundError
 from .serialize import floats_to_hex, hex_to_floats, read_value, read_versioned, write_versioned
 
@@ -212,11 +214,12 @@ class InstructionGraph:
             start=np.int64, end=np.int64, valid=bool, norm=np.float64, key=object
         )
         self._entries = _Rows.of(position=np.min_scalar_type(dimension - 1), value=np.float32)
-        # Scan rows: the float64 values of every stored (node, text), in
-        # insertion order, with the node id, the text and the row's norm.
-        # They are the only copy of an instruction's float32 embedding.
+        # Scan rows: the integer counts of every stored (node, text), as
+        # float64, in insertion order, with the node id, the text and the
+        # counts' squared norm. They are the only copy of an instruction's
+        # embedding, which is ``unit_rows`` of its counts.
         self._scan = _Rows.of(
-            values=(np.float64, dimension), nodes=np.int64, texts=object, norms=np.float64
+            counts=(np.float64, dimension), nodes=np.int64, texts=object, sqnorms=np.float64
         )
         # Read-only arrays for traversal, compiled on the first read after
         # the graph last changed; None while stale. A stale graph may hold
@@ -234,11 +237,11 @@ class InstructionGraph:
 
     # -- indexing ---------------------------------------------------------
 
-    def _index_add(self, node_ids: list[int], texts: list[str], values: np.ndarray) -> None:
-        """Append scan rows: the embeddings ``values`` of ``texts`` in ``node_ids``."""
-        values = values.astype(np.float64)
+    def _index_add(self, node_ids: list[int], texts: list[str], counts: np.ndarray) -> None:
+        """Append scan rows: the ``counts`` of ``texts`` in ``node_ids``."""
+        counts = np.asarray(counts, dtype=np.float64)
         self._scan = self._scan.append(
-            values=values, nodes=node_ids, texts=texts, norms=row_norms(values)
+            counts=counts, nodes=node_ids, texts=texts, sqnorms=np.vecdot(counts, counts)
         )
 
     @property
@@ -258,7 +261,7 @@ class InstructionGraph:
         new: dict[tuple[str, str], EmbeddingVector] = {}
         for key, text in questions:
             if key not in new and self._questions.find(key) is None:
-                new[key] = embed_text(text, self.embedder, transient=True)
+                new[key] = embed_text(text, self.embedder)
         if new:
             vectors = list(new.values())
             self._add_questions(
@@ -362,10 +365,11 @@ class InstructionGraph:
 class GraphIndex:
     """Arrays compiled from one state of an ``InstructionGraph`` for traversal.
 
-    * Instructions: the float64 values, norms and texts of the graph's
-      scan rows (``instructions``, ``instruction_norms``, ``texts``), read
-      from its scan store; ``node_rows`` lists row ids grouped by node in
-      node-id order and by text within a node, delimited by ``node_ptr``.
+    * Instructions: the float64 counts, their norms and the texts of the
+      graph's scan rows (``instructions``, ``instruction_norms``,
+      ``texts``), read from its scan store; ``node_rows`` lists row ids
+      grouped by node in node-id order and by text within a node,
+      delimited by ``node_ptr``.
     * Questions: the handles on the graph's question rows (``questions``)
       and their entry rows (``entries``), which ``dense`` gathers.
     * Centroids: a store of one row per (edge, task) pair (``centroids``):
@@ -447,8 +451,8 @@ class GraphIndex:
         """Instruction rows and nodes: the base's, then the new ones."""
         scan, start, known = graph._scan, len(base.texts), len(base.node_ids)
         self.texts = scan["texts"]
-        self.instructions = scan["values"]
-        self.instruction_norms = scan["norms"]
+        self.instructions = scan["counts"]
+        self.instruction_norms = np.sqrt(scan["sqnorms"])
         # New node ids are above every earlier one, so new nodes sort last.
         self.node_ids = base.node_ids
         self.node_ids.extend(sorted(islice(graph.nodes, known, None)))
@@ -667,7 +671,9 @@ class QueryScores:
     """``cosine(query, row)`` for every instruction and centroid row of one
     index, the per-node and per-edge maxima traversal reads, and the
     question cosines of one centroid on demand: a query embedded once is
-    scored with one matrix-vector product per row set."""
+    scored with one matrix-vector product per row set. An instruction row
+    is its text's counts, whose cosine with the query is that of the
+    text's embedding up to the rounding of the embedding."""
 
     def __init__(self, index: GraphIndex, query: EmbeddingVector):
         self.index = index
@@ -767,202 +773,122 @@ class QueryScores:
 
 def knn_nearest(
     graph: InstructionGraph,
-    query: EmbeddingVector,
+    text: str,
     excluded: int | None = None,
     _scan: _BlockScan | None = None,
 ) -> KnnHit:
-    """Most similar stored instruction outside the excluded node.
+    """Most similar stored instruction to ``text`` outside the excluded node.
 
-    Ties break by lowest node id, then lexicographic instruction text.
-    Raises NotFoundError when nothing remains after exclusion.
+    Similarity is ψ = (c·c′) / √(‖c‖²·‖c′‖²) over the integer counts ``c``
+    of ``text`` and ``c′`` of a stored text, 0 where either is all zeros.
+    Every dot product and squared norm of counts is an integer, exact in
+    float64 in any summation order below 2⁵³, so ψ rounds only at the
+    square root and the division: identical counts give exactly 1.0, and
+    equal rows tie exactly. Rows of equal ψ but other counts, such as 30 / √(47·36) and
+    35 / √(47·49), rank as a scan of their saved float32 embeddings ranks
+    them: by the dot product of those with the query's, summed exactly
+    and rounded once. Remaining ties break by lowest node id, then
+    lexicographic instruction text. Raises NotFoundError when nothing
+    remains after exclusion.
 
-    Rows rank by the float64 dot product of their values with the query's,
-    as one matrix-vector product over every stored row computes it. During
-    a write, ``_scan`` supplies scores from a product over a block of the
-    write's instructions instead; their winner is taken only where the
-    rounding bound leaves no other row that this product could rank first,
-    apart from rows identical to it (see ``_BlockScan.nearest``).
+    During a write, ``_scan`` supplies the dot products from a product
+    over a block of the write's instructions, which only saves time.
     """
-    if query.dimension != graph.embedder.dimension:
-        raise ConfigError("query dimension does not match the graph embedder")
-    candidates = None if _scan is None else _scan.nearest(graph, query, excluded)
-    if candidates is None:
-        candidates = _scan_all(graph, query, excluded)
+    counts = embed_counts(text, graph.embedder)
+    dots = None if _scan is None else _scan.dots(graph, counts)
     scan = graph._scan
-    node_ids, texts = scan["nodes"], scan["texts"]
-    best = min(candidates, key=lambda i: (node_ids[i], texts[i]))
-    # Re-derive the similarity exactly from the winning row, whose float64
-    # values are the stored float32 ones; identical texts must compare as
-    # 1.0 so threshold decisions at delta = 1.0 stay meaningful.
-    psi = cosine(query, EmbeddingVector(scan["values"][best]))
-    return KnnHit(node_id=int(node_ids[best]), text=texts[best], psi=psi)
-
-
-def _scan_all(
-    graph: InstructionGraph, query: EmbeddingVector, excluded: int | None
-) -> np.ndarray:
-    """Rows tied for the highest score over every stored row outside the
-    excluded node, from one matrix-vector product."""
-    node_ids = graph._scan["nodes"]
-    if node_ids.size == 0:
+    if scan.count == 0:
         raise NotFoundError("graph holds no instructions")
-    if query.valid:
-        sims = graph._scan["values"] @ query.values.astype(np.float64)
-    else:
-        sims = np.zeros(node_ids.size, dtype=np.float64)
+    values = counts.astype(np.float64)
+    if dots is None:
+        dots = scan["counts"] @ values
+    # All-zero counts have dot products 0, and any other square root of a
+    # positive integer is at least 1.
+    psi = dots / np.maximum(np.sqrt((values @ values) * scan["sqnorms"]), 1.0)
+    node_ids, texts = scan["nodes"], scan["texts"]
     if excluded is not None:
-        sims[node_ids == excluded] = -np.inf
-    best_sim = float(sims.max())
-    if best_sim == -np.inf:
+        psi[node_ids == excluded] = -np.inf
+    top = float(psi.max())
+    if top == -np.inf:
         raise NotFoundError("graph holds no instructions outside the excluded node")
-    return np.flatnonzero(sims == best_sim)
+    tied = np.flatnonzero(psi == top)
+    if len({texts[i] for i in tied}) > 1:
+        # Each product of two float32 values is exact in float64.
+        rows = unit_rows(scan["counts"][tied]).astype(np.float64)
+        products = rows * unit_rows(counts).astype(np.float64)
+        closeness = np.array([math.fsum(row) for row in products.tolist()])
+        tied = tied[closeness == closeness.max()]
+    best = min(tied, key=lambda i: (node_ids[i], texts[i]))
+    return KnnHit(node_id=int(node_ids[best]), text=texts[best], psi=top)
 
 
-# Bytes of a block's score matrix (queries by rows scored): the block's
-# product never makes a larger temporary, however large the graph.
+# Bytes of a block's product (queries by rows scored): the block's product
+# never makes a larger temporary, however large the graph.
 _SCAN_BLOCK_BYTES = 1 << 21
 
 # A graph with fewer stored values than this (512 KB) is scanned with one
 # matrix-vector product per inserted instruction, which then costs less
-# than scoring a block; a write that leaves the graph below it makes no
-# ``_BlockScan`` at all.
+# than a block's product; a write that leaves the graph below it makes no
+# ``_BlockScan``. Both give the same exact dot products, so this only
+# chooses the faster.
 _SMALL_VALUES = 1 << 16
 
 
 class _BlockScan:
-    """Row scores for the instructions of one write, one matrix product per
-    block of them.
+    """Count dot products for the instructions of one write, one matrix
+    product per block of them.
 
-    A block holds the distinct valid embeddings of the write's next
-    instructions and scores them with one matrix product against the rows
-    stored when it starts. A call of ``knn_nearest`` for one of them takes
-    its row of that product and adds one small product over the rows
-    stored since. A block holds at most as many queries as keep its score
-    matrix within ``_SCAN_BLOCK_BYTES`` and as there are rows it scores,
-    and it ends at the first instruction it does not hold or once the rows
-    stored since outnumber its queries. Each instruction of the write is
-    embedded once, when a block first needs it or when ``insert_path``
-    asks ``embedding`` for it.
-
-    A product's rounding of a row's score depends on the rows and queries
-    it covers, so the block's scores may differ from those of the full
-    matrix-vector product in ``_scan_all``. ``nearest`` keeps a winner only
-    when that difference cannot change it, and otherwise leaves the call
-    to ``_scan_all``.
+    A block holds the distinct counts of the write's next instructions and
+    multiplies them with the rows stored when it starts. A call of
+    ``knn_nearest`` for one of them takes its row of that product and adds
+    one small product over the rows stored since. A block holds at most as
+    many queries as keep its product within ``_SCAN_BLOCK_BYTES`` and as
+    there are rows it scores, and it ends at the first instruction it does
+    not hold or once the rows stored since outnumber its queries. The dot
+    products are exact, so they equal those of one product over every row.
     """
 
     def __init__(self, texts: list[str]):
         self.texts = texts  # every instruction the write inserts, in order
         self.served = 0  # calls served, so the position in ``texts``
-        self.ahead: dict[int, EmbeddingVector] = {}  # embedded, not yet served
-        self.keys: dict[bytes, int] = {}  # query values -> row of ``scores``
+        self.keys: dict[bytes, int] = {}  # query counts -> row of ``products``
         self.size = 0  # rows stored when the block started
-        self.scores = np.zeros((0, 0))
-        # The largest norm of the first ``normed`` rows; ``np.max`` makes it
-        # NaN once one holds a NaN.
-        self.norm, self.normed = 0.0, 0
+        self.products = np.zeros((0, 0))
 
     @classmethod
     def of_write(cls, graph: InstructionGraph, texts: list[str]) -> "_BlockScan | None":
         """The scan of a write inserting ``texts``; None when the graph
-        stays below ``_SMALL_VALUES`` stored values through the write, so
-        no block would start."""
+        stays below ``_SMALL_VALUES`` stored values through the write."""
         if (graph._scan.count + len(texts)) * graph.embedder.dimension < _SMALL_VALUES:
             return None
         return cls(texts)
-
-    def embedding(self, graph: InstructionGraph, text: str) -> EmbeddingVector:
-        """``embed_text`` of ``text``; for the write's next instruction,
-        the embedding a block already made, if any."""
-        pos = self.served
-        if pos < len(self.texts) and self.texts[pos] == text:
-            return self._embed(graph, pos)
-        return embed_text(text, graph.embedder)
-
-    def _embed(self, graph: InstructionGraph, pos: int) -> EmbeddingVector:
-        if pos not in self.ahead:
-            self.ahead[pos] = embed_text(self.texts[pos], graph.embedder)
-        return self.ahead[pos]
 
     def _start(self, graph: InstructionGraph) -> None:
         self.size = rows = graph._scan.count
         limit = max(1, min(rows, _SCAN_BLOCK_BYTES // (8 * max(rows, 1))))
         block: dict[bytes, np.ndarray] = {}
-        for pos in range(self.served, len(self.texts)):
+        for text in islice(self.texts, self.served, None):
             if len(block) == limit:
                 break
-            embedding = self._embed(graph, pos)
-            if embedding.valid:
-                block.setdefault(embedding.values.tobytes(), embedding.values)
+            counts = embed_counts(text, graph.embedder)
+            block.setdefault(counts.tobytes(), counts)
         self.keys = {key: row for row, key in enumerate(block)}
-        dimension = graph.embedder.dimension
-        queries = np.array(list(block.values()), dtype=np.float64).reshape(len(block), dimension)
-        self.scores = queries @ graph._scan["values"].T
+        queries = np.array(list(block.values()), dtype=np.float64)
+        queries = queries.reshape(len(block), graph.embedder.dimension)
+        self.products = queries @ graph._scan["counts"].T
 
-    def nearest(
-        self, graph: InstructionGraph, query: EmbeddingVector, excluded: int | None
-    ) -> np.ndarray | None:
-        """The rows ``_scan_all`` returns for the next instruction of the
-        write, when the block's scores settle its winner; None otherwise.
-
-        A dot product of d terms, summed in any order, with or without
-        fused multiply-adds, is within γ_d·Σ|xᵢyᵢ| ≤ γ_d·‖x‖·‖y‖ of its
-        exact value, where γ_d = d·u / (1 − d·u) and u = 2⁻⁵³ (Higham,
-        Accuracy and Stability of Numerical Algorithms, §3.1). So a row
-        scored more than 4·γ_d·‖q‖·max‖row‖ below the best, here or in
-        ``_scan_all``, scores below it in both. The winner is kept when
-        every row closer to the best score than that holds the same values
-        as the best row: one text in several nodes, or a hash collision.
-        Such a group is returned whole and ``knn_nearest`` resolves it by
-        its tie rule. The bound proves that no other row wins; that
-        ``_scan_all`` returns the same group rests on what the bound does
-        not give, that a matrix-vector product scores identical rows
-        alike. That held for the OpenBLAS build measured (over a build and
-        300 writes of the 4k benchmark graph, seeds 1 and 4, 18,538 calls
-        met such a group and none differed). Where a BLAS kernel scored
-        twin rows apart, the block path would still follow the tie rule,
-        which ``_scan_all`` then would not.
-
-        They do not settle it for an invalid query, when every row is excluded,
-        when a row with other values is that close or once a row holds a
-        NaN or an infinity; nor for a query that is not the next
-        instruction's embedding. A graph of fewer than ``_SMALL_VALUES``
-        stored values is left to ``_scan_all`` without a block.
-        """
+    def dots(self, graph: InstructionGraph, counts: np.ndarray) -> np.ndarray | None:
+        """The dot products of ``counts`` with every stored row, when they
+        are the counts of the write's next instruction; None otherwise."""
         scan = graph._scan
-        count = scan.count
-        if count * query.dimension < _SMALL_VALUES:
-            row = None
-        else:
-            key = query.values.tobytes()
-            if key not in self.keys or count - self.size > len(self.keys):
-                self._start(graph)
-            row = self.keys.get(key)
-        self.ahead.pop(self.served, None)
+        key = counts.tobytes()
+        if key not in self.keys or scan.count - self.size > len(self.keys):
+            self._start(graph)
         self.served += 1
-        if row is None or not query.valid or count == 0:
+        row = self.keys.get(key)
+        if row is None:
             return None
-        vectors = scan["values"]
-        values = query.values.astype(np.float64)
-        scores = np.concatenate([self.scores[row], vectors[self.size:] @ values])
-        if excluded is not None:
-            scores[scan["nodes"] == excluded] = -np.inf
-        best = int(np.argmax(scores))
-        top = float(scores[best])
-        dimension_u = query.dimension * 2.0**-53
-        if self.normed < count:
-            self.norm = float(scan["norms"][self.normed:].max(initial=self.norm))
-            self.normed = count
-        bound = self.norm * math.sqrt(values @ values)
-        bound *= dimension_u / (1.0 - dimension_u)
-        # The factor 1 + 1e-6 covers the rounding of the bound and the gaps.
-        margin = 4.0 * bound * (1.0 + 1e-6)
-        if not (math.isfinite(margin) and math.isfinite(top)):
-            return None
-        close = np.flatnonzero(top - scores <= margin)
-        if len(close) > 1 and not (vectors[close] == vectors[best]).all():
-            return None
-        return close
+        return np.concatenate([self.products[row], scan["counts"][self.size:] @ counts])
 
 
 def insert_path(
@@ -990,14 +916,12 @@ def insert_path(
     previous: int | None = None
     node_sequence: list[int] = []
     for position, text in enumerate(path.instructions):
-        embedding = (
-            embed_text(text, graph.embedder) if _scan is None else _scan.embedding(graph, text)
-        )
-        if not embedding.valid:
+        counts = embed_counts(text, graph.embedder)
+        if not counts.any():
             raise DataError(f"instruction {text!r} embeds to an invalid vector")
         source = (path.task_id, path.question_id, position)
         try:
-            hit = knn_nearest(graph, embedding, excluded=previous, _scan=_scan)
+            hit = knn_nearest(graph, text, excluded=previous, _scan=_scan)
         except NotFoundError:
             hit = None
         if hit is None or hit.psi < graph.delta:
@@ -1010,7 +934,7 @@ def insert_path(
         sources = node.instructions.get(text)
         node.instructions[text] = (sources or ()) + (source,)
         if sources is None:
-            graph._index_add([node_id], [text], embedding.values[None])
+            graph._index_add([node_id], [text], counts[None])
         if previous is not None:
             key = (previous, node_id)
             if key in graph.edges:
@@ -1076,9 +1000,10 @@ def graph_stats(graph: InstructionGraph) -> GraphStats:
 
 def _graph_body(graph: InstructionGraph) -> dict:
     """The document ``save_graph`` writes, without its header. An
-    instruction's embedding is the float32 bits of its scan row."""
+    instruction's embedding is the float32 bits its scan row's counts give."""
     scan = graph._scan
     rows = dict(zip(zip(scan["nodes"].tolist(), scan["texts"].tolist()), range(scan.count)))
+    embeddings = unit_rows(scan["counts"])
     return {
         "delta": graph.delta,
         "embedder": graph.embedder.to_json(),
@@ -1090,7 +1015,7 @@ def _graph_body(graph: InstructionGraph) -> dict:
                 "instructions": [
                     {
                         "text": text,
-                        "embedding": floats_to_hex(scan["values"][rows[node_id, text]]),
+                        "embedding": floats_to_hex(embeddings[rows[node_id, text]]),
                         "sources": [list(s) for s in sources],
                     }
                     for text, sources in node.instructions.items()
@@ -1129,6 +1054,10 @@ def graphs_equal(a: InstructionGraph, b: InstructionGraph) -> bool:
 
 
 def load_graph(source: str | Path) -> InstructionGraph:
+    """The graph ``save_graph`` wrote to ``source``. Each instruction's
+    stored embedding must be the one its text gives under the file's
+    embedder, since the graph keeps the text's counts in its place; any
+    other inconsistency raises ``MalformedFileError`` too."""
     doc = read_versioned(source, GRAPH_KIND)
     try:
         embedder = EmbedderConfig.from_json(doc["embedder"])
@@ -1153,9 +1082,9 @@ def load_graph(source: str | Path) -> InstructionGraph:
                 texts.append(text)
                 rows.append(hex_to_floats(entry["embedding"], embedder.dimension))
             graph.nodes[node.node_id] = node
-        graph._index_add(node_ids, texts, _finite_rows(
-            source, rows, embedder.dimension, lambda i: f"node {node_ids[i]} {texts[i]!r}"
-        ))
+        graph._index_add(
+            node_ids, texts, _instruction_counts(source, embedder, node_ids, texts, rows)
+        )
         keys, valid, rows = [], [], []
         for q_doc in doc.get("questions", []):
             keys.append((read_value(q_doc, "task_id", str), read_value(q_doc, "question_id", str)))
@@ -1173,17 +1102,22 @@ def load_graph(source: str | Path) -> InstructionGraph:
             name = f"{source}: edge {edge.from_node}->{edge.to_node}"
             if edge.from_node not in graph.nodes or edge.to_node not in graph.nodes:
                 raise MalformedFileError(f"{name} names a missing node")
+            if (edge.from_node, edge.to_node) in graph.edges:
+                raise MalformedFileError(f"{name} appears twice")
             if not edge_doc["tasks"]:
                 raise MalformedFileError(f"{name} lists no task")
             for task_id, question_ids in edge_doc["tasks"].items():
                 if not question_ids:
                     raise MalformedFileError(f"{name} lists task {task_id} with no question")
+                edge.tasks[task_id] = set(question_ids)
+                if len(edge.tasks[task_id]) < len(question_ids):
+                    repeated = next(q for q in question_ids if question_ids.count(q) > 1)
+                    raise MalformedFileError(f"{name} lists question {task_id}/{repeated} twice")
                 for question_id in question_ids:
                     if (task_id, question_id) not in stored:
                         raise MalformedFileError(
                             f"{name} lists question {task_id}/{question_id}, which is not stored"
                         )
-                edge.tasks[task_id] = set(question_ids)
             graph.edges[(edge.from_node, edge.to_node)] = edge
     except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as exc:
         # A setting out of range in the file (delta, embedder) is bad data.
@@ -1193,6 +1127,27 @@ def load_graph(source: str | Path) -> InstructionGraph:
     if tc != graph.tc:
         raise MalformedFileError(f"{source}: tc {tc} does not match {len(graph.edges)} edges")
     return graph
+
+
+def _instruction_counts(
+    source, embedder: EmbedderConfig, node_ids: list[int], texts: list[str], rows: list
+) -> np.ndarray:
+    """The counts of ``texts`` in ``node_ids``, whose embeddings a file
+    stores as ``rows``. Each row must be the embedding its text gives under
+    the file's ``embedder``, bit for bit."""
+    embeddings = _finite_rows(
+        source, rows, embedder.dimension, lambda i: f"node {node_ids[i]} {texts[i]!r}"
+    )
+    counts = np.array([embed_counts(text, embedder) for text in texts], dtype=np.float64)
+    counts = counts.reshape(len(texts), embedder.dimension)
+    wrong = (embeddings.view(np.uint32) != unit_rows(counts).view(np.uint32)).any(axis=1)
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        raise MalformedFileError(
+            f"{source}: node {node_ids[i]} {texts[i]!r} holds an embedding other than "
+            "its text's under the file's embedder"
+        )
+    return counts
 
 
 def _finite_rows(source, rows: list[np.ndarray], dimension: int, name) -> np.ndarray:

@@ -291,7 +291,7 @@ def traverse(
     # The weights do not change during a traversal: checked once here,
     # each visit checks only its state.
     _check_finite_params(params)
-    scores = QueryScores(graph.index(), embed_text(query_text, graph.embedder, transient=True))
+    scores = QueryScores(graph.index(), embed_text(query_text, graph.embedder))
     hooks = [RULE_HOOKS[name] for name in config.rule_hooks]
     budget = {"left": config.max_nodes_visited}
     best_texts: dict[int, str] = {}
@@ -473,9 +473,7 @@ def make_warmstart_dataset(
         gold = question.gold_path
         if gold is None:
             continue
-        query = QueryScores(
-            graph.index(), embed_text(question.text, graph.embedder, transient=True)
-        )
+        query = QueryScores(graph.index(), embed_text(question.text, graph.embedder))
         sequence = _path_node_sequence(graph, gold)
         if sequence is None:
             continue

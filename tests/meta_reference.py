@@ -74,7 +74,7 @@ def dense_projection(params, side: str, base: np.ndarray) -> np.ndarray:
 
 def _project_rows(params, side: str, texts: list[str]) -> _Rows:
     base = np.array(
-        [embed_text(text, params.embedder, transient=True).values for text in texts],
+        [embed_text(text, params.embedder).values for text in texts],
         dtype=np.float64,
     )
     raw = dense_projection(params, side, base)

@@ -208,7 +208,7 @@ class TestCriterion03KnnOracle:
                 f"[{words[int(rng.integers(8))]} {words[int(rng.integers(8))]}]"
             )
             query = embed_text(text, embedder)
-            hit = knn_nearest(graph, query)
+            hit = knn_nearest(graph, text)
             q64 = query.values.astype(np.float64)
             best = None
             for node_id, node in sorted(graph.nodes.items()):

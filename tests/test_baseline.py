@@ -18,10 +18,10 @@ def loop_select(support, embedder, text):
     """The retriever as a loop: the gold path of the stored question with
     the highest ``cosine``, the first one on a tie."""
     cases = [q for q in support.iter_questions() if q.gold_path is not None]
-    query = embed_text(text, embedder, transient=True)
+    query = embed_text(text, embedder)
     best = max(
         range(len(cases)),
-        key=lambda i: (cosine(query, embed_text(cases[i].text, embedder, transient=True)), -i),
+        key=lambda i: (cosine(query, embed_text(cases[i].text, embedder)), -i),
     )
     return cases[best].gold_path
 

@@ -123,7 +123,7 @@ def test_trained_demo_encoder_projects_saves_and_loads_as_the_references(demo_ru
         "wp": [q.gold_path.serialized() for q in questions if q.gold_path is not None],
     }
     for side, side_texts in texts.items():
-        x = np.array([embed_text(t, encoder.embedder, transient=True).values
+        x = np.array([embed_text(t, encoder.embedder).values
                       for t in side_texts], dtype=np.float64)
         for rows in (x[:1], x[:3], x):
             dense = rows @ getattr(encoder, side).T
@@ -523,8 +523,15 @@ def numbered_question(doc):
             ids[ids.index(old)] = 7
 
 
-# The first five values are out of range. Each one after them has the
-# wrong JSON type and would otherwise load, most by converting to a valid
+def swapped_instruction_embeddings(doc):
+    first, second = doc["nodes"][0]["instructions"][0], doc["nodes"][1]["instructions"][0]
+    first["embedding"], second["embedding"] = second["embedding"], first["embedding"]
+
+
+# The first five values are out of range, and the next two leave an
+# instruction with an embedding that its text does not give under the
+# file's embedder (vectors made with ngram_max 5 under a header that says
+# 4). Each one after them has the wrong JSON type and would otherwise load, most by converting to a valid
 # value (the string "256" to 256, 5.9 to 5, true to 1), so only a type
 # check rejects it.
 BAD_VALUES = {
@@ -533,6 +540,8 @@ BAD_VALUES = {
     "graph-nan": ("graph", nan_instruction),
     "encoder-ngram-min": ("encoder", lambda doc: doc["embedder"].update(ngram_min=9)),
     "bundle-hook": ("bundle", lambda doc: doc.update(rule_hooks=["no-such-hook"])),
+    "graph-swapped-embeddings": ("graph", swapped_instruction_embeddings),
+    "graph-ngram-max-header": ("graph", lambda doc: doc["embedder"].update(ngram_max=4)),
     "graph-seed-fraction": ("graph", lambda doc: doc["embedder"].update(seed=0.5)),
     "graph-seed-bool": ("graph", lambda doc: doc["embedder"].update(seed=True)),
     "graph-dimension-string": ("graph", lambda doc: as_string(doc["embedder"], "dimension")),

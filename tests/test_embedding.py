@@ -12,9 +12,11 @@ from ragplan.embedding import (
     _embed,
     cosine,
     cosine_rows,
+    embed_counts,
     embed_text,
     row_norms,
     task_centroid,
+    unit_rows,
 )
 from ragplan.errors import ConfigError, DataError
 
@@ -119,22 +121,36 @@ class TestCountingKernel:
     @pytest.mark.parametrize("seed", [0, 5])
     def test_equals_the_per_feature_loop_bit_for_bit(self, dimension, seed):
         config = EmbedderConfig(dimension=dimension, seed=seed)
+        expected = []
         for text in oracle_texts():
             values, valid = reference_embed(text, config)
+            expected.append(values)
             for vector in (_embed(text, config), embed_text(text, config),
-                           embed_text(text, config, transient=True)):
+                           embed_text(text, config)):
                 assert vector.valid == valid, text
                 assert vector.values.dtype == np.float32
                 assert vector.values.tobytes() == values.tobytes(), text
+            counts = embed_counts(text, config)
+            assert counts.dtype == np.int32 and counts.any() == valid
+            assert unit_rows(counts).tobytes() == values.tobytes(), text
+        # Row by row, as the graph turns its scan rows into embeddings.
+        counts = np.array([embed_counts(text, config) for text in oracle_texts()])
+        assert unit_rows(counts).tobytes() == np.array(expected).tobytes()
 
-    def test_transient_texts_have_their_own_bounded_cache(self):
+    def test_counts_and_embeddings_have_their_own_caches(self):
+        # Embedding a text leaves the large count cache to the instruction
+        # texts the graph stores.
         embedding._embed_cached.cache_clear()
         path = "Search[amber] -> Lookup[birch]"
-        assert embed_text(path, CFG, transient=True) is embed_text(path, CFG, transient=True)
+        assert embed_text(path, CFG) is embed_text(path, CFG)
+        counts = embed_counts("Search[amber]", CFG)
+        assert embed_counts("Search[amber]", CFG) is counts
+        with pytest.raises(ValueError):
+            counts[0] = 1
         info = embedding._embed_cached.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-        assert embedding._embed_transient_cached.cache_info().maxsize == 2048
-        assert embedding._embed_text_cached.cache_info().currsize == 0
+        assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+        assert embedding._embed_text_cached.cache_info()[2:] == (2048, 1)
+        assert embedding._counts_cached.cache_info()[2:] == (65536, 1)
         embedding._embed_cached.cache_clear()
         assert embedding._embed_cached.cache_info().currsize == 0
 
@@ -186,7 +202,7 @@ class TestComposedEmbedding:
         embedding._embed_cached.cache_clear()
         path = "Search[amber] -> Lookup[birch] -> Finish[cedar]"
         embed_text(path, CFG)
-        embed_text("Search[amber] -> Finish[dune]", CFG, transient=True)
+        embed_text("Search[amber] -> Finish[dune]", CFG)
         pieces = embedding._piece_codes.cache_info()
         assert pieces.maxsize == 16384
         assert (pieces.hits, pieces.currsize) == (1, 4)
@@ -242,10 +258,10 @@ class TestFeatureTables:
     def test_a_cached_text_adds_nothing_to_the_tables(self):
         embedding._embed_cached.cache_clear()
         embed_text("Search[amber birch]", CFG)
-        embed_text("Search[amber] -> Lookup[birch]", CFG, transient=True)
+        embed_text("Search[amber] -> Lookup[birch]", CFG)
         embedding._feature_tables.clear()
         embed_text("Search[amber birch]", CFG)
-        embed_text("Search[amber] -> Lookup[birch]", CFG, transient=True)
+        embed_text("Search[amber] -> Lookup[birch]", CFG)
         assert embedding._embed_cached.cache_info().hits == 2
         assert table_size() == 0
         embedding._embed_cached.cache_clear()

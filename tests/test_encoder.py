@@ -699,7 +699,7 @@ class TestFileFormat:
 
 def embedded_rows(texts, embedder):
     return np.array(
-        [embed_text(text, embedder, transient=True).values for text in texts], dtype=np.float64
+        [embed_text(text, embedder).values for text in texts], dtype=np.float64
     ).reshape(len(texts), embedder.dimension)
 
 

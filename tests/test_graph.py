@@ -59,7 +59,7 @@ class TestKnnNearest:
     def test_self_match_without_exclusion(self):
         graph = InstructionGraph(delta=0.4, embedder=CFG)
         insert_path(graph, P11, "question q1")
-        hit = knn_nearest(graph, embed_text("Search[Ed Wood]", CFG))
+        hit = knn_nearest(graph, "Search[Ed Wood]")
         assert hit.text == "Search[Ed Wood]"
         assert hit.psi == 1.0
 
@@ -71,7 +71,7 @@ class TestKnnNearest:
         insert_path(
             graph, path(["Search[Scott Derrickson]", "Lookup[nationality]"]), "question q1"
         )
-        hit = knn_nearest(graph, embed_text("Search[Ed Wood]", CFG), excluded=2)
+        hit = knn_nearest(graph, "Search[Ed Wood]", excluded=2)
         assert hit.node_id == 1
         assert hit.text == "Search[Scott Derrickson]"
         assert hit.psi < graph.delta
@@ -79,13 +79,13 @@ class TestKnnNearest:
     def test_empty_graph_raises(self):
         graph = InstructionGraph(delta=0.4, embedder=CFG)
         with pytest.raises(NotFoundError):
-            knn_nearest(graph, embed_text("Search[x]", CFG))
+            knn_nearest(graph, "Search[x]")
 
     def test_exclusion_can_empty_the_graph(self):
         graph = InstructionGraph(delta=0.4, embedder=CFG)
         insert_path(graph, path(["Search[x]"]), "question q1")
         with pytest.raises(NotFoundError):
-            knn_nearest(graph, embed_text("Search[x]", CFG), excluded=1)
+            knn_nearest(graph, "Search[x]", excluded=1)
 
     def test_matches_brute_force_scan(self):
         rng = np.random.default_rng(17)
@@ -94,7 +94,7 @@ class TestKnnNearest:
             insert_path(graph, path([text], qid=f"q{i}"), f"question q{i}")
         for query_text in random_instruction_texts(rng, 25):
             query = embed_text(query_text, CFG)
-            hit = knn_nearest(graph, query)
+            hit = knn_nearest(graph, query_text)
             best = None
             for node_id, node in sorted(graph.nodes.items()):
                 for text in sorted(node.instructions):
@@ -345,6 +345,19 @@ class TestPersistence:
         doc["questions"] = [q for q in doc["questions"] if q["question_id"] != "q2"]
         self.assert_rejected(dest, doc, "question T2/q2, which is not stored")
 
+    def test_repeated_edge_question_rejected(self, tmp_path):
+        # Loaded as a set, the ids would save back without the repeat.
+        dest, doc = self.saved_doc(tmp_path)
+        doc["edges"][0]["tasks"]["T1"] *= 2
+        self.assert_rejected(dest, doc, "edge 1->2 lists question T1/q1 twice")
+
+    def test_repeated_edge_rejected(self, tmp_path):
+        # Keyed by (from, to), the later entry would replace the earlier,
+        # and tc, which counts distinct edges, would still match.
+        dest, doc = self.saved_doc(tmp_path)
+        doc["edges"].append({"from": 1, "to": 2, "tasks": {"T2": ["q2"]}})
+        self.assert_rejected(dest, doc, "edge 1->2 appears twice")
+
     def test_ic_not_above_node_ids_rejected(self, tmp_path):
         # With ic 1, extend_graph would reuse node 1 and silently replace
         # its instructions.
@@ -379,7 +392,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_instruction_rejected(self, tmp_path, value):
-        # A NaN row would poison the block scan's rounding bound.
+        # No text embeds to a NaN or an infinity; the file names the value.
         dest, doc = self.saved_doc(tmp_path)
         entry = doc["nodes"][1]["instructions"][0]
         values = np.frombuffer(bytes.fromhex(entry["embedding"]), "<f4").copy()
@@ -496,13 +509,12 @@ class TestGraphsEqual:
         lambda doc: doc.update(ic=doc["ic"] + 1),
         _swap_first_node_texts,
         _move_first_source,
-        _nudge_instruction_embedding,
         _drop_second_question_of_first_edge,
         _flip_first_question_validity,
         _nudge_question_embedding,
     ], ids=[
-        "delta", "ic", "text-order", "source", "instruction-ulp", "edge-questions",
-        "question-validity", "question-ulp",
+        "delta", "ic", "text-order", "source", "edge-questions", "question-validity",
+        "question-ulp",
     ])
     def test_one_change_makes_graphs_differ(self, tmp_path, change):
         graph, dest, doc = self.saved_doc(tmp_path)
@@ -515,12 +527,43 @@ class TestGraphsEqual:
     def test_negative_zero_differs_from_zero(self, tmp_path):
         # Equality is of bit patterns, as the saved file holds them.
         graph, dest, doc = self.saved_doc(tmp_path)
-        entry = doc["nodes"][0]["instructions"][0]
-        values = np.frombuffer(bytes.fromhex(entry["embedding"]), "<f4").copy()
+        values = np.frombuffer(bytes.fromhex(doc["questions"][0]["embedding"]), "<f4").copy()
         values[np.flatnonzero(values == 0.0)[0]] = -0.0
-        entry["embedding"] = values.tobytes().hex()
+        doc["questions"][0]["embedding"] = values.tobytes().hex()
         dest.write_text(json.dumps(doc), encoding="utf-8")
         assert not graphs_equal(graph, load_graph(dest))
+
+
+def _negate_a_zero_of_the_first_instruction(doc):
+    entry = doc["nodes"][0]["instructions"][0]
+    values = np.frombuffer(bytes.fromhex(entry["embedding"]), "<f4").copy()
+    values[np.flatnonzero(values == 0.0)[0]] = -0.0
+    entry["embedding"] = values.tobytes().hex()
+
+
+def _swap_instruction_embeddings(doc):
+    first, second = doc["nodes"][0]["instructions"][0], doc["nodes"][1]["instructions"][0]
+    first["embedding"], second["embedding"] = second["embedding"], first["embedding"]
+
+
+class TestInstructionEmbeddingCheck:
+    """``load_graph`` keeps each instruction's counts, not its stored
+    embedding, so it rejects a file whose embedding is not the one its
+    text gives under the file's embedder."""
+
+    @pytest.mark.parametrize("change, needle", [
+        (_swap_instruction_embeddings, "node 1 'Search[Scott Derrickson]'"),
+        (_nudge_instruction_embedding, "node 2 'Lookup[nationality]'"),
+        (_negate_a_zero_of_the_first_instruction, "node 1 'Search[Scott Derrickson]'"),
+        # Vectors made with ngram_max 5 under a header that says 4.
+        (lambda doc: doc["embedder"].update(ngram_max=4), "node 1 'Search[Scott Derrickson]'"),
+    ], ids=["swapped", "instruction-ulp", "negative-zero", "ngram-max-header"])
+    def test_embedding_other_than_the_text_gives_rejected(self, tmp_path, change, needle):
+        _, dest, doc = TestGraphsEqual().saved_doc(tmp_path)
+        change(doc)
+        dest.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(MalformedFileError, match=re.escape(f"{needle} holds an embedding")):
+            load_graph(dest)
 
 
 class TestGraphStats:

@@ -2,9 +2,9 @@
 the lifetime and sharing rules of indexes and extended graphs.
 
 The reference functions below are the traversal as written before the
-index existed: every similarity is one scalar ``cosine`` call, task
-centroids are re-derived at every visit and edge lists are filtered from
-a full sort. The index must give the same candidates, node sequences,
+index existed: every similarity is one scalar ``cosine`` call, with an
+instruction scored by its counts, task centroids are re-derived at every
+visit and edge lists are filtered from a full sort. The index must give the same candidates, node sequences,
 actions and forced flags, and the same states within 1e-12.
 """
 
@@ -27,6 +27,7 @@ from ragplan.embedding import (
     EmbeddingVector,
     cosine,
     cosine_rows,
+    embed_counts,
     embed_text,
     row_norms,
     task_centroid,
@@ -60,6 +61,7 @@ from ragplan.policy import (
 from ragplan.world import demo_spec, gen_world
 
 from embed_reference import codes_reference
+from scan_reference import instruction_vector
 
 STATE_ATOL = 1e-12
 OPERATORS = ["Search", "Lookup", "Check", "Fetch"]
@@ -93,7 +95,7 @@ def ref_edge_task_centroids(graph, edge):
 def ref_build_state(graph, query, node_id, in_edge):
     node = graph.nodes[node_id]
     instruction_sim = max(
-        (cosine(query, embed_text(text, graph.embedder)) for text in node.instructions),
+        (cosine(query, instruction_vector(text, graph.embedder)) for text in node.instructions),
         default=0.0,
     )
     task_sim = 0.0
@@ -114,7 +116,7 @@ def ref_start_nodes(graph, query, k):
     scored = []
     for node_id, node in sorted(graph.nodes.items()):
         for text in sorted(node.instructions):
-            sim = cosine(query, embed_text(text, graph.embedder))
+            sim = cosine(query, instruction_vector(text, graph.embedder))
             scored.append((-sim, node_id, text))
     scored.sort()
     starts = []
@@ -133,14 +135,14 @@ def ref_edge_score(graph, edge, query):
 
 def ref_node_affinity(graph, node_id, query):
     node = graph.nodes[node_id]
-    return max(cosine(query, embed_text(text, graph.embedder)) for text in node.instructions)
+    return max(cosine(query, instruction_vector(text, graph.embedder)) for text in node.instructions)
 
 
 def ref_best_instruction(graph, node_id, query):
     node = graph.nodes[node_id]
     return min(
         node.instructions,
-        key=lambda text: (-cosine(query, embed_text(text, graph.embedder)), text),
+        key=lambda text: (-cosine(query, instruction_vector(text, graph.embedder)), text),
     )
 
 
@@ -580,12 +582,16 @@ def deepcopy_extend(graph, corpus):
 
 
 def assert_scan_rows_match(graph):
-    """Every scan row holds the embedding of its instruction."""
+    """Every scan row holds the counts of its instruction."""
     scan = graph._scan
     assert scan.count == graph.instruction_count()
-    for row, node_id, text in zip(scan["values"], scan["nodes"], scan["texts"]):
+    for row, node_id, text, squared in zip(
+        scan["counts"], scan["nodes"], scan["texts"], scan["sqnorms"]
+    ):
         assert text in graph.nodes[node_id].instructions
-        assert np.array_equal(row, embed_text(text, graph.embedder).values)
+        counts = embed_counts(text, graph.embedder)
+        assert np.array_equal(row, counts)
+        assert squared == int(counts.astype(np.int64) @ counts)
 
 
 def assert_extension_matches_deepcopy(parent, batches):

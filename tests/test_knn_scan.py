@@ -1,7 +1,8 @@
-"""The block-scored nearest-instruction scan against the per-instruction
-scan it replaced (``scan_reference``): every graph built or extended with
-blocks must equal the one the reference builds, at every embedder
-dimension and merge threshold, and near-ties must reach the exact scan.
+"""The block-scored nearest-instruction scan against a scalar per-row
+reference (``scan_reference``): every graph built or extended with blocks
+must equal the one the reference builds, at every embedder dimension and
+merge threshold, and single calls must agree with it on ties, exclusions
+and empty queries.
 
 Graphs this small are scanned without blocks by default, so these tests
 lower the size from which blocks are used to zero.
@@ -14,7 +15,7 @@ import pytest
 
 import ragplan.graph as graph_module
 from ragplan.corpus import InstructionPath, Question, TaskCorpus
-from ragplan.embedding import EmbedderConfig, embed_text
+from ragplan.embedding import EmbedderConfig, embed_counts
 from ragplan.errors import NotFoundError
 from ragplan.graph import (
     InstructionGraph,
@@ -25,9 +26,10 @@ from ragplan.graph import (
     insert_path,
     knn_nearest,
 )
-from scan_reference import knn_nearest_reference, reference_scan
+from scan_reference import knn_nearest_reference, psi, reference_scan
 
 DEFAULT_SMALL_VALUES = graph_module._SMALL_VALUES
+
 OPERATORS = ["Search", "Lookup", "Check", "Fetch"]
 WORDS = ["amber", "birch", "cobalt", "dune", "ember", "fjord", "grove", "heath",
          "iris", "jade", "kelp", "larch", "maple", "night", "oak", "pine",
@@ -58,21 +60,6 @@ def blocks_at_every_size(monkeypatch):
     monkeypatch.setattr(graph_module, "_SMALL_VALUES", 0)
 
 
-@pytest.fixture
-def exact_scans(monkeypatch):
-    """Counts the calls answered by the exact scan over every row."""
-    counts = {"returned": 0}
-    original = graph_module._scan_all
-
-    def counted(*args):
-        rows = original(*args)
-        counts["returned"] += 1
-        return rows
-
-    monkeypatch.setattr(graph_module, "_scan_all", counted)
-    return counts
-
-
 @pytest.mark.parametrize("dimension", [8, 16, 64, 256])
 @pytest.mark.parametrize("delta", [0.0, 0.4, 0.9, 1.0])
 def test_build_and_extensions_match_the_reference_scan(dimension, delta):
@@ -91,19 +78,6 @@ def test_build_and_extensions_match_the_reference_scan(dimension, delta):
             assert graphs_equal(graph, reference)
 
 
-def test_near_ties_fall_back_to_the_exact_scan(exact_scans):
-    # At d = 8 distinct instructions now and then score within the rounding
-    # bound of each other (3 of 2,584 calls here); such calls must be
-    # answered by the exact scan.
-    embedder = EmbedderConfig(dimension=8)
-    for seed, delta in itertools.product((1, 2, 3, 4), (0.0, 0.4, 0.9, 1.0)):
-        corpus = random_corpus(seed, 160)
-        graph = build_graph(corpus, delta, embedder)
-        with reference_scan():
-            assert graphs_equal(graph, build_graph(corpus, delta, embedder))
-    assert exact_scans["returned"] > 0
-
-
 def test_block_product_scores_the_write_once(monkeypatch):
     starts = []
     original = _BlockScan._start
@@ -115,23 +89,11 @@ def test_block_product_scores_the_write_once(monkeypatch):
     assert len(starts) == 1
 
 
-def test_each_instruction_is_embedded_once_per_write(monkeypatch):
-    # Blocks embed instructions ahead of their insertion; insert_path takes
-    # those embeddings, so the write embeds what the per-instruction scan
-    # embedded, in the same order.
-    graph = build_graph(random_corpus(1, 400), 0.4, EmbedderConfig(dimension=64))
-    write = random_corpus(5, 60, prefix="w")
-    calls = []
-
-    def counted(text, config, **kwargs):
-        if not kwargs.get("transient"):
-            calls.append(text)
-        return embed_text(text, config, **kwargs)
-
-    monkeypatch.setattr(graph_module, "embed_text", counted)
-    extend_graph(graph, write)
-    assert calls == [text for question in write.iter_questions()
-                     for path in question.paths for text in path.instructions]
+def assert_block_call_matches_the_reference(graph, text, excluded=None):
+    hit = knn_nearest(graph, text, excluded=excluded, _scan=_BlockScan([text]))
+    assert hit == knn_nearest_reference(graph, text, excluded=excluded)
+    assert hit == knn_nearest(graph, text, excluded=excluded)
+    return hit
 
 
 def graph_with_twin_rows():
@@ -142,75 +104,60 @@ def graph_with_twin_rows():
     return graph
 
 
-def test_identical_rows_resolve_to_the_lowest_node_on_the_block_path(exact_scans):
+def test_one_text_in_two_nodes_resolves_to_the_lowest_node():
     graph = graph_with_twin_rows()
-    query = embed_text("Search[x]", graph.embedder)
-    scan = _BlockScan(["Search[x]"])
-    assert list(scan.nearest(graph, query, None)) == [0, 1]
-    hit = knn_nearest(graph, query, _scan=_BlockScan(["Search[x]"]))
+    hit = assert_block_call_matches_the_reference(graph, "Search[x]")
     assert (hit.node_id, hit.text, hit.psi) == (1, "Search[x]", 1.0)
-    assert exact_scans["returned"] == 0
-    assert knn_nearest(graph, query, excluded=1, _scan=_BlockScan(["Search[x]"])).node_id == 2
+    assert assert_block_call_matches_the_reference(graph, "Search[x]", excluded=1).node_id == 2
 
 
-def test_a_different_row_within_the_rounding_bound_takes_the_exact_scan(exact_scans):
-    # Rounding can move a block score by up to the bound; here the block's
-    # score of the runner-up is set a hair from the best one's, either side.
-    graph = InstructionGraph(delta=0.0, embedder=EmbedderConfig(dimension=64))
-    insert_path(graph, InstructionPath(("Search[amber]", "Lookup[birch]"), "T1", "q1", 1.0),
+def test_a_hash_collision_ties_exactly_and_resolves_to_the_first_text():
+    # At d = 8 the one-word texts "aa" and "ag" hash to the same signed
+    # bucket. At delta = 1.0 the second merges into the first one's node.
+    embedder = EmbedderConfig(dimension=8)
+    assert embed_counts("aa", embedder).tobytes() == embed_counts("ag", embedder).tobytes()
+    graph = InstructionGraph(delta=1.0, embedder=embedder)
+    insert_path(graph, InstructionPath(("Search[pine]", "ag"), "T1", "q1", 1.0), "question q1")
+    insert_path(graph, InstructionPath(("aa",), "T1", "q2", 1.0), "question q2")
+    assert list(graph.nodes[2].instructions) == ["ag", "aa"]
+    hit = assert_block_call_matches_the_reference(graph, "ag")
+    assert (hit.node_id, hit.text, hit.psi) == (2, "aa", 1.0)
+
+
+def test_equal_psi_over_other_counts_ranks_by_the_float32_embeddings():
+    # 30 / √(47·36) and 35 / √(47·49) are both 5 / √47, and round alike;
+    # the saved float32 embeddings rank "Lookup[ember birch]" first.
+    embedder = EmbedderConfig()
+    graph = InstructionGraph(delta=1.0, embedder=embedder)
+    insert_path(graph, InstructionPath(("Lookup[amber]", "Lookup[ember birch]"), "T1", "q1", 1.0),
                 "question q1")
-    query = embed_text("Search[amber]", graph.embedder)
-    for nudge in (-1e-15, 1e-15):
-        scan = _BlockScan(["Search[amber]"])
-        assert list(scan.nearest(graph, query, None)) == [0]
-        scan.served = 0
-        scan.scores[0, 1] = scan.scores[0, 0] + nudge
-        assert scan.nearest(graph, query, None) is None
-    hit = knn_nearest(graph, query, _scan=scan)
-    assert hit == knn_nearest_reference(graph, query)
-    assert exact_scans["returned"] == 1
-
-
-def test_a_non_finite_row_takes_the_exact_scan():
-    graph = InstructionGraph(delta=0.0, embedder=EmbedderConfig(dimension=64))
-    insert_path(graph, InstructionPath(("Search[amber]", "Lookup[birch]"), "T1", "q1", 1.0),
-                "question q1")
-    # No graph holds such a row (``load_graph`` rejects one): write it in
-    # place, with the norm an append would have stored.
-    graph._scan["values"][1, 3] = np.nan
-    graph._scan["norms"][1] = np.nan
-    query = embed_text("Search[amber]", graph.embedder)
-    for excluded in (None, 1, 2):
-        assert _BlockScan(["Search[amber]"]).nearest(graph, query, excluded) is None
+    query = "Lookup[amber birch]"
+    assert psi(query, "Lookup[amber]", embedder) == psi(query, "Lookup[ember birch]", embedder)
+    hit = assert_block_call_matches_the_reference(graph, query)
+    assert (hit.node_id, hit.text) == (2, "Lookup[ember birch]")
 
 
 def test_excluding_every_row_raises():
     graph = InstructionGraph(delta=0.4, embedder=EmbedderConfig(dimension=64))
     insert_path(graph, InstructionPath(("Search[x]",), "T1", "q1", 1.0), "question q1")
-    query = embed_text("Search[y]", graph.embedder)
-    assert _BlockScan(["Search[y]"]).nearest(graph, query, 1) is None
     with pytest.raises(NotFoundError):
-        knn_nearest(graph, query, excluded=1, _scan=_BlockScan(["Search[y]"]))
+        knn_nearest(graph, "Search[y]", excluded=1, _scan=_BlockScan(["Search[y]"]))
+    with pytest.raises(NotFoundError):
+        knn_nearest_reference(graph, "Search[y]", excluded=1)
 
 
-def test_invalid_query_takes_the_exact_scan(exact_scans):
+def test_an_empty_count_query_scores_zero_and_takes_the_lowest_node():
     graph = graph_with_twin_rows()
     insert_path(graph, InstructionPath(("Lookup[y]",), "T1", "q2", 1.0), "question q2")
-    exact_scans["returned"] = 0
-    query = embed_text("", graph.embedder)
-    assert not query.valid
-    assert _BlockScan([""]).nearest(graph, query, None) is None
-    hit = knn_nearest(graph, query, excluded=1, _scan=_BlockScan([""]))
-    assert hit == knn_nearest_reference(graph, query, excluded=1)
-    assert exact_scans["returned"] == 1
+    assert not embed_counts("", graph.embedder).any()
+    hit = assert_block_call_matches_the_reference(graph, "", excluded=1)
+    assert (hit.node_id, hit.text, hit.psi) == (2, "Search[x]", 0.0)
 
 
-def test_a_query_outside_the_block_takes_the_exact_scan(exact_scans):
+def test_a_query_outside_the_block_scans_every_row():
     graph = graph_with_twin_rows()
-    query = embed_text("Lookup[y]", graph.embedder)
-    hit = knn_nearest(graph, query, _scan=_BlockScan(["Search[z]"]))
-    assert hit == knn_nearest_reference(graph, query)
-    assert exact_scans["returned"] == 1
+    hit = knn_nearest(graph, "Lookup[y]", _scan=_BlockScan(["Search[z]"]))
+    assert hit == knn_nearest_reference(graph, "Lookup[y]")
 
 
 def test_a_block_spanning_a_buffer_regrowth(monkeypatch):
@@ -222,7 +169,7 @@ def test_a_block_spanning_a_buffer_regrowth(monkeypatch):
     words = [f"{a} {b}" for a, b in itertools.product(WORDS, WORDS) if a != b]
     graph = build_graph(corpus_of(words[:60]), 1.0, embedder)
     store = graph._scan._store
-    assert graph._scan.count == 60 and len(store.columns["values"]) == 64
+    assert graph._scan.count == 60 and len(store.columns["counts"]) == 64
     write = corpus_of(words[60:72], prefix="w")
     starts.clear()
     extended = extend_graph(graph, write)
@@ -241,7 +188,7 @@ def corpus_of(args, prefix="q"):
     return corpus
 
 
-def test_small_graphs_keep_the_exact_scan(monkeypatch, exact_scans):
+def test_small_graphs_scan_without_blocks(monkeypatch):
     monkeypatch.setattr(graph_module, "_SMALL_VALUES", DEFAULT_SMALL_VALUES)
     monkeypatch.setattr(_BlockScan, "_start", lambda scan, graph: pytest.fail("a block started"))
     embedder = EmbedderConfig(dimension=64)
@@ -250,4 +197,3 @@ def test_small_graphs_keep_the_exact_scan(monkeypatch, exact_scans):
     assert graph._scan.count * 64 < graph_module._SMALL_VALUES
     with reference_scan():
         assert graphs_equal(graph, build_graph(corpus, 0.4, embedder))
-    assert exact_scans["returned"] > 0
