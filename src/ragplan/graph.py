@@ -784,12 +784,15 @@ def knn_nearest(
     Every dot product and squared norm of counts is an integer, exact in
     float64 in any summation order below 2⁵³, so ψ rounds only at the
     square root and the division: identical counts give exactly 1.0, and
-    equal rows tie exactly. Rows of equal ψ but other counts, such as 30 / √(47·36) and
-    35 / √(47·49), rank as a scan of their saved float32 embeddings ranks
-    them: by the dot product of those with the query's, summed exactly
-    and rounded once. Remaining ties break by lowest node id, then
-    lexicographic instruction text. Raises NotFoundError when nothing
-    remains after exclusion.
+    equal rows tie exactly. Rows of equal ψ but other counts, such as
+    30 / √(47·36) and 35 / √(47·49), rank by the dot product of their
+    saved float32 embeddings with the query's, summed exactly and rounded
+    once, as a scan of those embeddings (acceptance criterion 03's brute
+    force) ranks them. That holds on exact ψ ties only: rows whose ψ
+    differ by less than float32 rounding (about 1e-8) rank by ψ, which a
+    float32 scan may order the other way. Remaining ties break by lowest
+    node id, then lexicographic instruction text. Raises NotFoundError
+    when nothing remains after exclusion.
 
     During a write, ``_scan`` supplies the dot products from a product
     over a block of the write's instructions, which only saves time.

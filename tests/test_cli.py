@@ -17,6 +17,7 @@ from ragplan.world import SyntheticWorldSpec, load_world
 from encoder_faults import FAULTS
 from encoder_reference import save_block_encoder
 from test_backend import _StubHandler, stub_server  # noqa: F401 (a fixture)
+from test_graph import lower_ngram_max_header, swap_instruction_embeddings
 
 DEMO_CONFIG = {
     "seed": 7,
@@ -523,25 +524,20 @@ def numbered_question(doc):
             ids[ids.index(old)] = 7
 
 
-def swapped_instruction_embeddings(doc):
-    first, second = doc["nodes"][0]["instructions"][0], doc["nodes"][1]["instructions"][0]
-    first["embedding"], second["embedding"] = second["embedding"], first["embedding"]
-
-
 # The first five values are out of range, and the next two leave an
 # instruction with an embedding that its text does not give under the
-# file's embedder (vectors made with ngram_max 5 under a header that says
-# 4). Each one after them has the wrong JSON type and would otherwise load, most by converting to a valid
-# value (the string "256" to 256, 5.9 to 5, true to 1), so only a type
-# check rejects it.
+# file's embedder (``test_graph`` checks their messages). Each one after
+# them has the wrong JSON type and would otherwise load, most by
+# converting to a valid value (the string "256" to 256, 5.9 to 5, true to
+# 1), so only a type check rejects it.
 BAD_VALUES = {
     "graph-delta": ("graph", lambda doc: doc.update(delta=1.5)),
     "graph-dimension": ("graph", lambda doc: doc["embedder"].update(dimension=4)),
     "graph-nan": ("graph", nan_instruction),
     "encoder-ngram-min": ("encoder", lambda doc: doc["embedder"].update(ngram_min=9)),
     "bundle-hook": ("bundle", lambda doc: doc.update(rule_hooks=["no-such-hook"])),
-    "graph-swapped-embeddings": ("graph", swapped_instruction_embeddings),
-    "graph-ngram-max-header": ("graph", lambda doc: doc["embedder"].update(ngram_max=4)),
+    "graph-swapped-embeddings": ("graph", swap_instruction_embeddings),
+    "graph-ngram-max-header": ("graph", lower_ngram_max_header),
     "graph-seed-fraction": ("graph", lambda doc: doc["embedder"].update(seed=0.5)),
     "graph-seed-bool": ("graph", lambda doc: doc["embedder"].update(seed=True)),
     "graph-dimension-string": ("graph", lambda doc: as_string(doc["embedder"], "dimension")),

@@ -541,9 +541,14 @@ def _negate_a_zero_of_the_first_instruction(doc):
     entry["embedding"] = values.tobytes().hex()
 
 
-def _swap_instruction_embeddings(doc):
+def swap_instruction_embeddings(doc):
     first, second = doc["nodes"][0]["instructions"][0], doc["nodes"][1]["instructions"][0]
     first["embedding"], second["embedding"] = second["embedding"], first["embedding"]
+
+
+def lower_ngram_max_header(doc):
+    # Vectors made with ngram_max 5 under a header that says 4.
+    doc["embedder"].update(ngram_max=4)
 
 
 class TestInstructionEmbeddingCheck:
@@ -552,11 +557,10 @@ class TestInstructionEmbeddingCheck:
     text gives under the file's embedder."""
 
     @pytest.mark.parametrize("change, needle", [
-        (_swap_instruction_embeddings, "node 1 'Search[Scott Derrickson]'"),
+        (swap_instruction_embeddings, "node 1 'Search[Scott Derrickson]'"),
         (_nudge_instruction_embedding, "node 2 'Lookup[nationality]'"),
         (_negate_a_zero_of_the_first_instruction, "node 1 'Search[Scott Derrickson]'"),
-        # Vectors made with ngram_max 5 under a header that says 4.
-        (lambda doc: doc["embedder"].update(ngram_max=4), "node 1 'Search[Scott Derrickson]'"),
+        (lower_ngram_max_header, "node 1 'Search[Scott Derrickson]'"),
     ], ids=["swapped", "instruction-ulp", "negative-zero", "ngram-max-header"])
     def test_embedding_other_than_the_text_gives_rejected(self, tmp_path, change, needle):
         _, dest, doc = TestGraphsEqual().saved_doc(tmp_path)
