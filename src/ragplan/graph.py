@@ -33,9 +33,12 @@ from .embedding import (
 )
 from .embedding import cosine  # noqa: F401  bench/tracer.py wraps ragplan.graph.cosine
 from .errors import ConfigError, DataError, MalformedFileError, NotFoundError
-from .serialize import floats_to_hex, hex_to_floats, read_value, read_versioned, write_versioned
+from .serialize import read_value, read_versioned, write_versioned
 
 GRAPH_KIND = "instruction-graph"
+# A graph file holds texts, sources and structure, and no embedding: each
+# is a function of its text and the embedder, so a load derives it.
+GRAPH_LAYOUT = "texts"
 
 
 @dataclass
@@ -163,8 +166,9 @@ class _Rows(dict):
 
 
 class _QuestionView(Mapping):
-    """The questions of a graph, read-only, by (task id, question id) in
-    registration order; each access rebuilds the vector."""
+    """The question embeddings of a graph, read-only, by (task id, question
+    id) in registration order: each the embedding of the question's stored
+    text, rebuilt from its entry rows on every access."""
 
     def __init__(self, questions: _Rows, entries: _Rows, dimension: int):
         self._questions, self._entries, self._dimension = questions, entries, dimension
@@ -201,17 +205,18 @@ class InstructionGraph:
         # Next node id to assign, as in the construction counter.
         self.ic = 1
         # Append-only row stores that graph copies share (see ``_Rows``).
-        # Question embeddings of (task_id, question_id) back the
-        # task-centroid and question components of traversal states, and
-        # every (task, question id) an edge lists has one. A hashed text
-        # fills few buckets, so a question keeps only the positions whose
-        # float32 bit pattern is not zero (so -0.0 is kept) and their
+        # Questions of (task_id, question_id) back the task-centroid and
+        # question components of traversal states, and every (task,
+        # question id) an edge lists has one. A question keeps its text,
+        # the one its key was first registered with, and that text's
+        # embedding. A hashed text fills few buckets, so the embedding is
+        # kept as the positions whose float32 value is not zero and their
         # values, as entry rows from its ``start`` to its ``end``, with its
         # validity flag and the ``row_norms`` of its float64 values: enough
-        # to rebuild the embedding bit for bit.
+        # to rebuild it bit for bit.
         dimension = embedder.dimension
         self._questions = _Rows.of(
-            start=np.int64, end=np.int64, valid=bool, norm=np.float64, key=object
+            start=np.int64, end=np.int64, valid=bool, norm=np.float64, key=object, text=object
         )
         self._entries = _Rows.of(position=np.min_scalar_type(dimension - 1), value=np.float32)
         # Scan rows: the integer counts of every stored (node, text), as
@@ -256,31 +261,30 @@ class InstructionGraph:
         return _QuestionView(self._questions, self._entries, self.embedder.dimension)
 
     def _register(self, questions: list[tuple[tuple[str, str], str]]) -> None:
-        """Register the embedding of each (key, text) whose key the graph
-        does not hold yet, in order, with one append."""
-        new: dict[tuple[str, str], EmbeddingVector] = {}
+        """Register the first text of each key in ``questions`` that the
+        graph does not hold yet, in order, with one append."""
+        new: dict[tuple[str, str], str] = {}
         for key, text in questions:
-            if key not in new and self._questions.find(key) is None:
-                new[key] = embed_text(text, self.embedder)
+            if self._questions.find(key) is None:
+                new.setdefault(key, text)
         if new:
-            vectors = list(new.values())
-            self._add_questions(
-                list(new), np.array([v.values for v in vectors]), [v.valid for v in vectors]
-            )
+            self._add_questions(list(new), list(new.values()))
 
-    def _add_questions(
-        self, keys: list[tuple[str, str]], values: np.ndarray, valid: list[bool]
-    ) -> None:
-        """Append questions: float32 embedding ``values``, one row per key."""
+    def _add_questions(self, keys: list[tuple[str, str]], texts: list[str]) -> None:
+        """Append questions: one row per key, holding its text and the
+        text's embedding."""
+        vectors = [embed_text(text, self.embedder) for text in texts]
+        values = np.array([v.values for v in vectors], dtype=np.float32)
         values = values.reshape(len(keys), self.embedder.dimension)
-        kept = np.flatnonzero(values.view(np.uint32))
+        kept = np.flatnonzero(values)
         of_row, positions = np.divmod(kept, self.embedder.dimension)
         sizes = np.bincount(of_row, minlength=len(keys))
         ends = self._entries.count + np.cumsum(sizes)
         self._entries = self._entries.append(position=positions, value=values.ravel()[kept])
         self._questions = self._questions.append(
-            start=ends - sizes, end=ends, valid=valid, norm=row_norms(values.astype(np.float64)),
-            key=np.fromiter(keys, dtype=object, count=len(keys)),
+            start=ends - sizes, end=ends, valid=[v.valid for v in vectors],
+            norm=row_norms(values.astype(np.float64)),
+            key=np.fromiter(keys, dtype=object, count=len(keys)), text=texts,
         )
 
     def instruction_count(self) -> int:
@@ -786,13 +790,13 @@ def knn_nearest(
     square root and the division: identical counts give exactly 1.0, and
     equal rows tie exactly. Rows of equal ψ but other counts, such as
     30 / √(47·36) and 35 / √(47·49), rank by the dot product of their
-    saved float32 embeddings with the query's, summed exactly and rounded
-    once, as a scan of those embeddings (acceptance criterion 03's brute
-    force) ranks them. That holds on exact ψ ties only: rows whose ψ
-    differ by less than float32 rounding (about 1e-8) rank by ψ, which a
-    float32 scan may order the other way. Remaining ties break by lowest
-    node id, then lexicographic instruction text. Raises NotFoundError
-    when nothing remains after exclusion.
+    float32 embeddings (``unit_rows`` of their counts) with the query's,
+    summed exactly and rounded once, as a scan of those embeddings
+    (acceptance criterion 03's brute force) ranks them. That holds on
+    exact ψ ties only: rows whose ψ differ by less than float32 rounding
+    (about 1e-8) rank by ψ, which a float32 scan may order the other way.
+    Remaining ties break by lowest node id, then lexicographic instruction
+    text. Raises NotFoundError when nothing remains after exclusion.
 
     During a write, ``_scan`` supplies the dot products from a product
     over a block of the write's instructions, which only saves time.
@@ -1002,12 +1006,11 @@ def graph_stats(graph: InstructionGraph) -> GraphStats:
 
 
 def _graph_body(graph: InstructionGraph) -> dict:
-    """The document ``save_graph`` writes, without its header. An
-    instruction's embedding is the float32 bits its scan row's counts give."""
-    scan = graph._scan
-    rows = dict(zip(zip(scan["nodes"].tolist(), scan["texts"].tolist()), range(scan.count)))
-    embeddings = unit_rows(scan["counts"])
+    """The document ``save_graph`` writes, without its header: texts,
+    sources and structure, and no embedding."""
+    questions = graph._questions
     return {
+        "layout": GRAPH_LAYOUT,
         "delta": graph.delta,
         "embedder": graph.embedder.to_json(),
         "ic": graph.ic,
@@ -1016,11 +1019,7 @@ def _graph_body(graph: InstructionGraph) -> dict:
             {
                 "node_id": node_id,
                 "instructions": [
-                    {
-                        "text": text,
-                        "embedding": floats_to_hex(embeddings[rows[node_id, text]]),
-                        "sources": [list(s) for s in sources],
-                    }
+                    {"text": text, "sources": [list(s) for s in sources]}
                     for text, sources in node.instructions.items()
                 ],
             }
@@ -1035,13 +1034,10 @@ def _graph_body(graph: InstructionGraph) -> dict:
             for _, edge in sorted(graph.edges.items())
         ],
         "questions": [
-            {
-                "task_id": task_id,
-                "question_id": question_id,
-                "embedding": floats_to_hex(vector.values),
-                "valid": vector.valid,
-            }
-            for (task_id, question_id), vector in sorted(graph.question_embeddings.items())
+            {"task_id": task_id, "question_id": question_id, "text": text}
+            for (task_id, question_id), text in sorted(
+                zip(questions["key"].tolist(), questions["text"].tolist())
+            )
         ],
     }
 
@@ -1052,22 +1048,28 @@ def save_graph(graph: InstructionGraph, destination: str | Path) -> None:
 
 def graphs_equal(a: InstructionGraph, b: InstructionGraph) -> bool:
     """Whether ``save_graph`` would write the same document for both: deep
-    structural equality, with embeddings compared bit for bit."""
+    structural equality, texts included."""
     return _graph_body(a) == _graph_body(b)
 
 
 def load_graph(source: str | Path) -> InstructionGraph:
-    """The graph ``save_graph`` wrote to ``source``. Each instruction's
-    stored embedding must be the one its text gives under the file's
-    embedder, since the graph keeps the text's counts in its place; any
-    other inconsistency raises ``MalformedFileError`` too."""
+    """The graph ``save_graph`` wrote to ``source``, with each
+    instruction's counts and each question's embedding derived from its
+    text under the file's embedder. A file of another layout, or with any
+    inconsistency, raises ``MalformedFileError``."""
     doc = read_versioned(source, GRAPH_KIND)
+    if doc.get("layout") != GRAPH_LAYOUT:
+        raise MalformedFileError(
+            f"{source}: graph file has layout {doc.get('layout')!r}, this build reads "
+            f"{GRAPH_LAYOUT!r}; re-save it by running build-graph, train or adapt again "
+            "with this build"
+        )
     try:
         embedder = EmbedderConfig.from_json(doc["embedder"])
         graph = InstructionGraph(delta=read_value(doc, "delta", float), embedder=embedder)
         graph.ic = read_value(doc, "ic", int)
         tc = read_value(doc, "tc", int)
-        node_ids, texts, rows = [], [], []
+        node_ids, texts = [], []
         for node_doc in doc["nodes"]:
             node = NodeSet(read_value(node_doc, "node_id", int))
             if node.node_id in graph.nodes:
@@ -1083,22 +1085,25 @@ def load_graph(source: str | Path) -> InstructionGraph:
                 )
                 node_ids.append(node.node_id)
                 texts.append(text)
-                rows.append(hex_to_floats(entry["embedding"], embedder.dimension))
             graph.nodes[node.node_id] = node
-        graph._index_add(
-            node_ids, texts, _instruction_counts(source, embedder, node_ids, texts, rows)
-        )
-        keys, valid, rows = [], [], []
+        counts = np.array([embed_counts(text, embedder) for text in texts], dtype=np.float64)
+        counts = counts.reshape(len(texts), embedder.dimension)
+        featureless = ~counts.any(axis=1)
+        if featureless.any():
+            # ``insert_path`` stores no such text: no query could match it.
+            i = int(np.argmax(featureless))
+            raise MalformedFileError(
+                f"{source}: node {node_ids[i]} {texts[i]!r} embeds to an invalid vector"
+            )
+        graph._index_add(node_ids, texts, counts)
+        keys, questions = [], []
         for q_doc in doc.get("questions", []):
             keys.append((read_value(q_doc, "task_id", str), read_value(q_doc, "question_id", str)))
-            rows.append(hex_to_floats(q_doc["embedding"], embedder.dimension))
-            valid.append(read_value(q_doc, "valid", bool))
+            questions.append(read_value(q_doc, "text", str))
         if len(set(keys)) < len(keys):
             task_id, question_id = next(key for key in keys if keys.count(key) > 1)
             raise MalformedFileError(f"{source}: question {task_id}/{question_id} appears twice")
-        graph._add_questions(keys, _finite_rows(
-            source, rows, embedder.dimension, lambda i: "question {}/{}".format(*keys[i])
-        ), valid)
+        graph._add_questions(keys, questions)
         stored = graph.question_embeddings
         for edge_doc in doc["edges"]:
             edge = EdgeSet(read_value(edge_doc, "from", int), read_value(edge_doc, "to", int))
@@ -1130,37 +1135,6 @@ def load_graph(source: str | Path) -> InstructionGraph:
     if tc != graph.tc:
         raise MalformedFileError(f"{source}: tc {tc} does not match {len(graph.edges)} edges")
     return graph
-
-
-def _instruction_counts(
-    source, embedder: EmbedderConfig, node_ids: list[int], texts: list[str], rows: list
-) -> np.ndarray:
-    """The counts of ``texts`` in ``node_ids``, whose embeddings a file
-    stores as ``rows``. Each row must be the embedding its text gives under
-    the file's ``embedder``, bit for bit."""
-    embeddings = _finite_rows(
-        source, rows, embedder.dimension, lambda i: f"node {node_ids[i]} {texts[i]!r}"
-    )
-    counts = np.array([embed_counts(text, embedder) for text in texts], dtype=np.float64)
-    counts = counts.reshape(len(texts), embedder.dimension)
-    wrong = (embeddings.view(np.uint32) != unit_rows(counts).view(np.uint32)).any(axis=1)
-    if wrong.any():
-        i = int(np.argmax(wrong))
-        raise MalformedFileError(
-            f"{source}: node {node_ids[i]} {texts[i]!r} holds an embedding other than "
-            "its text's under the file's embedder"
-        )
-    return counts
-
-
-def _finite_rows(source, rows: list[np.ndarray], dimension: int, name) -> np.ndarray:
-    """``rows`` as one matrix. No embedding holds a NaN or an infinity, so
-    a file whose row ``i`` does is malformed; ``name(i)`` names the row."""
-    matrix = np.array(rows, dtype=np.float32).reshape(len(rows), dimension)
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-    if len(bad):
-        raise MalformedFileError(f"{source}: {name(bad[0])} holds a non-finite value")
-    return matrix
 
 
 def _read_sources(sources, name: str) -> tuple[tuple[str, str, int], ...]:

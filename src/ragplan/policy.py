@@ -533,10 +533,10 @@ def save_policy(params: PolicyParams, destination) -> None:
                 "b2": list(params.b2.shape),
             },
             "data": {
-                "w1": floats_to_hex(params.w1.ravel(), dtype="<f8"),
-                "b1": floats_to_hex(params.b1.ravel(), dtype="<f8"),
-                "w2": floats_to_hex(params.w2.ravel(), dtype="<f8"),
-                "b2": floats_to_hex(params.b2.ravel(), dtype="<f8"),
+                "w1": floats_to_hex(params.w1.ravel()),
+                "b1": floats_to_hex(params.b1.ravel()),
+                "w2": floats_to_hex(params.w2.ravel()),
+                "b2": floats_to_hex(params.b2.ravel()),
             },
         },
     )
@@ -551,9 +551,7 @@ def load_policy(source) -> PolicyParams:
         for name, shape in POLICY_SHAPES.items():
             if shapes[name] != list(shape):
                 raise ValueError(f"{name} has shape {shapes[name]}, expected {list(shape)}")
-            arrays[name] = hex_to_floats(
-                data[name], int(np.prod(shape)), dtype="<f8"
-            ).reshape(shape)
+            arrays[name] = hex_to_floats(data[name], int(np.prod(shape))).reshape(shape)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedFileError(f"{source}: malformed policy file: {exc}") from exc
     if not all(np.isfinite(values).all() for values in arrays.values()):

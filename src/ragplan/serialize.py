@@ -1,9 +1,10 @@
 """Versioned JSON persistence helpers, and the reader that builds a
 config dataclass from a JSON object.
 
-Float payloads inside JSON are stored as hex of little-endian floats, so
-save/load round-trips are bit-exact across platforms: float64 (``<f8``)
-for policy weights, float32 (``<f4``, the default) for embeddings.
+Float payloads inside JSON, the policy weights, are stored as hex of
+little-endian float64, so save/load round-trips are bit-exact across
+platforms. No file stores an embedding: a graph file stores texts, whose
+embeddings its load derives (see ``ragplan.graph.load_graph``).
 Encoder weights are too large for hex: an encoder file is a versioned
 header written here, next to a raw little-endian float64 payload that
 holds only the block of each projection where it differs from the
@@ -28,21 +29,18 @@ from .errors import ConfigError, MalformedFileError, VersionMismatchError
 FORMAT_VERSION = "1"
 
 
-def floats_to_hex(values: np.ndarray, dtype: str = "<f4") -> str:
-    return np.asarray(values, dtype=dtype).tobytes().hex()
+def floats_to_hex(values: np.ndarray) -> str:
+    return np.asarray(values, dtype="<f8").tobytes().hex()
 
 
-def hex_to_floats(
-    payload: str, expected_len: int | None = None, dtype: str = "<f4"
-) -> np.ndarray:
+def hex_to_floats(payload: str, expected_len: int | None = None) -> np.ndarray:
     try:
         raw = bytes.fromhex(payload)
     except ValueError as exc:
         raise MalformedFileError(f"invalid float payload: {exc}") from exc
-    width = np.dtype(dtype).itemsize
-    if len(raw) % width != 0:
+    if len(raw) % 8 != 0:
         raise MalformedFileError("truncated float payload")
-    values = np.frombuffer(raw, dtype=dtype).copy()
+    values = np.frombuffer(raw, dtype="<f8").copy()
     if expected_len is not None and values.size != expected_len:
         raise MalformedFileError(
             f"float payload holds {values.size} values, expected {expected_len}"

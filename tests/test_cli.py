@@ -17,7 +17,7 @@ from ragplan.world import SyntheticWorldSpec, load_world
 from encoder_faults import FAULTS
 from encoder_reference import save_block_encoder
 from test_backend import _StubHandler, stub_server  # noqa: F401 (a fixture)
-from test_graph import lower_ngram_max_header, swap_instruction_embeddings
+from test_graph import old_layout
 
 DEMO_CONFIG = {
     "seed": 7,
@@ -61,10 +61,10 @@ def test_build_graph_prints_stats_and_writes_graph(workspace, capsys):
     assert (out / "graph.json").exists()
 
 
-# The SHA-256 of the demo graph file (configs/demo.json), frozen when
-# question embeddings moved into a sparse store: neither the file format
-# nor any value written may change.
-DEMO_GRAPH_SHA256 = "b00c01458066328c193f241859d55da0019673f0b6b7ba1a8e25c03a9d504b56"
+# The SHA-256 of the demo graph file (configs/demo.json), frozen when the
+# file stopped storing embeddings (layout "texts"): neither the file
+# format nor any value written may change.
+DEMO_GRAPH_SHA256 = "56559cf2b3b597a7e84f76245d0e47de4a32a410f5ff15da10109afd547cc995"
 
 
 def test_demo_graph_file_is_unchanged_and_round_trips(tmp_path):
@@ -505,9 +505,27 @@ def test_retrieve_on_a_graph_listing_an_unstored_question_is_data_error(
     assert "not stored" in capsys.readouterr().err
 
 
-def nan_instruction(doc):
-    entry = doc["nodes"][0]["instructions"][0]
-    entry["embedding"] = "0000c07f" + entry["embedding"][8:]  # a float32 NaN
+def test_retrieve_on_an_old_layout_graph_names_the_resave_step(
+    workspace, trained, tmp_path, capsys
+):
+    # A bundle graph saved with embeddings, before the graph layout, is
+    # refused with the steps that rewrite it.
+    import shutil
+
+    _, config_path, _ = workspace
+    bundle_dir = tmp_path / "bundle"
+    shutil.copytree(trained / "bundle", bundle_dir)
+    graph_file = bundle_dir / "graph.json"
+    graph_file.write_text(
+        json.dumps(old_layout(json.loads(graph_file.read_text(encoding="utf-8")))),
+        encoding="utf-8",
+    )
+    assert main([
+        "retrieve", "--bundle", str(bundle_dir), "Which is older?", "--config", str(config_path),
+    ]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error") and str(graph_file) in err
+    assert "layout None" in err and "re-save it by running build-graph, train or adapt" in err
 
 
 def as_string(doc, key):
@@ -524,20 +542,17 @@ def numbered_question(doc):
             ids[ids.index(old)] = 7
 
 
-# The first five values are out of range, and the next two leave an
-# instruction with an embedding that its text does not give under the
-# file's embedder (``test_graph`` checks their messages). Each one after
-# them has the wrong JSON type and would otherwise load, most by
-# converting to a valid value (the string "256" to 256, 5.9 to 5, true to
-# 1), so only a type check rejects it.
+# The first four values are out of range, and the fifth leaves a question
+# without the text its embedding is derived from. Each one after them has
+# the wrong JSON type and would otherwise load, most by converting to a valid
+# value (the string "256" to 256, 5.9 to 5, true to 1), so only a type
+# check rejects it.
 BAD_VALUES = {
     "graph-delta": ("graph", lambda doc: doc.update(delta=1.5)),
     "graph-dimension": ("graph", lambda doc: doc["embedder"].update(dimension=4)),
-    "graph-nan": ("graph", nan_instruction),
     "encoder-ngram-min": ("encoder", lambda doc: doc["embedder"].update(ngram_min=9)),
     "bundle-hook": ("bundle", lambda doc: doc.update(rule_hooks=["no-such-hook"])),
-    "graph-swapped-embeddings": ("graph", swap_instruction_embeddings),
-    "graph-ngram-max-header": ("graph", lower_ngram_max_header),
+    "graph-question-text-missing": ("graph", lambda doc: doc["questions"][0].pop("text")),
     "graph-seed-fraction": ("graph", lambda doc: doc["embedder"].update(seed=0.5)),
     "graph-seed-bool": ("graph", lambda doc: doc["embedder"].update(seed=True)),
     "graph-dimension-string": ("graph", lambda doc: as_string(doc["embedder"], "dimension")),
@@ -548,9 +563,7 @@ BAD_VALUES = {
     "graph-tc-string": ("graph", lambda doc: as_string(doc, "tc")),
     "graph-node-id-string": ("graph", lambda doc: as_string(doc["nodes"][0], "node_id")),
     "graph-edge-from-string": ("graph", lambda doc: as_string(doc["edges"][0], "from")),
-    "graph-question-valid-string": (
-        "graph", lambda doc: as_string(doc["questions"][0], "valid")
-    ),
+    "graph-question-text-number": ("graph", lambda doc: doc["questions"][0].update(text=5)),
     "graph-instruction-text-number": (
         "graph", lambda doc: doc["nodes"][0]["instructions"][0].update(text=5)
     ),

@@ -377,37 +377,53 @@ class TestPersistence:
         doc["questions"].append(dict(doc["questions"][0]))
         self.assert_rejected(dest, doc, "question T1/q1 appears twice")
 
-    def test_question_values_round_trip_bit_for_bit(self, tmp_path):
-        # Questions are stored sparsely, by the bit patterns of their values:
-        # -0.0 and subnormals must come back as they were written.
+    def test_old_layout_rejected_with_the_resave_step(self, tmp_path):
+        # A file that stores embeddings, as files did before the layout.
         dest, doc = self.saved_doc(tmp_path)
-        values = np.frombuffer(bytes.fromhex(doc["questions"][0]["embedding"]), "<f4").copy()
-        tiny = np.finfo(np.float32).smallest_subnormal
-        values[:3] = [-0.0, tiny, -tiny]
-        doc["questions"][0]["embedding"] = values.tobytes().hex()
+        self.assert_rejected(
+            dest, old_layout(doc),
+            re.escape("graph file has layout None, this build reads 'texts'; re-save it by "
+                      "running build-graph, train or adapt again"),
+        )
+
+    @pytest.mark.parametrize("layout", ["", "texts-and-embeddings", 1])
+    def test_other_layout_rejected(self, tmp_path, layout):
+        dest, doc = self.saved_doc(tmp_path)
+        doc["layout"] = layout
+        self.assert_rejected(dest, doc, re.escape(f"graph file has layout {layout!r}"))
+
+    @pytest.mark.parametrize("text", [None, 5, ["Which nation?"], {"text": "Which nation?"}],
+                             ids=["null", "number", "list", "object"])
+    def test_question_text_that_is_not_a_string_rejected(self, tmp_path, text):
+        dest, doc = self.saved_doc(tmp_path)
+        doc["questions"][1]["text"] = text
+        self.assert_rejected(dest, doc, "malformed graph document: config key 'text' must be str")
+
+    def test_question_without_text_rejected(self, tmp_path):
+        dest, doc = self.saved_doc(tmp_path)
+        del doc["questions"][1]["text"]
+        self.assert_rejected(dest, doc, "malformed graph document: 'text'")
+
+    def test_instruction_text_without_features_rejected(self, tmp_path):
+        # insert_path refuses such a text, and a load would keep a row
+        # that no query can match.
+        dest, doc = self.saved_doc(tmp_path)
+        doc["nodes"][1]["instructions"][0]["text"] = "?!"
+        self.assert_rejected(dest, doc, re.escape("node 2 '?!' embeds to an invalid vector"))
+
+    def test_question_embeddings_are_their_texts(self, tmp_path):
+        # The file stores no embedding; each loaded question's is its
+        # text's, so a question whose text has no feature loads invalid.
+        dest, doc = self.saved_doc(tmp_path)
+        doc["questions"][0]["text"] = "?"
         dest.write_text(json.dumps(doc), encoding="utf-8")
-        again = tmp_path / "again.json"
-        save_graph(load_graph(dest), again)
-        assert json.loads(again.read_text(encoding="utf-8"))["questions"] == doc["questions"]
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_instruction_rejected(self, tmp_path, value):
-        # No text embeds to a NaN or an infinity; the file names the value.
-        dest, doc = self.saved_doc(tmp_path)
-        entry = doc["nodes"][1]["instructions"][0]
-        values = np.frombuffer(bytes.fromhex(entry["embedding"]), "<f4").copy()
-        values[5] = value
-        entry["embedding"] = values.tobytes().hex()
-        name = f"node {doc['nodes'][1]['node_id']} {entry['text']!r}"
-        self.assert_rejected(dest, doc, re.escape(f"{name} holds a non-finite value"))
-
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_question_rejected(self, tmp_path, value):
-        dest, doc = self.saved_doc(tmp_path)
-        values = np.frombuffer(bytes.fromhex(doc["questions"][1]["embedding"]), "<f4").copy()
-        values[7] = value
-        doc["questions"][1]["embedding"] = values.tobytes().hex()
-        self.assert_rejected(dest, doc, "question T2/q2 holds a non-finite value")
+        loaded = load_graph(dest).question_embeddings
+        for entry in doc["questions"]:
+            vector = loaded[entry["task_id"], entry["question_id"]]
+            expected = embed_text(entry["text"], CFG)
+            assert vector.values.tobytes() == expected.values.tobytes()
+            assert vector.valid == expected.valid
+        assert not loaded["T1", "q1"].valid and loaded["T2", "q2"].valid
 
     @pytest.mark.parametrize("field, value", [
         ("delta", 1.5),
@@ -439,13 +455,6 @@ class TestPersistence:
         self.assert_rejected(dest, doc, re.escape(f"{name} has sources other than"))
 
 
-def _one_ulp_up(payload):
-    """A hex float32 payload with its first nonzero value one ulp larger in magnitude."""
-    bits = np.frombuffer(bytes.fromhex(payload), "<u4").copy()
-    bits[np.flatnonzero(bits)[0]] += 1
-    return bits.tobytes().hex()
-
-
 def _swap_first_node_texts(doc):
     entries = doc["nodes"][0]["instructions"]
     entries[0], entries[1] = entries[1], entries[0]
@@ -456,21 +465,17 @@ def _drop_second_question_of_first_edge(doc):
     tasks["T1"] = tasks["T1"][:1]
 
 
-def _flip_first_question_validity(doc):
-    doc["questions"][0]["valid"] = not doc["questions"][0]["valid"]
-
-
 def _move_first_source(doc):
     doc["nodes"][0]["instructions"][0]["sources"][0][2] += 1
 
 
-def _nudge_instruction_embedding(doc):
-    entry = doc["nodes"][1]["instructions"][0]
-    entry["embedding"] = _one_ulp_up(entry["embedding"])
+def _reword_second_question(doc):
+    doc["questions"][1]["text"] = "Where did he come from?"
 
 
-def _nudge_question_embedding(doc):
-    doc["questions"][1]["embedding"] = _one_ulp_up(doc["questions"][1]["embedding"])
+def _upper_case_second_question(doc):
+    # The same embedding: texts are lower-cased before they are hashed.
+    doc["questions"][1]["text"] = doc["questions"][1]["text"].upper()
 
 
 class TestGraphsEqual:
@@ -510,11 +515,11 @@ class TestGraphsEqual:
         _swap_first_node_texts,
         _move_first_source,
         _drop_second_question_of_first_edge,
-        _flip_first_question_validity,
-        _nudge_question_embedding,
+        _reword_second_question,
+        _upper_case_second_question,
     ], ids=[
-        "delta", "ic", "text-order", "source", "edge-questions", "question-validity",
-        "question-ulp",
+        "delta", "ic", "text-order", "source", "edge-questions", "question-text",
+        "question-text-case",
     ])
     def test_one_change_makes_graphs_differ(self, tmp_path, change):
         graph, dest, doc = self.saved_doc(tmp_path)
@@ -524,50 +529,20 @@ class TestGraphsEqual:
         assert not graphs_equal(graph, changed)
         assert not graphs_equal(changed, graph)
 
-    def test_negative_zero_differs_from_zero(self, tmp_path):
-        # Equality is of bit patterns, as the saved file holds them.
-        graph, dest, doc = self.saved_doc(tmp_path)
-        values = np.frombuffer(bytes.fromhex(doc["questions"][0]["embedding"]), "<f4").copy()
-        values[np.flatnonzero(values == 0.0)[0]] = -0.0
-        doc["questions"][0]["embedding"] = values.tobytes().hex()
-        dest.write_text(json.dumps(doc), encoding="utf-8")
-        assert not graphs_equal(graph, load_graph(dest))
 
-
-def _negate_a_zero_of_the_first_instruction(doc):
-    entry = doc["nodes"][0]["instructions"][0]
-    values = np.frombuffer(bytes.fromhex(entry["embedding"]), "<f4").copy()
-    values[np.flatnonzero(values == 0.0)[0]] = -0.0
-    entry["embedding"] = values.tobytes().hex()
-
-
-def swap_instruction_embeddings(doc):
-    first, second = doc["nodes"][0]["instructions"][0], doc["nodes"][1]["instructions"][0]
-    first["embedding"], second["embedding"] = second["embedding"], first["embedding"]
-
-
-def lower_ngram_max_header(doc):
-    # Vectors made with ngram_max 5 under a header that says 4.
-    doc["embedder"].update(ngram_max=4)
-
-
-class TestInstructionEmbeddingCheck:
-    """``load_graph`` keeps each instruction's counts, not its stored
-    embedding, so it rejects a file whose embedding is not the one its
-    text gives under the file's embedder."""
-
-    @pytest.mark.parametrize("change, needle", [
-        (swap_instruction_embeddings, "node 1 'Search[Scott Derrickson]'"),
-        (_nudge_instruction_embedding, "node 2 'Lookup[nationality]'"),
-        (_negate_a_zero_of_the_first_instruction, "node 1 'Search[Scott Derrickson]'"),
-        (lower_ngram_max_header, "node 1 'Search[Scott Derrickson]'"),
-    ], ids=["swapped", "instruction-ulp", "negative-zero", "ngram-max-header"])
-    def test_embedding_other_than_the_text_gives_rejected(self, tmp_path, change, needle):
-        _, dest, doc = TestGraphsEqual().saved_doc(tmp_path)
-        change(doc)
-        dest.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(MalformedFileError, match=re.escape(f"{needle} holds an embedding")):
-            load_graph(dest)
+def old_layout(doc):
+    """``doc`` as a file saved before the graph ``layout``: with each
+    instruction's and question's float32 embedding as hex, and each
+    question's validity flag in place of its text."""
+    del doc["layout"]
+    embedder = EmbedderConfig(**doc["embedder"])
+    for node in doc["nodes"]:
+        for entry in node["instructions"]:
+            entry["embedding"] = embed_text(entry["text"], embedder).values.tobytes().hex()
+    for entry in doc["questions"]:
+        vector = embed_text(entry.pop("text"), embedder)
+        entry.update(embedding=vector.values.tobytes().hex(), valid=vector.valid)
+    return doc
 
 
 class TestGraphStats:

@@ -10,7 +10,6 @@ actions and forced flags, and the same states within 1e-12.
 
 import copy
 import gc
-import json
 import sys
 import weakref
 from collections import deque
@@ -468,20 +467,21 @@ def test_best_question_is_the_scalar_cosine_maximum_bit_for_bit(seed):
     assert 1 in sizes and identical
 
 
-def test_best_question_scores_a_question_flagged_invalid_zero(tmp_path):
-    # A loaded question flagged invalid keeps its values; it scores 0
-    # even against a query identical to it.
-    save_graph(random_graph(3), tmp_path / "graph.json")
-    doc = json.loads((tmp_path / "graph.json").read_text(encoding="utf-8"))
-    for entry in doc["questions"][::2]:
-        entry["valid"] = False
-    (tmp_path / "graph.json").write_text(json.dumps(doc), encoding="utf-8")
-    graph = load_graph(tmp_path / "graph.json")
+def test_best_question_scores_a_question_flagged_invalid_zero():
+    # A question whose text has no feature embeds to an invalid zero
+    # vector; it scores 0 even against a valid zero query, which is
+    # identical to it.
+    graph = random_graph(3)
+    index = graph.index()
+    for i, edge in enumerate(index.edges[::2]):
+        insert_path(graph, InstructionPath(edge_texts(index, edge), "T_blank", f"b{i}", 1.0),
+                    question_text="?!")
     flagged = [vec for vec in graph.question_embeddings.values() if not vec.valid]
-    assert any(np.any(vec.values) for vec in flagged)
+    assert flagged and not any(np.any(vec.values) for vec in flagged)
+    assert any("T_blank" in edge.tasks for edge in graph.edges.values())
     queries = oracle_queries(graph, ["amber birch grove"])
     assert_best_questions_are_scalar_cosines(
-        graph, queries + [EmbeddingVector(vec.values, valid=True) for vec in flagged]
+        graph, queries + [EmbeddingVector(flagged[0].values, valid=True)]
     )
 
 
@@ -594,6 +594,61 @@ def assert_scan_rows_match(graph):
         assert squared == int(counts.astype(np.int64) @ counts)
 
 
+def assert_question_rows_match(graph):
+    """Every question row holds the embedding of its stored text, bit for
+    bit: an entry for each nonzero value, its validity and its norm."""
+    questions, entries = graph._questions, graph._entries
+    keys = questions["key"].tolist()
+    assert len(set(keys)) == len(keys) == len(graph.question_embeddings)
+    for start, end, valid, norm, text in zip(
+        questions["start"].tolist(), questions["end"].tolist(), questions["valid"].tolist(),
+        questions["norm"].tolist(), questions["text"].tolist(),
+    ):
+        expected = embed_text(text, graph.embedder)
+        values = np.zeros(graph.embedder.dimension, dtype=np.float32)
+        values[entries["position"][start:end]] = entries["value"][start:end]
+        assert values.tobytes() == expected.values.tobytes()
+        assert end - start == np.count_nonzero(expected.values)
+        assert valid is expected.valid
+        assert float_bytes(norm) == float_bytes(np.linalg.norm(values.astype(np.float64)))
+
+
+def stored_rows(graph):
+    """The graph's scan rows by (node, text) and its questions by key, as
+    bytes: what a graph holds, whatever order it appended the rows in."""
+    scan, questions, entries = graph._scan, graph._questions, graph._entries
+    instructions = {
+        (node, text): (counts.tobytes(), float_bytes(squared))
+        for node, text, counts, squared in zip(
+            scan["nodes"].tolist(), scan["texts"].tolist(), scan["counts"], scan["sqnorms"]
+        )
+    }
+    stored = {
+        key: (text, valid, float_bytes(norm), entries["position"][start:end].tobytes(),
+              entries["value"][start:end].tobytes())
+        for key, text, valid, norm, start, end in zip(
+            questions["key"].tolist(), questions["text"].tolist(), questions["valid"].tolist(),
+            questions["norm"].tolist(), questions["start"].tolist(), questions["end"].tolist(),
+        )
+    }
+    return instructions, stored
+
+
+def assert_loads_as_built(graph, path):
+    """Save ``graph`` to ``path`` and load it: the loaded graph saves the
+    same bytes and holds the same scan rows and questions, bit for bit,
+    each the one its text gives. Returns the loaded graph."""
+    save_graph(graph, path)
+    loaded = load_graph(path)
+    again = path.with_name("again.json")
+    save_graph(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    assert stored_rows(loaded) == stored_rows(graph)
+    assert_scan_rows_match(loaded)
+    assert_question_rows_match(loaded)
+    return loaded
+
+
 def assert_extension_matches_deepcopy(parent, batches):
     snapshot = copy.deepcopy(parent)
     child = extend_graph(parent, batches[0])
@@ -614,6 +669,7 @@ def assert_extension_matches_deepcopy(parent, batches):
     assert graphs_equal(sibling, deepcopy_extend(snapshot, batches[1]))
     for graph in (parent, child, grandchild, sibling):
         assert_scan_rows_match(graph)
+        assert_question_rows_match(graph)
         assert_traversals_match(graph, "amber birch grove", *policies(0)[1], seed=0)
 
 
@@ -631,6 +687,12 @@ def test_extend_of_a_loaded_graph_matches_deepcopy_extension(tmp_path):
     loaded = load_graph(tmp_path / "graph.json")
     assert_traversals_match(loaded, "amber birch", *policies(11)[0], seed=11)
     assert_extension_matches_deepcopy(loaded, [random_corpus(1011), random_corpus(2011, "w")])
+
+
+def test_demo_graph_loads_as_built(tmp_path):
+    graph, query = demo_graph()
+    assert_loads_as_built(graph, tmp_path / "graph.json")
+    assert_loads_as_built(extend_graph(graph, query), tmp_path / "extended.json")
 
 
 def test_extend_matches_deepcopy_extension_on_demo_world():
@@ -727,15 +789,16 @@ def test_patched_index_equals_fresh_index_over_benchmark_writes(tmp_path):
     # The index-4k benchmark's seed-1 graph and write batches, with the
     # graph loaded from its file as the benchmark serves it.
     inputs = bench_inputs()
-    save_graph(
+    graph = assert_loads_as_built(
         build_graph(inputs.random_corpus(1, 4000), 0.4, EmbedderConfig(dimension=256)),
         tmp_path / "graph.json",
     )
-    graph = load_graph(tmp_path / "graph.json")
     graph.index()
-    for batch in islice(inputs.index_write_batches(1, 60), 25):
+    for i, batch in enumerate(islice(inputs.index_write_batches(1, 60), 25)):
         graph = extend_graph(graph, batch)
         read_patched(graph)
+        if i == 3:
+            assert_loads_as_built(graph, tmp_path / "written.json")
 
 
 def test_graph_built_through_the_feature_tables_equals_one_hashed_per_feature(
@@ -754,7 +817,7 @@ def test_graph_built_through_the_feature_tables_equals_one_hashed_per_feature(
             graph = extend_graph(graph, batch)
         path = tmp_path / f"graph{len(saved)}.json"
         save_graph(graph, path)
-        saved.append(path.read_bytes())
+        saved.append((path.read_bytes(), stored_rows(graph)))
         assert bool(embedding._feature_tables) == (codes is not codes_reference)
     embedding._embed_cached.cache_clear()
     assert saved[0] == saved[1]
@@ -982,6 +1045,7 @@ def test_sibling_copies_each_see_only_their_own_rows(store):
             assert np.array_equal(stored.values, expected.values)
         assert graphs_equal(child, deepcopy_extend(snapshot, batch))
         assert_scan_rows_match(child)
+        assert_question_rows_match(child)
         assert_same_index(child.index(), GraphIndex(child))
     assert graphs_equal(parent, snapshot)
     assert columns_of(getattr(parent, store)) == rows

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -568,6 +570,22 @@ class TestPolicyPersistence:
         dest = tmp_path / "policy.json"
         dest.write_text("{not json", encoding="utf-8")
         with pytest.raises(MalformedFileError):
+            load_policy(dest)
+
+    @pytest.mark.parametrize("damage, needle", [
+        (lambda payload: "zz" + payload[2:], "invalid float payload"),
+        (lambda payload: payload[:-2], "truncated float payload"),
+        (lambda payload: np.frombuffer(bytes.fromhex(payload), "<f8").astype("<f4").tobytes()
+         .hex(), "holds 10 values, expected 20"),
+    ], ids=["not-hex", "truncated", "float32"])
+    def test_damaged_payload_rejected(self, tmp_path, damage, needle):
+        # Payloads are float64 only: a float32 one holds half the values.
+        dest = tmp_path / "policy.json"
+        save_policy(init_policy_params(seed=77), dest)
+        doc = json.loads(dest.read_text(encoding="utf-8"))
+        doc["data"]["b1"] = damage(doc["data"]["b1"])
+        dest.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(MalformedFileError, match=needle):
             load_policy(dest)
 
     @pytest.mark.parametrize("field", ["w1", "b1", "w2", "b2"])
