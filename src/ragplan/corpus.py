@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, MalformedFileError
+from .errors import ConfigError, DataError, MalformedFileError
+from .serialize import read_value
 
 CORRECT_PATH_THRESHOLD = 1.0
 PATH_SEPARATOR = " -> "  # joins a serialized path's instructions
@@ -253,6 +254,8 @@ def save_corpus_jsonl(corpus: TaskCorpus, destination: str | Path) -> None:
 
 
 def load_corpus_jsonl(source: str | Path) -> TaskCorpus:
+    """The corpus ``save_corpus_jsonl`` wrote to ``source``; a line that is
+    not such a record raises ``MalformedFileError`` naming file and line."""
     corpus = TaskCorpus()
     try:
         lines = Path(source).read_text(encoding="utf-8").splitlines()
@@ -266,26 +269,42 @@ def load_corpus_jsonl(source: str | Path) -> TaskCorpus:
         except json.JSONDecodeError as exc:
             raise MalformedFileError(f"{source}:{lineno}: invalid JSON: {exc}") from exc
         try:
-            paths = tuple(
-                InstructionPath(
-                    instructions=tuple(p["instructions"]),
-                    task_id=record["task_id"],
-                    question_id=record["question_id"],
-                    success_metric=float(p.get("success_metric", 1.0)),
-                )
-                for p in record.get("paths", [])
-            )
-            corpus.add(
-                Question(
-                    question_id=record["question_id"],
-                    task_id=record["task_id"],
-                    text=record["question_text"],
-                    answer=record["answer"],
-                    paths=paths,
-                    split_hint=record.get("split_hint"),
-                    meta=tuple(sorted(record.get("meta", {}).items())),
-                )
-            )
-        except (KeyError, TypeError) as exc:
+            corpus.add(_read_question(record))
+        except KeyError as exc:
             raise MalformedFileError(f"{source}:{lineno}: missing field {exc}") from exc
+        except (ConfigError, DataError) as exc:  # a field of the wrong type is bad data
+            raise MalformedFileError(f"{source}:{lineno}: malformed record: {exc}") from exc
     return corpus
+
+
+def _read_question(record) -> Question:
+    """The question a record describes, each field of the type
+    ``save_corpus_jsonl`` writes."""
+    if type(record) is not dict:
+        raise DataError(f"a record must be a JSON object, got {record!r}")
+    task_id = read_value(record, "task_id", str)
+    question_id = read_value(record, "question_id", str)
+    paths = []
+    for path in _optional(record, "paths", list, ()):
+        if type(path) is not dict:
+            raise DataError(f"a path must be a JSON object, got {path!r}")
+        instructions = read_value(path, "instructions", tuple[str, ...])
+        metric = _optional(path, "success_metric", float, 1.0)
+        paths.append(InstructionPath(instructions, task_id, question_id, metric))
+    meta = _optional(record, "meta", dict, {})
+    if not all(type(value) is str for value in meta.values()):
+        raise DataError(f"meta values must be strings, got {meta!r}")
+    return Question(
+        question_id=question_id,
+        task_id=task_id,
+        text=read_value(record, "question_text", str),
+        answer=read_value(record, "answer", str),
+        paths=tuple(paths),
+        split_hint=_optional(record, "split_hint", str, None),
+        meta=tuple(sorted(meta.items())),
+    )
+
+
+def _optional(doc: dict, name: str, hint, default):
+    """``read_value`` of a field ``save_corpus_jsonl`` may leave out."""
+    return read_value(doc, name, hint) if name in doc else default

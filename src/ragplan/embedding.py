@@ -193,14 +193,17 @@ def _embed(text: str, config: EmbedderConfig) -> EmbeddingVector:
 
 
 # Instruction texts, which the graph scores again and again, share one
-# large cache of counts. Queries, questions and serialized candidate paths
-# keep a small cache of embeddings: paths are many and, once the graph
-# changes, never repeat, a query is mostly seen once, and the graph keeps
-# the vectors of the questions it registers. Its size is set from the
-# serving loop on the demo bundle: over 5,000 ops, 14,250 path embeds held
-# 3,250 distinct paths, and 2,048 entries keep a hit ratio of 0.74 against
-# 0.77 for an unbounded cache. A path's pieces, mostly instructions seen
-# in many paths, have a third cache.
+# large cache of counts. Serialized candidate paths, and the questions the
+# encoder projects, keep a small cache of embeddings: paths are many and,
+# once the graph changes, never repeat. Its size is set from the serving
+# loop on the demo bundle: over 5,000 ops, 14,250 path embeds held 3,250
+# distinct paths, and 2,048 entries keep a hit ratio of 0.74 against 0.77
+# for an unbounded cache. A path's pieces, mostly instructions seen in
+# many paths, have a third cache. Queries and the questions a write
+# registers are counted afresh (``text_counts``) and kept in no cache: a
+# query is mostly seen once, and the graph keeps the counts of the
+# questions it registers. A loaded graph file's questions are counted
+# through the instruction cache, as its instructions are.
 _counts_cached = lru_cache(maxsize=65536)(_counts)
 _embed_text_cached = lru_cache(maxsize=2048)(_embed)
 
@@ -231,6 +234,12 @@ def embed_counts(text: str, config: EmbedderConfig) -> np.ndarray:
     """The read-only int32 count vector of ``text``, whose ``unit_rows``
     is its embedding; all zeros for a text with no feature."""
     return _counts_cached(text, config)
+
+
+def text_counts(text: str, config: EmbedderConfig) -> np.ndarray:
+    """``embed_counts`` of a query or question text, counted afresh so
+    that it stays out of the instruction count cache."""
+    return _counts(text, config)
 
 
 def embed_text(text: str, config: EmbedderConfig) -> EmbeddingVector:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import math
 from bisect import bisect_left
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -27,11 +26,12 @@ from .embedding import (
     block_rows,
     cosine_rows,
     embed_counts,
-    embed_text,
     row_norms,
+    text_counts,
     unit_rows,
 )
 from .embedding import cosine  # noqa: F401  bench/tracer.py wraps ragplan.graph.cosine
+from .embedding import embed_text  # noqa: F401  bench/tracer.py wraps ragplan.graph.embed_text
 from .errors import ConfigError, DataError, MalformedFileError, NotFoundError
 from .serialize import read_value, read_versioned, write_versioned
 
@@ -165,33 +165,6 @@ class _Rows(dict):
         return grown
 
 
-class _QuestionView(Mapping):
-    """The question embeddings of a graph, read-only, by (task id, question
-    id) in registration order: each the embedding of the question's stored
-    text, rebuilt from its entry rows on every access."""
-
-    def __init__(self, questions: _Rows, entries: _Rows, dimension: int):
-        self._questions, self._entries, self._dimension = questions, entries, dimension
-
-    def __getitem__(self, key: tuple[str, str]) -> EmbeddingVector:
-        row = self._questions.find(key)
-        if row is None:
-            raise KeyError(key)
-        lo, hi = self._questions["start"][row], self._questions["end"][row]
-        values = np.zeros(self._dimension, dtype=np.float32)
-        values[self._entries["position"][lo:hi]] = self._entries["value"][lo:hi]
-        return EmbeddingVector(values, valid=bool(self._questions["valid"][row]))
-
-    def __contains__(self, key: object) -> bool:
-        return self._questions.find(key) is not None
-
-    def __iter__(self):
-        return iter(self._questions["key"].tolist())
-
-    def __len__(self) -> int:
-        return self._questions.count
-
-
 class InstructionGraph:
     """Mutable during construction, then treated as immutable by readers."""
 
@@ -209,16 +182,15 @@ class InstructionGraph:
         # question components of traversal states, and every (task,
         # question id) an edge lists has one. A question keeps its text,
         # the one its key was first registered with, and that text's
-        # embedding. A hashed text fills few buckets, so the embedding is
-        # kept as the positions whose float32 value is not zero and their
-        # values, as entry rows from its ``start`` to its ``end``, with its
-        # validity flag and the ``row_norms`` of its float64 values: enough
-        # to rebuild it bit for bit.
+        # integer counts. A hashed text fills few buckets, so the counts
+        # are kept as the positions that are not zero and their counts, as
+        # entry rows from its ``start`` to its ``end``, with their squared
+        # norm, which is 0 for a text with no feature.
         dimension = embedder.dimension
         self._questions = _Rows.of(
-            start=np.int64, end=np.int64, valid=bool, norm=np.float64, key=object, text=object
+            start=np.int64, end=np.int64, sqnorm=np.int64, key=object, text=object
         )
-        self._entries = _Rows.of(position=np.min_scalar_type(dimension - 1), value=np.float32)
+        self._entries = _Rows.of(position=np.min_scalar_type(dimension - 1), count=np.int32)
         # Scan rows: the integer counts of every stored (node, text), as
         # float64, in insertion order, with the node id, the text and the
         # counts' squared norm. They are the only copy of an instruction's
@@ -254,12 +226,6 @@ class InstructionGraph:
         """Next edge id: edges are never removed, so the edge count plus one."""
         return len(self.edges) + 1
 
-    @property
-    def question_embeddings(self) -> Mapping[tuple[str, str], EmbeddingVector]:
-        """Registered question embeddings by (task id, question id),
-        read-only, in registration order."""
-        return _QuestionView(self._questions, self._entries, self.embedder.dimension)
-
     def _register(self, questions: list[tuple[tuple[str, str], str]]) -> None:
         """Register the first text of each key in ``questions`` that the
         graph does not hold yet, in order, with one append."""
@@ -270,20 +236,21 @@ class InstructionGraph:
         if new:
             self._add_questions(list(new), list(new.values()))
 
-    def _add_questions(self, keys: list[tuple[str, str]], texts: list[str]) -> None:
+    def _add_questions(
+        self, keys: list[tuple[str, str]], texts: list[str], count=text_counts
+    ) -> None:
         """Append questions: one row per key, holding its text and the
-        text's embedding."""
-        vectors = [embed_text(text, self.embedder) for text in texts]
-        values = np.array([v.values for v in vectors], dtype=np.float32)
-        values = values.reshape(len(keys), self.embedder.dimension)
-        kept = np.flatnonzero(values)
+        counts ``count`` gives of it. ``load_graph`` counts through the
+        instruction count cache, so that loading a file again recounts none."""
+        counts = np.array([count(text, self.embedder) for text in texts], dtype=np.int64)
+        counts = counts.reshape(len(keys), self.embedder.dimension)
+        kept = np.flatnonzero(counts)
         of_row, positions = np.divmod(kept, self.embedder.dimension)
         sizes = np.bincount(of_row, minlength=len(keys))
         ends = self._entries.count + np.cumsum(sizes)
-        self._entries = self._entries.append(position=positions, value=values.ravel()[kept])
+        self._entries = self._entries.append(position=positions, count=counts.ravel()[kept])
         self._questions = self._questions.append(
-            start=ends - sizes, end=ends, valid=[v.valid for v in vectors],
-            norm=row_norms(values.astype(np.float64)),
+            start=ends - sizes, end=ends, sqnorm=np.vecdot(counts, counts),
             key=np.fromiter(keys, dtype=object, count=len(keys)), text=texts,
         )
 
@@ -369,13 +336,13 @@ class InstructionGraph:
 class GraphIndex:
     """Arrays compiled from one state of an ``InstructionGraph`` for traversal.
 
-    * Instructions: the float64 counts, their norms and the texts of the
-      graph's scan rows (``instructions``, ``instruction_norms``,
-      ``texts``), read from its scan store; ``node_rows`` lists row ids
-      grouped by node in node-id order and by text within a node,
-      delimited by ``node_ptr``.
+    * Instructions: the float64 counts, their squared norms and the
+      texts of the graph's scan rows (``instructions``,
+      ``instruction_sqnorms``, ``texts``), read from its scan store;
+      ``node_rows`` lists row ids grouped by node in node-id order and by
+      text within a node, delimited by ``node_ptr``.
     * Questions: the handles on the graph's question rows (``questions``)
-      and their entry rows (``entries``), which ``dense`` gathers.
+      and their entry rows of counts (``entries``).
     * Centroids: a store of one row per (edge, task) pair (``centroids``):
       its float32 ``values``, equal to ``task_centroid`` over the task's
       questions in id order, the ``norms`` of their float64 values, the
@@ -422,23 +389,23 @@ class GraphIndex:
         base serves one patch."""
         touched: dict[tuple[int, int], dict[str, list[str]]] = {}
         if base is None:
-            base = GraphIndex._empty(graph.embedder.dimension)
+            base = GraphIndex._empty(graph.embedder)
             for key, edge in graph.edges.items():
                 touched[key] = dict.fromkeys(edge.tasks, [])
         else:
             for (key, task_id), question_ids in written.items():
                 touched.setdefault(key, {})[task_id] = question_ids
-        self.dimension = base.dimension
+        self.embedder = base.embedder
         self.questions, self.entries = graph._questions, graph._entries
         self._add_rows(graph, base)
         order = self._add_edges(graph, base, touched)
         self._add_centroids(graph, base, touched, order)
 
     @classmethod
-    def _empty(cls, dimension: int) -> "GraphIndex":
+    def _empty(cls, embedder: EmbedderConfig) -> "GraphIndex":
         """The index of a graph holding nothing: the base of a full compile."""
         empty = cls.__new__(cls)
-        empty.dimension = dimension
+        empty.embedder, dimension = embedder, embedder.dimension
         empty.texts, empty.node_ids = np.zeros(0, dtype=object), []
         empty.node_pos, empty.edge_pos = {}, {}
         empty.sources = empty.targets = np.zeros(0, dtype=np.int64)
@@ -456,7 +423,7 @@ class GraphIndex:
         scan, start, known = graph._scan, len(base.texts), len(base.node_ids)
         self.texts = scan["texts"]
         self.instructions = scan["counts"]
-        self.instruction_norms = np.sqrt(scan["sqnorms"])
+        self.instruction_sqnorms = scan["sqnorms"]
         # New node ids are above every earlier one, so new nodes sort last.
         self.node_ids = base.node_ids
         self.node_ids.extend(sorted(islice(graph.nodes, known, None)))
@@ -586,7 +553,7 @@ class GraphIndex:
         ]
         if len(dst):
             self.centroids["valid"][dst] = np.logical_or.reduceat(
-                questions["valid"][fresh_rows], fresh_ptr[:-1]
+                questions["sqnorm"][fresh_rows] > 0, fresh_ptr[:-1]
             )
         self._fill_centroids(dst, fresh_ptr, fresh_rows, np.array(added, dtype=np.intp))
 
@@ -608,7 +575,8 @@ class GraphIndex:
         """
         centroids = self.centroids
         counts = np.diff(ptr)
-        step = block_rows(self.dimension)
+        dimension = self.embedder.dimension
+        step = block_rows(dimension)
         for lo in range(0, len(counts), step):
             at = dst[lo:lo + step]
             sizes = counts[lo:lo + step]
@@ -616,7 +584,7 @@ class GraphIndex:
             ends = ptr[lo + 1:lo + step + 1]
             firsts = ends - added[lo:lo + step]
             continues = added[lo:lo + step] < sizes
-            sums = np.empty((len(sizes), self.dimension), dtype=np.float64)
+            sums = np.empty((len(sizes), dimension), dtype=np.float64)
             sums[continues] = centroids["sums"][at[continues]]
             sums[~continues] = self.dense(rows[firsts[~continues]])
             firsts[~continues] += 1
@@ -630,24 +598,24 @@ class GraphIndex:
             centroids["norms"][at] = row_norms(block.astype(np.float64))
 
     def dense(self, rows: np.ndarray) -> np.ndarray:
-        """The float64 values of the given question rows, gathered with one scatter."""
-        if len(rows) == 1:
-            # The common case of a visited centroid: its entries are one slice.
-            row = rows[0]
-            entries = slice(self.questions["start"][row], self.questions["end"][row])
-            out = np.zeros((1, self.dimension), dtype=np.float64)
-            out[0, self.entries["position"][entries]] = self.entries["value"][entries]
-            return out
+        """The float32 embeddings of the given question rows, ``unit_rows``
+        of their counts scattered with one write, as float64: the values
+        the centroid sums add."""
+        entries, sizes = self.gather(rows)
+        out = np.zeros((len(rows), self.embedder.dimension), dtype=np.float64)
+        out[np.repeat(np.arange(len(rows)), sizes), self.entries["position"][entries]] = (
+            self.entries["count"][entries]
+        )
+        return unit_rows(out).astype(np.float64)
+
+    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The entry rows of the given question rows, row after row, and
+        how many each row has."""
         starts = self.questions["start"][rows]
         sizes = self.questions["end"][rows] - starts
         ends = np.cumsum(sizes)
         total = int(ends[-1]) if len(ends) else 0
-        entries = np.repeat(starts - (ends - sizes), sizes) + np.arange(total)
-        out = np.zeros((len(rows), self.dimension), dtype=np.float64)
-        out[np.repeat(np.arange(len(rows)), sizes), self.entries["position"][entries]] = (
-            self.entries["value"][entries]
-        )
-        return out
+        return np.repeat(starts - (ends - sizes), sizes) + np.arange(total), sizes
 
     @cached_property
     def text_nodes(self) -> dict[str, list[int]]:
@@ -671,31 +639,38 @@ class GraphIndex:
         return [self.edges[e] for e in self.in_order[self.in_ptr[pos]:self.in_ptr[pos + 1]]]
 
 
-class QueryScores:
-    """``cosine(query, row)`` for every instruction and centroid row of one
-    index, the per-node and per-edge maxima traversal reads, and the
-    question cosines of one centroid on demand: a query embedded once is
-    scored with one matrix-vector product per row set. An instruction row
-    is its text's counts, whose cosine with the query is that of the
-    text's embedding up to the rounding of the embedding."""
+def _psi(dots, sqnorm, sqnorms) -> np.ndarray:
+    """ψ (see ``knn_nearest``) from the dot products of counts ``c`` with
+    rows ``c′``, ‖c‖² and each ‖c′‖². All-zero counts have dot products 0,
+    and any other square root of a positive integer is at least 1."""
+    return dots / np.maximum(np.sqrt(sqnorm * sqnorms), 1.0)
 
-    def __init__(self, index: GraphIndex, query: EmbeddingVector):
+
+class QueryScores:
+    """The similarities of one query text to the rows of one index: ψ of
+    its counts (see ``knn_nearest``) with every instruction row and, on
+    demand, with the question rows of one centroid; the cosine of its
+    float32 embedding with every task centroid, by ``cosine_rows``; and
+    the per-node and per-edge maxima traversal reads."""
+
+    def __init__(self, index: GraphIndex, query_text: str):
         self.index = index
-        self.query = query
-        # The query's float64 values and norm, as ``cosine_rows`` takes them.
-        self._values = query.values.astype(np.float64)
-        self._norm = float(np.linalg.norm(self._values))
-        # Best question cosine by centroid slot, and state rows by (node,
+        # Integer counts and squared norm, for the question rows' products.
+        self._counts = text_counts(query_text, index.embedder).astype(np.int64)
+        self._sqnorm = int(self._counts @ self._counts)
+        values = self._counts.astype(np.float64)
+        # Best question ψ by centroid slot, and state rows by (node,
         # in-edge), as traversal meets an edge or a state again and again.
         self._question_sims: dict[int, float] = {}
         self._states: dict[tuple, np.ndarray] = {}
-        by_row = cosine_rows(query, index.instructions, index.instruction_norms)
+        by_row = _psi(index.instructions @ values, self._sqnorm, index.instruction_sqnorms)
         centroids = index.centroids
         # Centroid cosines in slot order.
         self.centroids = cosine_rows(
-            query, centroids["values"], centroids["norms"], centroids["valid"]
+            EmbeddingVector(unit_rows(values), valid=self._sqnorm > 0),
+            centroids["values"], centroids["norms"], centroids["valid"],
         )[index.centroid_rows]
-        # Instruction cosines in node_rows order; every node has a row.
+        # Instruction ψ in node_rows order; every node has a row.
         self.by_node_row = by_row[index.node_rows]
         self.node_affinity = (
             np.maximum.reduceat(self.by_node_row, index.node_ptr[:-1])
@@ -708,7 +683,7 @@ class QueryScores:
         )
 
     def affinity(self, node_id: int) -> float:
-        """Best instruction cosine at a node."""
+        """Best instruction ψ at a node."""
         return float(self.node_affinity[self.index.node_pos[node_id]])
 
     def edge_score(self, edge: EdgeSet) -> float:
@@ -737,29 +712,25 @@ class QueryScores:
         return float(self.centroids[best]), question_sim
 
     def _best_question(self, rows: np.ndarray) -> float:
-        """``cosine_rows(query, dense(rows), norms, valid).max()`` over some
-        question rows, bit for bit: one ``np.vecdot``, then ``cosine``'s
-        rules on each row's Python floats. A centroid has one question row
-        or a few, so this skips numpy's per-call cost, not arithmetic. No
-        stored embedding holds a NaN, so Python's ``max`` agrees with
-        numpy's."""
-        if not self.query.valid:
-            return 0.0
-        questions = self.index.questions
-        dense = self.index.dense(rows)
-        sims = []
-        for i, (dot, norm, valid) in enumerate(zip(
-            np.vecdot(dense, self._values).tolist(),
-            questions["norm"][rows].tolist(),
-            questions["valid"][rows].tolist(),
-        )):
-            denom = self._norm * norm
-            sim = min(max(dot / denom, -1.0), 1.0) if denom != 0.0 else 0.0
-            # An identical array scores exactly 1.0, as in ``cosine_rows``.
-            if (sim >= 1.0 - 1e-9 or denom == 0.0) and np.array_equal(dense[i], self._values):
-                sim = 1.0
-            sims.append(sim if valid else 0.0)
-        return max(sims)
+        """The largest ψ of the query with the given question rows. Their
+        dot products are sums of integer products over the rows' entries,
+        exact in any order."""
+        questions, store = self.index.questions, self.index.entries
+        positions, counts = store["position"], store["count"]
+        if len(rows) == 1:
+            # The common case of a visited centroid: its entries are one
+            # slice, scored on numpy scalars.
+            row = rows[0]
+            entries = slice(questions["start"][row], questions["end"][row])
+            dot = self._counts[positions[entries]] @ counts[entries]
+            return float(_psi(dot, self._sqnorm, questions["sqnorm"][row]))
+        entries, sizes = self.index.gather(rows)
+        products = self._counts[positions[entries]] * counts[entries]
+        # ``reduceat`` gives a row without entries the next row's first
+        # product (a trailing one, the appended 0); such a row is zeroed.
+        dots = np.add.reduceat(np.append(products, 0), np.cumsum(sizes) - sizes)
+        dots[sizes == 0] = 0
+        return float(_psi(dots, self._sqnorm, questions["sqnorm"][rows]).max())
 
     def state(self, node_id: int, in_edge: EdgeSet | None) -> np.ndarray:
         """The read-only policy state row of a node reached through
@@ -809,9 +780,7 @@ def knn_nearest(
     values = counts.astype(np.float64)
     if dots is None:
         dots = scan["counts"] @ values
-    # All-zero counts have dot products 0, and any other square root of a
-    # positive integer is at least 1.
-    psi = dots / np.maximum(np.sqrt((values @ values) * scan["sqnorms"]), 1.0)
+    psi = _psi(dots, values @ values, scan["sqnorms"])
     node_ids, texts = scan["nodes"], scan["texts"]
     if excluded is not None:
         psi[node_ids == excluded] = -np.inf
@@ -995,7 +964,7 @@ def graph_stats(graph: InstructionGraph) -> GraphStats:
     node_count = len(graph.nodes)
     instruction_count = graph.instruction_count()
     # Every task an edge lists, or one seen only on single-node paths, has a question.
-    tasks = {task for task, _ in graph.question_embeddings}
+    tasks = {task for task, _ in graph._questions["key"].tolist()}
     return GraphStats(
         node_count=node_count,
         edge_count=len(graph.edges),
@@ -1053,9 +1022,9 @@ def graphs_equal(a: InstructionGraph, b: InstructionGraph) -> bool:
 
 
 def load_graph(source: str | Path) -> InstructionGraph:
-    """The graph ``save_graph`` wrote to ``source``, with each
-    instruction's counts and each question's embedding derived from its
-    text under the file's embedder. A file of another layout, or with any
+    """The graph ``save_graph`` wrote to ``source``, with the counts of
+    each instruction and each question derived from its text under the
+    file's embedder. A file of another layout, or with any
     inconsistency, raises ``MalformedFileError``."""
     doc = read_versioned(source, GRAPH_KIND)
     if doc.get("layout") != GRAPH_LAYOUT:
@@ -1103,8 +1072,7 @@ def load_graph(source: str | Path) -> InstructionGraph:
         if len(set(keys)) < len(keys):
             task_id, question_id = next(key for key in keys if keys.count(key) > 1)
             raise MalformedFileError(f"{source}: question {task_id}/{question_id} appears twice")
-        graph._add_questions(keys, questions)
-        stored = graph.question_embeddings
+        graph._add_questions(keys, questions, embed_counts)
         for edge_doc in doc["edges"]:
             edge = EdgeSet(read_value(edge_doc, "from", int), read_value(edge_doc, "to", int))
             name = f"{source}: edge {edge.from_node}->{edge.to_node}"
@@ -1122,7 +1090,7 @@ def load_graph(source: str | Path) -> InstructionGraph:
                     repeated = next(q for q in question_ids if question_ids.count(q) > 1)
                     raise MalformedFileError(f"{name} lists question {task_id}/{repeated} twice")
                 for question_id in question_ids:
-                    if (task_id, question_id) not in stored:
+                    if graph._questions.find((task_id, question_id)) is None:
                         raise MalformedFileError(
                             f"{name} lists question {task_id}/{question_id}, which is not stored"
                         )

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import InstructionPath, TaskCorpus
-from .embedding import EmbeddingVector, embed_text
 from .embedding import cosine  # noqa: F401  bench/tracer.py wraps ragplan.policy.cosine
+from .embedding import embed_text  # noqa: F401  bench/tracer.py wraps ragplan.policy.embed_text
 from .errors import ConfigError, DataError, MalformedFileError, NotFoundError
 from .graph import EdgeSet, InstructionGraph, QueryScores
 from .serialize import (
@@ -138,7 +138,7 @@ class Candidate:
 
 def build_state(
     graph: InstructionGraph,
-    query: EmbeddingVector | QueryScores,
+    query: str | QueryScores,
     node_id: int,
     in_edge: EdgeSet | None,
 ) -> np.ndarray:
@@ -146,9 +146,9 @@ def build_state(
     question within the best task. Without an incoming edge the last two
     components are zero.
 
-    ``query`` is an embedding or, to score a query once for many states,
-    its ``QueryScores`` against the graph's index, which keeps each state
-    row it makes. The row is read-only.
+    ``query`` is a text or, to score a query once for many states, its
+    ``QueryScores`` against the graph's index, which keeps each state row
+    it makes. The row is read-only.
     """
     if node_id not in graph.nodes:
         raise NotFoundError(f"node {node_id} not in graph")
@@ -291,7 +291,7 @@ def traverse(
     # The weights do not change during a traversal: checked once here,
     # each visit checks only its state.
     _check_finite_params(params)
-    scores = QueryScores(graph.index(), embed_text(query_text, graph.embedder))
+    scores = QueryScores(graph.index(), query_text)
     hooks = [RULE_HOOKS[name] for name in config.rule_hooks]
     budget = {"left": config.max_nodes_visited}
     best_texts: dict[int, str] = {}
@@ -473,7 +473,7 @@ def make_warmstart_dataset(
         gold = question.gold_path
         if gold is None:
             continue
-        query = QueryScores(graph.index(), embed_text(question.text, graph.embedder))
+        query = QueryScores(graph.index(), question.text)
         sequence = _path_node_sequence(graph, gold)
         if sequence is None:
             continue

@@ -1,24 +1,19 @@
-"""A scalar reference for ``knn_nearest``: every stored (node, text) scored
-on its own, with Python-int dot products of the texts' counts and the same
-ψ expression. Tests build graphs with it in place of ``knn_nearest`` and
-compare them with the library's.
+"""A scalar reference for the graph's similarity of two texts, ψ of their
+counts, with Python-int dot products and the same ψ expression: the
+similarity ``knn_nearest`` ranks stored instructions by, and the one
+``QueryScores`` scores a query's instructions and questions by. Tests
+build graphs with ``knn_nearest_reference`` in place of ``knn_nearest``
+and compare them with the library's.
 """
 
 import math
 from contextlib import contextmanager
 from functools import lru_cache
 
-import numpy as np
-
 import ragplan.graph as graph_module
-from ragplan.embedding import EmbeddingVector, embed_counts, embed_text
+from ragplan.embedding import embed_counts, embed_text
 from ragplan.errors import NotFoundError
 from ragplan.graph import KnnHit
-
-
-def instruction_vector(text, embedder):
-    """The row ``QueryScores`` scores a stored instruction by: its counts."""
-    return EmbeddingVector(embed_counts(text, embedder).astype(np.float64))
 
 
 @lru_cache(maxsize=None)
@@ -31,7 +26,9 @@ def sparse_counts(text, embedder):
 
 
 def psi(text, other, embedder):
-    """ψ = (c·c′) / √(‖c‖²·‖c′‖²), 0 when either text has no feature."""
+    """ψ = (c·c′) / √(‖c‖²·‖c′‖²) of the counts of two texts, 0 when
+    either has no feature: a query against an instruction or a question,
+    or an instruction against another."""
     a, a_squared = sparse_counts(text, embedder)
     b, b_squared = sparse_counts(other, embedder)
     dot = sum(c * b.get(i, 0) for i, c in a.items())

@@ -149,6 +149,31 @@ def test_build_graph_empty_corpus_exits_zero(workspace, capsys):
     assert "nodes=0" in capsys.readouterr().out
 
 
+GOOD_RECORD = {
+    "task_id": "T1", "question_id": "q1", "question_text": "Which hue?", "answer": "amber",
+    "paths": [{"instructions": ["Search[amber]", "Lookup[hue]"], "success_metric": 1.0}],
+}
+
+
+@pytest.mark.parametrize("record", [
+    [1, 2],
+    dict(GOOD_RECORD, paths=[{"instructions": [1], "success_metric": 1.0}]),
+    dict(GOOD_RECORD, paths=[{"instructions": ["Search[amber]"], "success_metric": "high"}]),
+    dict(GOOD_RECORD, question_text=7),
+], ids=["list-record", "int-instruction", "str-metric", "int-question-text"])
+def test_corpus_line_of_the_wrong_type_is_data_error(workspace, capsys, record):
+    # Each field must have the type save_corpus_jsonl writes; a bad line
+    # exits 3 and names the file and the line, not a traceback.
+    root, config_path, _ = workspace
+    corpus = root / "typed.jsonl"
+    corpus.write_text(json.dumps(GOOD_RECORD) + "\n" + json.dumps(record) + "\n",
+                      encoding="utf-8")
+    code = main(["build-graph", str(corpus), "--config", str(config_path),
+                 "--out", str(root / "typed")])
+    assert code == 3
+    assert f"{corpus}:2: malformed record" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_config_error(workspace):
     root, _, gen_dir = workspace
     code = main([

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ragplan.corpus import InstructionPath, Question, TaskCorpus
-from ragplan.embedding import EmbedderConfig, embed_text
+from ragplan.embedding import EmbedderConfig, embed_counts, embed_text
 from ragplan.errors import MalformedFileError, NotFoundError, VersionMismatchError
 from ragplan.graph import (
     InstructionGraph,
@@ -411,19 +411,26 @@ class TestPersistence:
         doc["nodes"][1]["instructions"][0]["text"] = "?!"
         self.assert_rejected(dest, doc, re.escape("node 2 '?!' embeds to an invalid vector"))
 
-    def test_question_embeddings_are_their_texts(self, tmp_path):
-        # The file stores no embedding; each loaded question's is its
-        # text's, so a question whose text has no feature loads invalid.
+    def test_question_counts_are_their_texts(self, tmp_path):
+        # The file stores no embedding; each loaded question holds its
+        # text's counts, so a question whose text has no feature loads
+        # with no entry and a squared norm of 0.
         dest, doc = self.saved_doc(tmp_path)
         doc["questions"][0]["text"] = "?"
         dest.write_text(json.dumps(doc), encoding="utf-8")
-        loaded = load_graph(dest).question_embeddings
+        loaded = load_graph(dest)
+        questions, entries = loaded._questions, loaded._entries
         for entry in doc["questions"]:
-            vector = loaded[entry["task_id"], entry["question_id"]]
-            expected = embed_text(entry["text"], CFG)
-            assert vector.values.tobytes() == expected.values.tobytes()
-            assert vector.valid == expected.valid
-        assert not loaded["T1", "q1"].valid and loaded["T2", "q2"].valid
+            row = questions.find((entry["task_id"], entry["question_id"]))
+            start, end = questions["start"][row], questions["end"][row]
+            counts = np.zeros(CFG.dimension, dtype=np.int32)
+            counts[entries["position"][start:end]] = entries["count"][start:end]
+            expected = embed_counts(entry["text"], CFG)
+            assert counts.tobytes() == expected.tobytes()
+            assert end - start == np.count_nonzero(expected)
+            assert questions["sqnorm"][row] == int(expected.astype(np.int64) @ expected)
+        sqnorm = dict(zip(questions["key"].tolist(), questions["sqnorm"].tolist()))
+        assert sqnorm["T1", "q1"] == 0 and sqnorm["T2", "q2"] > 0
 
     @pytest.mark.parametrize("field, value", [
         ("delta", 1.5),

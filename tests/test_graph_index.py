@@ -2,10 +2,12 @@
 the lifetime and sharing rules of indexes and extended graphs.
 
 The reference functions below are the traversal as written before the
-index existed: every similarity is one scalar ``cosine`` call, with an
-instruction scored by its counts, task centroids are re-derived at every
-visit and edge lists are filtered from a full sort. The index must give the same candidates, node sequences,
-actions and forced flags, and the same states within 1e-12.
+index existed: every instruction and question similarity is one scalar
+ψ of the query's and the stored text's counts (``scan_reference.psi``),
+every centroid similarity one scalar ``cosine`` call, task centroids are
+re-derived at every visit and edge lists are filtered from a full sort.
+The index must give the same candidates, node sequences, actions and
+forced flags, and the same states within 1e-12.
 """
 
 import copy
@@ -23,12 +25,9 @@ from ragplan import embedding
 from ragplan.corpus import InstructionPath, Question, TaskCorpus, split_by_hint
 from ragplan.embedding import (
     EmbedderConfig,
-    EmbeddingVector,
     cosine,
-    cosine_rows,
     embed_counts,
     embed_text,
-    row_norms,
     task_centroid,
 )
 from ragplan.graph import (
@@ -60,7 +59,7 @@ from ragplan.policy import (
 from ragplan.world import demo_spec, gen_world
 
 from embed_reference import codes_reference
-from scan_reference import instruction_vector
+from scan_reference import psi
 
 STATE_ATOL = 1e-12
 OPERATORS = ["Search", "Lookup", "Check", "Fetch"]
@@ -78,44 +77,55 @@ def ref_in_edges(graph, node_id):
     return [edge for (_, dst), edge in sorted(graph.edges.items()) if dst == node_id]
 
 
+def question_texts(graph):
+    """The text of every stored question by (task id, question id), in
+    registration order."""
+    questions = graph._questions
+    return dict(zip(questions["key"].tolist(), questions["text"].tolist()))
+
+
 def ref_edge_task_centroids(graph, edge):
+    """(task id, centroid of the questions' embeddings, question texts)
+    of each task on ``edge``."""
+    stored = question_texts(graph)
     out = []
     for task_id in sorted(edge.tasks):
-        vectors = [
-            graph.question_embeddings[(task_id, question_id)]
+        texts = [
+            stored[(task_id, question_id)]
             for question_id in sorted(edge.tasks[task_id])
-            if (task_id, question_id) in graph.question_embeddings
+            if (task_id, question_id) in stored
         ]
-        if vectors:
-            out.append((task_id, task_centroid(vectors), vectors))
+        if texts:
+            vectors = [embed_text(text, graph.embedder) for text in texts]
+            out.append((task_id, task_centroid(vectors), texts))
     return out
 
 
-def ref_build_state(graph, query, node_id, in_edge):
+def ref_build_state(graph, query_text, node_id, in_edge):
     node = graph.nodes[node_id]
+    query = embed_text(query_text, graph.embedder)
     instruction_sim = max(
-        (cosine(query, instruction_vector(text, graph.embedder)) for text in node.instructions),
-        default=0.0,
+        (psi(query_text, text, graph.embedder) for text in node.instructions), default=0.0
     )
     task_sim = 0.0
     question_sim = 0.0
     if in_edge is not None:
         best_task = None
-        for task_id, centroid, vectors in ref_edge_task_centroids(graph, in_edge):
+        for task_id, centroid, texts in ref_edge_task_centroids(graph, in_edge):
             sim = cosine(query, centroid)
             if best_task is None or sim > task_sim:
-                best_task = (task_id, vectors)
+                best_task = (task_id, texts)
                 task_sim = sim
         if best_task is not None:
-            question_sim = max(cosine(query, vec) for vec in best_task[1])
+            question_sim = max(psi(query_text, text, graph.embedder) for text in best_task[1])
     return np.array([instruction_sim, task_sim, question_sim], dtype=np.float64)
 
 
-def ref_start_nodes(graph, query, k):
+def ref_start_nodes(graph, query_text, k):
     scored = []
     for node_id, node in sorted(graph.nodes.items()):
         for text in sorted(node.instructions):
-            sim = cosine(query, instruction_vector(text, graph.embedder))
+            sim = psi(query_text, text, graph.embedder)
             scored.append((-sim, node_id, text))
     scored.sort()
     starts = []
@@ -127,21 +137,21 @@ def ref_start_nodes(graph, query, k):
     return starts
 
 
-def ref_edge_score(graph, edge, query):
+def ref_edge_score(graph, edge, query_text):
+    query = embed_text(query_text, graph.embedder)
     scores = [cosine(query, c) for _, c, _ in ref_edge_task_centroids(graph, edge)]
     return max(scores, default=0.0)
 
 
-def ref_node_affinity(graph, node_id, query):
+def ref_node_affinity(graph, node_id, query_text):
     node = graph.nodes[node_id]
-    return max(cosine(query, instruction_vector(text, graph.embedder)) for text in node.instructions)
+    return max(psi(query_text, text, graph.embedder) for text in node.instructions)
 
 
-def ref_best_instruction(graph, node_id, query):
+def ref_best_instruction(graph, node_id, query_text):
     node = graph.nodes[node_id]
     return min(
-        node.instructions,
-        key=lambda text: (-cosine(query, instruction_vector(text, graph.embedder)), text),
+        node.instructions, key=lambda text: (-psi(query_text, text, graph.embedder), text)
     )
 
 
@@ -163,7 +173,6 @@ def ref_path_node_sequence(graph, path):
 
 
 def ref_traverse(graph, query_text, params, config, mode="greedy", rng=None):
-    query = embed_text(query_text, graph.embedder)
     hooks = [RULE_HOOKS[name] for name in config.rule_hooks]
     budget = {"left": config.max_nodes_visited}
 
@@ -182,8 +191,8 @@ def ref_traverse(graph, query_text, params, config, mode="greedy", rng=None):
             if budget["left"] <= 0:
                 return
             budget["left"] -= 1
-            state = ref_build_state(graph, query, node_id, in_edge)
-            best_text = ref_best_instruction(graph, node_id, query)
+            state = ref_build_state(graph, query_text, node_id, in_edge)
+            best_text = ref_best_instruction(graph, node_id, query_text)
             forced = any(not hook(best_text, path_texts) for hook in hooks)
             if forced:
                 action, log_prob = EXCLUDE, 0.0
@@ -213,8 +222,8 @@ def ref_traverse(graph, query_text, params, config, mode="greedy", rng=None):
             ]
             neighbors.sort(
                 key=lambda edge: (
-                    -ref_node_affinity(graph, edge.to_node, query),
-                    -ref_edge_score(graph, edge, query),
+                    -ref_node_affinity(graph, edge.to_node, query_text),
+                    -ref_edge_score(graph, edge, query_text),
                     edge.to_node,
                 )
             )
@@ -240,7 +249,7 @@ def ref_traverse(graph, query_text, params, config, mode="greedy", rng=None):
         yield from visit(start, None)
 
     candidates, seen = [], set()
-    active = deque(start_walks(s) for s in ref_start_nodes(graph, query, config.k))
+    active = deque(start_walks(s) for s in ref_start_nodes(graph, query_text, config.k))
     while active and len(candidates) < config.k and budget["left"] >= 0:
         walker = active.popleft()
         try:
@@ -295,7 +304,7 @@ def queries_for(graph, seed):
         texts[int(rng.integers(len(texts)))],  # exactly a stored instruction
         f"question {int(rng.integers(12))} on {' '.join(rng.choice(WORDS, 2))}",
         " ".join(rng.choice(WORDS, 3)),
-        "",  # embeds to an invalid vector
+        "",  # has no feature: all-zero counts
     ]
 
 
@@ -362,12 +371,11 @@ def test_traversal_matches_scalar_reference_on_demo_world():
 def test_every_state_matches_scalar_reference(seed):
     graph = random_graph(seed)
     for query_text in queries_for(graph, seed):
-        query = embed_text(query_text, graph.embedder)
         for node_id in graph.nodes:
             for in_edge in [None] + ref_in_edges(graph, node_id):
                 np.testing.assert_allclose(
-                    build_state(graph, query, node_id, in_edge),
-                    ref_build_state(graph, query, node_id, in_edge),
+                    build_state(graph, query_text, node_id, in_edge),
+                    ref_build_state(graph, query_text, node_id, in_edge),
                     rtol=0.0,
                     atol=STATE_ATOL,
                 )
@@ -405,84 +413,69 @@ def float_bytes(value):
     return np.float64(value).tobytes()
 
 
-def assert_best_questions_are_scalar_cosines(graph, queries):
-    """``QueryScores._best_question`` of every centroid slot against
-    ``max(cosine(query, vec))`` over the slot's question vectors, and
-    against ``cosine_rows(...).max()``, bit for bit; and each row of a
-    multi-row ``dense`` against the one-row ``dense`` of that row. Returns
-    the question row count of every slot and the number of (query, slot)
-    pairs where a valid question is identical to a valid query."""
+def assert_best_questions_are_exact(graph, queries):
+    """``QueryScores._best_question`` of every centroid slot, for every
+    query text, against the largest scalar ψ of the query with the slot's
+    question texts, bit for bit. Returns the question row count of every
+    slot and the number of (query, slot) pairs that score exactly 1.0."""
     index = graph.index()
-    questions = index.questions
     slots = []
     for pos, edge in enumerate(index.edges):
         start, stop = index.centroid_ptr[pos], index.centroid_ptr[pos + 1]
         reference = ref_edge_task_centroids(graph, edge)
         assert [task_id for task_id, _, _ in reference] == list(index.centroid_tasks[start:stop])
-        for slot, (_, _, vectors) in zip(range(start, stop), reference):
+        for slot, (_, _, texts) in zip(range(start, stop), reference):
             rows = index.question_rows[index.question_ptr[slot]:index.question_ptr[slot + 1]]
-            gathered = index.dense(rows)
-            for i in range(len(rows)):
-                assert index.dense(rows[i:i + 1]).tobytes() == gathered[i].tobytes()
-            slots.append((rows, vectors))
-    identical = 0
-    for query in queries:
-        scores = QueryScores(index, query)
-        for rows, vectors in slots:
+            assert index.questions["text"][rows].tolist() == texts
+            slots.append((rows, texts))
+    exact = 0
+    for query_text in queries:
+        scores = QueryScores(index, query_text)
+        for rows, texts in slots:
             got = scores._best_question(rows)
             assert type(got) is float
-            want = max(cosine(query, vec) for vec in vectors)
+            want = max(psi(query_text, text, graph.embedder) for text in texts)
             assert float_bytes(got) == float_bytes(want)
-            dense = cosine_rows(
-                query, index.dense(rows), questions["norm"][rows], questions["valid"][rows]
-            )
-            assert float_bytes(got) == float_bytes(dense.max())
-            identical += any(
-                vec.valid and query.valid and np.array_equal(vec.values, query.values)
-                for vec in vectors
-            )
-    return [len(rows) for rows, _ in slots], identical
+            exact += got == 1.0
+    return [len(rows) for rows, _ in slots], exact
 
 
 def oracle_queries(graph, texts):
-    """Query vectors: the given texts, every third stored question's own
-    vector (identical arrays score exactly 1.0), and an invalid vector
-    that holds nonzero values (an invalid query scores 0 whatever its
-    values)."""
-    stored = list(graph.question_embeddings.values())
-    valid = [vec for vec in stored if vec.valid]
-    return [
-        *(embed_text(text, graph.embedder) for text in texts),
-        *stored[::3],
-        EmbeddingVector(valid[0].values, valid=False),
-    ]
+    """Query texts: the given texts, every third stored question's own
+    text (which scores exactly 1.0 unless it has no feature), and a text
+    with no feature, whose all-zero counts score 0 against every
+    question."""
+    return [*texts, *graph._questions["text"][::3].tolist(), "?!"]
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_best_question_is_the_scalar_cosine_maximum_bit_for_bit(seed):
+def test_best_question_is_the_exact_psi_maximum_bit_for_bit(seed):
     graph = random_graph(seed)
-    sizes, identical = assert_best_questions_are_scalar_cosines(
+    sizes, exact = assert_best_questions_are_exact(
         graph, oracle_queries(graph, queries_for(graph, seed))
     )
-    assert 1 in sizes and identical
+    assert 1 in sizes and exact
 
 
-def test_best_question_scores_a_question_flagged_invalid_zero():
-    # A question whose text has no feature embeds to an invalid zero
-    # vector; it scores 0 even against a valid zero query, which is
-    # identical to it.
+def test_best_question_scores_a_question_without_features_zero():
+    # A question whose text has no feature has all-zero counts and no
+    # entry; it scores 0 against every query, a query without features
+    # included, even in a slot of several rows.
     graph = random_graph(3)
     index = graph.index()
     for i, edge in enumerate(index.edges[::2]):
         insert_path(graph, InstructionPath(edge_texts(index, edge), "T_blank", f"b{i}", 1.0),
                     question_text="?!")
-    flagged = [vec for vec in graph.question_embeddings.values() if not vec.valid]
-    assert flagged and not any(np.any(vec.values) for vec in flagged)
+        insert_path(graph, InstructionPath(edge_texts(index, edge), "T_blank", f"c{i}", 1.0),
+                    question_text="amber birch question")
+    blank = graph._questions["sqnorm"] == 0
+    assert blank.any()
+    assert (graph._questions["start"] == graph._questions["end"])[blank].all()
     assert any("T_blank" in edge.tasks for edge in graph.edges.values())
-    queries = oracle_queries(graph, ["amber birch grove"])
-    assert_best_questions_are_scalar_cosines(
-        graph, queries + [EmbeddingVector(flagged[0].values, valid=True)]
+    sizes, exact = assert_best_questions_are_exact(
+        graph, oracle_queries(graph, ["amber birch grove", ""])
     )
+    assert max(sizes) > 1 and exact
 
 
 def test_best_question_bit_for_bit_across_benchmark_writes():
@@ -498,8 +491,34 @@ def test_best_question_bit_for_bit_across_benchmark_writes():
         graph = extend_graph(graph, batch)
         read_patched(graph)
         texts = [next(reads)[0] for _ in range(3)] + [""]
-        sizes += assert_best_questions_are_scalar_cosines(graph, oracle_queries(graph, texts))[0]
+        sizes += assert_best_questions_are_exact(graph, oracle_queries(graph, texts))[0]
     assert 1 in sizes and max(sizes) >= 3
+
+
+@pytest.mark.parametrize("dimension", [256, 1024])
+def test_a_stored_text_as_the_query_scores_exactly_one(dimension):
+    # Query an instruction's text verbatim: its node's affinity is 1.0.
+    # Query a question's text verbatim: the question similarity of a
+    # state reached through an edge of that question's task alone is 1.0.
+    inputs = bench_inputs()
+    graph = build_graph(inputs.random_corpus(1, 1000), 0.4, EmbedderConfig(dimension=dimension))
+    index = graph.index()
+    for text in sorted(index.text_nodes)[:300]:
+        scores = QueryScores(index, text)
+        for node_id in index.text_nodes[text]:
+            assert scores.affinity(node_id) == 1.0, text
+    only_task = {}
+    for edge in index.edges:
+        if len(edge.tasks) == 1:
+            only_task.setdefault(next(iter(edge.tasks)), []).append(edge)
+    checked = 0
+    for (task_id, question_id), text in islice(question_texts(graph).items(), 300):
+        edges = [e for e in only_task.get(task_id, []) if question_id in e.tasks[task_id]]
+        scores = QueryScores(index, text)
+        for edge in edges:
+            assert scores.state(edge.to_node, edge)[2] == 1.0, text
+        checked += len(edges)
+    assert checked >= 100
 
 
 def test_warmstart_states_match_scalar_reference():
@@ -509,10 +528,9 @@ def test_warmstart_states_match_scalar_reference():
     for example in make_warmstart_dataset(graph, support, samples_per_question=6, rng_seed=3):
         question = next(q for q in support.questions(example.task_id)
                         if q.question_id == example.question_id)
-        query = embed_text(question.text, graph.embedder)
         in_edges = [None] + ref_in_edges(graph, example.node_id)
         assert any(
-            np.allclose(example.state, ref_build_state(graph, query, example.node_id, e),
+            np.allclose(example.state, ref_build_state(graph, question.text, example.node_id, e),
                         rtol=0.0, atol=STATE_ATOL)
             for e in in_edges
         )
@@ -595,22 +613,21 @@ def assert_scan_rows_match(graph):
 
 
 def assert_question_rows_match(graph):
-    """Every question row holds the embedding of its stored text, bit for
-    bit: an entry for each nonzero value, its validity and its norm."""
+    """Every question row holds the counts of its stored text: an entry
+    for each nonzero count, and their squared norm."""
     questions, entries = graph._questions, graph._entries
     keys = questions["key"].tolist()
-    assert len(set(keys)) == len(keys) == len(graph.question_embeddings)
-    for start, end, valid, norm, text in zip(
-        questions["start"].tolist(), questions["end"].tolist(), questions["valid"].tolist(),
-        questions["norm"].tolist(), questions["text"].tolist(),
+    assert len(set(keys)) == len(keys) == questions.count
+    for start, end, sqnorm, text in zip(
+        questions["start"].tolist(), questions["end"].tolist(), questions["sqnorm"].tolist(),
+        questions["text"].tolist(),
     ):
-        expected = embed_text(text, graph.embedder)
-        values = np.zeros(graph.embedder.dimension, dtype=np.float32)
-        values[entries["position"][start:end]] = entries["value"][start:end]
-        assert values.tobytes() == expected.values.tobytes()
-        assert end - start == np.count_nonzero(expected.values)
-        assert valid is expected.valid
-        assert float_bytes(norm) == float_bytes(np.linalg.norm(values.astype(np.float64)))
+        expected = embed_counts(text, graph.embedder)
+        counts = np.zeros(graph.embedder.dimension, dtype=np.int32)
+        counts[entries["position"][start:end]] = entries["count"][start:end]
+        assert counts.tobytes() == expected.tobytes()
+        assert end - start == np.count_nonzero(expected)
+        assert sqnorm == int(expected.astype(np.int64) @ expected)
 
 
 def stored_rows(graph):
@@ -624,11 +641,11 @@ def stored_rows(graph):
         )
     }
     stored = {
-        key: (text, valid, float_bytes(norm), entries["position"][start:end].tobytes(),
-              entries["value"][start:end].tobytes())
-        for key, text, valid, norm, start, end in zip(
-            questions["key"].tolist(), questions["text"].tolist(), questions["valid"].tolist(),
-            questions["norm"].tolist(), questions["start"].tolist(), questions["end"].tolist(),
+        key: (text, sqnorm, entries["position"][start:end].tobytes(),
+              entries["count"][start:end].tobytes())
+        for key, text, sqnorm, start, end in zip(
+            questions["key"].tolist(), questions["text"].tolist(), questions["sqnorm"].tolist(),
+            questions["start"].tolist(), questions["end"].tolist(),
         )
     }
     return instructions, stored
@@ -1028,7 +1045,7 @@ def test_sibling_copies_each_see_only_their_own_rows(store):
     parent = random_graph(12)
     parent.index()
     snapshot = copy.deepcopy(parent)
-    before = list(parent.question_embeddings)
+    before = parent._questions["key"].tolist()
     rows, capacity = columns_of(getattr(parent, store)), capacity_of(getattr(parent, store))
     batches = [random_corpus(1200 + i, f"s{i}-") for i in range(3)] + [TaskCorpus()]
     for j in range(16):
@@ -1037,12 +1054,10 @@ def test_sibling_copies_each_see_only_their_own_rows(store):
     children = [extend_graph(parent, batch) for batch in batches]
     for child, batch in zip(children, batches):
         written = [(q.task_id, q.question_id) for q in batch.iter_questions()]
-        assert list(child.question_embeddings) == before + written
+        stored = question_texts(child)
+        assert list(stored) == before + written
         for question in batch.iter_questions():
-            stored = child.question_embeddings[(question.task_id, question.question_id)]
-            expected = embed_text(question.text, child.embedder)
-            assert stored.valid == expected.valid
-            assert np.array_equal(stored.values, expected.values)
+            assert stored[(question.task_id, question.question_id)] == question.text
         assert graphs_equal(child, deepcopy_extend(snapshot, batch))
         assert_scan_rows_match(child)
         assert_question_rows_match(child)
@@ -1055,17 +1070,19 @@ def test_sibling_copies_each_see_only_their_own_rows(store):
     assert getattr(children[-1], store).count > capacity
 
 
-def test_stored_question_norms_are_row_norms_of_the_rebuilt_rows():
-    # ``best_task`` divides by the stored norms instead of taking the
-    # norms of the block it gathers; both must agree bit for bit.
+def test_dense_question_rows_are_the_embeddings_of_their_texts():
+    # Centroid sums add the rows ``dense`` rebuilds from the counts: each
+    # must be its question text's float32 embedding, gathered alone or
+    # with every other row.
     graph, query = demo_graph()
     graph = extend_graph(graph, query)
     index = graph.index()
     rows = np.arange(graph._questions.count)
-    assert graph._questions["norm"].tobytes() == row_norms(index.dense(rows)).tobytes()
-    for row, vector in zip(rows, graph.question_embeddings.values()):
-        assert index.dense(rows[row:row + 1])[0].tobytes() == (
-            vector.values.astype(np.float64).tobytes())
+    gathered = index.dense(rows)
+    for row, text in zip(rows, graph._questions["text"].tolist()):
+        expected = embed_text(text, graph.embedder).values.astype(np.float64).tobytes()
+        assert gathered[row].tobytes() == expected
+        assert index.dense(rows[row:row + 1])[0].tobytes() == expected
 
 
 def test_question_store_keeps_at_most_400_bytes_per_question():

@@ -25,6 +25,8 @@ from ragplan.policy import (
     traverse,
 )
 
+from scan_reference import psi
+
 CFG = EmbedderConfig()
 
 
@@ -283,27 +285,27 @@ class TestBuildState:
             InstructionPath(("Search[alpha crane]", "Lookup[hue]"), "T1", "q1", 1.0),
             question_text="What is the hue of alpha crane?",
         )
-        query = embed_text("What is the hue of alpha crane?", CFG)
-        state = build_state(graph, embed_text("Lookup[hue]", CFG), 2, graph.edges[(1, 2)])
-        assert state[0] == pytest.approx(1.0)
-        state_q = build_state(graph, query, 2, graph.edges[(1, 2)])
+        state = build_state(graph, "Lookup[hue]", 2, graph.edges[(1, 2)])
+        assert state[0] == 1.0
+        state_q = build_state(graph, "What is the hue of alpha crane?", 2, graph.edges[(1, 2)])
         assert state_q[1] == pytest.approx(1.0)
-        assert state_q[2] == pytest.approx(1.0)
+        assert state_q[2] == 1.0
 
     def test_missing_in_edge_zeroes_task_components(self):
         graph = InstructionGraph(delta=0.4, embedder=CFG)
         insert_path(
             graph, InstructionPath(("Search[alpha crane]",), "T1", "q1", 1.0), "question q1"
         )
-        state = build_state(graph, embed_text("Search[alpha crane]", CFG), 1, None)
-        assert state[0] == pytest.approx(1.0)
+        state = build_state(graph, "Search[alpha crane]", 1, None)
+        assert state[0] == 1.0
         assert state[1] == 0.0
         assert state[2] == 0.0
 
     def test_hand_computed_components(self):
         # Graph with 2 instructions in the visited node, an edge holding
-        # 2 tasks of 2 questions each; components re-derived by hand from
-        # the same cosine calls.
+        # 2 tasks of 2 questions each; components re-derived by hand: the
+        # instruction and question components as the scalar ψ of counts,
+        # the task component as the cosine with the task centroid.
         graph = InstructionGraph(delta=0.4, embedder=CFG)
         insert_path(
             graph,
@@ -327,25 +329,24 @@ class TestBuildState:
         )
         from ragplan.embedding import cosine, task_centroid
 
-        query = embed_text("What is the era of amber fox?", CFG)
+        query_text = "What is the era of amber fox?"
+        query = embed_text(query_text, CFG)
+        texts = {"qa": query_text, "qb": "Tell me the era of amber fox.",
+                 "qc": "What is the tone of amber fox?", "qd": "Tell me the tone of amber fox."}
         edge = graph.edges[(1, 2)]
         node = graph.nodes[2]
-        expected_c1 = max(
-            cosine(query, embed_text(text, CFG)) for text in node.instructions
-        )
-        best_task, best_sim, best_vectors = None, -2.0, None
+        expected_c1 = max(psi(query_text, text, CFG) for text in node.instructions)
+        best_task, best_sim, best_texts = None, -2.0, None
         for task_id in sorted(edge.tasks):
-            vectors = [
-                graph.question_embeddings[(task_id, qid)] for qid in sorted(edge.tasks[task_id])
-            ]
-            sim = cosine(query, task_centroid(vectors))
+            questions = [texts[qid] for qid in sorted(edge.tasks[task_id])]
+            sim = cosine(query, task_centroid([embed_text(text, CFG) for text in questions]))
             if sim > best_sim:
-                best_task, best_sim, best_vectors = task_id, sim, vectors
-        expected_c3 = max(cosine(query, vec) for vec in best_vectors)
-        state = build_state(graph, query, 2, edge)
-        assert state[0] == pytest.approx(expected_c1)
-        assert state[1] == pytest.approx(best_sim)
-        assert state[2] == pytest.approx(expected_c3)
+                best_task, best_sim, best_texts = task_id, sim, questions
+        expected_c3 = max(psi(query_text, text, CFG) for text in best_texts)
+        state = build_state(graph, query_text, 2, edge)
+        assert state[0] == expected_c1
+        assert state[1] == best_sim
+        assert state[2] == expected_c3 == 1.0
         assert best_task == "T1"
 
 

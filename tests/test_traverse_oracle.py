@@ -15,7 +15,6 @@ import pytest
 
 import ragplan.policy as policy_module
 import traverse_reference
-from ragplan.embedding import embed_text
 from ragplan.graph import GraphIndex, QueryScores
 from ragplan.policy import build_state, traverse
 from test_graph_index import demo_graph, policies, queries_for, random_graph
@@ -94,7 +93,7 @@ def test_each_node_orders_its_out_edges_once_per_traversal(monkeypatch):
 def test_state_rows_are_kept_and_read_only():
     graph, query = demo_graph()
     question = next(iter(query.iter_questions()))
-    scores = QueryScores(graph.index(), embed_text(question.text, graph.embedder))
+    scores = QueryScores(graph.index(), question.text)
     edge = next(iter(graph.edges.values()))
     row = build_state(graph, scores, edge.to_node, edge)
     assert build_state(graph, scores, edge.to_node, edge) is row

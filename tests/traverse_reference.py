@@ -12,7 +12,6 @@ from collections import deque
 import numpy as np
 
 from ragplan.corpus import InstructionPath
-from ragplan.embedding import embed_text
 from ragplan.errors import ConfigError, NotFoundError
 from ragplan.graph import EdgeSet, InstructionGraph, QueryScores
 from ragplan.policy import (
@@ -65,7 +64,7 @@ def reference_traverse(
     # The weights do not change during a traversal: checked once here,
     # each visit checks only its state.
     _check_finite_params(params)
-    scores = QueryScores(graph.index(), embed_text(query_text, graph.embedder))
+    scores = QueryScores(graph.index(), query_text)
     hooks = [RULE_HOOKS[name] for name in config.rule_hooks]
     budget = {"left": config.max_nodes_visited}
 
