@@ -4,7 +4,7 @@ selection for planner prompting."""
 __version__ = "0.1.0"
 
 from .corpus import InstructionPath, MetricKind, Question, TaskCorpus, score
-from .embedding import EmbedderConfig, EmbeddingVector, cosine, embed_text, task_centroid
+from .embedding import EmbedderConfig, EmbeddingVector, cosine, embed_text
 from .graph import (
     InstructionGraph,
     build_graph,
@@ -47,6 +47,5 @@ __all__ = [
     "save_graph",
     "score",
     "select_path",
-    "task_centroid",
     "traverse",
 ]

@@ -255,8 +255,10 @@ def save_corpus_jsonl(corpus: TaskCorpus, destination: str | Path) -> None:
 
 def load_corpus_jsonl(source: str | Path) -> TaskCorpus:
     """The corpus ``save_corpus_jsonl`` wrote to ``source``; a line that is
-    not such a record raises ``MalformedFileError`` naming file and line."""
+    not such a record, or that repeats an earlier line's (task id,
+    question id), raises ``MalformedFileError`` naming file and lines."""
     corpus = TaskCorpus()
+    lines_of: dict[tuple[str, str], int] = {}
     try:
         lines = Path(source).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -269,11 +271,18 @@ def load_corpus_jsonl(source: str | Path) -> TaskCorpus:
         except json.JSONDecodeError as exc:
             raise MalformedFileError(f"{source}:{lineno}: invalid JSON: {exc}") from exc
         try:
-            corpus.add(_read_question(record))
+            question = _read_question(record)
         except KeyError as exc:
             raise MalformedFileError(f"{source}:{lineno}: missing field {exc}") from exc
         except (ConfigError, DataError) as exc:  # a field of the wrong type is bad data
             raise MalformedFileError(f"{source}:{lineno}: malformed record: {exc}") from exc
+        first = lines_of.setdefault((question.task_id, question.question_id), lineno)
+        if first != lineno:
+            raise MalformedFileError(
+                f"{source}:{lineno}: question {question.task_id}/{question.question_id} "
+                f"repeats line {first}"
+            )
+        corpus.add(question)
     return corpus
 
 

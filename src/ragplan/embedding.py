@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .corpus import PATH_SEPARATOR
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 from .serialize import read_value
 
 _WORD_RE = re.compile(r"[0-9a-z]+")
@@ -251,9 +251,9 @@ def embed_text(text: str, config: EmbedderConfig) -> EmbeddingVector:
 def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     """Cosine similarity in [-1, 1]; 0 whenever either vector is invalid.
 
-    Inputs need not be unit norm (task centroids are plain means); the
-    magnitudes are divided out here. Identical arrays compare as exactly
-    1.0 so that threshold tests at delta = 1.0 behave.
+    Inputs need not be unit norm; the magnitudes are divided out here.
+    Identical arrays compare as exactly 1.0 so that threshold tests at
+    delta = 1.0 behave.
     """
     if a.dimension != b.dimension:
         raise ConfigError(
@@ -325,14 +325,3 @@ def cosine_rows(
         sims[~valid] = 0.0
     return sims
 
-
-def task_centroid(questions: list[EmbeddingVector]) -> EmbeddingVector:
-    """Arithmetic mean of the given vectors, not re-normalized."""
-    if not questions:
-        raise DataError("task_centroid of an empty question list")
-    dim = questions[0].dimension
-    for vec in questions:
-        if vec.dimension != dim:
-            raise ConfigError("task_centroid over mixed dimensions")
-    mean = np.mean([q.values.astype(np.float64) for q in questions], axis=0)
-    return EmbeddingVector(mean.astype(np.float32), valid=any(q.valid for q in questions))

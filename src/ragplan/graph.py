@@ -20,16 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import InstructionPath, TaskCorpus
-from .embedding import (
-    EmbedderConfig,
-    EmbeddingVector,
-    block_rows,
-    cosine_rows,
-    embed_counts,
-    row_norms,
-    text_counts,
-    unit_rows,
-)
+from .embedding import EmbedderConfig, embed_counts, text_counts, unit_rows
 from .embedding import cosine  # noqa: F401  bench/tracer.py wraps ragplan.graph.cosine
 from .embedding import embed_text  # noqa: F401  bench/tracer.py wraps ragplan.graph.embed_text
 from .errors import ConfigError, DataError, MalformedFileError, NotFoundError
@@ -344,14 +335,15 @@ class GraphIndex:
     * Questions: the handles on the graph's question rows (``questions``)
       and their entry rows of counts (``entries``).
     * Centroids: a store of one row per (edge, task) pair (``centroids``):
-      its float32 ``values``, equal to ``task_centroid`` over the task's
-      questions in id order, the ``norms`` of their float64 values, the
-      float64 ``sums`` they divide and the ``valid`` flags. Traversal
-      reads them by slot, one per pair in edge order and by task within
-      an edge: ``centroid_ptr`` delimits an edge's slots, and each slot
-      has its pair's row (``centroid_rows``), its task
-      (``centroid_tasks``) and its question rows (``question_ptr`` /
-      ``question_rows``).
+      the integer ``counts`` of the task's questions summed, as float64,
+      and their squared norm (``sqnorm``). Feature hashing is linear, so
+      the sum is the counts of the questions taken as one bag of features,
+      scored by ψ as an instruction row is. Traversal reads them by slot,
+      one per pair in edge order and by task within an edge:
+      ``centroid_ptr`` delimits an edge's slots, and each slot has its
+      pair's row (``centroid_rows``), its task (``centroid_tasks``) and its
+      question rows in ascending row order, the order the graph registered
+      them (``question_ptr`` / ``question_rows``).
     * Adjacency: edges in (from, to) order with their ``sources`` and
       ``targets``, CSR by source node (``out_ptr``) and by target node
       (``in_order``, ``in_ptr``).
@@ -361,18 +353,19 @@ class GraphIndex:
     A graph only grows: node ids, instruction rows and questions are only
     appended. So a patch keeps every part of the base that the writes
     since left alone and recomputes only the centroids of the (edge, task)
-    pairs written, mostly by adding the new questions to the base's sums.
+    pairs written, by adding the new questions' counts to the base's row.
     A pair keeps its centroid row for its whole life: a patch rewrites
     the row of a pair written in place, appends a row for a new pair and
-    rebuilds only the slot arrays, so no row ever moves. In slot order
-    the patched index equals the index compiled from scratch bit for
-    bit, and a compile numbers the rows in slot order.
+    rebuilds only the slot arrays, so no row ever moves. Sums of integer
+    counts are exact in float64 in any order below 2⁵³ (the largest
+    squared norm of an index-4k centroid after 400 writes is about 1e5),
+    so in slot order the patched index equals the index compiled from
+    scratch bit for bit, and a compile numbers the rows in slot order.
 
     It reads the graph's row stores up to the counts of the state it
     indexes, which later appends never change (see ``_Rows``). The only
-    rows it adds are the centroids, stored as float32 because
-    ``task_centroid`` rounds them to float32 anyway, and their sums. The
-    index holds no reference to its graph.
+    rows it adds are the centroids. The index holds no reference to its
+    graph.
     """
 
     def __init__(
@@ -412,10 +405,7 @@ class GraphIndex:
         empty.node_rows = empty.question_rows = empty.centroid_rows = np.zeros(0, dtype=np.intp)
         empty.node_ptr = empty.centroid_ptr = empty.question_ptr = np.zeros(1, dtype=np.intp)
         empty.centroid_tasks = np.zeros(0, dtype=object)
-        empty.centroids = _Rows.of(
-            values=(np.float32, dimension), sums=(np.float64, dimension), norms=np.float64,
-            valid=bool,
-        )
+        empty.centroids = _Rows.of(counts=(np.float64, dimension), sqnorm=np.float64)
         return empty
 
     def _add_rows(self, graph: InstructionGraph, base: "GraphIndex") -> None:
@@ -480,12 +470,11 @@ class GraphIndex:
         slots followed by the fresh ones.
 
         A fresh slot writes its pair's row: the base row of a pair the base
-        has, else a row appended to the store. It continues the sum in that
-        row when every new question id sorts after the row's last id: its
-        question rows are the base's followed by the new ones, and its sum
-        adds the new questions to the base's, in id order, as ``np.mean``
-        would add them. Any other fresh slot is summed from its first
-        question.
+        has, to which it adds the counts of the new questions, else a row
+        appended to the store, zeroed, to which it adds every question's.
+        Its question rows are the base's and the added ones, merged by one
+        sort. The counts of every fresh slot are added with one
+        ``np.bincount`` over the entries of its added questions.
         """
         questions = self.questions
         old_count = len(base.centroid_tasks)
@@ -494,7 +483,7 @@ class GraphIndex:
         old = order < len(base.sources)
         counts[old] = np.diff(base.centroid_ptr)[order[old]]
         starts[old] = base.centroid_ptr[order[old]]
-        fresh_tasks, dst, segments, fresh_sizes, added, patched = [], [], [], [], [], {}
+        fresh_tasks, dst, segments, added, patched = [], [], [], [], {}
         for key in sorted(touched):
             edge, pos, was = graph.edges[key], self.edge_pos[key], base.edge_pos.get(key)
             kept = {} if was is None else {
@@ -511,20 +500,13 @@ class GraphIndex:
                 fresh_tasks.append(task_id)
                 # -1 marks a new pair, which gets a row below.
                 dst.append(-1 if c is None else base.centroid_rows[c])
-                new_ids = sorted(touched[key][task_id])
-                prior = np.zeros(0, dtype=np.intp)
+                new_ids = edge.tasks[task_id] if c is None else touched[key][task_id]
+                rows = np.array([questions.find((task_id, q)) for q in new_ids], dtype=np.intp)
+                added.append(rows)
                 if c is not None:
-                    lo, hi = base.question_ptr[c], base.question_ptr[c + 1]
-                    if new_ids[0] > questions["key"][base.question_rows[hi - 1]][1]:
-                        prior = base.question_rows[lo:hi]
-                if not len(prior):
-                    new_ids = sorted(edge.tasks[task_id])
-                segments += [
-                    prior,
-                    np.array([questions.find((task_id, q)) for q in new_ids], dtype=np.intp),
-                ]
-                fresh_sizes.append(len(prior) + len(new_ids))
-                added.append(len(new_ids))
+                    prior = base.question_rows[base.question_ptr[c]:base.question_ptr[c + 1]]
+                    rows = np.concatenate([prior, rows])
+                segments.append(np.sort(rows))
             patched[pos] = slots
             counts[pos] = len(slots)
         self.centroid_ptr = np.concatenate([[0], np.cumsum(counts)])
@@ -542,7 +524,7 @@ class GraphIndex:
 
         # Question rows of every slot, gathered from the base's and the fresh lists.
         fresh_rows = np.concatenate([np.zeros(0, dtype=np.intp), *segments])
-        fresh_sizes = np.array(fresh_sizes, dtype=np.intp)
+        fresh_sizes = np.array([len(rows) for rows in segments], dtype=np.intp)
         fresh_ptr = np.concatenate([[0], np.cumsum(fresh_sizes)])
         sizes = np.concatenate([np.diff(base.question_ptr), fresh_sizes])[src]
         firsts = np.concatenate([base.question_ptr[:-1], len(base.question_rows) + fresh_ptr[:-1]])
@@ -551,62 +533,19 @@ class GraphIndex:
         self.question_rows = np.concatenate([base.question_rows, fresh_rows])[
             gather + np.arange(self.question_ptr[-1])
         ]
-        if len(dst):
-            self.centroids["valid"][dst] = np.logical_or.reduceat(
-                questions["sqnorm"][fresh_rows] > 0, fresh_ptr[:-1]
-            )
-        self._fill_centroids(dst, fresh_ptr, fresh_rows, np.array(added, dtype=np.intp))
 
-    def _fill_centroids(
-        self, dst: np.ndarray, ptr: np.ndarray, rows: np.ndarray, added: np.ndarray
-    ) -> None:
-        """Write ``task_centroid`` of each group ``rows[ptr[i]:ptr[i + 1]]``
-        of question rows to centroid row ``dst[i]``, bit for bit, with the
-        norm of its float64 values and the float64 sum it divides.
-
-        As in ``task_centroid``'s ``np.mean``, each float64 sum adds the
-        questions in order and is divided by the count before rounding to
-        float32. Only the last ``added[i]`` questions of a group are added:
-        to the sum row ``dst[i]`` holds, that of the others, where the
-        group has fewer questions than that, else to the first question.
-        Sums are taken for a block of centroids at a time, adding the j-th
-        questions of the block in one step, so no temporary grows with the
-        graph.
-        """
-        centroids = self.centroids
-        counts = np.diff(ptr)
+        # Entry e of fresh slot i adds its count at i·d + its position.
         dimension = self.embedder.dimension
-        step = block_rows(dimension)
-        for lo in range(0, len(counts), step):
-            at = dst[lo:lo + step]
-            sizes = counts[lo:lo + step]
-            # Each group's next question to add, as a position in ``rows``.
-            ends = ptr[lo + 1:lo + step + 1]
-            firsts = ends - added[lo:lo + step]
-            continues = added[lo:lo + step] < sizes
-            sums = np.empty((len(sizes), dimension), dtype=np.float64)
-            sums[continues] = centroids["sums"][at[continues]]
-            sums[~continues] = self.dense(rows[firsts[~continues]])
-            firsts[~continues] += 1
-            for j in range(int((ends - firsts).max())):
-                deeper = np.flatnonzero(firsts + j < ends)
-                sums[deeper] += self.dense(rows[firsts[deeper] + j])
-            centroids["sums"][at] = sums
-            sums /= sizes[:, None]
-            block = sums.astype(np.float32)
-            centroids["values"][at] = block
-            centroids["norms"][at] = row_norms(block.astype(np.float64))
-
-    def dense(self, rows: np.ndarray) -> np.ndarray:
-        """The float32 embeddings of the given question rows, ``unit_rows``
-        of their counts scattered with one write, as float64: the values
-        the centroid sums add."""
-        entries, sizes = self.gather(rows)
-        out = np.zeros((len(rows), self.embedder.dimension), dtype=np.float64)
-        out[np.repeat(np.arange(len(rows)), sizes), self.entries["position"][entries]] = (
-            self.entries["count"][entries]
+        entries, per_row = self.gather(np.concatenate([np.zeros(0, dtype=np.intp), *added]))
+        of_slot = np.repeat(np.arange(len(added)), [len(rows) for rows in added])
+        sums = np.bincount(
+            np.repeat(of_slot, per_row) * dimension + self.entries["position"][entries],
+            weights=self.entries["count"][entries], minlength=len(added) * dimension,
         )
-        return unit_rows(out).astype(np.float64)
+        rows = self.centroids["counts"]
+        rows[dst[new]] = 0.0
+        rows[dst] += sums.reshape(len(added), dimension)
+        self.centroids["sqnorm"][dst] = np.vecdot(rows[dst], rows[dst])
 
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The entry rows of the given question rows, row after row, and
@@ -648,10 +587,10 @@ def _psi(dots, sqnorm, sqnorms) -> np.ndarray:
 
 class QueryScores:
     """The similarities of one query text to the rows of one index: ψ of
-    its counts (see ``knn_nearest``) with every instruction row and, on
-    demand, with the question rows of one centroid; the cosine of its
-    float32 embedding with every task centroid, by ``cosine_rows``; and
-    the per-node and per-edge maxima traversal reads."""
+    its counts (see ``knn_nearest``) with every instruction row, with every
+    task centroid's summed counts and, on demand, with the question rows
+    of one centroid; and the per-node and per-edge maxima traversal
+    reads."""
 
     def __init__(self, index: GraphIndex, query_text: str):
         self.index = index
@@ -665,10 +604,9 @@ class QueryScores:
         self._states: dict[tuple, np.ndarray] = {}
         by_row = _psi(index.instructions @ values, self._sqnorm, index.instruction_sqnorms)
         centroids = index.centroids
-        # Centroid cosines in slot order.
-        self.centroids = cosine_rows(
-            EmbeddingVector(unit_rows(values), valid=self._sqnorm > 0),
-            centroids["values"], centroids["norms"], centroids["valid"],
+        # Centroid ψ in slot order.
+        self.centroids = _psi(
+            centroids["counts"] @ values, self._sqnorm, centroids["sqnorm"]
         )[index.centroid_rows]
         # Instruction ψ in node_rows order; every node has a row.
         self.by_node_row = by_row[index.node_rows]
@@ -687,7 +625,7 @@ class QueryScores:
         return float(self.node_affinity[self.index.node_pos[node_id]])
 
     def edge_score(self, edge: EdgeSet) -> float:
-        """Best task-centroid cosine on an edge."""
+        """Best task-centroid ψ on an edge."""
         return float(self.edge_scores[self.index.edge_pos[(edge.from_node, edge.to_node)]])
 
     def best_text(self, node_id: int) -> str:

@@ -1,9 +1,10 @@
 """A scalar reference for the graph's similarity of two texts, ψ of their
 counts, with Python-int dot products and the same ψ expression: the
 similarity ``knn_nearest`` ranks stored instructions by, and the one
-``QueryScores`` scores a query's instructions and questions by. Tests
-build graphs with ``knn_nearest_reference`` in place of ``knn_nearest``
-and compare them with the library's.
+``QueryScores`` scores a query's instructions, questions and task
+centroids (summed question counts) by. Tests build graphs with
+``knn_nearest_reference`` in place of ``knn_nearest`` and compare them
+with the library's.
 """
 
 import math
@@ -18,22 +19,33 @@ from ragplan.graph import KnnHit
 
 @lru_cache(maxsize=None)
 def sparse_counts(text, embedder):
-    """The nonzero counts of ``text`` by bucket, as Python ints, and their
-    squared norm."""
+    """The nonzero counts of ``text`` by bucket, as Python ints."""
     counts = embed_counts(text, embedder).tolist()
-    entries = {i: c for i, c in enumerate(counts) if c}
-    return entries, sum(c * c for c in entries.values())
+    return {i: c for i, c in enumerate(counts) if c}
+
+
+def summed_counts(texts, embedder):
+    """The counts of several texts added bucket by bucket, as Python ints:
+    a task centroid's counts, summed from its questions' texts."""
+    total = {}
+    for text in texts:
+        for i, c in sparse_counts(text, embedder).items():
+            total[i] = total.get(i, 0) + c
+    return total
+
+
+def psi_of_counts(a, b):
+    """ψ = (c·c′) / √(‖c‖²·‖c′‖²) of two counts by bucket, 0 when either
+    is all zeros."""
+    dot = sum(c * b.get(i, 0) for i, c in a.items())
+    product = sum(c * c for c in a.values()) * sum(c * c for c in b.values())
+    return dot / math.sqrt(product) if product else 0.0
 
 
 def psi(text, other, embedder):
-    """ψ = (c·c′) / √(‖c‖²·‖c′‖²) of the counts of two texts, 0 when
-    either has no feature: a query against an instruction or a question,
-    or an instruction against another."""
-    a, a_squared = sparse_counts(text, embedder)
-    b, b_squared = sparse_counts(other, embedder)
-    dot = sum(c * b.get(i, 0) for i, c in a.items())
-    product = a_squared * b_squared
-    return dot / math.sqrt(product) if product else 0.0
+    """``psi_of_counts`` of the counts of two texts: a query against an
+    instruction or a question, or an instruction against another."""
+    return psi_of_counts(sparse_counts(text, embedder), sparse_counts(other, embedder))
 
 
 def closeness(text, other, embedder):

@@ -83,8 +83,8 @@ def test_demo_graph_file_is_unchanged_and_round_trips(tmp_path):
 # The SHA-256 of the README demo's train log and evaluation records
 # (configs/demo.json, 40 iterations). A rounding change that flips a
 # rollout's or an evaluated question's selection changes them.
-DEMO_TRAIN_LOG_SHA256 = "98775fc6f7f9f0bce93b161673962e9c81c6c6e7ba1a5f0fbfe4a24396ce234c"
-DEMO_EVAL_RESULTS_SHA256 = "76c49b82306fed4e14e4333290b4cb90ce437be2d6367bce0ba6bc9bb33cade7"
+DEMO_TRAIN_LOG_SHA256 = "d580cc8311be4850a9b64d4e3d87ae27fc693ed1eecbd795779643d613b13b31"
+DEMO_EVAL_RESULTS_SHA256 = "4dd66e0a57a3822339689b6e557d6e78fc8a36b1d9c60a16c6efad6751784c23"
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +172,23 @@ def test_corpus_line_of_the_wrong_type_is_data_error(workspace, capsys, record):
                  "--out", str(root / "typed")])
     assert code == 3
     assert f"{corpus}:2: malformed record" in capsys.readouterr().err
+
+
+def test_corpus_line_repeating_a_question_key_is_data_error(workspace, capsys):
+    # A graph keeps one text per (task id, question id): a second line
+    # with the same key would be dropped silently, so it exits 3 and
+    # names the file and both lines.
+    root, config_path, _ = workspace
+    corpus = root / "repeated.jsonl"
+    other = dict(GOOD_RECORD, question_id="q2")
+    repeated = dict(GOOD_RECORD, question_text="Which other hue?")
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in (GOOD_RECORD, other, repeated)),
+                      encoding="utf-8")
+    code = main(["build-graph", str(corpus), "--config", str(config_path),
+                 "--out", str(root / "repeated")])
+    assert code == 3
+    assert f"{corpus}:3: question T1/q1 repeats line 1" in capsys.readouterr().err
+    assert not (root / "repeated" / "graph.json").exists()
 
 
 def test_missing_config_file_is_config_error(workspace):

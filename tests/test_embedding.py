@@ -15,10 +15,9 @@ from ragplan.embedding import (
     embed_counts,
     embed_text,
     row_norms,
-    task_centroid,
     unit_rows,
 )
-from ragplan.errors import ConfigError, DataError
+from ragplan.errors import ConfigError
 
 from embed_reference import embed_reference, features
 
@@ -326,28 +325,3 @@ class TestCosineRows:
             cosine_rows(vec([1.0, 0.0]), np.zeros((2, 3)), np.zeros(2))
 
 
-class TestTaskCentroid:
-    def test_singleton(self):
-        v = embed_text("Search[Ed Wood]", CFG)
-        c = task_centroid([v])
-        assert np.allclose(c.values, v.values)
-
-    def test_symmetry_cancels(self):
-        v = vec([0.6, 0.8, 0.0])
-        c = task_centroid([v, vec([-0.6, -0.8, 0.0])])
-        assert not c.values.any()
-
-    def test_componentwise_mean(self):
-        # Hand arithmetic over three fixed 3-dim vectors.
-        c = task_centroid([vec([1.0, 0.0, 0.0]), vec([0.0, 1.0, 0.0]), vec([0.0, 0.0, 1.0])])
-        assert c.values.tolist() == pytest.approx([1 / 3, 1 / 3, 1 / 3])
-
-    def test_empty_list_rejected(self):
-        with pytest.raises(DataError):
-            task_centroid([])
-
-    def test_centroid_cosine_handles_magnitude(self):
-        a = embed_text("Search[Ed Wood]", CFG)
-        b = embed_text("Search[Ed Wood Jr.]", CFG)
-        c = task_centroid([a, b])
-        assert cosine(c, a) > 0.9

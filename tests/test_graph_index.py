@@ -4,10 +4,11 @@ the lifetime and sharing rules of indexes and extended graphs.
 The reference functions below are the traversal as written before the
 index existed: every instruction and question similarity is one scalar
 ψ of the query's and the stored text's counts (``scan_reference.psi``),
-every centroid similarity one scalar ``cosine`` call, task centroids are
-re-derived at every visit and edge lists are filtered from a full sort.
-The index must give the same candidates, node sequences, actions and
-forced flags, and the same states within 1e-12.
+every centroid similarity one scalar ψ of the query's counts and the sum
+of the task's question counts, task centroids are re-summed at every
+visit and edge lists are filtered from a full sort. The index must give
+the same candidates, node sequences, actions and forced flags, and the
+same states, bit for bit.
 """
 
 import copy
@@ -23,13 +24,7 @@ import pytest
 
 from ragplan import embedding
 from ragplan.corpus import InstructionPath, Question, TaskCorpus, split_by_hint
-from ragplan.embedding import (
-    EmbedderConfig,
-    cosine,
-    embed_counts,
-    embed_text,
-    task_centroid,
-)
+from ragplan.embedding import EmbedderConfig, embed_counts
 from ragplan.graph import (
     GraphIndex,
     QueryScores,
@@ -59,9 +54,8 @@ from ragplan.policy import (
 from ragplan.world import demo_spec, gen_world
 
 from embed_reference import codes_reference
-from scan_reference import psi
+from scan_reference import psi, psi_of_counts, sparse_counts, summed_counts
 
-STATE_ATOL = 1e-12
 OPERATORS = ["Search", "Lookup", "Check", "Fetch"]
 WORDS = ["amber", "birch", "cobalt", "dune", "ember", "fjord", "grove", "heath"]
 
@@ -85,34 +79,30 @@ def question_texts(graph):
 
 
 def ref_edge_task_centroids(graph, edge):
-    """(task id, centroid of the questions' embeddings, question texts)
-    of each task on ``edge``."""
+    """(task id, summed counts of its questions as Python ints, question
+    texts in registration order) of each task on ``edge``."""
     stored = question_texts(graph)
+    order = {key: i for i, key in enumerate(stored)}
     out = []
     for task_id in sorted(edge.tasks):
-        texts = [
-            stored[(task_id, question_id)]
-            for question_id in sorted(edge.tasks[task_id])
-            if (task_id, question_id) in stored
-        ]
-        if texts:
-            vectors = [embed_text(text, graph.embedder) for text in texts]
-            out.append((task_id, task_centroid(vectors), texts))
+        keys = sorted(((task_id, q) for q in edge.tasks[task_id]), key=order.__getitem__)
+        texts = [stored[key] for key in keys]
+        out.append((task_id, summed_counts(texts, graph.embedder), texts))
     return out
 
 
 def ref_build_state(graph, query_text, node_id, in_edge):
     node = graph.nodes[node_id]
-    query = embed_text(query_text, graph.embedder)
     instruction_sim = max(
         (psi(query_text, text, graph.embedder) for text in node.instructions), default=0.0
     )
     task_sim = 0.0
     question_sim = 0.0
     if in_edge is not None:
+        query = sparse_counts(query_text, graph.embedder)
         best_task = None
         for task_id, centroid, texts in ref_edge_task_centroids(graph, in_edge):
-            sim = cosine(query, centroid)
+            sim = psi_of_counts(query, centroid)
             if best_task is None or sim > task_sim:
                 best_task = (task_id, texts)
                 task_sim = sim
@@ -138,8 +128,8 @@ def ref_start_nodes(graph, query_text, k):
 
 
 def ref_edge_score(graph, edge, query_text):
-    query = embed_text(query_text, graph.embedder)
-    scores = [cosine(query, c) for _, c, _ in ref_edge_task_centroids(graph, edge)]
+    query = sparse_counts(query_text, graph.embedder)
+    scores = [psi_of_counts(query, c) for _, c, _ in ref_edge_task_centroids(graph, edge)]
     return max(scores, default=0.0)
 
 
@@ -331,11 +321,8 @@ def assert_same_candidates(new, old):
         assert [(s.action, s.forced) for s in a.episode.steps] == [
             (s.action, s.forced) for s in b.episode.steps
         ]
-        np.testing.assert_allclose(
-            np.array([s.state for s in a.episode.steps]),
-            np.array([s.state for s in b.episode.steps]),
-            rtol=0.0,
-            atol=STATE_ATOL,
+        assert np.array([s.state for s in a.episode.steps]).tobytes() == (
+            np.array([s.state for s in b.episode.steps]).tobytes()
         )
 
 
@@ -373,11 +360,8 @@ def test_every_state_matches_scalar_reference(seed):
     for query_text in queries_for(graph, seed):
         for node_id in graph.nodes:
             for in_edge in [None] + ref_in_edges(graph, node_id):
-                np.testing.assert_allclose(
-                    build_state(graph, query_text, node_id, in_edge),
-                    ref_build_state(graph, query_text, node_id, in_edge),
-                    rtol=0.0,
-                    atol=STATE_ATOL,
+                assert build_state(graph, query_text, node_id, in_edge).tobytes() == (
+                    ref_build_state(graph, query_text, node_id, in_edge).tobytes()
                 )
 
 
@@ -392,21 +376,23 @@ def test_adjacency_and_text_lookup_match_scalar_reference(seed):
             assert _path_node_sequence(graph, path) == ref_path_node_sequence(graph, path)
 
 
-def centroids_of_edge(index, pos):
-    """The centroid values of an edge's slots."""
-    rows = index.centroid_rows[index.centroid_ptr[pos]:index.centroid_ptr[pos + 1]]
-    return index.centroids["values"][rows]
+def assert_centroids_are_question_sums(graph, index):
+    """Every centroid row holds the sum of its questions' ``embed_counts``
+    as float64, bit for bit, and its squared norm."""
+    for pos, edge in enumerate(index.edges):
+        rows = index.centroid_rows[index.centroid_ptr[pos]:index.centroid_ptr[pos + 1]]
+        reference = ref_edge_task_centroids(graph, edge)
+        assert len(rows) == len(reference)
+        for row, (_, _, texts) in zip(rows, reference):
+            expected = sum(embed_counts(text, graph.embedder).astype(np.int64) for text in texts)
+            got = index.centroids["counts"][row]
+            assert got.tobytes() == expected.astype(np.float64).tobytes()
+            assert index.centroids["sqnorm"][row] == int(expected @ expected)
 
 
 def test_centroid_rows_are_task_centroids_bit_for_bit():
     graph, _ = demo_graph()
-    index = graph.index()
-    for pos, edge in enumerate(index.edges):
-        rows = centroids_of_edge(index, pos)
-        expected = [c.values.astype(np.float64) for _, c, _ in ref_edge_task_centroids(graph, edge)]
-        assert len(rows) == len(expected)
-        for row, value in zip(rows, expected):
-            assert np.array_equal(row, value)
+    assert_centroids_are_question_sums(graph, graph.index())
 
 
 def float_bytes(value):
@@ -530,8 +516,8 @@ def test_warmstart_states_match_scalar_reference():
                         if q.question_id == example.question_id)
         in_edges = [None] + ref_in_edges(graph, example.node_id)
         assert any(
-            np.allclose(example.state, ref_build_state(graph, question.text, example.node_id, e),
-                        rtol=0.0, atol=STATE_ATOL)
+            example.state.tobytes()
+            == ref_build_state(graph, question.text, example.node_id, e).tobytes()
             for e in in_edges
         )
 
@@ -910,7 +896,7 @@ def test_a_write_of_more_new_pairs_than_spare_rows_grows_the_store():
     graph, _ = demo_graph()
     index = graph.index()
     store = index.centroids._store
-    spare = len(store.columns["values"]) - index.centroids.count
+    spare = len(store.columns["counts"]) - index.centroids.count
     paths = [InstructionPath(edge_texts(index, edge), f"T_new{i}", "n1", 1.0)
              for i, edge in enumerate(index.edges[:spare + 1])]
     assert len(paths) == spare + 1
@@ -922,26 +908,10 @@ def test_a_write_of_more_new_pairs_than_spare_rows_grows_the_store():
 
 # -- centroid sums -----------------------------------------------------------------
 #
-# A patch continues a centroid's float64 sum with its new questions only
-# when their ids all sort after the centroid's last id, as ``np.mean``
-# then adds them last; otherwise it sums the centroid again.
-
-
-@pytest.fixture
-def centroid_sums(monkeypatch):
-    """Counts the fresh centroids that continued a base sum and those
-    summed from their first question."""
-    counts = {"continued": 0, "summed": 0}
-    original = GraphIndex._fill_centroids
-
-    def counted(index, dst, ptr, rows, added, *rest):
-        continued = int(np.count_nonzero(added < np.diff(ptr)))
-        counts["continued"] += continued
-        counts["summed"] += len(added) - continued
-        return original(index, dst, ptr, rows, added, *rest)
-
-    monkeypatch.setattr(GraphIndex, "_fill_centroids", counted)
-    return counts
+# A patch adds the new questions of a written pair to the counts its row
+# holds, and sums a new pair from all its questions. Integer sums are
+# exact in any order, so either equals the fresh compile's sum, whatever
+# the question ids and the order of the writes.
 
 
 EDGE_A = ("Search[amber birch]", "Lookup[cobalt dune]")
@@ -956,72 +926,93 @@ def corpus_of_paths(*paths):
     return corpus
 
 
-def patch_counted(graph, batch, counts):
-    """Extend ``graph`` with ``batch``, read it, and return the counts of
-    the patch alone, checked against a fresh index."""
+def patch_checked(graph, batch):
+    """Extend ``graph`` with ``batch`` and read it: the patched index must
+    equal a fresh one, and every centroid row its questions' sum."""
     graph.index()
-    counts.update(continued=0, summed=0)
     graph = extend_graph(graph, batch)
-    patched = graph.index()
-    seen = dict(counts)
-    assert_same_index(patched, GraphIndex(graph))
-    for pos, edge in enumerate(patched.edges):
-        rows = centroids_of_edge(patched, pos)
-        expected = [c.values for _, c, _ in ref_edge_task_centroids(graph, edge)]
-        assert np.array_equal(rows, np.array(expected))
-    return graph, seen
+    assert_centroids_are_question_sums(graph, read_patched(graph))
+    return graph
 
 
-@pytest.mark.parametrize("first, later, continued", [
-    ("w0999-1", "w1000-1", True),
-    ("w999-1", "w1000-1", False),  # "w1000-1" sorts before "w999-1"
-    ("w1", "q1", False),
+@pytest.mark.parametrize("first, later", [
+    ("w0999-1", "w1000-1"),
+    ("w999-1", "w1000-1"),  # "w1000-1" sorts before "w999-1"
+    ("w1", "q1"),
 ])
-def test_a_question_continues_the_sum_only_when_its_id_sorts_last(
-    centroid_sums, first, later, continued
-):
+def test_a_question_added_to_a_pair_adds_to_its_sum(first, later):
     graph = build_graph(corpus_of_paths(InstructionPath(EDGE_A, "T1", first, 1.0)), 0.4,
                         EmbedderConfig(dimension=64))
     assert len(graph.edges) == 1
     batch = corpus_of_paths(InstructionPath(EDGE_A, "T1", later, 1.0))
-    graph, seen = patch_counted(graph, batch, centroid_sums)
-    assert seen == {"continued": int(continued), "summed": int(not continued)}
+    graph = patch_checked(graph, batch)
     assert sorted(next(iter(graph.edges.values())).tasks["T1"]) == sorted([first, later])
+    # The slot lists its questions in the order the graph registered them.
+    index = graph.index()
+    assert index.questions["key"][index.question_rows].tolist() == [("T1", first), ("T1", later)]
 
 
-def test_a_new_task_on_an_edge_is_summed(centroid_sums):
+def test_a_new_task_on_an_edge_is_summed():
     graph = build_graph(corpus_of_paths(InstructionPath(EDGE_A, "T1", "q1", 1.0)), 0.4,
                         EmbedderConfig(dimension=64))
     batch = corpus_of_paths(InstructionPath(EDGE_A, "T2", "q2", 1.0))
-    graph, seen = patch_counted(graph, batch, centroid_sums)
-    assert seen == {"continued": 0, "summed": 1}
+    graph = patch_checked(graph, batch)
     assert sorted(next(iter(graph.edges.values())).tasks) == ["T1", "T2"]
+    assert graph.index().centroids.count == 2
 
 
-def test_one_patch_continues_some_sums_and_sums_others_again(centroid_sums):
+def test_one_patch_adds_to_some_sums_and_sums_new_pairs():
     paths = [InstructionPath(texts, task, qid, 1.0)
              for texts in (EDGE_A, EDGE_B) for task, qid in (("T1", "w5"), ("T2", "w5"))]
     graph = build_graph(corpus_of_paths(*paths), 0.4, EmbedderConfig(dimension=64))
     assert len(graph.edges) == 2
     batch = corpus_of_paths(
-        InstructionPath(EDGE_A, "T1", "w6", 1.0),  # continues
+        InstructionPath(EDGE_A, "T1", "w6", 1.0),  # sorts after "w5"
         InstructionPath(EDGE_A, "T2", "w10", 1.0),  # sorts before "w5"
-        InstructionPath(EDGE_B, "T2", "w7", 1.0),  # continues
+        InstructionPath(EDGE_B, "T2", "w7", 1.0),
         InstructionPath(EDGE_B, "T3", "w8", 1.0),  # a new task
     )
-    _, seen = patch_counted(graph, batch, centroid_sums)
-    assert seen == {"continued": 2, "summed": 2}
+    graph = patch_checked(graph, batch)
+    assert graph.index().centroids.count == 5
 
 
-def test_continued_sums_over_many_writes(centroid_sums):
-    # Ids that sort in write order keep continuing the same sums.
+def test_sums_over_many_writes():
     graph = build_graph(random_corpus(31, "a"), 0.5, EmbedderConfig(dimension=64))
-    continued = 0
     for i in range(6):
-        batch = random_corpus(3100 + i, f"b{i}-")
-        graph, seen = patch_counted(graph, batch, centroid_sums)
-        continued += seen["continued"]
-    assert continued > 0
+        graph = patch_checked(graph, random_corpus(3100 + i, f"b{i}-"))
+
+
+def centroids_by_pair(index):
+    """The centroid row and squared norm of each (edge key, task id) pair,
+    as bytes."""
+    out = {}
+    for pos, edge in enumerate(index.edges):
+        for slot in range(index.centroid_ptr[pos], index.centroid_ptr[pos + 1]):
+            row = index.centroid_rows[slot]
+            out[(edge.from_node, edge.to_node), index.centroid_tasks[slot]] = (
+                index.centroids["counts"][row].tobytes(),
+                float_bytes(index.centroids["sqnorm"][row]),
+            )
+    return out
+
+
+def test_centroid_rows_do_not_depend_on_the_order_of_writes():
+    # The same questions, written one patch at a time in opposite orders,
+    # sum to the same rows, bit for bit.
+    questions = []
+    for i in range(8):
+        path = InstructionPath(EDGE_A, f"T{i % 2}", f"w{i}", 1.0)
+        text = f"question {' '.join(WORDS[i:i + 3])} {i}"
+        questions.append(Question(path.question_id, path.task_id, text, "answer", paths=(path,)))
+    rows = []
+    for ordered in (questions, questions[::-1]):
+        graph = build_graph(TaskCorpus(), 0.4, EmbedderConfig(dimension=64))
+        for question in ordered:
+            batch = TaskCorpus()
+            batch.add(question)
+            graph = patch_checked(graph, batch)
+        rows.append(centroids_by_pair(graph.index()))
+    assert len(rows[0]) == 2 and rows[0] == rows[1]
 
 
 # -- the row stores ----------------------------------------------------------------
@@ -1068,21 +1059,6 @@ def test_sibling_copies_each_see_only_their_own_rows(store):
     assert stores[0] is getattr(parent, store)._store
     assert len({id(shared) for shared in stores}) == len(children)
     assert getattr(children[-1], store).count > capacity
-
-
-def test_dense_question_rows_are_the_embeddings_of_their_texts():
-    # Centroid sums add the rows ``dense`` rebuilds from the counts: each
-    # must be its question text's float32 embedding, gathered alone or
-    # with every other row.
-    graph, query = demo_graph()
-    graph = extend_graph(graph, query)
-    index = graph.index()
-    rows = np.arange(graph._questions.count)
-    gathered = index.dense(rows)
-    for row, text in zip(rows, graph._questions["text"].tolist()):
-        expected = embed_text(text, graph.embedder).values.astype(np.float64).tobytes()
-        assert gathered[row].tobytes() == expected
-        assert index.dense(rows[row:row + 1])[0].tobytes() == expected
 
 
 def test_question_store_keeps_at_most_400_bytes_per_question():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ragplan.corpus import InstructionPath, Question, TaskCorpus
-from ragplan.embedding import EmbedderConfig, embed_text
+from ragplan.embedding import EmbedderConfig
 from ragplan.errors import ConfigError, DataError, MalformedFileError, NotFoundError
 from ragplan.graph import InstructionGraph, build_graph, insert_path
 from ragplan.optim import AdamState, ReturnBaseline, adam_step
@@ -25,7 +25,7 @@ from ragplan.policy import (
     traverse,
 )
 
-from scan_reference import psi
+from scan_reference import psi, psi_of_counts, sparse_counts, summed_counts
 
 CFG = EmbedderConfig()
 
@@ -287,9 +287,22 @@ class TestBuildState:
         )
         state = build_state(graph, "Lookup[hue]", 2, graph.edges[(1, 2)])
         assert state[0] == 1.0
+        # The task's one question sums to its own counts: ψ is exactly 1.0.
         state_q = build_state(graph, "What is the hue of alpha crane?", 2, graph.edges[(1, 2)])
-        assert state_q[1] == pytest.approx(1.0)
+        assert state_q[1] == 1.0
         assert state_q[2] == 1.0
+
+    def test_task_of_featureless_questions_scores_zero(self):
+        # A task whose questions have no feature sums to all-zero counts,
+        # and its centroid scores 0.0 against every query, a query with
+        # no feature included.
+        graph = InstructionGraph(delta=0.4, embedder=CFG)
+        insert_path(
+            graph, InstructionPath(("Search[alpha crane]", "Lookup[hue]"), "T1", "q1", 1.0), "?!"
+        )
+        for query in ("What is the hue of alpha crane?", "?!", ""):
+            state = build_state(graph, query, 2, graph.edges[(1, 2)])
+            assert state[1] == 0.0 and state[2] == 0.0
 
     def test_missing_in_edge_zeroes_task_components(self):
         graph = InstructionGraph(delta=0.4, embedder=CFG)
@@ -305,7 +318,8 @@ class TestBuildState:
         # Graph with 2 instructions in the visited node, an edge holding
         # 2 tasks of 2 questions each; components re-derived by hand: the
         # instruction and question components as the scalar ψ of counts,
-        # the task component as the cosine with the task centroid.
+        # the task component as ψ with the sum of the task's question
+        # counts.
         graph = InstructionGraph(delta=0.4, embedder=CFG)
         insert_path(
             graph,
@@ -327,10 +341,8 @@ class TestBuildState:
             InstructionPath(("Search[amber fox]", "Lookup[tone]"), "T2", "qd", 1.0),
             question_text="Tell me the tone of amber fox.",
         )
-        from ragplan.embedding import cosine, task_centroid
-
         query_text = "What is the era of amber fox?"
-        query = embed_text(query_text, CFG)
+        query = sparse_counts(query_text, CFG)
         texts = {"qa": query_text, "qb": "Tell me the era of amber fox.",
                  "qc": "What is the tone of amber fox?", "qd": "Tell me the tone of amber fox."}
         edge = graph.edges[(1, 2)]
@@ -339,7 +351,7 @@ class TestBuildState:
         best_task, best_sim, best_texts = None, -2.0, None
         for task_id in sorted(edge.tasks):
             questions = [texts[qid] for qid in sorted(edge.tasks[task_id])]
-            sim = cosine(query, task_centroid([embed_text(text, CFG) for text in questions]))
+            sim = psi_of_counts(query, summed_counts(questions, CFG))
             if sim > best_sim:
                 best_task, best_sim, best_texts = task_id, sim, questions
         expected_c3 = max(psi(query_text, text, CFG) for text in best_texts)
