@@ -304,6 +304,53 @@ class TestBuildState:
             state = build_state(graph, query, 2, graph.edges[(1, 2)])
             assert state[1] == 0.0 and state[2] == 0.0
 
+    def test_task_of_one_question_scores_as_that_question(self):
+        # One question sums to its own counts, so the task component is the
+        # question component bit for bit, whatever the query.
+        graph = InstructionGraph(delta=0.4, embedder=CFG)
+        question = "What is the hue of alpha crane?"
+        insert_path(
+            graph, InstructionPath(("Search[alpha crane]", "Lookup[hue]"), "T1", "q1", 1.0),
+            question,
+        )
+        for query in ("Search[Ed Wood]", "hue of alpha", question, ""):
+            state = build_state(graph, query, 2, graph.edges[(1, 2)])
+            assert state[1] == state[2] == psi(query, question, CFG)
+
+    def test_task_whose_question_counts_cancel_scores_zero(self):
+        # "ah" and "r" hash to one bucket with opposite signs at d = 256:
+        # their task sums to all-zero counts and scores 0.0, while the best
+        # question still matches the query exactly.
+        assert summed_counts(["ah", "r"], CFG) == {sparse_counts("ah", CFG).popitem()[0]: 0}
+        graph = InstructionGraph(delta=0.4, embedder=CFG)
+        for qid, text in (("q1", "ah"), ("q2", "r")):
+            insert_path(
+                graph, InstructionPath(("Search[alpha crane]", "Lookup[hue]"), "T1", qid, 1.0),
+                text,
+            )
+        state = build_state(graph, "ah", 2, graph.edges[(1, 2)])
+        assert state[1] == 0.0
+        assert state[2] == 1.0
+
+    def test_task_of_a_repeated_question_scores_as_one_copy(self):
+        # Two questions with one text sum to twice its counts; ψ does not
+        # see the scale, so the task scores as the single question does.
+        question = "What is the hue of alpha crane?"
+        once = InstructionGraph(delta=0.4, embedder=CFG)
+        twice = InstructionGraph(delta=0.4, embedder=CFG)
+        for graph, qids in ((once, ("q1",)), (twice, ("q1", "q2"))):
+            for qid in qids:
+                insert_path(
+                    graph,
+                    InstructionPath(("Search[alpha crane]", "Lookup[hue]"), "T1", qid, 1.0),
+                    question,
+                )
+        for query in ("Search[Ed Wood]", "hue of alpha", question):
+            state_once = build_state(once, query, 2, once.edges[(1, 2)])
+            state_twice = build_state(twice, query, 2, twice.edges[(1, 2)])
+            assert state_twice[1] == state_once[1] == psi(query, question, CFG)
+            assert state_twice[1] != 0.0
+
     def test_missing_in_edge_zeroes_task_components(self):
         graph = InstructionGraph(delta=0.4, embedder=CFG)
         insert_path(
