@@ -11,32 +11,31 @@ from __future__ import annotations
 import numpy as np
 
 from .corpus import InstructionPath, MetricKind, Question, TaskCorpus
-from .embedding import EmbedderConfig, cosine_rows, embed_text, row_norms
+from .embedding import EmbedderConfig, embed_counts, psi, text_counts
 from .errors import NotFoundError
 from .meta import plan_delta
 
 
 class VerbatimRetriever:
-    """Every support question with a gold path, its embedding kept as one
-    float32 row; ``select`` scores them all with one ``cosine_rows``."""
+    """Every support question with a gold path, its integer counts kept as
+    one float64 row with their squared norm; ``select`` scores them all by
+    one ``psi``."""
 
     def __init__(self, support: TaskCorpus, embedder: EmbedderConfig):
         self.embedder = embedder
         stored = [q for q in support.iter_questions() if q.gold_path is not None]
         self.paths: list[InstructionPath] = [q.gold_path for q in stored]
-        vectors = [embed_text(q.text, embedder) for q in stored]
-        values = [v.values for v in vectors]
-        self.rows = np.array(values, dtype=np.float32).reshape(-1, embedder.dimension)
-        self.norms = row_norms(self.rows.astype(np.float64))
-        self.valid = np.array([v.valid for v in vectors], dtype=bool)
+        counts = [embed_counts(q.text, embedder) for q in stored]
+        self.rows = np.array(counts, dtype=np.float64).reshape(-1, embedder.dimension)
+        self.sqnorms = np.vecdot(self.rows, self.rows)
 
     def select(self, question_text: str) -> InstructionPath:
         """The stored path of the most similar stored question; ties go to
         the lowest index."""
         if not self.paths:
             raise NotFoundError("no stored cases to retrieve from")
-        query = embed_text(question_text, self.embedder)
-        return self.paths[int(np.argmax(cosine_rows(query, self.rows, self.norms, self.valid)))]
+        query = text_counts(question_text, self.embedder).astype(np.float64)
+        return self.paths[int(np.argmax(psi(self.rows @ query, query @ query, self.sqnorms)))]
 
 
 def evaluate_verbatim(

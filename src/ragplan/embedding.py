@@ -1,4 +1,4 @@
-"""Deterministic text embeddings and cosine similarity.
+"""Deterministic text embeddings and their similarities.
 
 Texts are embedded by feature-hashing word unigrams and character
 n-grams into a fixed-dimension vector, then L2-normalizing. The scheme
@@ -11,8 +11,11 @@ table per seed, dimension and feature kind, filled on first sight and
 cleared with the embedding caches. Count vectors and embeddings are
 cached per text, and a serialized path is summed from the cached codes of
 its pieces. An embedding is its text's integer counts scaled to unit
-norm (``unit_rows``), so a dot product of two count vectors, exact in any
-order, gives their cosine with no rounding before the division.
+norm (``unit_rows``), so the cosine of two embeddings can be taken from
+their counts, whose dot product is exact in any order: ``psi`` rounds
+only at its square root and division. The graph, its traversal and the
+verbatim baseline compare texts by ``psi`` alone; ``cosine`` compares
+two ``EmbeddingVector`` values.
 """
 
 from __future__ import annotations
@@ -271,57 +274,13 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
     return float(np.clip(np.dot(av, bv) / denom, -1.0, 1.0))
 
 
-def block_rows(dimension: int) -> int:
-    """Rows per block when float32 rows are upcast a block at a time:
-    64k values, 512 KB of float64."""
-    return max(1, 65536 // dimension)
+def psi(dots, sqnorm, sqnorms) -> np.ndarray:
+    """ψ = (c·c′) / √(‖c‖²·‖c′‖²) from the dot products of counts ``c``
+    with rows ``c′``, ‖c‖² and each ‖c′‖²; 0 where either is all zeros.
 
-
-def row_norms(rows: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of every row of a float64 matrix, bit for bit."""
-    return np.sqrt(np.vecdot(rows, rows))
-
-
-def cosine_rows(
-    query: EmbeddingVector,
-    rows: np.ndarray,
-    norms: np.ndarray,
-    valid: np.ndarray | None = None,
-) -> np.ndarray:
-    """``cosine(query, row)`` for every row, bit for bit.
-
-    ``rows`` hold float32 vectors, as float32 or upcast to float64;
-    ``norms`` are the ``row_norms`` of their float64 values and ``valid``
-    their validity flags (all valid when None). ``np.vecdot`` takes each
-    row's dot product with the same BLAS dot kernel as ``np.dot``; a
-    matrix product would sum in another order.
-    """
-    if rows.shape[1] != query.dimension:
-        raise ConfigError(
-            f"cosine of mismatched dimensions {query.dimension} and {rows.shape[1]}"
-        )
-    sims = np.zeros(rows.shape[0], dtype=np.float64)
-    if not query.valid or not rows.shape[0]:
-        return sims
-    qv = query.values.astype(np.float64)
-    if rows.dtype == np.float64:
-        dots = np.vecdot(rows, qv)
-    else:
-        step = block_rows(query.dimension)
-        dots = np.concatenate([
-            np.vecdot(rows[lo:lo + step].astype(np.float64), qv)
-            for lo in range(0, rows.shape[0], step)
-        ])
-    denom = float(np.linalg.norm(qv)) * norms
-    np.divide(dots, denom, out=sims, where=denom != 0.0)
-    np.minimum(sims, 1.0, out=sims)
-    np.maximum(sims, -1.0, out=sims)
-    # An identical array divides to within a few ulps of 1.0; cosine()
-    # returns exactly 1.0 for it, before any division.
-    for i in np.flatnonzero((sims >= 1.0 - 1e-9) | (denom == 0.0)):
-        if np.array_equal(rows[i], qv):
-            sims[i] = 1.0
-    if valid is not None:
-        sims[~valid] = 0.0
-    return sims
-
+    Every dot product and squared norm of counts is an integer, exact in
+    float64 in any summation order below 2⁵³, so ψ rounds only at the
+    square root and the division: identical counts give exactly 1.0, and
+    equal rows tie exactly. All-zero counts have dot products 0, and any
+    other square root of a positive integer is at least 1."""
+    return dots / np.maximum(np.sqrt(sqnorm * sqnorms), 1.0)

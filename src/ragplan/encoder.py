@@ -7,8 +7,8 @@ encodings with a symmetric contrastive loss plus a binary match head;
 fine-tuning contrasts the answer-verified best path of a pool against
 the rest. Selection is a plain cosine argmax, so nothing depends on
 how many candidates are offered. Serving and training select alike,
-through ``PoolRows``: one projection product per side, then
-``cosine_rows``, which equals ``cosine`` bit for bit.
+through ``PoolRows``: one projection product per side, then one
+``np.vecdot`` of the float64 unit projections.
 
 Parameters live in one flat float64 buffer laid out ``wq | wp | qpm_w``,
 each projection stored column-major. Base embeddings are sparse: a
@@ -56,7 +56,7 @@ import numpy as np
 
 from .corpus import InstructionPath
 from .corpus import score  # noqa: F401  bench/tracer.py wraps ragplan.encoder.score
-from .embedding import EmbedderConfig, EmbeddingVector, cosine_rows, embed_text, row_norms
+from .embedding import EmbedderConfig, embed_text
 from .embedding import cosine  # noqa: F401  bench/tracer.py wraps ragplan.encoder.cosine
 from .errors import ConfigError, DataError, MalformedFileError, NotFoundError
 from .serialize import read_value, read_versioned, write_versioned
@@ -537,14 +537,10 @@ class PoolRows:
         return self.p.take(slice(start, end if count is None else start + count))
 
     def similarities(self, i: int, count: int) -> np.ndarray:
-        """``cosine`` of question ``i``'s encoding with each of the first
-        ``count`` paths of its pool, encodings being float32 as in
-        ``EmbeddingVector``; one ``cosine_rows`` call."""
-        valid = bool(self.q.norms[i] > 0.0)
-        question = EmbeddingVector(self.q.unit[i].astype(np.float32), valid=valid)
-        paths = self._pool(i, count)
-        rows = paths.unit.astype(np.float32).astype(np.float64)
-        return cosine_rows(question, rows, row_norms(rows), paths.norms > 0.0)
+        """The cosine of question ``i``'s encoding with each of the first
+        ``count`` paths of its pool: the dot products of their float64 unit
+        rows, 0 where either projection is zero."""
+        return np.vecdot(self._pool(i, count).unit, self.q.unit[i])
 
     def ft_loss_and_grads(self, i: int, best: int, strict: bool) -> tuple[float, EncoderGrads]:
         """``ft_loss_and_grads`` of question ``i`` against its pool."""

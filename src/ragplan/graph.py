@@ -10,7 +10,6 @@ Edges record which tasks (and questions) traversed each node pair.
 from __future__ import annotations
 
 import copy
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import InstructionPath, TaskCorpus
-from .embedding import EmbedderConfig, embed_counts, text_counts, unit_rows
+from .embedding import EmbedderConfig, embed_counts, psi, text_counts
 from .embedding import cosine  # noqa: F401  bench/tracer.py wraps ragplan.graph.cosine
 from .embedding import embed_text  # noqa: F401  bench/tracer.py wraps ragplan.graph.embed_text
 from .errors import ConfigError, DataError, MalformedFileError, NotFoundError
@@ -185,7 +184,7 @@ class InstructionGraph:
         # Scan rows: the integer counts of every stored (node, text), as
         # float64, in insertion order, with the node id, the text and the
         # counts' squared norm. They are the only copy of an instruction's
-        # embedding, which is ``unit_rows`` of its counts.
+        # embedding, which is its counts scaled to unit norm.
         self._scan = _Rows.of(
             counts=(np.float64, dimension), nodes=np.int64, texts=object, sqnorms=np.float64
         )
@@ -578,16 +577,9 @@ class GraphIndex:
         return [self.edges[e] for e in self.in_order[self.in_ptr[pos]:self.in_ptr[pos + 1]]]
 
 
-def _psi(dots, sqnorm, sqnorms) -> np.ndarray:
-    """ψ (see ``knn_nearest``) from the dot products of counts ``c`` with
-    rows ``c′``, ‖c‖² and each ‖c′‖². All-zero counts have dot products 0,
-    and any other square root of a positive integer is at least 1."""
-    return dots / np.maximum(np.sqrt(sqnorm * sqnorms), 1.0)
-
-
 class QueryScores:
-    """The similarities of one query text to the rows of one index: ψ of
-    its counts (see ``knn_nearest``) with every instruction row, with every
+    """The similarities of one query text to the rows of one index:
+    ``psi`` of its counts with every instruction row, with every
     task centroid's summed counts and, on demand, with the question rows
     of one centroid; and the per-node and per-edge maxima traversal
     reads."""
@@ -602,10 +594,10 @@ class QueryScores:
         # in-edge), as traversal meets an edge or a state again and again.
         self._question_sims: dict[int, float] = {}
         self._states: dict[tuple, np.ndarray] = {}
-        by_row = _psi(index.instructions @ values, self._sqnorm, index.instruction_sqnorms)
+        by_row = psi(index.instructions @ values, self._sqnorm, index.instruction_sqnorms)
         centroids = index.centroids
         # Centroid ψ in slot order.
-        self.centroids = _psi(
+        self.centroids = psi(
             centroids["counts"] @ values, self._sqnorm, centroids["sqnorm"]
         )[index.centroid_rows]
         # Instruction ψ in node_rows order; every node has a row.
@@ -661,14 +653,14 @@ class QueryScores:
             row = rows[0]
             entries = slice(questions["start"][row], questions["end"][row])
             dot = self._counts[positions[entries]] @ counts[entries]
-            return float(_psi(dot, self._sqnorm, questions["sqnorm"][row]))
+            return float(psi(dot, self._sqnorm, questions["sqnorm"][row]))
         entries, sizes = self.index.gather(rows)
         products = self._counts[positions[entries]] * counts[entries]
         # ``reduceat`` gives a row without entries the next row's first
         # product (a trailing one, the appended 0); such a row is zeroed.
         dots = np.add.reduceat(np.append(products, 0), np.cumsum(sizes) - sizes)
         dots[sizes == 0] = 0
-        return float(_psi(dots, self._sqnorm, questions["sqnorm"][rows]).max())
+        return float(psi(dots, self._sqnorm, questions["sqnorm"][rows]).max())
 
     def state(self, node_id: int, in_edge: EdgeSet | None) -> np.ndarray:
         """The read-only policy state row of a node reached through
@@ -692,20 +684,13 @@ def knn_nearest(
 ) -> KnnHit:
     """Most similar stored instruction to ``text`` outside the excluded node.
 
-    Similarity is ψ = (c·c′) / √(‖c‖²·‖c′‖²) over the integer counts ``c``
-    of ``text`` and ``c′`` of a stored text, 0 where either is all zeros.
-    Every dot product and squared norm of counts is an integer, exact in
-    float64 in any summation order below 2⁵³, so ψ rounds only at the
-    square root and the division: identical counts give exactly 1.0, and
-    equal rows tie exactly. Rows of equal ψ but other counts, such as
-    30 / √(47·36) and 35 / √(47·49), rank by the dot product of their
-    float32 embeddings (``unit_rows`` of their counts) with the query's,
-    summed exactly and rounded once, as a scan of those embeddings
-    (acceptance criterion 03's brute force) ranks them. That holds on
-    exact ψ ties only: rows whose ψ differ by less than float32 rounding
-    (about 1e-8) rank by ψ, which a float32 scan may order the other way.
-    Remaining ties break by lowest node id, then lexicographic instruction
-    text. Raises NotFoundError when nothing remains after exclusion.
+    Similarity is ψ = (c·c′) / √(‖c‖²·‖c′‖²) (``psi``) over the integer
+    counts ``c`` of ``text`` and ``c′`` of a stored text, 0 where either is
+    all zeros. ψ is exact up to its one square root and division, so rows
+    of equal ψ tie exactly, whether their counts are equal or not (such as
+    30 / √(47·36) and 35 / √(47·49)). Ties break by lowest node id, then
+    lexicographic instruction text. Raises NotFoundError when nothing
+    remains after exclusion.
 
     During a write, ``_scan`` supplies the dot products from a product
     over a block of the write's instructions, which only saves time.
@@ -718,21 +703,14 @@ def knn_nearest(
     values = counts.astype(np.float64)
     if dots is None:
         dots = scan["counts"] @ values
-    psi = _psi(dots, values @ values, scan["sqnorms"])
+    sims = psi(dots, values @ values, scan["sqnorms"])
     node_ids, texts = scan["nodes"], scan["texts"]
     if excluded is not None:
-        psi[node_ids == excluded] = -np.inf
-    top = float(psi.max())
+        sims[node_ids == excluded] = -np.inf
+    top = float(sims.max())
     if top == -np.inf:
         raise NotFoundError("graph holds no instructions outside the excluded node")
-    tied = np.flatnonzero(psi == top)
-    if len({texts[i] for i in tied}) > 1:
-        # Each product of two float32 values is exact in float64.
-        rows = unit_rows(scan["counts"][tied]).astype(np.float64)
-        products = rows * unit_rows(counts).astype(np.float64)
-        closeness = np.array([math.fsum(row) for row in products.tolist()])
-        tied = tied[closeness == closeness.max()]
-    best = min(tied, key=lambda i: (node_ids[i], texts[i]))
+    best = min(np.flatnonzero(sims == top), key=lambda i: (node_ids[i], texts[i]))
     return KnnHit(node_id=int(node_ids[best]), text=texts[best], psi=top)
 
 

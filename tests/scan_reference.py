@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 import ragplan.graph as graph_module
-from ragplan.embedding import embed_counts, embed_text
+from ragplan.embedding import embed_counts
 from ragplan.errors import NotFoundError
 from ragplan.graph import KnnHit
 
@@ -48,14 +48,6 @@ def psi(text, other, embedder):
     return psi_of_counts(sparse_counts(text, embedder), sparse_counts(other, embedder))
 
 
-def closeness(text, other, embedder):
-    """The dot product of the two texts' float32 embeddings, summed
-    exactly and rounded once."""
-    x = embed_text(text, embedder).values.tolist()
-    y = embed_text(other, embedder).values.tolist()
-    return math.fsum(a * b for a, b in zip(x, y))
-
-
 def knn_nearest_reference(graph, text, excluded=None, **_):
     scored = [
         (psi(text, stored, graph.embedder), node_id, stored)
@@ -65,10 +57,7 @@ def knn_nearest_reference(graph, text, excluded=None, **_):
     if not scored:
         raise NotFoundError("no stored instruction outside the excluded node")
     top = max(score for score, _, _ in scored)
-    tied = [(node_id, stored) for score, node_id, stored in scored if score == top]
-    close = {stored: closeness(text, stored, graph.embedder) for _, stored in tied}
-    nearest = max(close.values())
-    node_id, stored = min(entry for entry in tied if close[entry[1]] == nearest)
+    node_id, stored = min((node_id, stored) for score, node_id, stored in scored if score == top)
     return KnnHit(node_id=node_id, text=stored, psi=top)
 
 

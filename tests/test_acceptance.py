@@ -25,7 +25,7 @@ from ragplan.corpus import (
     corrupt_paths,
     split_by_hint,
 )
-from ragplan.embedding import EmbedderConfig, embed_text
+from ragplan.embedding import EmbedderConfig, embed_counts
 from ragplan.encoder import (
     EncoderParams,
     PathPool,
@@ -201,22 +201,29 @@ class TestCriterion03KnnOracle:
         rng = np.random.default_rng(17)
         operators = ["Search", "Lookup", "Check", "Fetch"]
         words = ["amber", "birch", "cobalt", "dune", "ember", "fjord", "grove", "heath"]
+        # Every stored (node, text) in that order, with its integer counts
+        # and their squared norm: ψ from them is exact up to its square
+        # root and division.
+        rows = []
+        for node_id, node in sorted(graph.nodes.items()):
+            for stored_text in sorted(node.instructions):
+                stored = embed_counts(stored_text, embedder).astype(np.int64)
+                rows.append((node_id, stored_text, stored, int(stored @ stored)))
         mismatches = 0
         for _ in range(1000):
             text = (
                 f"{operators[int(rng.integers(4))]}"
                 f"[{words[int(rng.integers(8))]} {words[int(rng.integers(8))]}]"
             )
-            query = embed_text(text, embedder)
+            query = embed_counts(text, embedder).astype(np.int64)
+            sqnorm = int(query @ query)
             hit = knn_nearest(graph, text)
-            q64 = query.values.astype(np.float64)
             best = None
-            for node_id, node in sorted(graph.nodes.items()):
-                for stored_text in sorted(node.instructions):
-                    stored = embed_text(stored_text, embedder).values.astype(np.float64)
-                    sim = float(np.dot(q64, stored))
-                    if best is None or sim > best[0] + 1e-12:
-                        best = (sim, node_id, stored_text)
+            for node_id, stored_text, stored, stored_sqnorm in rows:
+                product = sqnorm * stored_sqnorm
+                sim = int(query @ stored) / math.sqrt(product) if product else 0.0
+                if best is None or sim > best[0]:
+                    best = (sim, node_id, stored_text)
             if (hit.node_id, hit.text) != (best[1], best[2]):
                 mismatches += 1
         report(3, mismatches == 0, f"1000 queries, {mismatches} mismatches against brute force")

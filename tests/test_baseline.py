@@ -1,28 +1,26 @@
-"""The verbatim-retrieval ablation against the per-case cosine loop it
-replaced: one ``cosine_rows`` over the stored questions must pick the
-same case, with ties going to the lowest index."""
+"""The verbatim-retrieval ablation against a per-case loop: one ``psi``
+over the stored questions' counts must pick the case of the highest
+scalar ψ, with ties going to the lowest index."""
 
 import pytest
 
 from ragplan.backend import PlanResult
 from ragplan.baseline import VerbatimRetriever, evaluate_verbatim
 from ragplan.corpus import InstructionPath, MetricKind, Question, TaskCorpus, split_by_hint
-from ragplan.embedding import EmbedderConfig, cosine, embed_text
+from ragplan.embedding import EmbedderConfig
 from ragplan.errors import NotFoundError
 from ragplan.world import demo_spec, gen_world
+
+from scan_reference import psi
 
 EMBEDDER = EmbedderConfig(dimension=256)
 
 
 def loop_select(support, embedder, text):
     """The retriever as a loop: the gold path of the stored question with
-    the highest ``cosine``, the first one on a tie."""
+    the highest scalar ``psi``, the first one on a tie."""
     cases = [q for q in support.iter_questions() if q.gold_path is not None]
-    query = embed_text(text, embedder)
-    best = max(
-        range(len(cases)),
-        key=lambda i: (cosine(query, embed_text(cases[i].text, embedder)), -i),
-    )
+    best = max(range(len(cases)), key=lambda i: (psi(text, cases[i].text, embedder), -i))
     return cases[best].gold_path
 
 
@@ -51,7 +49,7 @@ def test_ties_go_to_the_lowest_index():
                          stored("q3", "era of birch owl")])
     retriever = VerbatimRetriever(support, EMBEDDER)
     assert retriever.select("hue of amber fox").question_id == "q1"
-    # An invalid query scores every case 0, so the first case wins.
+    # A query without features scores every case 0, so the first case wins.
     assert retriever.select("?").question_id == "q1"
 
 

@@ -11,15 +11,15 @@ from ragplan.embedding import (
     EmbeddingVector,
     _embed,
     cosine,
-    cosine_rows,
     embed_counts,
     embed_text,
-    row_norms,
+    psi,
     unit_rows,
 )
 from ragplan.errors import ConfigError
 
 from embed_reference import embed_reference, features
+import scan_reference
 
 CFG = EmbedderConfig()
 
@@ -131,7 +131,7 @@ class TestCountingKernel:
             counts = embed_counts(text, config)
             assert counts.dtype == np.int32 and counts.any() == valid
             assert unit_rows(counts).tobytes() == values.tobytes(), text
-        # Row by row, as the graph turns its scan rows into embeddings.
+        # Row by row along the last axis.
         counts = np.array([embed_counts(text, config) for text in oracle_texts()])
         assert unit_rows(counts).tobytes() == np.array(expected).tobytes()
 
@@ -299,29 +299,32 @@ class TestCosine:
         assert s == cosine(vb, va)
 
 
-class TestCosineRows:
-    @pytest.mark.parametrize("dimension, count", [(8, 9), (256, 300), (1024, 70)])
-    def test_equals_scalar_cosine_bit_for_bit(self, dimension, count):
-        # Rows span several upcast blocks and include the query itself, an
-        # invalid row, a zero row and a scaled copy of the query.
-        rng = np.random.default_rng(dimension)
-        values = rng.standard_normal((count, dimension)).astype(np.float32)
-        query = vec(values[3])
-        values[4] = 0.0
-        values[5] = 2.0 * values[3]
-        valid = np.ones(count, dtype=bool)
-        valid[6] = False
-        rows = [vec(v, valid=ok) for v, ok in zip(values, valid)]
-        expected = [cosine(query, row) for row in rows]
-        wide = values.astype(np.float64)
-        for stored in (wide, values):
-            sims = cosine_rows(query, stored, row_norms(wide), valid)
-            assert sims.tolist() == expected
-        assert expected[3] == 1.0 and expected[6] == 0.0
-        assert cosine_rows(vec(values[0], valid=False), wide, row_norms(wide)).tolist() == [0.0] * count
+class TestPsi:
+    @pytest.mark.parametrize("dimension", [8, 256])
+    def test_equals_the_scalar_psi_of_python_ints_bit_for_bit(self, dimension):
+        # Every oracle text against every other, as one product over rows.
+        config = EmbedderConfig(dimension=dimension)
+        texts = oracle_texts()
+        rows = np.array([embed_counts(text, config) for text in texts], dtype=np.float64)
+        sqnorms = np.vecdot(rows, rows)
+        for text, query in zip(texts, rows):
+            expected = [scan_reference.psi(text, other, config) for other in texts]
+            assert psi(rows @ query, query @ query, sqnorms).tolist() == expected, text
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ConfigError):
-            cosine_rows(vec([1.0, 0.0]), np.zeros((2, 3)), np.zeros(2))
+    def test_identical_counts_score_exactly_one_and_empty_counts_zero(self):
+        texts = oracle_texts()
+        rows = np.array([embed_counts(text, CFG) for text in texts], dtype=np.float64)
+        sqnorms = np.vecdot(rows, rows)
+        scores = psi(np.vecdot(rows, rows), sqnorms, sqnorms)
+        assert scores.tolist() == [1.0 if row.any() else 0.0 for row in rows]
+        assert scores.tolist().count(0.0) == 2  # "" and whitespace alone
 
-
+    def test_equal_psi_over_other_counts_ties_exactly(self):
+        # 30 / √(47·36) and 35 / √(47·49) are both 5 / √47.
+        query = embed_counts("Lookup[amber birch]", CFG).astype(np.int64)
+        rows = np.array([embed_counts(text, CFG) for text in ("Lookup[amber]", "Lookup[ember birch]")],
+                        dtype=np.int64)
+        assert (rows @ query).tolist() == [30, 35] and int(query @ query) == 47
+        assert np.vecdot(rows, rows).tolist() == [36, 49]
+        a, b = psi(rows @ query, query @ query, np.vecdot(rows, rows)).tolist()
+        assert a == b == 5 / np.sqrt(47)

@@ -17,7 +17,7 @@ import pytest
 import ragplan.embedding as embedding_module
 import ragplan.graph as graph_module
 from ragplan.corpus import InstructionPath, Question, TaskCorpus
-from ragplan.embedding import EmbedderConfig, embed_counts, embed_text
+from ragplan.embedding import EmbedderConfig, embed_counts
 from ragplan.errors import NotFoundError
 from ragplan.graph import (
     InstructionGraph,
@@ -151,9 +151,9 @@ def test_a_hash_collision_ties_exactly_and_resolves_to_the_first_text():
     assert (hit.node_id, hit.text, hit.psi) == (2, "aa", 1.0)
 
 
-def test_equal_psi_over_other_counts_ranks_by_the_float32_embeddings():
-    # 30 / √(47·36) and 35 / √(47·49) are both 5 / √47, and round alike;
-    # the saved float32 embeddings rank "Lookup[ember birch]" first.
+def test_equal_psi_over_other_counts_resolves_to_the_lowest_node():
+    # 30 / √(47·36) and 35 / √(47·49) are both 5 / √47, and round alike,
+    # so the two rows tie exactly and the lower node wins.
     embedder = EmbedderConfig()
     graph = InstructionGraph(delta=1.0, embedder=embedder)
     insert_path(graph, InstructionPath(("Lookup[amber]", "Lookup[ember birch]"), "T1", "q1", 1.0),
@@ -161,42 +161,40 @@ def test_equal_psi_over_other_counts_ranks_by_the_float32_embeddings():
     query = "Lookup[amber birch]"
     assert psi(query, "Lookup[amber]", embedder) == psi(query, "Lookup[ember birch]", embedder)
     hit = assert_block_call_matches_the_reference(graph, query)
-    assert (hit.node_id, hit.text) == (2, "Lookup[ember birch]")
+    assert (hit.node_id, hit.text) == (1, "Lookup[amber]")
 
 
-class Float32BruteForce:
+class ExactBruteForce:
     """Acceptance criterion 03's oracle: the first stored (node, text), in
-    that order, whose float32 embedding's dot product with the query's is
-    not beaten by more than 1e-12."""
+    that order, of the largest ψ, from int64 dot products and squared
+    norms of counts, which are exact."""
 
     def __init__(self, graph):
         self.embedder = graph.embedder
         self.rows = [(node_id, text) for node_id, node in sorted(graph.nodes.items())
                      for text in sorted(node.instructions)]
-        self.stored = np.array([embed_text(text, self.embedder).values for _, text in self.rows],
-                               dtype=np.float64)
+        self.stored = np.array([embed_counts(text, self.embedder) for _, text in self.rows],
+                               dtype=np.int64)
+        self.sqnorms = np.vecdot(self.stored, self.stored)
 
     def nearest(self, text):
-        query = embed_text(text, self.embedder).values.astype(np.float64)
-        sims = np.vecdot(self.stored, query).tolist()
-        best = 0
-        for i, sim in enumerate(sims):
-            if sim > sims[best] + 1e-12:
-                best = i
-        return self.rows[best]
+        query = embed_counts(text, self.embedder).astype(np.int64)
+        products = (query @ query) * self.sqnorms
+        sims = np.where(products > 0, self.stored @ query / np.sqrt(np.maximum(products, 1)), 0.0)
+        return self.rows[int(np.argmax(sims))]
 
 
-def test_a_float32_brute_force_ranks_as_knn_nearest_over_seeds():
+def test_an_exact_brute_force_ranks_as_knn_nearest_over_seeds():
     # Criterion 03's check on corpora and queries of other seeds. Rows of
-    # equal ψ over other counts rank as the float32 scan ranks them; such
-    # ties decide six of these queries, two of which (seed 2) the lowest
-    # (node, text) alone would answer otherwise.
+    # equal ψ over other counts tie exactly and resolve to the lowest
+    # (node, text); such ties decide six of these queries, two of which
+    # (seed 2) a float32 scan of the embeddings answers otherwise.
     embedder = EmbedderConfig()
     words = WORDS[:8]
     ties = 0
     for seed in range(1, 7):
         graph = build_graph(acceptance_corpus(seed, n_instructions=1000), 0.4, embedder)
-        oracle = Float32BruteForce(graph)
+        oracle = ExactBruteForce(graph)
         counts, sqnorms = graph._scan["counts"], graph._scan["sqnorms"]
         rng = np.random.default_rng(seed + 1)
         for _ in range(1000):
